@@ -71,14 +71,6 @@ ELEMENTS = (E, MU, MU2, SIGMA, MUSIGMA, MU2SIGMA)
 ORDER = len(ELEMENTS)
 
 
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a * b
-
-
-def from_index(i: int) -> GroupElement:
-    return ELEMENTS[i]
-
-
 # Integer multiplication / inverse tables for vectorized lattice code.
 MUL_TABLE = np.array(
     [[(a * b).index for b in ELEMENTS] for a in ELEMENTS], dtype=np.int64
@@ -172,13 +164,6 @@ C3 = ConjugacyData("C3", (MU, MU2), MU, {MU: E, MU2: SIGMA}, (E, MU, MU2))
 CLASSES = (C1, C2, C3)
 
 
-def conjugacy_class_of(g: GroupElement) -> ConjugacyData:
-    for cls in CLASSES:
-        if g in cls.members:
-            return cls
-    raise ValueError(f"no class for {g!r}")
-
-
 @dataclass(frozen=True)
 class DoubleIrrep:
     """An irrep (R, C) of the double, i.e. an anyon type."""
@@ -194,9 +179,6 @@ class DoubleIrrep:
     @property
     def basis(self) -> tuple:
         return tuple((c, j) for c in self.C.members for j in range(self.R.dim))
-
-    def basis_index(self, c: GroupElement, j: int) -> int:
-        return self.basis.index((c, j))
 
     def __repr__(self) -> str:
         return f"DoubleIrrep({self.letter}: R=[{self.R.label}], C={self.C.name})"

@@ -287,30 +287,6 @@ def u_measurement_amplitude(
     )
 
 
-def local_error_phase(
-    z: str, a: str, b: str, c: str, w: str, data: CategoryData = None
-) -> complex:
-    """Phase acquired when a stray local pair (a) with internal labels (b, c)
-    braids through the probe loop of charge z with outcome w."""
-    data = data or default_category()
-    d = data.dims
-    total = 0j
-    for bp in data.anyons:
-        for cp in data.outcomes(a, z):
-            if not data.N.get((bp, cp, z), 0):
-                continue
-            mono = data.r_symbol(a, z, cp) * data.r_symbol(z, a, cp)
-            total += (
-                np.sqrt(d[bp] * d[c] / d[a])
-                * (d[cp] / (d[z] * d[a]))
-                * mono
-                * data.f_entry(a, a, c, w, b, bp)
-                * data.f_entry(c, bp, cp, z, a, z)
-                * data.f_entry(bp, w, z, cp, a, z)
-            )
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Representation-theoretic oracle: intertwiner construction of raw F/R data
 

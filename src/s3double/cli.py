@@ -66,19 +66,8 @@ def _trial_rng(seed, trial):
     return np.random.default_rng([seed, trial])
 
 
-def _random_u_state(rng):
-    amps = {
-        pair: complex(rng.standard_normal(), rng.standard_normal())
-        for pair in U_PAIRS
-    }
-    return fsim.qutrit_state(amps)
-
-
-def _random_full_state(rng):
-    amps = {
-        pair: complex(rng.standard_normal(), rng.standard_normal())
-        for pair in fsim.ALL_PAIRS
-    }
+def _random_state(rng, pairs):
+    amps = {pair: complex(rng.standard_normal(), rng.standard_normal()) for pair in pairs}
     return fsim.qutrit_state(amps)
 
 
@@ -181,17 +170,19 @@ def _cmd_circuit_equivalence(args, emit):
             )
 
 
-def _cmd_measure_ma(args, emit):
+def _measurement_tags(args, emit, measure, pairs, check):
+    """Run `measure` on a random state over `pairs` per trial and emit the
+    tag counts."""
     tags, rounds, timeouts = {}, 0, 0
     for trial in range(args.trials):
         rng = _trial_rng(args.seed, trial)
-        out = fsim.measure_MA(_random_u_state(rng), rng)
+        out = measure(_random_state(rng, pairs), rng)
         tags[out.tag] = tags.get(out.tag, 0) + 1
         rounds += out.rounds
         timeouts += out.timed_out
     emit(
         {
-            "check": "interferometric-charge-measurement",
+            "check": check,
             "trials": args.trials,
             "tags": dict(sorted(tags.items())),
             "mean_rounds": rounds / args.trials,
@@ -199,33 +190,21 @@ def _cmd_measure_ma(args, emit):
         },
         timeouts == 0,
     )
+
+
+def _cmd_measure_ma(args, emit):
+    _measurement_tags(args, emit, fsim.measure_MA, U_PAIRS, "interferometric-charge-measurement")
 
 
 def _cmd_measure_mu(args, emit):
-    tags, rounds, timeouts = {}, 0, 0
-    for trial in range(args.trials):
-        rng = _trial_rng(args.seed, trial)
-        out = fsim.measure_MU(_random_full_state(rng), rng)
-        tags[out.tag] = tags.get(out.tag, 0) + 1
-        rounds += out.rounds
-        timeouts += out.timed_out
-    emit(
-        {
-            "check": "subspace-measurement",
-            "trials": args.trials,
-            "tags": dict(sorted(tags.items())),
-            "mean_rounds": rounds / args.trials,
-            "timeouts": timeouts,
-        },
-        timeouts == 0,
-    )
+    _measurement_tags(args, emit, fsim.measure_MU, fsim.ALL_PAIRS, "subspace-measurement")
 
 
 def _cmd_merge_split(args, emit):
     worst = 1.0
     for trial in range(args.trials):
         rng = _trial_rng(args.seed, trial)
-        left, right = _random_u_state(rng), _random_u_state(rng)
+        left, right = _random_state(rng, U_PAIRS), _random_state(rng, U_PAIRS)
         merged = fsim.merge_qutrits(left, right, rng)
         split = fsim.split_qutrit(merged.state, rng)
         if split.timed_out:

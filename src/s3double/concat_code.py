@@ -173,6 +173,41 @@ class QuditCSSCode:
                     best = w
         return best
 
+    @functools.cached_property
+    def stabilizer_ops(self):
+        """Dense action of each Z-type then X-type check row: ("Z", phases)
+        or ("X", permutation) over the p^n basis states."""
+        _check_dense(self)
+        digits = _digit_table(self.p, self.n)
+        omega = np.exp(2j * np.pi / self.p)
+        weights = self.p ** np.arange(self.n - 1, -1, -1)
+        ops = []
+        for h in self.H_Z:
+            ops.append(("Z", omega ** (digits @ h % self.p)))
+        for r in self.H_X:
+            ops.append(("X", ((digits + r) % self.p) @ weights))
+        return ops
+
+    @functools.cached_property
+    def correction_table(self):
+        """syndrome tuple -> (site, a, b) of a weight<=1 error; defined when
+        errors sharing a syndrome differ only by a stabilizer."""
+        base = codewords(self, 0)
+        table = {_syndrome(self, base): (0, 0, 0)}
+        for site in range(self.n):
+            for a in range(3):
+                for b in range(3):
+                    if (a, b) == (0, 0):
+                        continue
+                    perm, phase = _pauli_vec_op(self.n, site, a, b)
+                    syn = _syndrome(self, _apply_vec_op(base, perm, phase))
+                    if syn in table:
+                        if not _equivalent_errors(self, table[syn], (site, a, b)):
+                            raise CodeError("inequivalent errors share a syndrome")
+                        continue
+                    table[syn] = (site, a, b)
+        return table
+
 
 def parse_parity_matrix(text: str, p: int) -> np.ndarray:
     """One row per line, space-separated F_p digits."""
@@ -299,31 +334,10 @@ def _apply_vec_op(vec, perm, phase):
     return out
 
 
-def _code_key(code):
-    key = (code.p, code.n, code.H_X.tobytes(), code.H_Z.tobytes())
-    _CODE_REGISTRY.setdefault(key, code)
-    return key
-
-
-@functools.lru_cache(maxsize=None)
-def _stabilizer_ops_cached(key):
-    code = _CODE_REGISTRY[key]
-    _check_dense(code)
-    digits = _digit_table(code.p, code.n)
-    omega = np.exp(2j * np.pi / code.p)
-    weights = code.p ** np.arange(code.n - 1, -1, -1)
-    ops = []
-    for h in code.H_Z:
-        ops.append(("Z", omega ** (digits @ h % code.p)))
-    for r in code.H_X:
-        ops.append(("X", ((digits + r) % code.p) @ weights))
-    return ops
-
-
 def stabilizer_expectations(code: QuditCSSCode, vec):
     """<psi|S|psi> for every Z-type then X-type stabilizer row."""
     values = []
-    for kind, arr in _stabilizer_ops_cached(_code_key(code)):
+    for kind, arr in code.stabilizer_ops:
         if kind == "Z":
             values.append(complex(np.vdot(vec, arr * vec)))
         else:
@@ -357,33 +371,9 @@ def _equivalent_errors(code, e1, e2):
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _correction_table_cached(key):
-    code = _CODE_REGISTRY[key]
-    base = codewords(code, 0)
-    table = {_syndrome(code, base): (0, 0, 0)}
-    for site in range(code.n):
-        for a in range(3):
-            for b in range(3):
-                if (a, b) == (0, 0):
-                    continue
-                perm, phase = _pauli_vec_op(code.n, site, a, b)
-                syn = _syndrome(code, _apply_vec_op(base, perm, phase))
-                if syn in table:
-                    if not _equivalent_errors(code, table[syn], (site, a, b)):
-                        raise CodeError("inequivalent errors share a syndrome")
-                    continue
-                table[syn] = (site, a, b)
-    return table
-
-
-_CODE_REGISTRY = {}
-
-
 def correction_table(code: QuditCSSCode):
-    """syndrome tuple -> (site, a, b) of a weight<=1 error; defined when
-    errors sharing a syndrome differ only by a stabilizer."""
-    return _correction_table_cached(_code_key(code))
+    """The code's correction table, built once per code object."""
+    return code.correction_table
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,20 @@ with its northwest vertex; sites are indexed (x, y) with 0 <= x < W,
 0 <= y < H.
 
 States are sparse maps from edge configurations (one group element per edge,
-packed base-6 into an int64 key) to complex amplitudes.  In addition, a state
-carries a set of "uniform" vertices: the physical state is the normalized
-image of the stored terms under the product of vertex projectors A_v over
-that set.  Stored terms are kept in a canonical gauge (the spanning-tree
-edge into each uniform vertex is fixed to the identity), which makes the
-orbit basis orthonormal and keeps protocol states tiny: the ground state is
-a single term.  Operators that do not commute with A_v at some uniform
-vertex require de-uniformizing that vertex first (term count x6 per vertex).
+packed base-6 into an int64 key) to complex amplitudes.  In addition, a
+state carries a set of "uniform" vertices: the physical state is the
+normalized image of the stored terms under the product of vertex projectors
+A_v over that set.  Stored terms are kept in a canonical gauge (the
+spanning-tree edge into each uniform vertex is fixed to the identity), which
+makes the orbit basis orthonormal and keeps protocol states tiny: the ground
+state is a single term.  Operators that do not commute with A_v at some
+uniform vertex require de-uniformizing that vertex first (term count x6 per
+vertex).
+
+Key format: only _identity_keys (makes keys), _digit (reads one edge's group
+index) and _set_digit (writes it) know how a configuration is packed.  The
+dense oracle (dense_vector, from_dense) is the one other place that relies
+on it: there a key is its own index into the 6^n_edges vector.
 
 Operator conventions: L^g_+|m> = |gm>, L^g_-|m> = |m gbar>, T^h_+ = delta_{h,m},
 T^h_- = delta_{hbar,m}.  A^g_v acts with L^g_+ on edges starting at v and
@@ -38,6 +44,7 @@ import numpy as np
 from .algebra import (
     ANYON_TABLE,
     ANYONS,
+    E,
     GroupElement,
     INV_TABLE,
     MUL_TABLE,
@@ -103,12 +110,17 @@ class Lattice:
     def n_edges(self) -> int:
         return self.W * (self.H + 1) + self.H * (self.W + 1)
 
+    def is_horizontal(self, edge: int) -> bool:
+        return edge < self.W * (self.H + 1)
+
     def edge_endpoints(self, edge: int):
-        nh = self.W * (self.H + 1)
-        if edge < nh:
+        """((x, y), (x', y')) start and end vertices of an edge index."""
+        if not 0 <= edge < self.n_edges:
+            raise ValueError(f"no edge {edge}")
+        if self.is_horizontal(edge):
             y, x = divmod(edge, self.W)
             return (x, y), (x + 1, y)
-        y, x = divmod(edge - nh, self.W + 1)
+        y, x = divmod(edge - self.W * (self.H + 1), self.W + 1)
         return (x, y), (x, y + 1)
 
     def star(self, v):
@@ -148,9 +160,6 @@ class Lattice:
         """All non-root vertices, parents before children."""
         return [v for v in sorted(self.vertices, key=lambda v: (v[1], v[0])) if v != (0, 0)]
 
-    def powers(self) -> np.ndarray:
-        return 6 ** np.arange(self.n_edges, dtype=np.int64)
-
 
 # ---------------------------------------------------------------------------
 # Sparse state
@@ -179,23 +188,43 @@ class LatticeState:
             raise ValueError("cannot normalize the zero state")
         return replace(self, amps=self.amps / n)
 
-    def digits(self, edge: int) -> np.ndarray:
-        return (self.keys // (6 ** edge)) % 6
-
     def dump(self) -> str:
         """Structured text snapshot (edge order, configurations, amplitudes)."""
         lat = self.lattice
         lines = [f"lattice {lat.W}x{lat.H} edges {lat.n_edges}"]
         lines.append("uniform " + " ".join(f"{x},{y}" for x, y in sorted(self.uniform)))
-        order = np.argsort(self.keys)
-        for i in order:
-            digs = np.base_repr(int(self.keys[i]), base=6).zfill(lat.n_edges)[::-1]
+        digits = [_digit(self.keys, e) for e in range(lat.n_edges)]
+        for i in np.argsort(self.keys):
+            digs = "".join(str(d[i]) for d in digits)
             a = self.amps[i]
             lines.append(f"{digs} {a.real!r} {a.imag!r}")
         return "\n".join(lines)
 
 
-def _merged(lattice, keys, amps, uniform) -> LatticeState:
+def _identity_keys(n: int) -> np.ndarray:
+    """n keys with the identity on every edge."""
+    return np.zeros(n, dtype=np.int64)
+
+
+def _digit(keys, edge):
+    """Group index on `edge` of each key."""
+    return (keys // (6 ** edge)) % 6
+
+
+def _set_digit(keys, edge, old, new):
+    """Keys with the group index on `edge` changed from `old` to `new`."""
+    return keys + (new - old) * (6 ** edge)
+
+
+def _merged(lattice, pieces, uniform) -> LatticeState:
+    """Sum of (keys, amps) pieces: equal keys are added and negligible
+    amplitudes dropped.  No pieces give the zero state."""
+    if not pieces:
+        return LatticeState(lattice, _identity_keys(0), np.zeros(0, dtype=complex), uniform)
+    if len(pieces) == 1:
+        keys, amps = pieces[0]
+    else:
+        keys, amps = map(np.concatenate, zip(*pieces))
     uniq, inverse = np.unique(keys, return_inverse=True)
     out = np.zeros(len(uniq), dtype=complex)
     np.add.at(out, inverse, amps)
@@ -203,19 +232,15 @@ def _merged(lattice, keys, amps, uniform) -> LatticeState:
     return LatticeState(lattice, uniq[keep], out[keep], uniform)
 
 
-def _set_digit(keys, edge, old, new):
-    return keys + (new - old) * (6 ** edge)
-
-
 def _left_mult(keys, edge, g_arr):
     """L^g_+ with a per-term group element array (or scalar index)."""
-    old = (keys // (6 ** edge)) % 6
+    old = _digit(keys, edge)
     return _set_digit(keys, edge, old, MUL_TABLE[g_arr, old])
 
 
 def _right_mult_inv(keys, edge, g_arr):
     """L^g_- with a per-term group element array (or scalar index)."""
-    old = (keys // (6 ** edge)) % 6
+    old = _digit(keys, edge)
     return _set_digit(keys, edge, old, MUL_TABLE[old, INV_TABLE[g_arr]])
 
 
@@ -248,7 +273,7 @@ def canonicalize_keys(lattice, keys, uniform):
     for v, t, star in _tree_cache(lattice):
         if v not in uniform:
             continue
-        m = (keys // (6 ** t)) % 6  # tree edge ends at v; A^m_v sets it to e
+        m = _digit(keys, t)  # tree edge ends at v; A^m_v sets it to e
         if m.any():
             keys = _gauge_at_vertex(lattice, keys, v, m, star)
     return keys
@@ -265,7 +290,13 @@ def apply_vertex(state: LatticeState, v, g: GroupElement) -> LatticeState:
     g_arr = np.full(state.n_terms, g.index, dtype=np.int64)
     keys = _gauge_at_vertex(state.lattice, state.keys, v, g_arr)
     keys = canonicalize_keys(state.lattice, keys, state.uniform)
-    return _merged(state.lattice, keys, state.amps, state.uniform)
+    return _merged(state.lattice, [(keys, state.amps)], state.uniform)
+
+
+def _flux(state: LatticeState, p) -> np.ndarray:
+    """Counterclockwise flux of plaquette p in every stored term."""
+    le, be, re, te = (_digit(state.keys, e) for e in state.lattice.plaquette_edges(p))
+    return MUL_TABLE[MUL_TABLE[MUL_TABLE[le, be], INV_TABLE[re]], INV_TABLE[te]]
 
 
 def apply_plaquette(state: LatticeState, p, h: GroupElement) -> LatticeState:
@@ -277,13 +308,20 @@ def apply_plaquette(state: LatticeState, p, h: GroupElement) -> LatticeState:
     """
     if h.index != 0 and p in state.uniform:
         state = deuniformize(state, p)
-    le, be, re, te = state.lattice.plaquette_edges(p)
-    f = MUL_TABLE[
-        MUL_TABLE[MUL_TABLE[state.digits(le), state.digits(be)], INV_TABLE[state.digits(re)]],
-        INV_TABLE[state.digits(te)],
-    ]
-    mask = f == h.index
+    mask = _flux(state, p) == h.index
     return LatticeState(state.lattice, state.keys[mask], state.amps[mask], state.uniform)
+
+
+def apply_edge_monomial(state: LatticeState, edge: int, elements, phases) -> LatticeState:
+    """Single-edge monomial |g> -> phases[g] |elements[g]>, with g, elements[g]
+    group indices and both tables indexed by g.  The edge's endpoints are
+    made explicit first, since such an operator need not commute with A_v
+    there."""
+    state = _deuniformized(state, state.lattice.edge_endpoints(edge))
+    old = _digit(state.keys, edge)
+    keys = _set_digit(state.keys, edge, old, elements[old])
+    keys = canonicalize_keys(state.lattice, keys, state.uniform)
+    return _merged(state.lattice, [(keys, state.amps * phases[old])], state.uniform)
 
 
 def uniformize(state: LatticeState, v) -> LatticeState:
@@ -300,23 +338,35 @@ def uniformize(state: LatticeState, v) -> LatticeState:
         raise ValueError("the tree root vertex cannot join the uniform set")
     uniform = state.uniform | {v}
     keys = canonicalize_keys(state.lattice, state.keys, uniform)
-    return _merged(state.lattice, keys, state.amps / np.sqrt(ORDER), uniform)
+    return _merged(state.lattice, [(keys, state.amps / np.sqrt(ORDER))], uniform)
+
+
+def _gauge_average(state: LatticeState, v, uniform, divisor) -> LatticeState:
+    """sum_g A^g_v / divisor applied to the stored terms, canonicalized for
+    the given uniform set."""
+    orbit = [
+        _gauge_at_vertex(
+            state.lattice, state.keys, v, np.full(state.n_terms, g, dtype=np.int64)
+        )
+        for g in range(ORDER)
+    ]
+    keys = canonicalize_keys(state.lattice, np.concatenate(orbit), uniform)
+    return _merged(state.lattice, [(keys, np.tile(state.amps / divisor, ORDER))], uniform)
 
 
 def deuniformize(state: LatticeState, v) -> LatticeState:
     """Exactly rewrite the state with v removed from the uniform set."""
     if v not in state.uniform:
         return state.copy()
-    uniform = state.uniform - {v}
-    all_keys = [
-        _gauge_at_vertex(
-            state.lattice, state.keys, v, np.full(state.n_terms, g, dtype=np.int64)
-        )
-        for g in range(ORDER)
-    ]
-    keys = canonicalize_keys(state.lattice, np.concatenate(all_keys), uniform)
-    amps = np.tile(state.amps / np.sqrt(ORDER), ORDER)
-    return _merged(state.lattice, keys, amps, uniform)
+    return _gauge_average(state, v, state.uniform - {v}, np.sqrt(ORDER))
+
+
+def _deuniformized(state: LatticeState, vertices) -> LatticeState:
+    """The state rewritten with none of the given vertices uniform."""
+    for v in vertices:
+        if v in state.uniform:
+            state = deuniformize(state, v)
+    return state
 
 
 def expanded(state: LatticeState) -> LatticeState:
@@ -340,15 +390,7 @@ def vertex_projector(state: LatticeState, v) -> LatticeState:
     """A_v without uniform-set bookkeeping (image may be unnormalized)."""
     if v in state.uniform:
         return state.copy()
-    pieces_k, pieces_a = [], []
-    for g in range(ORDER):
-        g_arr = np.full(state.n_terms, g, dtype=np.int64)
-        keys = _gauge_at_vertex(state.lattice, state.keys, v, g_arr)
-        pieces_k.append(canonicalize_keys(state.lattice, keys, state.uniform))
-        pieces_a.append(state.amps / ORDER)
-    return _merged(
-        state.lattice, np.concatenate(pieces_k), np.concatenate(pieces_a), state.uniform
-    )
+    return _gauge_average(state, v, state.uniform, ORDER)
 
 
 def stabilizer_expectations(state: LatticeState):
@@ -359,10 +401,8 @@ def stabilizer_expectations(state: LatticeState):
             out["A", v] = 1.0 + 0.0j
         else:
             out["A", v] = inner(state, vertex_projector(state, v))
-    from .algebra import E as _E
-
     for p in state.lattice.sites:
-        out["B", p] = inner(state, apply_plaquette(state, p, _E))
+        out["B", p] = inner(state, apply_plaquette(state, p, E))
     return out
 
 
@@ -377,12 +417,7 @@ def ground_state(lattice: Lattice, uniform: bool = True) -> LatticeState:
             f"{lattice.W}x{lattice.H} lattice exceeds the desk-scale bound",
             ORDER ** (lattice.n_vertices - 1),
         )
-    state = LatticeState(
-        lattice,
-        np.zeros(1, dtype=np.int64),
-        np.ones(1, dtype=complex),
-        frozenset(),
-    )
+    state = LatticeState(lattice, _identity_keys(1), np.ones(1, dtype=complex), frozenset())
     for v in lattice.vertices:
         if v != (0, 0):
             state = uniformize(state, v)
@@ -468,14 +503,12 @@ def apply_ribbon(
     state: LatticeState, ribbon: Ribbon, h: GroupElement, g: GroupElement
 ) -> LatticeState:
     """F^{h,g}_rho: monomial action by triangle recursion."""
-    for v in ribbon.vertices:
-        state = deuniformize(state, v)
-    keys = state.keys.copy()
-    amps = state.amps
+    state = _deuniformized(state, ribbon.vertices)
+    keys = state.keys
     prefix = np.zeros(len(keys), dtype=np.int64)  # product of elements read
     for tri in ribbon.triangles:
         if tri.kind == "direct":
-            d = (keys // (6 ** tri.edge)) % 6
+            d = _digit(keys, tri.edge)
             read = d if tri.positive else INV_TABLE[d]
             prefix = MUL_TABLE[prefix, read]
         else:
@@ -486,7 +519,7 @@ def apply_ribbon(
                 keys = _right_mult_inv(keys, tri.edge, conj)
     mask = prefix == g.index
     keys = canonicalize_keys(state.lattice, keys[mask], state.uniform)
-    return _merged(state.lattice, keys, amps[mask], state.uniform)
+    return _merged(state.lattice, [(keys, state.amps[mask])], state.uniform)
 
 
 def anyon_ribbon_branch(
@@ -498,27 +531,15 @@ def anyon_ribbon_branch(
     cp, jp = v
     tau_c, tau_cp = irrep.C.tau[c], irrep.C.tau[cp]
     scale = irrep.R.dim / len(irrep.C.centralizer)
-    pieces_k, pieces_a = [], []
-    base = state
-    for vtx in ribbon.vertices:
-        base = deuniformize(base, vtx)
+    base = _deuniformized(state, ribbon.vertices)
+    pieces = []
     for n in irrep.C.centralizer:
         coeff = scale * irrep.R.matrix(n)[j, jp]
         if abs(coeff) < 1e-15:
             continue
         part = apply_ribbon(base, ribbon, c, tau_c * n * tau_cp.inverse())
-        pieces_k.append(part.keys)
-        pieces_a.append(part.amps * coeff)
-    if not pieces_k:
-        return LatticeState(
-            state.lattice,
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=complex),
-            base.uniform,
-        )
-    return _merged(
-        state.lattice, np.concatenate(pieces_k), np.concatenate(pieces_a), base.uniform
-    )
+        pieces.append((part.keys, part.amps * coeff))
+    return _merged(state.lattice, pieces, base.uniform)
 
 
 def apply_anyon_ribbon(
@@ -543,9 +564,7 @@ def apply_anyon_ribbon(
         return out.normalized()
     if rng is None:
         raise ValueError("mixed application requires an rng")
-    base = state
-    for vtx in ribbon.vertices:
-        base = deuniformize(base, vtx)
+    base = _deuniformized(state, ribbon.vertices)
     branches, weights = [], []
     for uu in irrep.basis:
         for vv in irrep.basis:
@@ -586,7 +605,7 @@ def apply_K(state: LatticeState, site, anyon: str) -> LatticeState:
     if v in state.uniform:
         state = deuniformize(state, v)
     scale = irrep.R.dim / len(irrep.C.centralizer)
-    pieces_k, pieces_a = [], []
+    pieces = []
     for c in irrep.C.members:
         flux_part = apply_plaquette(state, site, c)
         if flux_part.n_terms == 0:
@@ -596,37 +615,24 @@ def apply_K(state: LatticeState, site, anyon: str) -> LatticeState:
             coeff = scale * np.conj(irrep.R.character(n))
             g = tau_c * n * tau_c.inverse()
             g_arr = np.full(flux_part.n_terms, g.index, dtype=np.int64)
-            pieces_k.append(
-                _gauge_at_vertex(state.lattice, flux_part.keys, v, g_arr)
-            )
-            pieces_a.append(flux_part.amps * coeff)
-    if not pieces_k:
-        return LatticeState(
-            state.lattice,
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=complex),
-            state.uniform,
-        )
-    keys = canonicalize_keys(
-        state.lattice, np.concatenate(pieces_k), state.uniform
-    )
-    return _merged(state.lattice, keys, np.concatenate(pieces_a), state.uniform)
+            keys = _gauge_at_vertex(state.lattice, flux_part.keys, v, g_arr)
+            pieces.append((keys, flux_part.amps * coeff))
+    if not pieces:
+        return _merged(state.lattice, [], state.uniform)
+    # one canonicalize call for all pieces: per-call overhead dominates on
+    # the few-term states of the protocols
+    keys, amps = map(np.concatenate, zip(*pieces))
+    keys = canonicalize_keys(state.lattice, keys, state.uniform)
+    return _merged(state.lattice, [(keys, amps)], state.uniform)
 
 
-def _measure_site(state: LatticeState, site, rng):
-    """Sample the anyon at one site; returns (letter, post-state)."""
+def measure_site(state: LatticeState, site, rng):
+    """Sample the anyon charge at one site; returns (letter, post-state)."""
     v = site
     if v in state.uniform:
         # A_v-invariant sector: only trivial-centralizer-irrep outcomes, and
         # K reduces to a pure flux-class projector — no expansion needed
-        le, be, re, te = state.lattice.plaquette_edges(site)
-        f = MUL_TABLE[
-            MUL_TABLE[
-                MUL_TABLE[state.digits(le), state.digits(be)],
-                INV_TABLE[state.digits(re)],
-            ],
-            INV_TABLE[state.digits(te)],
-        ]
+        f = _flux(state, site)
         probs, masks, letters = [], [], []
         for letter in _CLASS_LETTER.values():
             members = [g.index for g in ANYON_TABLE[letter].C.members]
@@ -669,16 +675,11 @@ def _measure_site(state: LatticeState, site, rng):
     return letter, post
 
 
-def measure_site(state: LatticeState, site, rng):
-    """Sample the anyon charge at one site; returns (letter, post-state)."""
-    return _measure_site(state, site, rng)
-
-
 def measure_MK(state: LatticeState, rng):
     """Full anyon-configuration measurement over all sites (they commute)."""
     charges = {}
     for site in state.lattice.sites:
-        letter, state = _measure_site(state, site, rng)
+        letter, state = measure_site(state, site, rng)
         charges[site] = letter
     return AnyonConfiguration(charges), state
 
@@ -709,8 +710,6 @@ def ground_space_rank(lattice: Lattice, rng, probes: int = 4, tol: float = 1e-8)
 
     Requires <= 7 edges.  Returns (rank, singular_values).
     """
-    from .algebra import E as _E
-
     if lattice.n_edges > 7:
         raise ResourceError("dense oracle too large", ORDER ** lattice.n_edges)
     dim = ORDER ** lattice.n_edges
@@ -719,23 +718,13 @@ def ground_space_rank(lattice: Lattice, rng, probes: int = 4, tol: float = 1e-8)
         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         st = from_dense(lattice, vec)
         for p in lattice.sites:
-            st = apply_plaquette(st, p, _E)
+            st = apply_plaquette(st, p, E)
         for v in lattice.vertices:
             st = vertex_projector(st, v)
         block[:, i] = dense_vector(st)
     s = np.linalg.svd(block, compute_uv=False)
     rank = int(np.sum(s > tol * max(s[0], 1e-300)))
     return rank, s
-
-
-def _all_configs_state(lattice: Lattice) -> LatticeState:
-    n = ORDER ** lattice.n_edges
-    return LatticeState(
-        lattice,
-        np.arange(n, dtype=np.int64),
-        np.ones(n, dtype=complex),
-        frozenset(),
-    )
 
 
 def ribbon_operator_matrix(
@@ -747,27 +736,17 @@ def ribbon_operator_matrix(
     shape (6^k, 6^k) for k = len(support).
     """
     support = list(support)
-    k = len(support)
-    dim = ORDER ** k
+    shape = (ORDER,) * len(support)
+    dim = ORDER ** len(support)
+    # matrix index i has the element on support[0] as its last base-6 digit
+    keys = _identity_keys(dim)
+    for e, d in zip(support, np.unravel_index(np.arange(dim), shape)[::-1]):
+        keys = _set_digit(keys, e, E.index, d)
     mat = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
-        key = 0
-        rest = col
-        for e in support:
-            key += (rest % 6) * (6 ** e)
-            rest //= 6
-        st = LatticeState(
-            lattice,
-            np.array([key], dtype=np.int64),
-            np.ones(1, dtype=complex),
-            frozenset(),
-        )
-        out = builder(st)
-        for key_o, amp in zip(out.keys, out.amps):
-            row = 0
-            for i, e in enumerate(support):
-                row += int((key_o // (6 ** e)) % 6) * (ORDER ** i)
-            mat[row, col] = amp
+        out = builder(LatticeState(lattice, keys[col:col + 1], np.ones(1, dtype=complex)))
+        rows = np.ravel_multi_index([_digit(out.keys, e) for e in reversed(support)], shape)
+        mat[rows, col] = out.amps
     return mat
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import category
 from . import lattice as lat
 from . import protocols as pro
-from .algebra import ANYONS, OMEGA
+from .algebra import ANYONS, ELEMENTS, MU, OMEGA, SIGMA
 
 
 class QECError(RuntimeError):
@@ -79,21 +79,24 @@ class SyndromeRecord:
     actions: tuple  # (site_a, site_b, resolved flag) per decoded pair
 
 
-def edge_endpoints(lattice: lat.Lattice, edge: int):
-    """((x, y), (x', y')) vertices of an edge index."""
-    n_h = lattice.W * (lattice.H + 1)
-    if 0 <= edge < n_h:
-        x, y = edge % lattice.W, edge // lattice.W
-        return (x, y), (x + 1, y)
-    r = edge - n_h
-    if 0 <= r < (lattice.W + 1) * lattice.H:
-        x, y = r % (lattice.W + 1), r // (lattice.W + 1)
-        return (x, y), (x, y + 1)
-    raise QECError(f"edge {edge} out of range")
-
-
-def is_horizontal(lattice: lat.Lattice, edge: int) -> bool:
-    return edge < lattice.W * (lattice.H + 1)
+# Pauli errors as monomials on the edge's group element g = mu^k sigma^l
+# (qutrit k, qubit l): X = right multiplication by sigma, Xh = left
+# multiplication by mu, Z = (-1)^l, Zh = omega^k.  Y = X Z and XhZh = Xh Zh
+# take the phase of the original element, then move it.
+_ELEMENTS_FIXED = np.array([g.index for g in ELEMENTS])
+_ELEMENTS_X = np.array([(g * SIGMA).index for g in ELEMENTS])
+_ELEMENTS_XH = np.array([(MU * g).index for g in ELEMENTS])
+_PHASES_NONE = np.ones(len(ELEMENTS))
+_PHASES_Z = (-1.0) ** np.array([g.l for g in ELEMENTS])
+_PHASES_ZH = OMEGA ** np.array([g.k for g in ELEMENTS])
+_MONOMIALS = {
+    "X": (_ELEMENTS_X, _PHASES_NONE),
+    "Z": (_ELEMENTS_FIXED, _PHASES_Z),
+    "Y": (_ELEMENTS_X, _PHASES_Z),
+    "Xh": (_ELEMENTS_XH, _PHASES_NONE),
+    "Zh": (_ELEMENTS_FIXED, _PHASES_ZH),
+    "XhZh": (_ELEMENTS_XH, _PHASES_ZH),
+}
 
 
 def inject_pauli(state: lat.LatticeState, edge: int, kind: str) -> lat.LatticeState:
@@ -101,33 +104,14 @@ def inject_pauli(state: lat.LatticeState, edge: int, kind: str) -> lat.LatticeSt
     their product on the qutrit factor) to a lattice state."""
     if kind not in PAULI_KINDS:
         raise QECError(f"unknown Pauli kind {kind!r}")
-    st = state
-    for v in edge_endpoints(st.lattice, edge):
-        if v in st.uniform:
-            st = lat.deuniformize(st, v)
-    keys = st.keys.copy()
-    amps = st.amps.copy()
-    digit = (keys // 6**edge) % 6
-    k, l = digit % 3, digit // 3
-    if kind in ("Z", "Y"):
-        amps = amps * (-1.0) ** l
-    if kind in ("Zh", "XhZh"):
-        amps = amps * OMEGA**k
-    if kind in ("X", "Y"):
-        keys = keys + (k + 3 * (1 - l) - digit) * 6**edge
-    if kind in ("Xh", "XhZh"):
-        digit = (keys // 6**edge) % 6
-        k, l = digit % 3, digit // 3
-        keys = keys + ((k + 1) % 3 + 3 * l - digit) * 6**edge
-    keys = lat.canonicalize_keys(st.lattice, keys, st.uniform)
-    return lat._merged(st.lattice, keys, amps, st.uniform)
+    return lat.apply_edge_monomial(state, edge, *_MONOMIALS[kind])
 
 
 def syndrome_sites(lattice: lat.Lattice, edge: int):
     """(s1, s2, s3) site coordinates excited by an error on the edge; sites
     falling outside the site grid are returned as None."""
-    (x, y), _ = edge_endpoints(lattice, edge)
-    if is_horizontal(lattice, edge):
+    (x, y), _ = lattice.edge_endpoints(edge)
+    if lattice.is_horizontal(edge):
         sites = ((x, y - 1), (x, y), (x + 1, y))
     else:
         sites = ((x - 1, y), (x, y), (x, y + 1))
@@ -140,7 +124,7 @@ def pauli_to_anyons(lattice: lat.Lattice, edge: int, kind: str) -> dict:
     error (dominant outcome at the lone-vertex site, see S3_MIX)."""
     if kind not in PAULI_KINDS:
         raise QECError(f"unknown Pauli kind {kind!r}")
-    table = SYNDROME_H if is_horizontal(lattice, edge) else SYNDROME_V
+    table = SYNDROME_H if lattice.is_horizontal(edge) else SYNDROME_V
     pattern = {}
     for site, letter in zip(syndrome_sites(lattice, edge), table[kind]):
         if site is not None and letter != "A":
@@ -281,7 +265,7 @@ def _phenomenological_cycle(shape, noise, rounds, rng):
                 continue
             n_errors += 1
             kind = noise.sample_kind(rng)
-            table = SYNDROME_H if is_horizontal(geometry, edge) else SYNDROME_V
+            table = SYNDROME_H if geometry.is_horizontal(edge) else SYNDROME_V
             for slot, site in enumerate(syndrome_sites(geometry, edge)):
                 if site is None:
                     continue

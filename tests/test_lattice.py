@@ -195,7 +195,7 @@ class TestRibbons:
         for h in (MU, SIGMA):
             for g in (E, MU):
                 direct = lat.apply_ribbon(st0, rib, h, g)
-                parts_k, parts_a = [], []
+                parts = []
                 for m1 in ELEMENTS:
                     for m2 in ELEMENTS:
                         h1, h2 = h, m1.inverse() * h * m1
@@ -205,22 +205,8 @@ class TestRibbons:
                         out = lat.apply_ribbon(out, pieces[1], h2, m2)
                         out = lat.apply_ribbon(out, pieces[2], h3, g3)
                         if out.n_terms:
-                            parts_k.append(out.keys)
-                            parts_a.append(out.amps)
-                if parts_k:
-                    glued = lat._merged(
-                        lattice,
-                        np.concatenate(parts_k),
-                        np.concatenate(parts_a),
-                        frozenset(),
-                    )
-                else:
-                    glued = lat.LatticeState(
-                        lattice,
-                        np.zeros(0, dtype=np.int64),
-                        np.zeros(0, dtype=complex),
-                        frozenset(),
-                    )
+                            parts.append((out.keys, out.amps))
+                glued = lat._merged(lattice, parts, frozenset())
                 assert direct.n_terms == glued.n_terms
                 assert np.array_equal(direct.keys, glued.keys)
                 assert np.allclose(direct.amps, glued.amps, atol=1e-12)

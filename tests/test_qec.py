@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from s3double import category
+from s3double import circuits as cir
 from s3double import lattice as lat
 from s3double import qec
 
@@ -48,15 +49,15 @@ class TestNoiseModel:
 class TestGeometry:
     def test_edge_endpoints(self):
         lattice = lat.Lattice(2, 2)
-        assert qec.edge_endpoints(lattice, lattice.h_edge(0, 1)) == ((0, 1), (1, 1))
-        assert qec.edge_endpoints(lattice, lattice.v_edge(1, 0)) == ((1, 0), (1, 1))
-        with pytest.raises(qec.QECError):
-            qec.edge_endpoints(lattice, lattice.n_edges)
+        assert lattice.edge_endpoints(lattice.h_edge(0, 1)) == ((0, 1), (1, 1))
+        assert lattice.edge_endpoints(lattice.v_edge(1, 0)) == ((1, 0), (1, 1))
+        with pytest.raises(ValueError):
+            lattice.edge_endpoints(lattice.n_edges)
 
     def test_is_horizontal(self):
         lattice = lat.Lattice(2, 2)
-        assert qec.is_horizontal(lattice, lattice.h_edge(1, 2))
-        assert not qec.is_horizontal(lattice, lattice.v_edge(0, 0))
+        assert lattice.is_horizontal(lattice.h_edge(1, 2))
+        assert not lattice.is_horizontal(lattice.v_edge(0, 0))
 
     def test_syndrome_sites_off_grid(self):
         lattice = lat.Lattice(2, 2)
@@ -160,6 +161,39 @@ class TestInjectPauli:
         for kind in qec.PAULI_KINDS:
             st = qec.inject_pauli(gs, lattice.v_edge(1, 0), kind)
             assert st.norm() == pytest.approx(1.0, abs=TOL)
+
+    @staticmethod
+    def _edge_unitary(kind):
+        """The Pauli on one edge's (qutrit, qubit) wire pair."""
+        x, z = cir.gate_unitary("X"), cir.gate_unitary("Z")
+        xh, zh = cir.gate_unitary("Xh"), cir.gate_unitary("Zh")
+        qubit = {"X": x, "Z": z, "Y": x @ z}
+        qutrit = {"Xh": xh, "Zh": zh, "XhZh": xh @ zh}
+        if kind in qubit:
+            return np.kron(np.eye(3), qubit[kind])
+        return np.kron(qutrit[kind], np.eye(2))
+
+    @pytest.mark.parametrize("kind", qec.PAULI_KINDS)
+    @pytest.mark.parametrize("orientation", ("h", "v"))
+    def test_exact_amplitudes(self, kind, orientation):
+        """Every amplitude of a random explicit state matches the dense gate
+        built from the circuit inventory."""
+        lattice = lat.Lattice(1, 1)
+        edge = lattice.h_edge(0, 1) if orientation == "h" else lattice.v_edge(1, 0)
+        n = lattice.n_edges
+        rng = np.random.default_rng(5)
+        vec = rng.normal(size=6**n) + 1j * rng.normal(size=6**n)
+        got = lat.dense_vector(qec.inject_pauli(lat.from_dense(lattice, vec), edge, kind))
+        # the same gate in the group basis of one edge
+        u = self._edge_unitary(kind)
+        perm = cir.group_to_pair_perm(1)
+        gate = u[np.ix_(perm, perm)]
+        assert np.array_equal(cir.group_matrix_to_circuit(gate, 1), u)
+        # edge e is the e-th least significant base-6 digit of a dense index
+        axis = n - 1 - edge
+        want = np.tensordot(gate, vec.reshape((6,) * n), axes=([1], [axis]))
+        want = np.moveaxis(want, 0, axis).reshape(-1)
+        assert np.allclose(got, want, atol=TOL)
 
 
 class TestDecoder:
