@@ -541,16 +541,19 @@ def channel_kraus(circuit: AdaptiveCircuit):
 
 
 def choi_matrix(weighted_kraus) -> np.ndarray:
-    """Trace-normalized Choi matrix of sum_i w_i K_i rho K_i^dag."""
-    total = None
-    for w, k in weighted_kraus:
-        v = np.asarray(k, dtype=complex).reshape(-1, 1)
-        c = w * (v @ v.conj().T)
-        total = c if total is None else total + c
-    tr = np.trace(total)
+    """Trace-normalized Choi matrix of sum_i w_i K_i rho K_i^dag.
+
+    With the vectorised Kraus operators stacked as the rows of V (n x d^2),
+    the matrix is the one product (V^T * w) @ conj(V).  Its trace
+    w . sum_j |V_ij|^2 is found first and folded into the weights.
+    """
+    branches = list(weighted_kraus)
+    w = np.array([wi for wi, _ in branches])
+    v = np.array([np.asarray(k, dtype=complex).reshape(-1) for _, k in branches])
+    tr = w @ np.sum(np.abs(v) ** 2, axis=1) if branches else 0.0
     if abs(tr) < PRUNE:
         raise CircuitError("channel is identically zero")
-    return total / tr
+    return (v.T * (w / tr)) @ v.conj()
 
 
 def check_equivalence(circuit: AdaptiveCircuit, operator_kraus) -> float:

@@ -273,7 +273,8 @@ def _cmd_qec_cycle(args, emit):
         rec["syndrome"] = [[list(site), letter] for site, letter in rec["syndrome"]]
         rec["actions"] = [[list(a), list(b), ok] for a, b, ok in rec["actions"]]
         rec["check"] = "qec-round"
-        emit(rec, True)
+        # the greedy decoder pairs each syndrome site at most once
+        emit(rec, len(rec["actions"]) <= len(rec["syndrome"]) // 2)
 
 
 def _cmd_concat_cc(args, emit):

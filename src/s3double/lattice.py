@@ -19,9 +19,13 @@ uniform vertex require de-uniformizing that vertex first (term count x6 per
 vertex).
 
 Key format: only _identity_keys (makes keys), _digit (reads one edge's group
-index) and _set_digit (writes it) know how a configuration is packed.  The
-dense oracle (dense_vector, from_dense) is the one other place that relies
-on it: there a key is its own index into the 6^n_edges vector.
+index) and _set_digit (writes it) know how a configuration is packed.  Two
+other places rely on it.  In the dense oracle (dense_vector, from_dense) a
+key is its own index into the 6^n_edges vector.  ribbon_operator_matrix
+tags each basis column in the base-6 digits above the last edge
+(_tagged_identity_keys, _untagged); no lattice operation reads or writes
+those digits, so tagged columns evolve independently through one call.  An
+int64 key holds KEY_DIGITS base-6 digits in all.
 
 Operator conventions: L^g_+|m> = |gm>, L^g_-|m> = |m gbar>, T^h_+ = delta_{h,m},
 T^h_- = delta_{hbar,m}.  A^g_v acts with L^g_+ on edges starting at v and
@@ -53,6 +57,7 @@ from .algebra import (
 
 PRUNE_TOL = 1e-14
 MAX_VERTICES = 10
+KEY_DIGITS = 24  # base-6 digits of an int64 key: 6^24 < 2^63 < 6^25
 
 
 class ResourceError(RuntimeError):
@@ -204,6 +209,17 @@ class LatticeState:
 def _identity_keys(n: int) -> np.ndarray:
     """n keys with the identity on every edge."""
     return np.zeros(n, dtype=np.int64)
+
+
+def _tagged_identity_keys(n_edges, tags) -> np.ndarray:
+    """Keys with the identity on every edge and `tags` written in the digits
+    above the n_edges edge digits."""
+    return _identity_keys(len(tags)) + np.asarray(tags, dtype=np.int64) * ORDER ** n_edges
+
+
+def _untagged(keys, n_edges):
+    """(tags, edge part) of tagged keys."""
+    return np.divmod(keys, ORDER ** n_edges)
 
 
 def _digit(keys, edge):
@@ -732,21 +748,38 @@ def ribbon_operator_matrix(
 ) -> np.ndarray:
     """Dense matrix of builder(state) restricted to the given support edges.
 
-    builder must act trivially outside the support.  Returns a matrix of
-    shape (6^k, 6^k) for k = len(support).
+    Returns a matrix of shape (6^k, 6^k) for k = len(support); matrix index
+    i has the element on support[0] as its last base-6 digit.  All 6^k basis
+    columns go through `builder` in one state: column i carries i in the key
+    digits above the lattice's edges, which no lattice operation touches.
+    builder must therefore be linear and act trivially outside the support;
+    an output term with a non-identity element off the support, or a tag
+    that is no column, raises ValueError.  The tags take k key digits, so
+    n_edges + k may not exceed KEY_DIGITS (ResourceError).
     """
     support = list(support)
+    if lattice.n_edges + len(support) > KEY_DIGITS:
+        raise ResourceError(
+            f"{lattice.n_edges} edges plus {len(support)} column-tag digits "
+            f"exceed the {KEY_DIGITS} digits of an int64 key",
+            ORDER ** len(support),
+        )
     shape = (ORDER,) * len(support)
     dim = ORDER ** len(support)
-    # matrix index i has the element on support[0] as its last base-6 digit
-    keys = _identity_keys(dim)
+    keys = _tagged_identity_keys(lattice.n_edges, np.arange(dim))
     for e, d in zip(support, np.unravel_index(np.arange(dim), shape)[::-1]):
         keys = _set_digit(keys, e, E.index, d)
+    out = builder(LatticeState(lattice, keys, np.ones(dim, dtype=complex)))
+    cols, rest = _untagged(out.keys, lattice.n_edges)
+    digits = [_digit(rest, e) for e in reversed(support)]
+    for e, d in zip(reversed(support), digits):
+        rest = _set_digit(rest, e, d, E.index)
+    if rest.any():
+        raise ValueError("builder acts outside the support edges")
+    if np.any((cols < 0) | (cols >= dim)):
+        raise ValueError("builder changed a column tag")
     mat = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        out = builder(LatticeState(lattice, keys[col:col + 1], np.ones(1, dtype=complex)))
-        rows = np.ravel_multi_index([_digit(out.keys, e) for e in reversed(support)], shape)
-        mat[rows, col] = out.amps
+    mat[np.ravel_multi_index(digits, shape), cols] = out.amps
     return mat
 
 
@@ -775,16 +808,36 @@ def _anyon_uv_list():
 
 
 def _ribbon_matrices(lattice, ribbon, support):
-    labels = _anyon_uv_list()
-    return {
-        (a, u, v): ribbon_operator_matrix(
+    """(36, 6^2k) array: row l is the flattened matrix of the l-th label."""
+    return np.array([
+        ribbon_operator_matrix(
             lattice,
             ribbon,
             support,
             lambda st, a=a, u=u, v=v: anyon_ribbon_branch(st, ribbon, a, u, v),
-        )
-        for a, u, v in labels
-    }
+        ).reshape(-1)
+        for a, u, v in _anyon_uv_list()
+    ])
+
+
+def _orthonormality_residual(lattice, r1, r2) -> float:
+    """max |Tr(F1^dagger F2) / Tr(1) - expected| over all label pairs of the
+    ribbons r1 and r2, from one Gram product of the flattened operators."""
+    labels = _anyon_uv_list()
+    support = sorted({t.edge for t in r1.triangles} | {t.edge for t in r2.triangles})
+    mats1 = _ribbon_matrices(lattice, r1, support)
+    mats2 = mats1 if r1 is r2 else _ribbon_matrices(lattice, r2, support)
+    gram = mats1.conj() @ mats2.T / ORDER ** len(support)
+    expect = np.zeros(gram.shape)
+    for i, l1 in enumerate(labels):
+        for j, l2 in enumerate(labels):
+            if l1[0] == "A" and l2[0] == "A":
+                # both operators are 1/|G| times the identity
+                expect[i, j] = 1 / ORDER ** 2
+            elif r1 is r2 and l1 == l2:
+                irr = ANYON_TABLE[l1[0]]
+                expect[i, j] = irr.R.dim / (len(irr.C.centralizer) * ORDER)
+    return float(np.max(np.abs(gram - expect)))
 
 
 def verify_orthonormality(lattice: Lattice = None) -> OrthonormalityReport:
@@ -808,27 +861,7 @@ def verify_orthonormality(lattice: Lattice = None) -> OrthonormalityReport:
     rh2 = shortest_h(lattice, (0, 0))
     rv2 = shortest_v(lattice, (1, 1))  # pattern II partner: shares v_edge(1, 0)
     cases = [(rh1, rh1), (rv1, rv1), (rh1, rv1), (rh2, rv2)]
-    labels = _anyon_uv_list()
-    assert len(labels) == ORDER ** 2
-    worst = 0.0
-    pairs = 0
-    for r1, r2 in cases:
-        support = sorted({t.edge for t in r1.triangles} | {t.edge for t in r2.triangles})
-        dim = ORDER ** len(support)
-        mats1 = _ribbon_matrices(lattice, r1, support)
-        mats2 = mats1 if r1 is r2 else _ribbon_matrices(lattice, r2, support)
-        for l1 in labels:
-            m1 = mats1[l1].conj().T
-            for l2 in labels:
-                tr = np.trace(m1 @ mats2[l2]) / dim
-                if l1[0] == "A" and l2[0] == "A":
-                    # both operators are 1/|G| times the identity
-                    expect = 1 / ORDER ** 2
-                elif r1 is r2 and l1 == l2:
-                    irr = ANYON_TABLE[l1[0]]
-                    expect = irr.R.dim / (len(irr.C.centralizer) * ORDER)
-                else:
-                    expect = 0.0
-                worst = max(worst, abs(tr - expect))
-                pairs += 1
-    return OrthonormalityReport(worst, len(labels), pairs)
+    n_labels = len(_anyon_uv_list())
+    assert n_labels == ORDER ** 2
+    worst = max(_orthonormality_residual(lattice, r1, r2) for r1, r2 in cases)
+    return OrthonormalityReport(worst, n_labels, len(cases) * n_labels ** 2)

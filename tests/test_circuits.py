@@ -180,6 +180,23 @@ class TestRibbonCircuits:
         bad = cir.AdaptiveCircuit(circ.system_dims, tuple(ops))
         assert cir.check_equivalence(bad, kraus) > 0.01
 
+    def test_choi_matrix_equals_outer_product_sum(self):
+        # complex Kraus operators, reweighted so that no two weights agree
+        circ = cir.build_ribbon_circuit("C", "h")
+        branches = [(w * (i + 1), k) for i, (w, k) in enumerate(cir.channel_kraus(circ))]
+        assert len(branches) > 1 and any(np.iscomplexobj(k) and k.imag.any() for _, k in branches)
+        total = sum(
+            w * np.outer(k.reshape(-1), k.reshape(-1).conj()) for w, k in branches
+        )
+        reference = total / np.trace(total)
+        assert np.abs(cir.choi_matrix(branches) - reference).max() < 1e-14
+
+    def test_zero_channel_raises(self):
+        with pytest.raises(cir.CircuitError):
+            cir.choi_matrix([(1.0, np.zeros((6, 6)))])
+        with pytest.raises(cir.CircuitError):
+            cir.choi_matrix([])
+
     def test_support_too_large_raises(self):
         circ = cir.AdaptiveCircuit((3, 2) * 3, ())
         with pytest.raises(lat.ResourceError):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from s3double import cli
+from s3double import cli, qec
 
 
 def run(argv, capsys):
@@ -89,6 +89,17 @@ class TestRecords:
         recs = records(out)
         assert code == 0 and len(recs) == 2
         assert [r["round"] for r in recs] == [0, 1]
+
+    def test_qec_cycle_flags_too_many_decoder_pairs(self, capsys, monkeypatch):
+        monkeypatch.setattr(qec, "decode_greedy", lambda config: [((0, 0), (1, 0), [])])
+        code, out, _ = run(
+            ["qec-cycle", "--width", "4", "--height", "4", "--p", "0",
+             "--rounds", "1", "--seed", "11"],
+            capsys,
+        )
+        (rec,) = records(out)
+        assert rec["syndrome"] == [] and len(rec["actions"]) == 1
+        assert code == 1 and rec["pass"] is False
 
     def test_concat_cc_toy_and_fault_demo(self, capsys):
         code, out, _ = run(["concat-cc", "--blocks", "3"], capsys)

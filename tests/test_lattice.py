@@ -259,12 +259,137 @@ class TestRibbons:
         assert abs(total - 1) < 1e-10
 
 
+def _column_loop_matrix(lattice, support, builder):
+    """Reference for ribbon_operator_matrix: one builder call per one-term
+    basis column."""
+    shape = (6,) * len(support)
+    dim = 6 ** len(support)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        key = lat._identity_keys(1)
+        for e, d in zip(support, reversed(np.unravel_index(col, shape))):
+            key = lat._set_digit(key, e, E.index, d)
+        out = builder(lat.LatticeState(lattice, key, np.ones(1, dtype=complex)))
+        rows = np.ravel_multi_index([lat._digit(out.keys, e) for e in reversed(support)], shape)
+        mat[rows, col] = out.amps
+    return mat
+
+
+def _anyon_labels():
+    return [(a, u, v) for a in ANYONS for u in ANYON_TABLE[a].basis for v in ANYON_TABLE[a].basis]
+
+
+class TestRibbonOperatorMatrix:
+    @pytest.mark.parametrize(
+        "W,H,make",
+        [(1, 1, lambda L: lat.shortest_h(L, (0, 0))), (1, 2, lambda L: lat.shortest_v(L, (0, 1)))],
+        ids=["h", "v"],
+    )
+    def test_batched_equals_column_loop_anyon_branches(self, W, H, make):
+        lattice = lat.Lattice(W, H)
+        rib = make(lattice)
+        support = [t.edge for t in rib.triangles]
+        for a, u, v in _anyon_labels():
+            def builder(st, a=a, u=u, v=v):
+                return lat.anyon_ribbon_branch(st, rib, a, u, v)
+
+            batched = lat.ribbon_operator_matrix(lattice, rib, support, builder)
+            assert np.array_equal(batched, _column_loop_matrix(lattice, support, builder)), (a, u, v)
+
+    def test_batched_equals_column_loop_glued_ribbon(self):
+        lattice = lat.Lattice(3, 1)
+        glued = lat.shortest_h(lattice, (0, 0)) + lat.shortest_h(lattice, (1, 0))
+        support = sorted({t.edge for t in glued.triangles})
+        for h in (MU, SIGMA):
+            for g in (E, MU * SIGMA):
+                def builder(st, h=h, g=g):
+                    return lat.apply_ribbon(st, glued, h, g)
+
+                batched = lat.ribbon_operator_matrix(lattice, glued, support, builder)
+                assert np.array_equal(batched, _column_loop_matrix(lattice, support, builder))
+
+    def test_all_key_digits_in_use(self):
+        # 22 edges plus 2 tag digits fill the int64 key exactly
+        lattice = lat.Lattice(4, 2)
+        rib = lat.shortest_h(lattice, (3, 1))
+        support = [t.edge for t in rib.triangles]
+        assert lattice.n_edges + len(support) == lat.KEY_DIGITS
+        assert max(support) == lattice.n_edges - 1
+
+        def builder(st):
+            return lat.apply_ribbon(st, rib, MU, SIGMA)
+
+        batched = lat.ribbon_operator_matrix(lattice, rib, support, builder)
+        assert np.count_nonzero(batched) == 6
+        assert np.array_equal(batched, _column_loop_matrix(lattice, support, builder))
+
+    def test_builder_acting_off_support_raises(self):
+        lattice = lat.Lattice(2, 1)
+        rib = lat.shortest_h(lattice, (0, 0))
+        direct_edge = [rib.triangles[0].edge]  # the dual edge is left out
+        with pytest.raises(ValueError, match="outside the support"):
+            lat.ribbon_operator_matrix(
+                lattice, rib, direct_edge, lambda st: lat.apply_ribbon(st, rib, MU, E)
+            )
+
+    def test_builder_changing_column_tags_raises(self):
+        lattice = lat.Lattice(1, 1)
+        rib = lat.shortest_h(lattice, (0, 0))
+        support = [t.edge for t in rib.triangles]
+
+        def builder(st):
+            shifted = st.keys + 6 ** (lattice.n_edges + len(support))
+            return lat.LatticeState(st.lattice, shifted, st.amps)
+
+        with pytest.raises(ValueError, match="column tag"):
+            lat.ribbon_operator_matrix(lattice, rib, support, builder)
+
+    def test_oversized_lattice_rejected_before_any_state(self, monkeypatch):
+        lattice = lat.Lattice(4, 2)
+        support = [0, 1, 2]
+
+        def no_state(*args, **kwargs):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(lat, "LatticeState", no_state)
+        with pytest.raises(lat.ResourceError):
+            lat.ribbon_operator_matrix(lattice, None, support, no_state)
+
+
 class TestOrthonormality:
     def test_report(self):
         report = lat.verify_orthonormality()
         assert report.operators_per_ribbon == 36
+        assert report.pairs_checked == 4 * 36 * 36
         assert report.max_residual < 1e-9
         assert report.passes()
+
+    def test_gram_residual_equals_trace_loop(self):
+        lattice = lat.Lattice(2, 2)
+        rib = lat.shortest_h(lattice, (0, 1))
+        support = sorted(t.edge for t in rib.triangles)
+        labels = _anyon_labels()
+        mats = [
+            lat.ribbon_operator_matrix(
+                lattice, rib, support,
+                lambda st, a=a, u=u, v=v: lat.anyon_ribbon_branch(st, rib, a, u, v),
+            )
+            for a, u, v in labels
+        ]
+        worst = 0.0
+        for l1, m1 in zip(labels, mats):
+            for l2, m2 in zip(labels, mats):
+                tr = np.trace(m1.conj().T @ m2) / 36
+                if l1[0] == "A" and l2[0] == "A":
+                    expect = 1 / 36
+                elif l1 == l2:
+                    irr = ANYON_TABLE[l1[0]]
+                    expect = irr.R.dim / (len(irr.C.centralizer) * 6)
+                else:
+                    expect = 0.0
+                worst = max(worst, abs(tr - expect))
+        gram = lat._orthonormality_residual(lattice, rib, rib)
+        assert abs(gram - worst) < 1e-14
 
 
 class TestSerialization:
