@@ -540,12 +540,12 @@ def channel_kraus(circuit: AdaptiveCircuit):
     return out
 
 
-def choi_matrix(weighted_kraus) -> np.ndarray:
-    """Trace-normalized Choi matrix of sum_i w_i K_i rho K_i^dag.
+def _choi_rows(weighted_kraus):
+    """(w, V) with the trace-normalized Choi matrix of
+    sum_i w_i K_i rho K_i^dag equal to (V^T * w) @ conj(V).
 
-    With the vectorised Kraus operators stacked as the rows of V (n x d^2),
-    the matrix is the one product (V^T * w) @ conj(V).  Its trace
-    w . sum_j |V_ij|^2 is found first and folded into the weights.
+    The vectorised Kraus operators are stacked as the rows of V (n x d^2).
+    The trace w . sum_j |V_ij|^2 is folded into the returned weights.
     """
     branches = list(weighted_kraus)
     w = np.array([wi for wi, _ in branches])
@@ -553,18 +553,30 @@ def choi_matrix(weighted_kraus) -> np.ndarray:
     tr = w @ np.sum(np.abs(v) ** 2, axis=1) if branches else 0.0
     if abs(tr) < PRUNE:
         raise CircuitError("channel is identically zero")
-    return (v.T * (w / tr)) @ v.conj()
+    return w / tr, v
+
+
+def choi_matrix(weighted_kraus) -> np.ndarray:
+    """Trace-normalized Choi matrix of sum_i w_i K_i rho K_i^dag, as one
+    product of the stacked Kraus rows (see _choi_rows)."""
+    w, v = _choi_rows(weighted_kraus)
+    return (v.T * w) @ v.conj()
 
 
 def check_equivalence(circuit: AdaptiveCircuit, operator_kraus) -> float:
     """Max absolute Choi-matrix entry difference between the circuit channel
-    (ancillas traced out) and the operator channel sum_i K_i rho K_i^dag."""
+    (ancillas traced out) and the operator channel sum_i K_i rho K_i^dag.
+
+    The difference is one product of both channels' stacked Kraus rows, the
+    operator side's weights negated, so neither Choi matrix is built."""
     sys_dim = int(np.prod(circuit.system_dims))
     if sys_dim > 36:
         raise ResourceError("equivalence support exceeds two edges", sys_dim)
-    c_circ = choi_matrix(channel_kraus(circuit))
-    c_op = choi_matrix([(1.0, k) for k in operator_kraus])
-    return float(np.max(np.abs(c_circ - c_op)))
+    w_circ, v_circ = _choi_rows(channel_kraus(circuit))
+    w_op, v_op = _choi_rows([(1.0, k) for k in operator_kraus])
+    w = np.concatenate([w_circ, -w_op])
+    v = np.concatenate([v_circ, v_op])
+    return float(np.max(np.abs((v.T * w) @ v.conj())))
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +861,6 @@ def ribbon_operator_kraus(lattice, ribbon, anyon: str):
         for v in irrep.basis:
             mat = lat.ribbon_operator_matrix(
                 lattice,
-                ribbon,
                 support,
                 lambda st: lat.anyon_ribbon_branch(st, ribbon, anyon, u, v),
             )

@@ -743,9 +743,7 @@ def ground_space_rank(lattice: Lattice, rng, probes: int = 4, tol: float = 1e-8)
     return rank, s
 
 
-def ribbon_operator_matrix(
-    lattice: Lattice, ribbon: Ribbon, support, builder
-) -> np.ndarray:
+def ribbon_operator_matrix(lattice: Lattice, support, builder) -> np.ndarray:
     """Dense matrix of builder(state) restricted to the given support edges.
 
     Returns a matrix of shape (6^k, 6^k) for k = len(support); matrix index
@@ -812,7 +810,6 @@ def _ribbon_matrices(lattice, ribbon, support):
     return np.array([
         ribbon_operator_matrix(
             lattice,
-            ribbon,
             support,
             lambda st, a=a, u=u, v=v: anyon_ribbon_branch(st, ribbon, a, u, v),
         ).reshape(-1)

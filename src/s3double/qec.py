@@ -204,9 +204,18 @@ def _recover_pair(state, a, b, path, letters, rng, budget):
 
 
 def _fidelity_to_ground(state) -> float:
+    """|<gs|psi>|^2 for the normalized state, computed in the orbit basis.
+
+    The ground state is invariant under every vertex projector A_v and each
+    A_v is Hermitian, so <gs|psi> = <gs| prod_v A_v |psi>.  uniformize applies
+    A_v exactly, which brings psi to the ground state's uniform set (every
+    vertex but the tree root) without expanding either state.
+    """
     gs = lat.ground_state(state.lattice)
-    a, b = lat.expanded(state.normalized()), lat.expanded(gs)
-    return float(abs(lat.inner(b, a)) ** 2)
+    psi = state.normalized()
+    for v in sorted(gs.uniform - psi.uniform):
+        psi = lat.uniformize(psi, v)
+    return float(abs(lat.inner(gs, psi)) ** 2)
 
 
 def _microscopic_cycle(state, noise, rounds, rng, budget):

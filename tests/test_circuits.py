@@ -129,19 +129,66 @@ class TestGroupEdgeCircuits:
         assert dict(circ.accept) == {"k": 0, "l": 0}
 
 
+@pytest.fixture(scope="module")
+def ribbon_channels():
+    """{(anyon, orientation): (circuit, operator Kraus list)} for every case
+    of the circuit-equivalence check."""
+    lath = lat.Lattice(1, 1)
+    latv = lat.Lattice(1, 2)
+    cases = (
+        ("h", lath, lat.shortest_h(lath, (0, 0))),
+        ("v", latv, lat.shortest_v(latv, (0, 1))),
+    )
+    return {
+        (anyon, orient): (
+            cir.build_ribbon_circuit(anyon, orient),
+            cir.ribbon_operator_kraus(lattice, rib, anyon),
+        )
+        for anyon in "ABCDEFGH"
+        for orient, lattice, rib in cases
+    }
+
+
 class TestRibbonCircuits:
     @pytest.mark.parametrize("anyon", "ABCDEFGH")
-    def test_channel_equivalence_both_orientations(self, anyon):
-        lath = lat.Lattice(1, 1)
-        latv = lat.Lattice(1, 2)
-        cases = (
-            ("h", lath, lat.shortest_h(lath, (0, 0))),
-            ("v", latv, lat.shortest_v(latv, (0, 1))),
-        )
-        for orient, lattice, rib in cases:
-            circ = cir.build_ribbon_circuit(anyon, orient)
-            kraus = cir.ribbon_operator_kraus(lattice, rib, anyon)
+    def test_channel_equivalence_both_orientations(self, anyon, ribbon_channels):
+        for orient in "hv":
+            circ, kraus = ribbon_channels[anyon, orient]
             assert cir.check_equivalence(circ, kraus) < 1e-9, (anyon, orient)
+
+    def test_distance_equals_choi_matrix_difference(self, ribbon_channels):
+        # every case of the circuit-equivalence check (distance ~1e-17), the
+        # same with a phase on each operator-side Kraus operator (the channel
+        # does not change), and each circuit against the next anyon's
+        # operator, where the distance is of the order of the Choi entries
+        anyons = "ABCDEFGH"
+        pairs = [(a, a) for a in anyons] + list(zip(anyons, anyons[1:] + anyons[0]))
+        largest = 0.0
+        for a, b in pairs:
+            for orient in "hv":
+                circ, _ = ribbon_channels[a, orient]
+                _, kraus = ribbon_channels[b, orient]
+                for phase in (1.0, np.exp(0.7j)):
+                    phased = [phase * k for k in kraus]
+                    expected = np.max(np.abs(
+                        cir.choi_matrix(cir.channel_kraus(circ))
+                        - cir.choi_matrix([(1.0, k) for k in phased])
+                    ))
+                    got = cir.check_equivalence(circ, phased)
+                    assert abs(got - expected) < 1e-15, (a, b, orient, got, expected)
+                    assert a != b or got < 1e-9, (a, orient, phase, got)
+                    largest = max(largest, got)
+        assert largest > 1e-3
+
+    def test_zero_channel_in_equivalence_raises(self, monkeypatch):
+        circ = cir.build_ribbon_circuit("A", "h")
+        with pytest.raises(cir.CircuitError):
+            cir.check_equivalence(circ, [np.zeros((36, 36))])
+        with pytest.raises(cir.CircuitError):
+            cir.check_equivalence(circ, [])
+        monkeypatch.setattr(cir, "channel_kraus", lambda c: [(1.0, np.zeros((36, 36)))])
+        with pytest.raises(cir.CircuitError):
+            cir.check_equivalence(circ, [np.eye(36)])
 
     def test_vacuum_circuit_is_empty(self):
         assert cir.build_ribbon_circuit("A", "h").ops == ()

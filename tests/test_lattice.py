@@ -155,17 +155,17 @@ class TestRibbons:
         for h in (MU, SIGMA):
             for g in (E, MU * SIGMA):
                 big = lat.ribbon_operator_matrix(
-                    lattice, glued, support,
+                    lattice, support,
                     lambda st: lat.apply_ribbon(st, glued, h, g),
                 )
                 acc = np.zeros_like(big)
                 for m in ELEMENTS:
                     m1 = lat.ribbon_operator_matrix(
-                        lattice, r1, support,
+                        lattice, support,
                         lambda st: lat.apply_ribbon(st, r1, h, m),
                     )
                     m2 = lat.ribbon_operator_matrix(
-                        lattice, r2, support,
+                        lattice, support,
                         lambda st: lat.apply_ribbon(
                             st, r2, m.inverse() * h * m, m.inverse() * g
                         ),
@@ -293,7 +293,7 @@ class TestRibbonOperatorMatrix:
             def builder(st, a=a, u=u, v=v):
                 return lat.anyon_ribbon_branch(st, rib, a, u, v)
 
-            batched = lat.ribbon_operator_matrix(lattice, rib, support, builder)
+            batched = lat.ribbon_operator_matrix(lattice, support, builder)
             assert np.array_equal(batched, _column_loop_matrix(lattice, support, builder)), (a, u, v)
 
     def test_batched_equals_column_loop_glued_ribbon(self):
@@ -305,7 +305,7 @@ class TestRibbonOperatorMatrix:
                 def builder(st, h=h, g=g):
                     return lat.apply_ribbon(st, glued, h, g)
 
-                batched = lat.ribbon_operator_matrix(lattice, glued, support, builder)
+                batched = lat.ribbon_operator_matrix(lattice, support, builder)
                 assert np.array_equal(batched, _column_loop_matrix(lattice, support, builder))
 
     def test_all_key_digits_in_use(self):
@@ -319,7 +319,7 @@ class TestRibbonOperatorMatrix:
         def builder(st):
             return lat.apply_ribbon(st, rib, MU, SIGMA)
 
-        batched = lat.ribbon_operator_matrix(lattice, rib, support, builder)
+        batched = lat.ribbon_operator_matrix(lattice, support, builder)
         assert np.count_nonzero(batched) == 6
         assert np.array_equal(batched, _column_loop_matrix(lattice, support, builder))
 
@@ -329,7 +329,7 @@ class TestRibbonOperatorMatrix:
         direct_edge = [rib.triangles[0].edge]  # the dual edge is left out
         with pytest.raises(ValueError, match="outside the support"):
             lat.ribbon_operator_matrix(
-                lattice, rib, direct_edge, lambda st: lat.apply_ribbon(st, rib, MU, E)
+                lattice, direct_edge, lambda st: lat.apply_ribbon(st, rib, MU, E)
             )
 
     def test_builder_changing_column_tags_raises(self):
@@ -342,7 +342,7 @@ class TestRibbonOperatorMatrix:
             return lat.LatticeState(st.lattice, shifted, st.amps)
 
         with pytest.raises(ValueError, match="column tag"):
-            lat.ribbon_operator_matrix(lattice, rib, support, builder)
+            lat.ribbon_operator_matrix(lattice, support, builder)
 
     def test_oversized_lattice_rejected_before_any_state(self, monkeypatch):
         lattice = lat.Lattice(4, 2)
@@ -353,7 +353,7 @@ class TestRibbonOperatorMatrix:
 
         monkeypatch.setattr(lat, "LatticeState", no_state)
         with pytest.raises(lat.ResourceError):
-            lat.ribbon_operator_matrix(lattice, None, support, no_state)
+            lat.ribbon_operator_matrix(lattice, support, no_state)
 
 
 class TestOrthonormality:
@@ -371,7 +371,7 @@ class TestOrthonormality:
         labels = _anyon_labels()
         mats = [
             lat.ribbon_operator_matrix(
-                lattice, rib, support,
+                lattice, support,
                 lambda st, a=a, u=u, v=v: lat.anyon_ribbon_branch(st, rib, a, u, v),
             )
             for a, u, v in labels

@@ -1,5 +1,7 @@
 """Pauli-noise syndrome tables, greedy decoding, and correction cycles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,67 @@ class TestMicroscopicCycle:
                 assert a in gs.lattice.sites and b in gs.lattice.sites
                 assert isinstance(resolved, bool)
         assert isinstance(state, lat.LatticeState)
+
+
+def _expanded_fidelity(state):
+    """Reference for qec._fidelity_to_ground: both states fully expanded
+    (6 terms per uniform vertex) before one inner product."""
+    gs = lat.expanded(lat.ground_state(state.lattice))
+    return float(abs(lat.inner(gs, lat.expanded(state.normalized()))) ** 2)
+
+
+def _with_ground(state, weight):
+    """weight |gs> + |state>, written on the state's uniform set."""
+    gs = lat.ground_state(state.lattice)
+    gs = lat._deuniformized(gs, sorted(gs.uniform - state.uniform))
+    pieces = [(gs.keys, weight * gs.amps), (state.keys, state.amps)]
+    return lat._merged(state.lattice, pieces, state.uniform)
+
+
+class TestFidelity:
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 1), (1, 2)], ids=["3x1", "2x1", "1x2"])
+    def test_orbit_basis_equals_expanded(self, shape):
+        # post-recovery states of noisy cycles, alone and superposed with
+        # the ground state: explicit vertices beyond the tree root then
+        # carry a non-zero overlap, which the 6^(-1/2) per uniformized
+        # vertex must scale exactly
+        gs = lat.ground_state(lat.Lattice(*shape))
+        cases = []
+        for seed in range(8):
+            _, st = qec.qec_cycle(
+                gs, qec.NoiseModel(0.1), 1, np.random.default_rng(seed)
+            )
+            cases += [st, _with_ground(st, 0.6 - 0.3j)]
+        partial_overlaps = []
+        fidelities = []
+        for st in cases:
+            expected = _expanded_fidelity(st)
+            assert abs(qec._fidelity_to_ground(st) - expected) < 1e-12
+            fidelities.append(expected)
+            if gs.uniform - st.uniform:
+                partial_overlaps.append(expected)
+        assert any(abs(f - 1) > 1e-6 for f in fidelities)
+        assert any(1e-3 < f < 1 - 1e-3 for f in partial_overlaps)
+
+    def test_noiseless_2x2_round_expands_nothing(self, monkeypatch):
+        gs = lat.ground_state(lat.Lattice(2, 2))
+
+        def refuse(state):
+            raise AssertionError("a state was expanded")
+
+        monkeypatch.setattr(lat, "expanded", refuse)
+        tracemalloc.start()
+        try:
+            reports, _ = qec.qec_cycle(
+                gs, qec.NoiseModel(0.0), 1, np.random.default_rng(0)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reports[0]["residual"] == 0
+        assert reports[0]["fidelity"] == pytest.approx(1.0, abs=1e-12)
+        # expanding 6^8 terms, as the reference does, peaks near 250 MB
+        assert peak < 16e6
 
 
 class TestFusionSampling:
