@@ -4,8 +4,10 @@ Each lattice edge carries one qutrit (the mu exponent) and one qubit (the
 sigma exponent), so every edge operator becomes a small circuit over dimension
 2 and 3 wires.  The module provides
 
-* a dense simulator for adaptive circuits (classically controlled gates,
-  mid-circuit measurement, ancilla allocation and trace-out),
+* one interpreter for adaptive circuits (classically controlled gates,
+  mid-circuit measurement, ancilla allocation and trace-out): `_step` returns
+  every branch of one op, `simulate` follows one sampled trajectory through
+  it and `channel_kraus` enumerates every branch,
 * builders for the single-edge group multiplication / projection circuits,
   for the two-edge anyon-pair ribbon circuits of every anyon type, and for
   the adaptive charge-measurement circuit at a lattice site,
@@ -20,19 +22,18 @@ computational basis states (trajectory unraveling of the trace-out channel).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import lattice as lat
 from .algebra import (
+    ANYON_TABLE,
     ELEMENTS,
     GroupElement,
-    INV_TABLE,
-    MUL_TABLE,
     OMEGA,
     ORDER,
 )
-from .lattice import ResourceError
 
 PRUNE = 1e-13
 
@@ -45,101 +46,80 @@ class CircuitError(RuntimeError):
 # Gate inventory
 
 
-def _shift3(p):
-    u = np.zeros((3, 3), dtype=complex)
-    for k in range(3):
-        u[(k + p) % 3, k] = 1.0
-    return u
+def _monomial_powers(dims, period, action):
+    """Read-only powers U^0 .. U^(period-1) of the monomial gate on wires of
+    `dims` with U^p |x> = phase |y> for (y, phase) = action(p, *x)."""
+    size = int(np.prod(dims))
+    powers = []
+    for p in range(period):
+        u = np.zeros((size, size), dtype=complex)
+        for x in np.ndindex(*dims):
+            y, phase = action(p, *x)
+            u[np.ravel_multi_index(y, dims), np.ravel_multi_index(x, dims)] = phase
+        u.setflags(write=False)
+        powers.append(u)
+    return tuple(dims), tuple(powers)
 
 
-def _gate_X():
-    return np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def _gate_Z():
-    return np.diag([1.0, -1.0]).astype(complex)
-
-
-def _gate_Ch():
-    u = np.zeros((3, 3), dtype=complex)
-    for k in range(3):
-        u[(-k) % 3, k] = 1.0
-    return u
-
-
-def _gate_CC():
-    # wires (qubit, qutrit): |l, k> -> |l, (-1)^l k>
-    u = np.zeros((6, 6), dtype=complex)
-    for l in range(2):
-        for k in range(3):
-            kk = k if l == 0 else (-k) % 3
-            u[l * 3 + kk, l * 3 + k] = 1.0
-    return u
-
-
-def _gate_CX():
-    u = np.zeros((4, 4), dtype=complex)
-    for c in range(2):
-        for t in range(2):
-            u[c * 2 + ((t + c) % 2), c * 2 + t] = 1.0
-    return u
-
-
-def _gate_CXh(p):
-    # qutrit-controlled qutrit shift: |a, b> -> |a, b + p a>
-    u = np.zeros((9, 9), dtype=complex)
-    for a in range(3):
-        for b in range(3):
-            u[a * 3 + ((b + p * a) % 3), a * 3 + b] = 1.0
-    return u
-
-
-GATE_WIRE_DIMS = {
-    "X": (2,),
-    "Z": (2,),
-    "Xh": (3,),
-    "Zh": (3,),
-    "Ch": (3,),
-    "CX": (2, 2),
-    "CXh": (3, 3),
-    "CC": (2, 3),
+# kind -> (wire dims, powers); multi-wire kinds list the control wire first
+_GATES = {
+    "X": _monomial_powers((2,), 2, lambda p, t: (((t + p) % 2,), 1)),
+    "Z": _monomial_powers((2,), 2, lambda p, t: ((t,), (-1) ** (p * t))),
+    "Xh": _monomial_powers((3,), 3, lambda p, k: (((k + p) % 3,), 1)),
+    "Zh": _monomial_powers((3,), 3, lambda p, k: ((k,), OMEGA ** (p * k))),
+    "Ch": _monomial_powers((3,), 2, lambda p, k: (((-1) ** p * k % 3,), 1)),
+    "CX": _monomial_powers((2, 2), 2, lambda p, c, t: ((c, (t + p * c) % 2), 1)),
+    "CXh": _monomial_powers((3, 3), 3, lambda p, a, b: ((a, (b + p * a) % 3), 1)),
+    # |l, k> -> |l, (-1)^l k>
+    "CC": _monomial_powers((2, 3), 2, lambda p, l, k: ((l, (-1) ** (p * l) * k % 3), 1)),
 }
 
-GATE_PERIOD = {
-    "X": 2,
-    "Z": 2,
-    "Xh": 3,
-    "Zh": 3,
-    "Ch": 2,
-    "CX": 2,
-    "CXh": 3,
-    "CC": 2,
-}
+GATE_WIRE_DIMS = {kind: dims for kind, (dims, _) in _GATES.items()}
+
+GATE_PERIOD = {kind: len(powers) for kind, (_, powers) in _GATES.items()}
 
 NON_CLIFFORD_KINDS = frozenset({"CC"})
 
 
-def gate_unitary(kind: str, power: int = 1) -> np.ndarray:
-    p = power % GATE_PERIOD[kind]
-    if kind == "X":
-        u = _gate_X()
-    elif kind == "Z":
-        u = _gate_Z()
-    elif kind == "Xh":
-        return _shift3(p)
-    elif kind == "Zh":
-        return np.diag([OMEGA ** (p * k) for k in range(3)]).astype(complex)
-    elif kind == "Ch":
-        u = _gate_Ch()
-    elif kind == "CX":
-        u = _gate_CX()
-    elif kind == "CXh":
-        return _gate_CXh(p)
-    elif kind == "CC":
-        u = _gate_CC()
-    else:
+def _gate_entry(kind):
+    if kind not in _GATES:
         raise CircuitError(f"unknown gate kind {kind!r}")
-    return np.linalg.matrix_power(u, p)
+    return _GATES[kind]
+
+
+def gate_unitary(kind: str, power: int = 1) -> np.ndarray:
+    """The read-only table entry U^power of a gate kind."""
+    powers = _gate_entry(kind)[1]
+    return powers[power % len(powers)]
+
+
+def _projector_table():
+    plus2 = np.full((2, 1), 1 / np.sqrt(2), dtype=complex)
+    minus2 = np.array([[1], [-1]], dtype=complex) / np.sqrt(2)
+    fourier3 = [
+        np.array([[OMEGA ** (j * k)] for k in range(3)], dtype=complex) / np.sqrt(3)
+        for j in range(3)
+    ]
+    plus3 = np.full((3, 1), 1 / np.sqrt(3), dtype=complex)
+    p0 = plus3 @ plus3.conj().T
+    table = {
+        ("comp", d): [
+            np.diag([1.0 if i == o else 0.0 for i in range(d)]).astype(complex)
+            for o in range(d)
+        ]
+        for d in (2, 3)
+    }
+    table["x2", 2] = [v @ v.conj().T for v in (plus2, minus2)]
+    table["x3", 3] = [v @ v.conj().T for v in fourier3]
+    table["ma1", 3] = [p0, np.eye(3, dtype=complex) - p0]
+    for projs in table.values():
+        for pr in projs:
+            pr.setflags(write=False)
+    return table
+
+
+# (basis, wire dim) -> outcome projectors
+_PROJECTORS = _projector_table()
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +161,6 @@ class Expr:
 
 E1 = Expr(1)
 
-MEASURE_BASES = ("comp", "x2", "x3", "ma1")
-ALLOC_INITS = ("zero", "plus", "mixed")
-
 
 @dataclass(frozen=True)
 class Op:
@@ -214,14 +191,12 @@ class AdaptiveCircuit:
     """Immutable adaptive circuit over a fixed list of system wires.
 
     `accept`, when non-empty, marks the post-selected branch (outcome label,
-    required value) used by projector-type circuits.  `edges` optionally maps
-    system wire pairs (2i, 2i+1) to lattice edge indices.
+    required value) used by projector-type circuits.
     """
 
     system_dims: tuple
     ops: tuple
     accept: tuple = ()
-    edges: tuple = ()
 
     def gate_kinds(self):
         return sorted({op.gate for op in self.ops if op.kind == "gate"})
@@ -233,7 +208,6 @@ class AdaptiveCircuit:
         lines = [
             "dims " + ",".join(str(d) for d in self.system_dims),
             "accept " + ",".join(f"{l}={v}" for l, v in self.accept),
-            "edges " + ",".join(str(e) for e in self.edges),
         ]
         for op in self.ops:
             toks = [op.kind]
@@ -259,10 +233,8 @@ def from_text(text: str) -> AdaptiveCircuit:
         (l, int(v))
         for l, v in (p.split("=") for p in (accept_tok[1].split(",") if len(accept_tok) > 1 else []) if p)
     )
-    edges_tok = lines[2].split()
-    edges = tuple(int(e) for e in (edges_tok[1].split(",") if len(edges_tok) > 1 else []) if e)
     ops = []
-    for ln in lines[3:]:
+    for ln in lines[2:]:
         toks = ln.split()
         kv = dict(t.split("=", 1) for t in toks[1:] if "=" in t)
         cond = tuple(
@@ -297,11 +269,11 @@ def from_text(text: str) -> AdaptiveCircuit:
             ops.append(Op("free", label=kv["name"], cond=cond))
         else:
             raise CircuitError(f"bad line {ln!r}")
-    return AdaptiveCircuit(dims, tuple(ops), accept, edges)
+    return AdaptiveCircuit(dims, tuple(ops), accept)
 
 
 # ---------------------------------------------------------------------------
-# Register and dense simulation
+# Register and the op interpreter
 
 
 class QuditRegister:
@@ -321,11 +293,6 @@ class QuditRegister:
         self.vec = vec
         self.record = {}
 
-    def copy(self):
-        reg = QuditRegister(self.dims, self.vec.copy())
-        reg.record = dict(self.record)
-        return reg
-
     def norm(self):
         return float(np.linalg.norm(self.vec))
 
@@ -341,113 +308,116 @@ def _apply_unitary(vec, dims, axes, u):
     return t.reshape(-1)
 
 
-def _basis_projectors(basis, dim):
-    if basis == "comp":
-        return [np.diag([1.0 if i == o else 0.0 for i in range(dim)]).astype(complex) for o in range(dim)]
-    if basis == "x2":
-        if dim != 2:
-            raise CircuitError("x2 basis needs a qubit wire")
-        plus = np.full((2, 1), 1 / np.sqrt(2), dtype=complex)
-        minus = np.array([[1], [-1]], dtype=complex) / np.sqrt(2)
-        return [plus @ plus.conj().T, minus @ minus.conj().T]
-    if basis == "x3":
-        if dim != 3:
-            raise CircuitError("x3 basis needs a qutrit wire")
-        out = []
-        for j in range(3):
-            v = np.array([[OMEGA ** (j * k)] for k in range(3)], dtype=complex) / np.sqrt(3)
-            out.append(v @ v.conj().T)
-        return out
-    if basis == "ma1":
-        if dim != 3:
-            raise CircuitError("ma1 basis needs a qutrit wire")
-        v = np.full((3, 1), 1 / np.sqrt(3), dtype=complex)
-        p0 = v @ v.conj().T
-        return [p0, np.eye(3, dtype=complex) - p0]
-    raise CircuitError(f"unknown basis {basis!r}")
-
-
-def _init_vector(init, dim, rng, record, label):
+def _init_vector(init, dim):
     if init == "zero":
         v = np.zeros(dim, dtype=complex)
         v[0] = 1.0
         return v
     if init == "plus":
         return np.full(dim, 1 / np.sqrt(dim), dtype=complex)
-    if init == "mixed":
-        o = int(rng.integers(dim))
-        record[label] = o
-        v = np.zeros(dim, dtype=complex)
-        v[o] = 1.0
-        return v
     raise CircuitError(f"unknown ancilla init {init!r}")
 
 
-def simulate(circuit: AdaptiveCircuit, register: QuditRegister, rng):
-    """Run one trajectory; returns (final register, outcome transcript)."""
-    if tuple(register.dims[: len(circuit.system_dims)]) != tuple(circuit.system_dims):
-        raise CircuitError("register does not match circuit system wires")
-    reg = register.copy()
-    names = {}
+def _step(op, dims, names, rows, record):
+    """Every branch of one op as a list of (weight, dims, names, rows, record).
+
+    `rows` has one row per basis state of the wires `dims` and one column per
+    input basis state (a state vector is one column); `names` maps ancilla
+    names to wire indices.  No input is modified.  A gate, a pure ancilla or
+    an op whose condition fails gives one branch of weight 1; a mixed ancilla
+    gives one branch per basis state, of weight 1/dim, with the state recorded
+    under its name; a measurement or a free gives one unnormalised branch per
+    outcome, zero-norm ones included."""
+    if any(record.get(l) != v for l, v in op.cond):
+        return [(1.0, dims, names, rows, record)]
+    cols = rows.shape[1]
 
     def axis(w):
         if isinstance(w, str):
             if w not in names:
                 raise CircuitError(f"unknown ancilla {w!r}")
             return names[w]
-        if not 0 <= w < len(reg.dims):
+        if not 0 <= w < len(dims):
             raise CircuitError(f"wire {w} out of range")
         return w
 
-    for op in circuit.ops:
-        if any(reg.record.get(l) != v for l, v in op.cond):
-            continue
-        if op.kind == "gate":
-            p = op.power(reg.record) % GATE_PERIOD[op.gate]
-            if p == 0:
-                continue
-            axes = [axis(w) for w in op.wires]
-            want = GATE_WIRE_DIMS[op.gate]
-            if tuple(reg.dims[a] for a in axes) != want:
-                raise CircuitError(f"gate {op.gate} wire dimension mismatch")
-            reg.vec = _apply_unitary(reg.vec, reg.dims, axes, gate_unitary(op.gate, p))
-        elif op.kind == "alloc":
-            if op.label in names:
-                raise CircuitError(f"ancilla {op.label!r} already allocated")
-            v = _init_vector(op.init, op.dim, rng, reg.record, op.label)
-            reg.vec = np.kron(reg.vec, v)
-            names[op.label] = len(reg.dims)
-            reg.dims.append(op.dim)
-        elif op.kind in ("measure", "free"):
-            if op.kind == "measure":
-                a = axis(op.wires[0])
-                projs = _basis_projectors(op.basis, reg.dims[a])
-            else:
-                a = names.pop(op.label, None)
-                if a is None:
-                    raise CircuitError(f"ancilla {op.label!r} not allocated")
-                projs = _basis_projectors("comp", reg.dims[a])
-            probs = []
-            branches = []
-            for pr in projs:
-                w = _apply_unitary(reg.vec, reg.dims, [a], pr)
-                branches.append(w)
-                probs.append(float(np.vdot(w, w).real))
-            total = sum(probs)
-            o = int(rng.choice(len(projs), p=np.array(probs) / total))
-            reg.vec = branches[o] / np.sqrt(probs[o])
-            if op.kind == "measure":
-                reg.record[op.label] = o
-            else:
-                t = reg.vec.reshape(reg.dims)
-                reg.vec = np.take(t, o, axis=a).reshape(-1)
-                del reg.dims[a]
-                for n in names:
-                    if names[n] > a:
-                        names[n] -= 1
+    def apply(u, axes):
+        return _apply_unitary(rows.reshape(-1), dims + [cols], axes, u).reshape(-1, cols)
+
+    if op.kind == "gate":
+        want, powers = _gate_entry(op.gate)
+        axes = [axis(w) for w in op.wires]
+        if tuple(dims[a] for a in axes) != want:
+            raise CircuitError(f"gate {op.gate} wire dimension mismatch")
+        p = op.power(record) % len(powers)
+        return [(1.0, dims, names, apply(powers[p], axes) if p else rows, record)]
+    if op.kind == "alloc":
+        if op.label in names:
+            raise CircuitError(f"ancilla {op.label!r} already allocated")
+        if op.dim not in (2, 3):
+            raise CircuitError("wire dimensions must be 2 or 3")
+        if op.init == "mixed":
+            inits = [
+                (1.0 / op.dim, {**record, op.label: o}, v)
+                for o, v in enumerate(np.eye(op.dim, dtype=complex))
+            ]
         else:
-            raise CircuitError(f"unknown op kind {op.kind!r}")
-    return reg, dict(reg.record)
+            inits = [(1.0, record, _init_vector(op.init, op.dim))]
+        grown = dims + [op.dim]
+        named = {**names, op.label: len(dims)}
+        return [
+            (w, grown, named, np.einsum("is,a->ias", rows, v).reshape(-1, cols), rec)
+            for w, rec, v in inits
+        ]
+    if op.kind == "measure":
+        if len(op.wires) != 1:
+            raise CircuitError("a measurement reads exactly one wire")
+        a = axis(op.wires[0])
+        projs = _PROJECTORS.get((op.basis, dims[a]))
+        if projs is None:
+            raise CircuitError(f"no {op.basis!r} measurement on a dimension-{dims[a]} wire")
+        return [
+            (1.0, dims, names, apply(pr, [a]), {**record, op.label: o})
+            for o, pr in enumerate(projs)
+        ]
+    if op.kind == "free":
+        if op.label not in names:
+            raise CircuitError(f"ancilla {op.label!r} not allocated")
+        a = names[op.label]
+        kept = dims[:a] + dims[a + 1 :]
+        renamed = {n: (x - 1 if x > a else x) for n, x in names.items() if n != op.label}
+        t = rows.reshape(dims + [cols])
+        return [
+            (1.0, kept, renamed, np.take(t, o, axis=a).reshape(-1, cols), record)
+            for o in range(dims[a])
+        ]
+    raise CircuitError(f"unknown op kind {op.kind!r}")
+
+
+def simulate(circuit: AdaptiveCircuit, register: QuditRegister, rng):
+    """Run one trajectory; returns (final register, outcome transcript).
+
+    A mixed ancilla draws its basis state with `rng.integers(dim)`; a
+    measurement or a free draws its outcome with one `rng.choice` over all
+    outcomes by the Born rule and renormalises."""
+    if tuple(register.dims[: len(circuit.system_dims)]) != tuple(circuit.system_dims):
+        raise CircuitError("register does not match circuit system wires")
+    dims, names = list(register.dims), {}
+    rows, record = register.vec.reshape(-1, 1).copy(), dict(register.record)
+    for op in circuit.ops:
+        branches = _step(op, dims, names, rows, record)
+        if len(branches) == 1:
+            _, dims, names, rows, record = branches[0]
+        elif op.kind == "alloc":
+            _, dims, names, rows, record = branches[int(rng.integers(len(branches)))]
+        else:
+            probs = [float(np.vdot(b[3], b[3]).real) for b in branches]
+            o = int(rng.choice(len(probs), p=np.array(probs) / sum(probs)))
+            _, dims, names, rows, record = branches[o]
+            rows = rows / np.sqrt(probs[o])
+    reg = QuditRegister(dims, rows)
+    reg.record = record
+    return reg, dict(record)
 
 
 # ---------------------------------------------------------------------------
@@ -456,87 +426,23 @@ def simulate(circuit: AdaptiveCircuit, register: QuditRegister, rng):
 
 def channel_kraus(circuit: AdaptiveCircuit):
     """All (weight, Kraus) branches of the circuit channel on its system
-    wires; ancillas must be freed before the end of the circuit."""
+    wires, depth first; a split drops its branches of norm below PRUNE.
+    Ancillas must be freed before the end of the circuit."""
     sys_dim = int(np.prod(circuit.system_dims))
-    start = (
-        list(circuit.system_dims),
-        {},
-        np.eye(sys_dim, dtype=complex),
-        1.0,
-        {},
-        0,
-    )
     out = []
-    stack = [start]
+    stack = [(1.0, list(circuit.system_dims), {}, np.eye(sys_dim, dtype=complex), {}, 0)]
     while stack:
-        dims, names, mat, weight, record, i = stack.pop()
+        weight, dims, names, rows, record, i = stack.pop()
         if i == len(circuit.ops):
             if names:
                 raise CircuitError(f"ancillas never freed: {sorted(names)}")
-            if any(record.get(l) != v for l, v in circuit.accept):
-                continue
-            out.append((weight, mat))
+            if all(record.get(l) == v for l, v in circuit.accept):
+                out.append((weight, rows))
             continue
-        op = circuit.ops[i]
-        if any(record.get(l) != v for l, v in op.cond):
-            stack.append((dims, names, mat, weight, record, i + 1))
-            continue
-
-        def axis(w):
-            return names[w] if isinstance(w, str) else w
-
-        def apply_rows(m, u, axes):
-            cur = int(np.prod(dims))
-            t = m.reshape(dims + [sys_dim])
-            return _apply_unitary(t.reshape(-1), dims + [sys_dim], axes, u).reshape(
-                cur, sys_dim
-            )
-
-        if op.kind == "gate":
-            p = op.power(record) % GATE_PERIOD[op.gate]
-            m = mat if p == 0 else apply_rows(mat, gate_unitary(op.gate, p), [axis(w) for w in op.wires])
-            stack.append((dims, names, m, weight, record, i + 1))
-        elif op.kind == "alloc":
-            if op.init == "mixed":
-                inits = []
-                for o in range(op.dim):
-                    v = np.zeros(op.dim, dtype=complex)
-                    v[o] = 1.0
-                    inits.append((1.0 / op.dim, o, v))
-            else:
-                inits = [(1.0, None, _init_vector(op.init, op.dim, None, {}, ""))]
-            for w, o, v in inits:
-                m = np.einsum("is,a->ias", mat, v).reshape(-1, sys_dim)
-                rec = dict(record)
-                if o is not None:
-                    rec[op.label] = o
-                stack.append(
-                    (dims + [op.dim], {**names, op.label: len(dims)}, m, weight * w, rec, i + 1)
-                )
-        elif op.kind in ("measure", "free"):
-            if op.kind == "measure":
-                a = axis(op.wires[0])
-                projs = _basis_projectors(op.basis, dims[a])
-            else:
-                a = names[op.label]
-                projs = _basis_projectors("comp", dims[a])
-            for o, pr in enumerate(projs):
-                m = apply_rows(mat, pr, [a])
-                if np.linalg.norm(m) < PRUNE:
-                    continue
-                rec = dict(record)
-                new_dims, new_names = dims, names
-                if op.kind == "measure":
-                    rec[op.label] = o
-                else:
-                    m = np.take(m.reshape(dims + [sys_dim]), o, axis=a).reshape(-1, sys_dim)
-                    new_dims = dims[:a] + dims[a + 1 :]
-                    new_names = {
-                        n: (x - 1 if x > a else x) for n, x in names.items() if n != op.label
-                    }
-                stack.append((new_dims, new_names, m, weight, rec, i + 1))
-        else:
-            raise CircuitError(f"unknown op kind {op.kind!r}")
+        branches = _step(circuit.ops[i], dims, names, rows, record)
+        for w, new_dims, new_names, new_rows, rec in branches:
+            if len(branches) == 1 or np.linalg.norm(new_rows) >= PRUNE:
+                stack.append((weight * w, new_dims, new_names, new_rows, rec, i + 1))
     return out
 
 
@@ -571,7 +477,7 @@ def check_equivalence(circuit: AdaptiveCircuit, operator_kraus) -> float:
     operator side's weights negated, so neither Choi matrix is built."""
     sys_dim = int(np.prod(circuit.system_dims))
     if sys_dim > 36:
-        raise ResourceError("equivalence support exceeds two edges", sys_dim)
+        raise lat.ResourceError("equivalence support exceeds two edges", sys_dim)
     w_circ, v_circ = _choi_rows(channel_kraus(circuit))
     w_op, v_op = _choi_rows([(1.0, k) for k in operator_kraus])
     w = np.concatenate([w_circ, -w_op])
@@ -689,30 +595,29 @@ def lt_operator(kind: str, g: GroupElement, sign: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Anyon-pair ribbon circuits (two edges)
 
-# Anyon letters by (class tag, charge tag) for circuit dispatch.
-_TRIVIAL_FLUX = {"A": 0, "B": 1, "C": 2}  # irrep: trivial, sign, 2-dim
+# Zh exponent of the three-fold-flux pair circuits by anyon letter.
 _TWIST_PHASE = {"F": 0, "G": 1, "H": -1}
 
 
-def _c_anyon_ops(t_qt, t_qb, l_qt, mix_label, m_label, zh_sign):
+def _c_anyon_ops(t_qt, t_qb, zh_sign):
     """Shared layout of the two-dimensional-irrep trivial-flux circuit: a
     mixed qubit ancilla fixes one matrix index, the flux-edge qubit
     measurement the other, and a qutrit phase Zh^{sign*(u+1)} completes it."""
-    u_terms = ((m_label, 1), (mix_label, -1))
+    u_terms = (("m", 1), ("mv", -1))
     return [
-        Op("alloc", label=mix_label, dim=2, init="mixed"),
-        Op("measure", wires=(t_qb,), basis="comp", label=m_label),
+        Op("alloc", label="mv", dim=2, init="mixed"),
+        Op("measure", wires=(t_qb,), basis="comp", label="m"),
         Op(
             "gate",
             gate="Zh",
             wires=(t_qt,),
             power=Expr(const=zh_sign, terms=u_terms, inner_mod=2, scale=zh_sign),
         ),
-        Op("free", label=mix_label),
+        Op("free", label="mv"),
     ]
 
 
-def _de_anyon_ops(anyon, meas_qt, meas_qb, mult_qt, mult_qb, mix, measure_sign=False):
+def _de_anyon_ops(anyon, meas_qt, meas_qb, mult_qt, mult_qb, measure_sign):
     """Two-dimensional-flux pair circuit: a mixed qutrit ancilla picks the
     free class index, the flux edge gets the group multiplication, and the
     other edge is projected in the paired-charge frame.
@@ -724,10 +629,10 @@ def _de_anyon_ops(anyon, meas_qt, meas_qb, mult_qt, mult_qb, mix, measure_sign=F
     variant dephases the charge sign, so it heralds which of the two charges
     in the class was created (the fix-up branch lands on the partner charge
     at the far site) instead of reproducing the exact channel."""
-    v = Expr(0, ((mix, 1),))
+    v = Expr(0, (("mu", 1),))
     frame = [
         Op("gate", gate="CC", wires=(meas_qb, meas_qt)),
-        Op("gate", gate="Xh", wires=(meas_qt,), power=Expr(0, ((mix, -1),))),
+        Op("gate", gate="Xh", wires=(meas_qt,), power=Expr(0, (("mu", -1),))),
         Op("gate", gate="CC", wires=(meas_qb, meas_qt)),
         Op("gate", gate="Ch", wires=(meas_qt,)),
     ]
@@ -738,7 +643,7 @@ def _de_anyon_ops(anyon, meas_qt, meas_qb, mult_qt, mult_qb, mix, measure_sign=F
         Op("gate", gate="CC", wires=(meas_qb, meas_qt)),
     ]
     ops = [
-        Op("alloc", label=mix, dim=3, init="mixed"),
+        Op("alloc", label="mu", dim=3, init="mixed"),
         # multiplication edge: (Xh^v Ch) x X
         Op("gate", gate="Ch", wires=(mult_qt,)),
         Op("gate", gate="Xh", wires=(mult_qt,), power=v),
@@ -755,7 +660,7 @@ def _de_anyon_ops(anyon, meas_qt, meas_qb, mult_qt, mult_qb, mix, measure_sign=F
         # negative charge: swap the paired charge states (Z flips |+> <-> |->)
         ops.append(Op("gate", gate="Z", wires=(meas_qb,)))
     ops += unframe
-    ops.append(Op("free", label=mix))
+    ops.append(Op("free", label="mu"))
     return ops
 
 
@@ -811,9 +716,9 @@ def build_ribbon_circuit(
     elif anyon == "B":
         ops = [Op("gate", gate="Z", wires=(t_qb,))]
     elif anyon == "C":
-        ops = _c_anyon_ops(t_qt, t_qb, l_qt, "mv", "m", zh_sign)
+        ops = _c_anyon_ops(t_qt, t_qb, zh_sign)
     elif anyon in ("D", "E"):
-        ops = _de_anyon_ops(anyon, t_qt, t_qb, l_qt, l_qb, "mu", measure_sign)
+        ops = _de_anyon_ops(anyon, t_qt, t_qb, l_qt, l_qb, measure_sign)
     elif anyon in ("F", "G", "H"):
         ops = _fgh_anyon_ops(anyon, t_qt, t_qb, l_qt, zh_sign)
     else:
@@ -832,17 +737,7 @@ def embed_ribbon_circuit(circuit: AdaptiveCircuit, lattice, ribbon) -> AdaptiveC
     ea, eb = ribbon_support(ribbon)
     wire_map = {0: 2 * ea, 1: 2 * ea + 1, 2: 2 * eb, 3: 2 * eb + 1}
     ops = tuple(
-        Op(
-            op.kind,
-            gate=op.gate,
-            wires=tuple(wire_map.get(w, w) if isinstance(w, int) else w for w in op.wires),
-            power=op.power,
-            cond=op.cond,
-            basis=op.basis,
-            label=op.label,
-            dim=op.dim,
-            init=op.init,
-        )
+        replace(op, wires=tuple(wire_map.get(w, w) for w in op.wires))
         for op in circuit.ops
     )
     return AdaptiveCircuit((3, 2) * lattice.n_edges, ops, circuit.accept)
@@ -851,9 +746,6 @@ def embed_ribbon_circuit(circuit: AdaptiveCircuit, lattice, ribbon) -> AdaptiveC
 def ribbon_operator_kraus(lattice, ribbon, anyon: str):
     """Operator-level Kraus branches of the internally mixed pair channel, in
     the circuit basis of the two support edges."""
-    from . import lattice as lat
-    from .algebra import ANYON_TABLE
-
     support = ribbon_support(ribbon)
     irrep = ANYON_TABLE[anyon]
     out = []
@@ -997,12 +889,7 @@ def build_K_circuit(lattice, site) -> AdaptiveCircuit:
         ops.append(Op("measure", wires=("aw",), basis="x3", label="a2", cond=cond))
         ops.append(Op("free", label="aw", cond=cond))
 
-    dims = []
-    edges = []
-    for e in range(lattice.n_edges):
-        dims += [3, 2]
-        edges.append(e)
-    return AdaptiveCircuit(tuple(dims), tuple(ops), edges=tuple(edges))
+    return AdaptiveCircuit((3, 2) * lattice.n_edges, tuple(ops))
 
 
 _FGH_BY_PHASE = {0: "F", 1: "G", 2: "H"}
@@ -1025,16 +912,12 @@ def classify_K_transcript(record) -> str:
 
 def register_from_lattice(state) -> QuditRegister:
     """Dense circuit register (<= 7 edges) from a lattice state."""
-    from . import lattice as lat
-
     vec = lat.dense_vector(state)
     n = state.lattice.n_edges
     return QuditRegister((3, 2) * n, group_vector_to_circuit(vec, n))
 
 
 def lattice_from_register(reg: QuditRegister, lattice):
-    from . import lattice as lat
-
     n = lattice.n_edges
     if len(reg.dims) != 2 * n:
         raise CircuitError("register still holds ancilla wires")
@@ -1044,8 +927,6 @@ def lattice_from_register(reg: QuditRegister, lattice):
 def measure_site_circuit(state, site, rng):
     """Charge measurement at one site via the gate-level circuit; returns
     (letter, post-measurement lattice state)."""
-    from . import lattice as lat
-
     circuit = build_K_circuit(state.lattice, site)
     reg, record = simulate(circuit, register_from_lattice(lat.expanded(state)), rng)
     return classify_K_transcript(record), lattice_from_register(reg, state.lattice)

@@ -72,6 +72,19 @@ class TestGates:
         xx = np.kron(cir.gate_unitary("Xh"), cir.gate_unitary("Xh"))
         assert np.allclose(cxh @ x1 @ cxh.conj().T, xx, atol=1e-12)
 
+    def test_unknown_kind_raises(self):
+        with pytest.raises(cir.CircuitError):
+            cir.gate_unitary("Q")
+
+    def test_table_entries_are_read_only(self):
+        u = cir.gate_unitary("Xh", 2)
+        with pytest.raises(ValueError):
+            u[0, 0] = 5.0
+        expect = np.zeros((3, 3), dtype=complex)
+        for k in range(3):
+            expect[(k + 2) % 3, k] = 1.0
+        assert np.array_equal(cir.gate_unitary("Xh", -1), expect)
+
 
 class TestSimulator:
     def test_empty_circuit_identity(self):
@@ -95,6 +108,42 @@ class TestSimulator:
         )
         reg, rec = cir.simulate(circ, cir.QuditRegister((3, 2), vec), rng)
         assert abs(reg.norm() - 1) < 1e-12 and rec["k"] in (0, 1, 2)
+
+    @pytest.mark.parametrize("run", ["simulate", "channel_kraus"])
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            (
+                cir.Op("alloc", label="a", dim=2, init="zero"),
+                cir.Op("alloc", label="a", dim=2, init="zero"),
+                cir.Op("free", label="a"),
+            ),
+            (cir.Op("gate", gate="CC", wires=(0, 1)),),
+            (cir.Op("gate", gate="X", wires=("a",)),),
+            (cir.Op("free", label="a"),),
+            (cir.Op("gate", gate="X", wires=(2,)),),
+            (cir.Op("gate", gate="Q", wires=(1,)),),
+            (cir.Op("teleport"),),
+            (cir.Op("measure", wires=(0, 1), basis="comp", label="k"),),
+        ],
+        ids=[
+            "double-alloc",
+            "swapped-cc-wires",
+            "unknown-ancilla",
+            "free-unallocated",
+            "wire-out-of-range",
+            "unknown-gate",
+            "unknown-op",
+            "measure-two-wires",
+        ],
+    )
+    def test_malformed_circuit_raises(self, ops, run):
+        circ = cir.AdaptiveCircuit((3, 2), ops)
+        with pytest.raises(cir.CircuitError):
+            if run == "simulate":
+                cir.simulate(circ, cir.QuditRegister((3, 2)), np.random.default_rng(0))
+            else:
+                cir.channel_kraus(circ)
 
     def test_replay_determinism(self):
         circ = cir.build_ribbon_circuit("D", "h")

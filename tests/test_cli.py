@@ -110,6 +110,18 @@ class TestRecords:
         )
         assert code == 0 and records(out)[0]["uncorrectable"] == 0
 
+    def test_circuit_equivalence(self, capsys):
+        code, out, _ = run(["circuit-equivalence"], capsys)
+        _, again, _ = run(["circuit-equivalence"], capsys)
+        recs = records(out)
+        assert code == 0 and out == again
+        assert sorted((r["anyon"], r["orientation"]) for r in recs) == [
+            (a, o) for a in "ABCDEFGH" for o in "hv"
+        ]
+        for r in recs:
+            assert r["pass"] and r["choi_distance"] < 1e-9, r
+            assert set(r["non_clifford"]) <= {"CC"}, r
+
     def test_orthonormality(self, capsys):
         code, out, _ = run(["orthonormality"], capsys)
         rec = records(out)[0]
