@@ -2,8 +2,9 @@
 
 Holds fusion multiplicities, quantum dimensions, R-symbols and F-symbols for
 the eight anyons A..H, verifies their consistency (pentagon/hexagon/
-unitarity), and evaluates the interferometry amplitudes used by the remote
-measurement protocols.
+unitarity), evaluates the interferometry amplitudes used by the remote
+measurement protocols, and tabulates their constant per-round factors once per
+category (``CategoryData.qutrit_tables``).
 
 Conventions
 -----------
@@ -33,9 +34,11 @@ must agree — see :func:`derive_gauge_invariants`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +49,9 @@ from .algebra import ANYONS, ELEMENTS, MU, SIGMA, E, QUANTUM_DIMS, double_matrix
 U_PAIRS = (("A", "G"), ("G", "G"), ("G", "A"))
 U_PERP1_PAIRS = (("F", "C"), ("H", "F"), ("C", "H"))
 U_PERP2_PAIRS = (("C", "F"), ("F", "H"), ("H", "C"))
+# Fixed order of the logical qutrit's amplitude vector, and its members.
+ALL_PAIRS = U_PAIRS + U_PERP1_PAIRS + U_PERP2_PAIRS
+QUTRIT_PAIRS = frozenset(ALL_PAIRS)
 
 
 class CategoryError(ValueError):
@@ -61,6 +67,10 @@ class CategoryData:
     dims: dict  # a -> int
     R: dict  # (a, b, c) -> complex phase
     F: dict  # (a, b, c, d, e, f) -> complex
+    # Tables derived on first use.  A field set in __init__ rather than a
+    # cached_property: on CPython 3.11, writing a new key into the instance
+    # __dict__ makes every later attribute load (data.N, data.F) 3-5x slower.
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def outcomes(self, a: str, b: str) -> tuple:
         return tuple(c for c in self.anyons if self.N.get((a, b, c), 0))
@@ -79,6 +89,14 @@ class CategoryData:
 
     def r_symbol(self, a, b, c) -> complex:
         return self.R[a, b, c]
+
+    @property
+    def qutrit_tables(self) -> "QutritTables":
+        """Constant per-round factors of the logical-qutrit protocols, built
+        on first use."""
+        if "qutrit" not in self._derived:
+            self._derived["qutrit"] = _qutrit_tables(self)
+        return self._derived["qutrit"]
 
 
 def _parse_records(text: str):
@@ -279,12 +297,90 @@ def u_measurement_amplitude(
     internal pair (x, y): the probe-pair outcome w is fused into the tree's
     total-charge line."""
     data = data or default_category()
-    valid = set(U_PAIRS) | set(U_PERP1_PAIRS) | set(U_PERP2_PAIRS)
-    if (x, y) not in valid:
+    if (x, y) not in QUTRIT_PAIRS:
         raise CategoryError(f"({x},{y}) is not an internal pair of the qutrit space")
     return interferometry_amplitude(x, z, w, data) * data.f_entry(
         w, x, y, "G", x, "G"
     )
+
+
+# ---------------------------------------------------------------------------
+# Kraus tables of the logical-qutrit protocols
+
+MU_OUTCOMES = ("A", "B")  # H-probe outcomes of one M_U round
+MA_OUTCOMES = ("A", "G")  # D-probe outcomes of one M_A interferometry round
+FUSE_OUTCOMES = ("D", "E")  # the w = G probe fused back with the leftmost D
+ROOT_OUTCOMES = ("A", "B", "G")  # G x G root fusion of two merged qutrits
+
+
+class MergeBranch(NamedTuple):
+    """Merge subroutine 2 after an Abelian root-fusion outcome."""
+
+    weights: tuple  # D-pair interferometer outcomes X in MA_OUTCOMES
+    pair_phase: complex  # X = A: overlap of the residual with the F-column of G
+    probe_phase: complex  # X = G: phase of the surviving amplitude
+
+
+class QutritTables(NamedTuple):
+    """Constant factors of the logical-qutrit protocols.
+
+    Vectors and table rows run over the pairs in ``ALL_PAIRS`` order; row i
+    of a two-row table is the diagonal Kraus factor of outcome i.  The arrays
+    and the merge map are read-only because every caller shares them.
+    """
+
+    mu: np.ndarray  # MU_OUTCOMES x pairs: u_measurement_amplitude(x, y, "H", w)
+    ma: np.ndarray  # MA_OUTCOMES x pairs: I_{x;D,w} where x = w, else 0
+    fuse: tuple  # probabilities of FUSE_OUTCOMES
+    e_correction: np.ndarray  # pairs: F^{BDD}_{G;E,G} F^{BGy}_{G;G,G}
+    root_fusion: tuple  # probabilities of ROOT_OUTCOMES
+    merge: MappingProxyType  # Abelian root outcome -> MergeBranch
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=complex)
+    arr.flags.writeable = False
+    return arr
+
+
+def _qutrit_tables(data: CategoryData) -> QutritTables:
+    mu = _read_only(
+        [
+            [u_measurement_amplitude(x, y, "H", w, data) for x, y in ALL_PAIRS]
+            for w in MU_OUTCOMES
+        ]
+    )
+    i_d = {
+        (x, w): interferometry_amplitude(x, "D", w, data)
+        for x, w in (("A", "A"), ("B", "A"), ("G", "G"))
+    }
+    # the probe projects x = w; measure_MA only sees x in {A, G}
+    ma = _read_only(
+        [[i_d[w, w] if x == w else 0 for x, _ in ALL_PAIRS] for w in MA_OUTCOMES]
+    )
+    fuse = tuple(abs(data.f_entry("G", "D", "D", "G", e, "G")) ** 2 for e in FUSE_OUTCOMES)
+    sign = data.f_entry("B", "D", "D", "G", "E", "G")
+    e_correction = _read_only(
+        [sign * data.f_entry("B", "G", y, "G", "G", "G") for _, y in ALL_PAIRS]
+    )
+    root_fusion = tuple(fusion_probability("G", "G", c, data) for c in ROOT_OUTCOMES)
+    # the residual G pair of the X = A branch fuses back to G deterministically
+    # when it equals the F-column of G
+    col = np.array([np.conj(data.f_entry("G", "G", "G", "G", e, "G")) for e in ("A", "B")])
+    col = col / np.linalg.norm(col)
+    merge = {}
+    for outcome in ("A", "B"):
+        coeff = {
+            X: np.conj(data.f_entry("G", "G", "G", "G", X, outcome)) for X in ROOT_OUTCOMES
+        }
+        res = np.array([coeff["A"] * i_d["A", "A"], coeff["B"] * i_d["B", "A"]])
+        probe = coeff["G"] * i_d["G", "G"]
+        merge[outcome] = MergeBranch(
+            (abs(res[0]) ** 2 + abs(res[1]) ** 2, abs(probe) ** 2),
+            complex(np.vdot(col, res / np.linalg.norm(res))),
+            complex(probe / abs(probe)),
+        )
+    return QutritTables(mu, ma, fuse, e_correction, root_fusion, MappingProxyType(merge))
 
 
 # ---------------------------------------------------------------------------

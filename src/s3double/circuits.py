@@ -399,7 +399,9 @@ def simulate(circuit: AdaptiveCircuit, register: QuditRegister, rng):
 
     A mixed ancilla draws its basis state with `rng.integers(dim)`; a
     measurement or a free draws its outcome with one `rng.choice` over all
-    outcomes by the Born rule and renormalises."""
+    outcomes by the Born rule and renormalises.  As in `channel_kraus`,
+    ancillas must be freed before the end of the circuit; a trajectory that
+    misses a non-empty `accept` raises `CircuitError` naming the label."""
     if tuple(register.dims[: len(circuit.system_dims)]) != tuple(circuit.system_dims):
         raise CircuitError("register does not match circuit system wires")
     dims, names = list(register.dims), {}
@@ -415,6 +417,13 @@ def simulate(circuit: AdaptiveCircuit, register: QuditRegister, rng):
             o = int(rng.choice(len(probs), p=np.array(probs) / sum(probs)))
             _, dims, names, rows, record = branches[o]
             rows = rows / np.sqrt(probs[o])
+    if names:
+        raise CircuitError(f"ancillas never freed: {sorted(names)}")
+    for label, want in circuit.accept:
+        if record.get(label) != want:
+            raise CircuitError(
+                f"trajectory rejected: {label}={record.get(label)}, accept needs {label}={want}"
+            )
     reg = QuditRegister(dims, rows)
     reg.record = record
     return reg, dict(record)

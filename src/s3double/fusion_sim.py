@@ -3,10 +3,16 @@
 States are superpositions of fusion trees with a fixed binary shape over a
 fixed leaf sequence.  Shapes are nested tuples of leaf positions (e.g.
 ``((0, 1), (2, 3))``); a basis tree assigns an anyon label to every internal
-node (the root label is fixed per state).  F-moves re-associate one vertex,
-braids exchange adjacent sibling leaves, and the remote-measurement and
-merge/split protocols operate on the four-D logical qutrit space (total
-charge G, internal pair labels (x, y)) and its two-qutrit extension.
+node (the root label is fixed per state).  F-moves re-associate one vertex and
+braids exchange adjacent sibling leaves.
+
+The remote-measurement and merge/split protocols act on the four-D logical
+qutrit space (total charge G, internal pair labels (x, y)) and its two-qutrit
+extension.  They run on a plain amplitude vector with one entry per pair in
+``ALL_PAIRS`` order (9 entries; the merged pair uses the 9 x 9 products of
+two such orders), multiplying it by the constant per-category tables of
+``CategoryData.qutrit_tables``.  The state is checked once on the way in and
+built as a validated ``FusionState`` once on the way out.
 
 Global phases are tracked explicitly: normalization only divides by the
 positive norm, so protocol sign bookkeeping stays observable in tests.
@@ -15,14 +21,24 @@ positive norm, so protocol sign bookkeeping stays observable in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from . import category
-from .category import U_PAIRS, U_PERP1_PAIRS, U_PERP2_PAIRS, default_category
+from .category import (
+    ALL_PAIRS,
+    FUSE_OUTCOMES,
+    MA_OUTCOMES,
+    MU_OUTCOMES,
+    QUTRIT_PAIRS,
+    ROOT_OUTCOMES,
+    U_PAIRS,
+    default_category,
+)
 
 QUTRIT_SHAPE = ((0, 1), (2, 3))
-ALL_PAIRS = U_PAIRS + U_PERP1_PAIRS + U_PERP2_PAIRS
+_PAIR_INDEX = {pair: i for i, pair in enumerate(ALL_PAIRS)}
 PRUNE_TOL = 1e-14
 
 
@@ -30,6 +46,7 @@ class FusionError(ValueError):
     pass
 
 
+@lru_cache(maxsize=1024)
 def _subtrees(shape):
     """Internal nodes of a nested-tuple shape in postorder (root last)."""
     out = []
@@ -42,6 +59,25 @@ def _subtrees(shape):
 
     walk(shape)
     return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _node_indices(shape):
+    """Read-only map from each internal node of a shape to its postorder index."""
+    return MappingProxyType({node: i for i, node in enumerate(_subtrees(shape))})
+
+
+@lru_cache(maxsize=1024)
+def _vertex_slots(shape):
+    """(left child, right child, node) of every internal node, as positions
+    in the label sequence ``leaves + labeling``."""
+    index = _node_indices(shape)
+    n_leaves = len(index) + 1
+
+    def slot(node):
+        return node if isinstance(node, int) else n_leaves + index[node]
+
+    return tuple((slot(node[0]), slot(node[1]), slot(node)) for node in index)
 
 
 @dataclass(frozen=True)
@@ -58,7 +94,10 @@ class FusionState:
         return _subtrees(self.shape)
 
     def node_index(self, node):
-        return self.nodes.index(node)
+        try:
+            return _node_indices(self.shape)[node]
+        except KeyError:
+            raise ValueError(f"{node!r} is not an internal node") from None
 
     def norm(self) -> float:
         return float(np.sqrt(sum(abs(a) ** 2 for a in self.amps.values())))
@@ -81,13 +120,13 @@ class FusionState:
 
     def validate(self, data=None):
         data = data or default_category()
+        slots = _vertex_slots(self.shape)
         for labeling in self.amps:
             if labeling[-1] != self.root:
                 raise FusionError("root label mismatch")
-            for node in self.nodes:
-                a = self.label_of(labeling, node[0])
-                b = self.label_of(labeling, node[1])
-                c = self.label_of(labeling, node)
+            labels = self.leaves + labeling
+            for i, j, k in slots:
+                a, b, c = labels[i], labels[j], labels[k]
                 if not data.N.get((a, b, c), 0):
                     raise FusionError(f"inadmissible vertex {a} x {b} -> {c}")
         return self
@@ -96,7 +135,7 @@ class FusionState:
 def qutrit_state(amps, data=None) -> FusionState:
     """Four-D fusion tree with total charge G from {(x, y): amplitude}."""
     for x, y in amps:
-        if (x, y) not in ALL_PAIRS:
+        if (x, y) not in QUTRIT_PAIRS:
             raise FusionError(f"({x},{y}) not an internal pair of the qutrit space")
     state = FusionState(
         ("D",) * 4,
@@ -111,6 +150,26 @@ def qutrit_amplitudes(state: FusionState) -> dict:
     if state.shape != QUTRIT_SHAPE or state.leaves != ("D",) * 4 or state.root != "G":
         raise FusionError("state is not a four-D logical qutrit")
     return {(k[0], k[1]): v for k, v in state.amps.items()}
+
+
+def _pair_index(pair) -> int:
+    try:
+        return _PAIR_INDEX[pair]
+    except KeyError:
+        raise FusionError(f"{pair!r} not an internal pair of the qutrit space") from None
+
+
+def _pair_vector(amps) -> np.ndarray:
+    """{(x, y): amplitude} as a vector in ALL_PAIRS order."""
+    vec = np.zeros(len(ALL_PAIRS), dtype=complex)
+    for pair, v in amps.items():
+        vec[_pair_index(pair)] = v
+    return vec
+
+
+def _vector_state(vec, data) -> FusionState:
+    """The qutrit state over the nonzero entries of a pair vector."""
+    return qutrit_state({p: v for p, v in zip(ALL_PAIRS, vec.tolist()) if v}, data)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +334,14 @@ def _sample(rng, labels, weights):
     return labels[rng.choice(len(labels), p=w)]
 
 
+def _branch(rng, labels, table, vec):
+    """Draw one outcome of a diagonal Kraus table by the Born rule; returns
+    (label, unnormalised post-measurement vector)."""
+    branches = table * vec
+    w = _sample(rng, labels, (np.abs(branches) ** 2).sum(axis=1))
+    return w, branches[labels.index(w)]
+
+
 def measure_MA(state: FusionState, rng, max_rounds: int = 64, data=None) -> ProtocolOutcome:
     """Interferometric measurement {Pi_A, Pi_A'} on the computational qutrit.
 
@@ -282,49 +349,39 @@ def measure_MA(state: FusionState, rng, max_rounds: int = 64, data=None) -> Prot
     projects x = w.  On w = G the probe is fused back into the tree (outcome
     D returns directly, outcome E flips the sign of |GG> relative to |GA> via
     a B-pair correction) and rounds continue until the E-count is even.
+
+    Every round multiplies the pair vector by a constant table of
+    ``data.qutrit_tables`` (``ma`` and ``e_correction``).
     """
     data = data or default_category()
+    tables = data.qutrit_tables
     amps = qutrit_amplitudes(state)
-    if any((x, y) not in U_PAIRS for x, y in amps):
+    if any(pair not in U_PAIRS for pair in amps):
         raise FusionError("measure_MA requires support on the computational subspace")
-    i_aa = category.interferometry_amplitude("A", "D", "A", data)
-    i_gg = category.interferometry_amplitude("G", "D", "G", data)
-    p_a = sum(abs(v) ** 2 for (x, y), v in amps.items() if x == "A") * abs(i_aa) ** 2
-    p_g = sum(abs(v) ** 2 for (x, y), v in amps.items() if x == "G") * abs(i_gg) ** 2
-    transcript = []
-    w = _sample(rng, ["A", "G"], [p_a, p_g])
-    transcript.append(("interfere", w))
+    w, vec = _branch(rng, MA_OUTCOMES, tables.ma, _pair_vector(amps))
+    transcript = [("interfere", w)]
     if w == "A":
-        post = {k: v * i_aa for k, v in amps.items() if k[0] == "A"}
-        return ProtocolOutcome(
-            "A", tuple(transcript), qutrit_state(post, data), 1
-        )
-    amps = {k: v * i_gg for k, v in amps.items() if k[0] == "G"}
+        return ProtocolOutcome("A", tuple(transcript), _vector_state(vec, data), 1)
+    i_g = tables.ma[MA_OUTCOMES.index("G")]
     # fuse the w = G probe with the leftmost D and correct E outcomes
     e_parity = 0
     rounds = 1
-    f_d = np.conj(data.f_entry("G", "D", "D", "G", "D", "G"))
-    f_e = np.conj(data.f_entry("G", "D", "D", "G", "E", "G"))
     while rounds < max_rounds:
-        fuse = _sample(rng, ["D", "E"], [abs(f_d) ** 2, abs(f_e) ** 2])
+        fuse = _sample(rng, FUSE_OUTCOMES, tables.fuse)
         transcript.append(("fuse", fuse))
         if fuse == "E":
-            sign = data.f_entry("B", "D", "D", "G", "E", "G")
-            amps = {
-                (x, y): v * sign * data.f_entry("B", "G", y, "G", "G", "G")
-                for (x, y), v in amps.items()
-            }
+            vec = vec * tables.e_correction
             e_parity ^= 1
         if e_parity == 0:
             return ProtocolOutcome(
-                "Aprime", tuple(transcript), qutrit_state(amps, data), rounds
+                "Aprime", tuple(transcript), _vector_state(vec, data), rounds
             )
         # another interferometry round: support is x = G, outcome certain
-        amps = {k: v * i_gg for k, v in amps.items()}
+        vec = vec * i_g
         transcript.append(("interfere", "G"))
         rounds += 1
     return ProtocolOutcome(
-        "Aprime", tuple(transcript), qutrit_state(amps, data), rounds, timed_out=True
+        "Aprime", tuple(transcript), _vector_state(vec, data), rounds, timed_out=True
     )
 
 
@@ -336,38 +393,33 @@ def measure_MU(state: FusionState, rng, max_rounds: int = 64, data=None) -> Prot
     two U-perp sectors opposite imaginary amplitudes.  All-A transcripts
     converge to Pi_U; after a first B the rounds continue until a second B
     restores intra-U-perp coherence.
+
+    Every round multiplies the pair vector by one row of the constant table
+    ``data.qutrit_tables.mu`` and drops entries below ``PRUNE_TOL``.
     """
     data = data or default_category()
-    amps = qutrit_amplitudes(state)
+    table = data.qutrit_tables.mu
+    vec = _pair_vector(qutrit_amplitudes(state))
     transcript = []
     b_count = 0
     for rounds in range(1, max_rounds + 1):
-        branches = {}
-        for w in ("A", "B"):
-            branches[w] = {
-                k: v * category.u_measurement_amplitude(k[0], k[1], "H", w, data)
-                for k, v in amps.items()
-            }
-        weights = [
-            sum(abs(v) ** 2 for v in branches[w].values()) for w in ("A", "B")
-        ]
-        w = _sample(rng, ["A", "B"], weights)
+        w, vec = _branch(rng, MU_OUTCOMES, table, vec)
         transcript.append(w)
-        amps = {k: v for k, v in branches[w].items() if abs(v) > PRUNE_TOL}
+        vec[np.abs(vec) <= PRUNE_TOL] = 0
         if w == "B":
             b_count += 1
             if b_count == 2:
                 return ProtocolOutcome(
-                    "Uperp", tuple(transcript), qutrit_state(amps, data), rounds
+                    "Uperp", tuple(transcript), _vector_state(vec, data), rounds
                 )
         if b_count == 0 and rounds == max_rounds:
             return ProtocolOutcome(
-                "U", tuple(transcript), qutrit_state(amps, data), rounds
+                "U", tuple(transcript), _vector_state(vec, data), rounds
             )
     return ProtocolOutcome(
         "Uperp",
         tuple(transcript),
-        qutrit_state(amps, data),
+        _vector_state(vec, data),
         max_rounds,
         timed_out=True,
     )
@@ -400,6 +452,27 @@ def two_qutrit_amplitudes(state: FusionState) -> dict:
     return {(k[0], k[1], k[3], k[4]): v for k, v in state.amps.items()}
 
 
+def _pair_matrix(amps) -> np.ndarray:
+    """{(x1, y1, x2, y2): amplitude} as a matrix over ALL_PAIRS x ALL_PAIRS."""
+    mat = np.zeros((len(ALL_PAIRS), len(ALL_PAIRS)), dtype=complex)
+    for (x1, y1, x2, y2), v in amps.items():
+        mat[_pair_index((x1, y1)), _pair_index((x2, y2))] = v
+    return mat
+
+
+def _matrix_state(mat, data) -> FusionState:
+    """The merged state over the nonzero entries of a pair matrix."""
+    return two_qutrit_state(
+        {
+            left + right: v
+            for left, row in zip(ALL_PAIRS, mat.tolist())
+            for right, v in zip(ALL_PAIRS, row)
+            if v
+        },
+        data,
+    )
+
+
 def merge_qutrits(
     stateL: FusionState, stateR: FusionState, rng, data=None
 ) -> ProtocolOutcome:
@@ -408,67 +481,36 @@ def merge_qutrits(
     Subroutine 1 fuses the roots (outcomes A: 1/4, B: 1/4, G: 1/2).  On A/B,
     subroutine 2 splits the Abelian outcome back into two G, probes the left
     one with a D-pair (X in {A, G}), and fuses the residual pair(s) down to a
-    single G; the internal labels of both qutrits are untouched throughout.
+    single G; the internal labels of both qutrits are untouched throughout,
+    and the merged amplitudes are the products of the two pair vectors times
+    the branch's constant phase from ``data.qutrit_tables.merge``.
     """
     data = data or default_category()
-    ampsL = qutrit_amplitudes(stateL)
-    ampsR = qutrit_amplitudes(stateR)
+    tables = data.qutrit_tables
+    vec_l = _pair_vector(qutrit_amplitudes(stateL))
+    vec_r = _pair_vector(qutrit_amplitudes(stateR))
     transcript = []
     phase = 1.0 + 0j
-    outcome = _sample(
-        rng,
-        ["A", "B", "G"],
-        [
-            category.fusion_probability("G", "G", c, data) for c in ("A", "B", "G")
-        ],
-    )
+    outcome = _sample(rng, ROOT_OUTCOMES, tables.root_fusion)
     transcript.append(("root-fusion", outcome))
     if outcome != "G":
-        # split A/B into two G, then D-pair interferometry on the left G:
-        # the root-pair state is sum_X conj(F^{GGG}_G[X, outcome]) |X>
-        coeff = {
-            X: np.conj(data.f_entry("G", "G", "G", "G", X, outcome))
-            for X in ("A", "B", "G")
-        }
-        i_aa = category.interferometry_amplitude("A", "D", "A", data)
-        i_ba = category.interferometry_amplitude("B", "D", "A", data)
-        i_gg = category.interferometry_amplitude("G", "D", "G", data)
-        w_a = abs(coeff["A"] * i_aa) ** 2 + abs(coeff["B"] * i_ba) ** 2
-        w_g = abs(coeff["G"] * i_gg) ** 2
-        X = _sample(rng, ["A", "G"], [w_a, w_g])
+        # split A/B into two G, then D-pair interferometry on the left G
+        branch = tables.merge[outcome]
+        X = _sample(rng, MA_OUTCOMES, branch.weights)
         transcript.append(("interferometer", X))
         if X == "A":
-            # residual (coeff_A |A> + coeff_B (-1)|B>)/norm; fusing the lower
-            # G pair returns deterministically to a single G root when the
-            # residual equals the F-column of G
-            res = np.array([coeff["A"] * i_aa, coeff["B"] * i_ba])
-            res = res / np.linalg.norm(res)
-            col = np.array(
-                [
-                    np.conj(data.f_entry("G", "G", "G", "G", e, "G"))
-                    for e in ("A", "B")
-                ]
-            )
-            col = col / np.linalg.norm(col)
-            overlap = np.vdot(col, res)
-            if abs(abs(overlap) - 1) > 1e-12:
+            if abs(abs(branch.pair_phase) - 1) > 1e-12:
                 raise FusionError("residual G-pair fusion is not deterministic")
-            phase *= overlap
+            phase = branch.pair_phase
             transcript.append(("pair-fusion", "G"))
         else:
-            phase *= coeff["G"] * i_gg / abs(coeff["G"] * i_gg)
+            phase = branch.probe_phase
             # fuse the left two G: Abelian outcome A or B, then Abelian x G -> G
             ab = _sample(rng, ["A", "B"], [0.5, 0.5])
             transcript.append(("left-fusion", ab))
             transcript.append(("abelian-fusion", "G"))
-    merged = {
-        (x1, y1, x2, y2): phase * ampsL[x1, y1] * ampsR[x2, y2]
-        for (x1, y1) in ampsL
-        for (x2, y2) in ampsR
-    }
-    return ProtocolOutcome(
-        "merged", tuple(transcript), two_qutrit_state(merged, data), 1
-    )
+    merged = np.outer(phase * vec_l, vec_r)
+    return ProtocolOutcome("merged", tuple(transcript), _matrix_state(merged, data), 1)
 
 
 def split_qutrit(
@@ -483,8 +525,8 @@ def split_qutrit(
     order (left, right) encoded as a product state.
     """
     data = data or default_category()
-    amps = two_qutrit_amplitudes(state)
-    p_succ = category.fusion_probability("G", "G", "G", data)
+    mat = _pair_matrix(two_qutrit_amplitudes(state))
+    p_succ = data.qutrit_tables.root_fusion[ROOT_OUTCOMES.index("G")]
     transcript = []
     for rounds in range(1, max_rounds + 1):
         outcome = _sample(rng, ["G", "AB"], [p_succ, 1 - p_succ])
@@ -494,9 +536,8 @@ def split_qutrit(
             transcript.append(("internal", internal))
             # the split leaves the internal labels untouched; re-expressing
             # the pair of G roots keeps the joint amplitudes exact
-            result = two_qutrit_state(amps, data)
             return ProtocolOutcome(
-                f"split-{internal}", tuple(transcript), result, rounds
+                f"split-{internal}", tuple(transcript), _matrix_state(mat, data), rounds
             )
     return ProtocolOutcome(
         "timeout", tuple(transcript), state, max_rounds, timed_out=True
@@ -505,14 +546,11 @@ def split_qutrit(
 
 def factor_halves(state: FusionState):
     """Factor a product two-qutrit state into its single-qutrit halves."""
-    amps = two_qutrit_amplitudes(state)
-    mat = np.zeros((len(ALL_PAIRS), len(ALL_PAIRS)), dtype=complex)
-    index = {p: i for i, p in enumerate(ALL_PAIRS)}
-    for (x1, y1, x2, y2), v in amps.items():
-        mat[index[x1, y1], index[x2, y2]] = v
-    u, s, vh = np.linalg.svd(mat)
+    u, s, vh = np.linalg.svd(_pair_matrix(two_qutrit_amplitudes(state)))
     if len(s) > 1 and s[1] > 1e-9:
         raise FusionError("state is entangled across the two qutrits")
-    left = {p: u[i, 0] * np.sqrt(s[0]) for p, i in index.items() if abs(u[i, 0]) > PRUNE_TOL}
-    right = {p: vh[0, i] * np.sqrt(s[0]) for p, i in index.items() if abs(vh[0, i]) > PRUNE_TOL}
-    return qutrit_state(left), qutrit_state(right)
+    scale = np.sqrt(s[0])
+    return tuple(
+        _vector_state(np.where(np.abs(vec) > PRUNE_TOL, vec * scale, 0), None)
+        for vec in (u[:, 0], vh[0])
+    )

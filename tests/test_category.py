@@ -132,6 +132,54 @@ class TestInterferometry:
             u_measurement_amplitude("D", "D", "H", "A")
 
 
+class TestQutritTables:
+    """Every table entry equals the per-call closed form it replaces, in the
+    pair and outcome orders the protocols index it by."""
+
+    def test_measurement_rows(self, data):
+        tables = data.qutrit_tables
+        assert tables.mu.shape == tables.ma.shape == (2, len(category.ALL_PAIRS))
+        for p, (x, y) in enumerate(category.ALL_PAIRS):
+            for i, w in enumerate(category.MU_OUTCOMES):
+                want = u_measurement_amplitude(x, y, "H", w, data)
+                assert abs(tables.mu[i, p] - want) < 1e-12, (x, y, w)
+            for i, w in enumerate(category.MA_OUTCOMES):
+                want = interferometry_amplitude(x, "D", w, data) if x == w else 0
+                assert abs(tables.ma[i, p] - want) < 1e-12, (x, y, w)
+            want = data.f_entry("B", "D", "D", "G", "E", "G") * data.f_entry(
+                "B", "G", y, "G", "G", "G"
+            )
+            assert abs(tables.e_correction[p] - want) < 1e-12, (x, y)
+
+    def test_fusion_weights_and_merge_phases(self, data):
+        tables = data.qutrit_tables
+        for prob, e in zip(tables.fuse, category.FUSE_OUTCOMES):
+            assert abs(prob - abs(data.f_entry("G", "D", "D", "G", e, "G")) ** 2) < 1e-12
+        for prob, c in zip(tables.root_fusion, category.ROOT_OUTCOMES):
+            assert prob == fusion_probability("G", "G", c, data)
+        assert set(tables.merge) == {"A", "B"}
+        for outcome, branch in tables.merge.items():
+            coeff = {
+                X: np.conj(data.f_entry("G", "G", "G", "G", X, outcome))
+                for X in category.ROOT_OUTCOMES
+            }
+            i_aa = interferometry_amplitude("A", "D", "A", data)
+            i_ba = interferometry_amplitude("B", "D", "A", data)
+            i_gg = interferometry_amplitude("G", "D", "G", data)
+            w_a = abs(coeff["A"] * i_aa) ** 2 + abs(coeff["B"] * i_ba) ** 2
+            w_g = abs(coeff["G"] * i_gg) ** 2
+            assert np.allclose(branch.weights, (w_a, w_g), rtol=0, atol=1e-12)
+            assert abs(abs(branch.pair_phase) - 1) < 1e-12
+            probe = coeff["G"] * i_gg
+            assert abs(branch.probe_phase - probe / abs(probe)) < 1e-12
+
+    def test_tables_are_cached_and_read_only(self, data):
+        tables = data.qutrit_tables
+        assert data.qutrit_tables is tables
+        with pytest.raises(ValueError):
+            tables.mu[0, 0] = 0
+
+
 class TestReferenceFEntries:
     def test_fggg(self, data):
         rt2 = 1 / np.sqrt(2)

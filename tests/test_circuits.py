@@ -125,6 +125,7 @@ class TestSimulator:
             (cir.Op("gate", gate="Q", wires=(1,)),),
             (cir.Op("teleport"),),
             (cir.Op("measure", wires=(0, 1), basis="comp", label="k"),),
+            (cir.Op("alloc", label="a", dim=2, init="zero"),),
         ],
         ids=[
             "double-alloc",
@@ -135,6 +136,7 @@ class TestSimulator:
             "unknown-gate",
             "unknown-op",
             "measure-two-wires",
+            "unfreed-ancilla",
         ],
     )
     def test_malformed_circuit_raises(self, ops, run):
@@ -144,6 +146,25 @@ class TestSimulator:
                 cir.simulate(circ, cir.QuditRegister((3, 2)), np.random.default_rng(0))
             else:
                 cir.channel_kraus(circ)
+
+    def test_rejected_trajectory_raises(self):
+        # the T projector accepts one (k, l) of six on a uniform input: a
+        # trajectory that misses it names the label, one that meets it ends
+        # on the projected input
+        circ = cir.build_LT_circuit("T", SIGMA, "+")
+        vec = np.ones(6, dtype=complex) / np.sqrt(6)
+        ((_, kraus),) = cir.channel_kraus(circ)
+        want = kraus @ vec / np.linalg.norm(kraus @ vec)
+        for seed in range(20):
+            reg = cir.QuditRegister((3, 2), vec)
+            rng = np.random.default_rng(seed)
+            if seed not in (8, 12):
+                with pytest.raises(cir.CircuitError, match=r"trajectory rejected: [kl]="):
+                    cir.simulate(circ, reg, rng)
+                continue
+            out, rec = cir.simulate(circ, reg, rng)
+            assert rec == dict(circ.accept)
+            assert np.allclose(out.vec, want, atol=1e-12)
 
     def test_replay_determinism(self):
         circ = cir.build_ribbon_circuit("D", "h")

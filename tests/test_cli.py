@@ -128,6 +128,40 @@ class TestRecords:
         assert code == 0 and rec["operators_per_ribbon"] == 36
 
 
+class TestPinnedProtocolOutput:
+    """Records at --seed 3 as the per-round dict loops printed them; the
+    Kraus tables draw the same outcomes in the same order."""
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (
+                ["measure-mu", "--trials", "50"],
+                '{"check": "subspace-measurement", "mean_rounds": 18.44, "pass": true, '
+                '"seed": 3, "tags": {"U": 13, "Uperp": 37}, "timeouts": 0, "trials": 50}',
+            ),
+            (
+                ["measure-ma", "--trials", "750"],
+                '{"check": "interferometric-charge-measurement", "mean_rounds": 1.744, '
+                '"pass": true, "seed": 3, "tags": {"A": 246, "Aprime": 504}, '
+                '"timeouts": 0, "trials": 750}',
+            ),
+        ],
+    )
+    def test_measurement_records_are_byte_identical(self, argv, line, capsys):
+        code, out, _ = run(argv + ["--seed", "3"], capsys)
+        assert code == 0 and out == line + "\n"
+
+    def test_merge_split_record(self, capsys):
+        code, out, _ = run(["merge-split", "--trials", "125", "--seed", "3"], capsys)
+        (rec,) = records(out)
+        assert code == 0
+        assert set(rec) == {"check", "min_fidelity", "pass", "seed", "trials"}
+        assert rec["check"] == "merge-split-round-trip" and rec["pass"] is True
+        assert rec["seed"] == 3 and rec["trials"] == 125
+        assert 1 - 1e-12 <= rec["min_fidelity"] <= 1 + 1e-12
+
+
 class TestErrors:
     def test_resource_bound_is_explained(self, capsys):
         code, out, _ = run(["ground-state", "--width", "3", "--height", "3"], capsys)

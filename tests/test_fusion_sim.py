@@ -1,10 +1,13 @@
 """Fusion-tree simulator tests: moves, braids, and the qutrit protocols."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from s3double import category
 from s3double import fusion_sim as fsim
 from s3double.category import U_PAIRS, U_PERP1_PAIRS, U_PERP2_PAIRS, default_category
 
@@ -38,6 +41,30 @@ class TestStates:
         bad = fsim.FusionState(("D",) * 4, fsim.QUTRIT_SHAPE, "G", {("A", "A", "G"): 1})
         with pytest.raises(fsim.FusionError):
             bad.validate()
+
+    @pytest.mark.parametrize("slot", range(6))
+    def test_validate_reads_every_vertex_of_a_deep_tree(self, slot):
+        # the merged tree is valid; corrupting any one internal label (other
+        # than the root) leaves an inadmissible vertex
+        good = fsim.two_qutrit_state({("A", "G", "G", "A"): 1.0})
+        ((labeling, amp),) = good.amps.items()
+        bad = list(labeling)
+        bad[slot] = "D" if labeling[slot] != "D" else "A"
+        broken = fsim.FusionState(good.leaves, good.shape, "G", {tuple(bad): amp})
+        with pytest.raises(fsim.FusionError, match="inadmissible vertex"):
+            broken.validate()
+
+    @pytest.mark.parametrize(
+        "shape", [fsim.QUTRIT_SHAPE, fsim.TWO_QUTRIT_SHAPE, fsim.left_comb_shape(5)]
+    )
+    def test_node_index_follows_postorder(self, shape):
+        state = fsim.FusionState((), shape, "G", {})
+        assert state.nodes[-1] == shape
+        for i, node in enumerate(state.nodes):
+            assert state.node_index(node) == i
+            assert all(state.node_index(child) < i for child in node if isinstance(child, tuple))
+        with pytest.raises(ValueError):
+            state.node_index((0, 7))
 
 
 class TestFMove:
@@ -287,6 +314,210 @@ class TestMergeSplit:
             l2, r2 = fsim.factor_halves(split.state)
             assert fsim.measure_MA(l2, rng).tag == "A"
             assert fsim.measure_MA(r2, rng).tag == "Aprime"
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-round dict loops the Kraus tables replaced
+
+
+def _ref_sample(rng, labels, weights):
+    w = np.array(weights, dtype=float)
+    w = w / w.sum()
+    return labels[rng.choice(len(labels), p=w)]
+
+
+def ref_measure_MA(state, rng, max_rounds=64):
+    data = default_category()
+    amps = fsim.qutrit_amplitudes(state)
+    i_aa = category.interferometry_amplitude("A", "D", "A", data)
+    i_gg = category.interferometry_amplitude("G", "D", "G", data)
+    p_a = sum(abs(v) ** 2 for (x, y), v in amps.items() if x == "A") * abs(i_aa) ** 2
+    p_g = sum(abs(v) ** 2 for (x, y), v in amps.items() if x == "G") * abs(i_gg) ** 2
+    transcript = []
+    w = _ref_sample(rng, ["A", "G"], [p_a, p_g])
+    transcript.append(("interfere", w))
+    if w == "A":
+        post = {k: v * i_aa for k, v in amps.items() if k[0] == "A"}
+        return fsim.ProtocolOutcome("A", tuple(transcript), fsim.qutrit_state(post, data), 1)
+    amps = {k: v * i_gg for k, v in amps.items() if k[0] == "G"}
+    e_parity = 0
+    rounds = 1
+    f_d = np.conj(data.f_entry("G", "D", "D", "G", "D", "G"))
+    f_e = np.conj(data.f_entry("G", "D", "D", "G", "E", "G"))
+    while rounds < max_rounds:
+        fuse = _ref_sample(rng, ["D", "E"], [abs(f_d) ** 2, abs(f_e) ** 2])
+        transcript.append(("fuse", fuse))
+        if fuse == "E":
+            sign = data.f_entry("B", "D", "D", "G", "E", "G")
+            amps = {
+                (x, y): v * sign * data.f_entry("B", "G", y, "G", "G", "G")
+                for (x, y), v in amps.items()
+            }
+            e_parity ^= 1
+        if e_parity == 0:
+            return fsim.ProtocolOutcome(
+                "Aprime", tuple(transcript), fsim.qutrit_state(amps, data), rounds
+            )
+        amps = {k: v * i_gg for k, v in amps.items()}
+        transcript.append(("interfere", "G"))
+        rounds += 1
+    return fsim.ProtocolOutcome(
+        "Aprime", tuple(transcript), fsim.qutrit_state(amps, data), rounds, timed_out=True
+    )
+
+
+def ref_measure_MU(state, rng, max_rounds=64):
+    data = default_category()
+    amps = fsim.qutrit_amplitudes(state)
+    transcript = []
+    b_count = 0
+    for rounds in range(1, max_rounds + 1):
+        branches = {}
+        for w in ("A", "B"):
+            branches[w] = {
+                k: v * category.u_measurement_amplitude(k[0], k[1], "H", w, data)
+                for k, v in amps.items()
+            }
+        weights = [sum(abs(v) ** 2 for v in branches[w].values()) for w in ("A", "B")]
+        w = _ref_sample(rng, ["A", "B"], weights)
+        transcript.append(w)
+        amps = {k: v for k, v in branches[w].items() if abs(v) > fsim.PRUNE_TOL}
+        if w == "B":
+            b_count += 1
+            if b_count == 2:
+                return fsim.ProtocolOutcome(
+                    "Uperp", tuple(transcript), fsim.qutrit_state(amps, data), rounds
+                )
+        if b_count == 0 and rounds == max_rounds:
+            return fsim.ProtocolOutcome(
+                "U", tuple(transcript), fsim.qutrit_state(amps, data), rounds
+            )
+    return fsim.ProtocolOutcome(
+        "Uperp", tuple(transcript), fsim.qutrit_state(amps, data), max_rounds, timed_out=True
+    )
+
+
+def ref_merge_qutrits(stateL, stateR, rng):
+    data = default_category()
+    ampsL = fsim.qutrit_amplitudes(stateL)
+    ampsR = fsim.qutrit_amplitudes(stateR)
+    transcript = []
+    phase = 1.0 + 0j
+    outcome = _ref_sample(
+        rng,
+        ["A", "B", "G"],
+        [category.fusion_probability("G", "G", c, data) for c in ("A", "B", "G")],
+    )
+    transcript.append(("root-fusion", outcome))
+    if outcome != "G":
+        coeff = {
+            X: np.conj(data.f_entry("G", "G", "G", "G", X, outcome))
+            for X in ("A", "B", "G")
+        }
+        i_aa = category.interferometry_amplitude("A", "D", "A", data)
+        i_ba = category.interferometry_amplitude("B", "D", "A", data)
+        i_gg = category.interferometry_amplitude("G", "D", "G", data)
+        w_a = abs(coeff["A"] * i_aa) ** 2 + abs(coeff["B"] * i_ba) ** 2
+        w_g = abs(coeff["G"] * i_gg) ** 2
+        X = _ref_sample(rng, ["A", "G"], [w_a, w_g])
+        transcript.append(("interferometer", X))
+        if X == "A":
+            res = np.array([coeff["A"] * i_aa, coeff["B"] * i_ba])
+            res = res / np.linalg.norm(res)
+            col = np.array(
+                [np.conj(data.f_entry("G", "G", "G", "G", e, "G")) for e in ("A", "B")]
+            )
+            col = col / np.linalg.norm(col)
+            overlap = np.vdot(col, res)
+            assert abs(abs(overlap) - 1) < 1e-12
+            phase *= overlap
+            transcript.append(("pair-fusion", "G"))
+        else:
+            phase *= coeff["G"] * i_gg / abs(coeff["G"] * i_gg)
+            ab = _ref_sample(rng, ["A", "B"], [0.5, 0.5])
+            transcript.append(("left-fusion", ab))
+            transcript.append(("abelian-fusion", "G"))
+    merged = {
+        (x1, y1, x2, y2): phase * ampsL[x1, y1] * ampsR[x2, y2]
+        for (x1, y1) in ampsL
+        for (x2, y2) in ampsR
+    }
+    return fsim.ProtocolOutcome(
+        "merged", tuple(transcript), fsim.two_qutrit_state(merged, data), 1
+    )
+
+
+def ref_split_qutrit(state, rng, max_rounds=64):
+    data = default_category()
+    amps = fsim.two_qutrit_amplitudes(state)
+    p_succ = category.fusion_probability("G", "G", "G", data)
+    transcript = []
+    for rounds in range(1, max_rounds + 1):
+        outcome = _ref_sample(rng, ["G", "AB"], [p_succ, 1 - p_succ])
+        transcript.append(("split-attempt", outcome))
+        if outcome == "G":
+            internal = _ref_sample(rng, ["A", "B"], [0.5, 0.5])
+            transcript.append(("internal", internal))
+            return fsim.ProtocolOutcome(
+                f"split-{internal}", tuple(transcript), fsim.two_qutrit_state(amps, data), rounds
+            )
+    return fsim.ProtocolOutcome("timeout", tuple(transcript), state, max_rounds, timed_out=True)
+
+
+def assert_same_outcome(out, ref, rng, ref_rng):
+    assert (out.tag, out.transcript, out.rounds, out.timed_out) == (
+        ref.tag, ref.transcript, ref.rounds, ref.timed_out
+    )
+    keys = set(out.state.amps) | set(ref.state.amps)
+    assert max(abs(out.state.amps.get(k, 0) - ref.state.amps.get(k, 0)) for k in keys) < 1e-12
+    # the same draws in the same order
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestReferenceLoops:
+    """The table-driven protocols agree with the per-round dict loops."""
+
+    @pytest.mark.parametrize("max_rounds", [1, 2, 64])
+    def test_measure_MA(self, max_rounds):
+        for seed in range(200):
+            st0 = random_qutrit(np.random.default_rng([seed, 0]), U_PAIRS)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = fsim.measure_MA(st0, rng, max_rounds)
+            ref = ref_measure_MA(st0, ref_rng, max_rounds)
+            assert_same_outcome(out, ref, rng, ref_rng)
+
+    @pytest.mark.parametrize("max_rounds", [1, 8, 64])
+    def test_measure_MU(self, max_rounds):
+        for seed in range(200):
+            st0 = random_qutrit(np.random.default_rng([seed, 1]))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = fsim.measure_MU(st0, rng, max_rounds)
+            ref = ref_measure_MU(st0, ref_rng, max_rounds)
+            assert_same_outcome(out, ref, rng, ref_rng)
+
+    def test_merge_and_split(self):
+        for seed in range(200):
+            init = np.random.default_rng([seed, 2])
+            L, R = random_qutrit(init, U_PAIRS), random_qutrit(init, U_PAIRS)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            merged = fsim.merge_qutrits(L, R, rng)
+            assert_same_outcome(merged, ref_merge_qutrits(L, R, ref_rng), rng, ref_rng)
+            max_rounds = (1, 2, 64)[seed % 3]
+            out = fsim.split_qutrit(merged.state, rng, max_rounds)
+            ref = ref_split_qutrit(merged.state, ref_rng, max_rounds)
+            assert_same_outcome(out, ref, rng, ref_rng)
+
+    def test_tables_are_built_once(self, monkeypatch):
+        calls = []
+        original = category.u_measurement_amplitude
+        monkeypatch.setattr(
+            category, "u_measurement_amplitude", lambda *a: calls.append(a) or original(*a)
+        )
+        data = replace(default_category())
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            fsim.measure_MU(random_qutrit(rng), rng, data=data)
+        assert len(calls) == len(fsim.ALL_PAIRS) * len(category.MU_OUTCOMES)
 
 
 class TestSerialization:
