@@ -16,6 +16,14 @@ and an irrep R of the centralizer Z(C).  The basis of the module is
 
 The eight irreps are named A..H in order of (trivial class, classes of sigma
 and mu) and centralizer irrep, with quantum dimensions (1,1,2,3,3,2,2,2).
+
+Only this module turns (C, tau, Z(C), Gamma^R) into numbers: the characters
+CHARACTERS[a, h, g] = chi_a(h, g) = tr(delta_h g) on V_a, the F^{h,g}
+coefficients of the anyon ribbons (ribbon_terms), and the fusion rules, as
+character inner products over the coproduct (see tensor_matrix)
+
+    N^c_ab = (1/|G|) sum_{h,g} chi_{a(x)b}(h, g) conj chi_c(h, g),
+    chi_{a(x)b}(h, g) = sum_{h1} chi_a(h1, g) chi_b(h h1^{-1}, g).
 """
 
 from __future__ import annotations
@@ -198,34 +206,19 @@ ANYON_TABLE = {
 QUANTUM_DIMS = {a: ANYON_TABLE[a].dim for a in ANYONS}
 
 
-def double_action(
-    h: GroupElement, g: GroupElement, irrep: DoubleIrrep, basis: tuple
-) -> list:
-    """Action of the algebra element delta_h g on |c, j>.
-
-    Returns a list of ((c', j'), coefficient) pairs (the g action first, then
-    the delta_h projection on the result).
-    """
-    c, j = basis
-    if c not in irrep.C.members:
-        raise ValueError(f"{c!r} not in class {irrep.C.name}")
-    cp = g * c * g.inverse()
-    if h != cp:
-        return []
-    n = irrep.C.tau[cp].inverse() * g * irrep.C.tau[c]
-    gamma = irrep.R.matrix(n)
-    return [((cp, i), gamma[i, j]) for i in range(irrep.R.dim)]
-
-
 @lru_cache(maxsize=None)
 def double_matrix(letter: str, h: GroupElement, g: GroupElement) -> np.ndarray:
-    """Dense matrix of delta_h g on the module of anyon `letter`."""
+    """Dense matrix of delta_h g on the module of anyon `letter` (the action
+    in the module docstring: g first, then the delta_h projection)."""
     irrep = ANYON_TABLE[letter]
-    basis = irrep.basis
+    tau, basis = irrep.C.tau, irrep.basis
     m = np.zeros((len(basis), len(basis)), dtype=complex)
-    for col, b in enumerate(basis):
-        for bp, coeff in double_action(h, g, irrep, b):
-            m[basis.index(bp), col] = coeff
+    for col, (c, j) in enumerate(basis):
+        cp = g * c * g.inverse()
+        if cp == h:
+            gamma = irrep.R.matrix(tau[cp].inverse() * g * tau[c])
+            for i in range(irrep.R.dim):
+                m[basis.index((cp, i)), col] = gamma[i, j]
     return m
 
 
@@ -241,39 +234,50 @@ def tensor_matrix(a: str, b: str, h: GroupElement, g: GroupElement) -> np.ndarra
     return m
 
 
-def _central_idempotent_trace(letter: str, trace_fn) -> complex:
-    """sum over the central idempotent e_{(R,C)} of trace_fn(h, g)."""
-    irrep = ANYON_TABLE[letter]
-    total = 0.0 + 0.0j
-    for c in irrep.C.members:
-        tau_c = irrep.C.tau[c]
-        for n in irrep.C.centralizer:
-            chi = irrep.R.character(n).conjugate()
-            total += chi * trace_fn(c, tau_c * n * tau_c.inverse())
-    return total * irrep.R.dim / len(irrep.C.centralizer)
-
-
-def fusion_multiplicity(a: str, b: str, c: str) -> int:
-    """N^c_{ab}: multiplicity of V_c inside V_a (x) V_b."""
-
-    def tr(h, g):
-        return np.trace(tensor_matrix(a, b, h, g))
-
-    val = _central_idempotent_trace(c, tr) / ANYON_TABLE[c].dim
-    n = int(round(val.real))
-    assert abs(val - n) < 1e-9, (a, b, c, val)
-    return n
+CHARACTERS = np.array(
+    [
+        [[np.trace(double_matrix(a, h, g)) for g in ELEMENTS] for h in ELEMENTS]
+        for a in ANYONS
+    ]
+)
+CHARACTERS.flags.writeable = False
 
 
 @lru_cache(maxsize=1)
 def derive_fusion_rules() -> dict:
-    """Full table {(a, b, c): N^c_{ab}} computed by character projection."""
+    """Full table {(a, b, c): N^c_{ab}} from the character inner product."""
+    # chi_b(h h1^{-1}, g) as an (anyon, h, h1, g) array
+    chi_b = CHARACTERS[:, MUL_TABLE[:, INV_TABLE], :]
+    chi_ab = np.einsum("akg,bhkg->abhg", CHARACTERS, chi_b)
+    vals = np.einsum("abhg,chg->abc", chi_ab, CHARACTERS.conj()) / ORDER
+    table = np.rint(vals.real).astype(int)
+    if np.max(np.abs(vals - table)) > 1e-9:
+        raise ArithmeticError("character inner products are not integers")
     return {
-        (a, b, c): fusion_multiplicity(a, b, c)
-        for a in ANYONS
-        for b in ANYONS
-        for c in ANYONS
+        (a, b, c): int(table[i, j, k])
+        for i, a in enumerate(ANYONS)
+        for j, b in enumerate(ANYONS)
+        for k, c in enumerate(ANYONS)
     }
+
+
+@lru_cache(maxsize=None)
+def ribbon_terms(letter: str, u: tuple, v: tuple) -> tuple:
+    """(h, coeffs) with F^{R,C;u,v} = sum_g coeffs[g.index] F^{h,g}.
+
+    For u = (c, j), v = (c', j'): h = c, and g = tau_c n tau_c'^{-1} carries
+    (dim R / |Z(C)|) Gamma^R_{jj'}(n) for each n in Z(C); every other entry
+    is zero.  The array is read-only.
+    """
+    irrep = ANYON_TABLE[letter]
+    (c, j), (cp, jp) = u, v
+    tau_c, tau_cp = irrep.C.tau[c], irrep.C.tau[cp]
+    scale = irrep.R.dim / len(irrep.C.centralizer)
+    coeffs = np.zeros(ORDER, dtype=complex)
+    for n in irrep.C.centralizer:
+        coeffs[(tau_c * n * tau_cp.inverse()).index] = scale * irrep.R.matrix(n)[j, jp]
+    coeffs.flags.writeable = False
+    return c, coeffs
 
 
 def fusion_outcomes(a: str, b: str) -> list:

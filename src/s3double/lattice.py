@@ -33,9 +33,11 @@ L^g_- on edges ending at v.  B^h_p projects the counterclockwise flux
 g1 g2 g3bar g4bar (left, bottom, right, top edges of p) onto h.  Ribbon
 operators F^{h,g} act on triangle sequences: direct triangles read a group
 element with T, dual triangles multiply with L conjugated by the prefix of
-elements read so far; the anyon ribbons F^{R,C;u,v} and the single-site
-charge projectors K^{R,C}_s are the standard centralizer-character
-combinations of these.
+elements read so far.  The anyon ribbons F^{R,C;u,v} and the single-site
+charge projectors K^{R,C}_s are fixed linear combinations of these, F^{R,C;u,v}
+= sum_g coeffs[g] F^{h,g} and K^a_s = (d_a/|G|) sum_{h,g} conj chi_a(h, g)
+A^g_v B^h_p, with coefficients read from algebra's tables (ribbon_terms,
+CHARACTERS); this module does no representation theory of its own.
 """
 
 from __future__ import annotations
@@ -48,11 +50,15 @@ import numpy as np
 from .algebra import (
     ANYON_TABLE,
     ANYONS,
+    CHARACTERS,
     E,
+    ELEMENTS,
     GroupElement,
     INV_TABLE,
     MUL_TABLE,
     ORDER,
+    QUANTUM_DIMS,
+    ribbon_terms,
 )
 
 PRUNE_TOL = 1e-14
@@ -426,7 +432,7 @@ def stabilizer_expectations(state: LatticeState):
 # Ground state
 
 
-def ground_state(lattice: Lattice, uniform: bool = True) -> LatticeState:
+def ground_state(lattice: Lattice) -> LatticeState:
     """Normalized product of all A_v projectors on the all-identity state."""
     if lattice.n_vertices > MAX_VERTICES:
         raise ResourceError(
@@ -439,10 +445,7 @@ def ground_state(lattice: Lattice, uniform: bool = True) -> LatticeState:
             state = uniformize(state, v)
     # the all-identity configuration is invariant under the residual global
     # right multiplication, so A_(0,0) already acts trivially
-    state = state.normalized()
-    if not uniform:
-        state = expanded(state).normalized()
-    return state
+    return state.normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +518,9 @@ def staircase_ribbon(lattice: Lattice, site, moves: str) -> Ribbon:
     return rib
 
 
-def apply_ribbon(
-    state: LatticeState, ribbon: Ribbon, h: GroupElement, g: GroupElement
-) -> LatticeState:
-    """F^{h,g}_rho: monomial action by triangle recursion."""
+def _ribbon_sum(state: LatticeState, ribbon: Ribbon, h: GroupElement, coeffs) -> LatticeState:
+    """sum_g coeffs[g] F^{h,g}_rho in one triangle walk: the walk moves keys
+    by h alone, and the product of the elements read picks each term's g."""
     state = _deuniformized(state, ribbon.vertices)
     keys = state.keys
     prefix = np.zeros(len(keys), dtype=np.int64)  # product of elements read
@@ -533,29 +535,24 @@ def apply_ribbon(
                 keys = _left_mult(keys, tri.edge, conj)
             else:
                 keys = _right_mult_inv(keys, tri.edge, conj)
-    mask = prefix == g.index
+    coeff = coeffs[prefix]
+    mask = coeff != 0
     keys = canonicalize_keys(state.lattice, keys[mask], state.uniform)
-    return _merged(state.lattice, [(keys, state.amps[mask])], state.uniform)
+    return _merged(state.lattice, [(keys, state.amps[mask] * coeff[mask])], state.uniform)
+
+
+def apply_ribbon(
+    state: LatticeState, ribbon: Ribbon, h: GroupElement, g: GroupElement
+) -> LatticeState:
+    """F^{h,g}_rho: monomial action by triangle recursion."""
+    return _ribbon_sum(state, ribbon, h, np.eye(ORDER)[g.index])
 
 
 def anyon_ribbon_branch(
     state: LatticeState, ribbon: Ribbon, anyon: str, u, v
 ) -> LatticeState:
     """F^{R,C;u,v}_rho (unnormalized image)."""
-    irrep = ANYON_TABLE[anyon]
-    c, j = u
-    cp, jp = v
-    tau_c, tau_cp = irrep.C.tau[c], irrep.C.tau[cp]
-    scale = irrep.R.dim / len(irrep.C.centralizer)
-    base = _deuniformized(state, ribbon.vertices)
-    pieces = []
-    for n in irrep.C.centralizer:
-        coeff = scale * irrep.R.matrix(n)[j, jp]
-        if abs(coeff) < 1e-15:
-            continue
-        part = apply_ribbon(base, ribbon, c, tau_c * n * tau_cp.inverse())
-        pieces.append((part.keys, part.amps * coeff))
-    return _merged(state.lattice, pieces, base.uniform)
+    return _ribbon_sum(state, ribbon, *ribbon_terms(anyon, u, v))
 
 
 def apply_anyon_ribbon(
@@ -611,28 +608,30 @@ class AnyonConfiguration:
         return self.charges[site]
 
 
-_CLASS_LETTER = {"C1": "A", "C2": "D", "C3": "F"}  # trivial-centralizer-irrep anyons
+# (anyon, fluxes h with chi_a(h, e) != 0) for the anyon of each class whose
+# charge is the flux class alone
+_FLUX_CLASSES = tuple(
+    (a, np.flatnonzero(CHARACTERS[ANYONS.index(a), :, E.index])) for a in "ADF"
+)
 
 
 def apply_K(state: LatticeState, site, anyon: str) -> LatticeState:
-    """Charge projector K^{R,C}_s (site vertex must not be uniform)."""
-    irrep = ANYON_TABLE[anyon]
+    """Charge projector K^a_s = (d_a/|G|) sum_{h,g} conj chi_a(h, g) A^g_v B^h_p
+    (site vertex must not be uniform)."""
+    chars = CHARACTERS[ANYONS.index(anyon)]
+    scale = QUANTUM_DIMS[anyon] / ORDER
     v = site
     if v in state.uniform:
         state = deuniformize(state, v)
-    scale = irrep.R.dim / len(irrep.C.centralizer)
     pieces = []
-    for c in irrep.C.members:
-        flux_part = apply_plaquette(state, site, c)
+    for h in np.flatnonzero(chars.any(axis=1)):
+        flux_part = apply_plaquette(state, site, ELEMENTS[h])
         if flux_part.n_terms == 0:
             continue
-        tau_c = irrep.C.tau[c]
-        for n in irrep.C.centralizer:
-            coeff = scale * np.conj(irrep.R.character(n))
-            g = tau_c * n * tau_c.inverse()
-            g_arr = np.full(flux_part.n_terms, g.index, dtype=np.int64)
+        for g in np.flatnonzero(chars[h]):
+            g_arr = np.full(flux_part.n_terms, g, dtype=np.int64)
             keys = _gauge_at_vertex(state.lattice, flux_part.keys, v, g_arr)
-            pieces.append((keys, flux_part.amps * coeff))
+            pieces.append((keys, flux_part.amps * (scale * np.conj(chars[h, g]))))
     if not pieces:
         return _merged(state.lattice, [], state.uniform)
     # one canonicalize call for all pieces: per-call overhead dominates on
@@ -646,27 +645,15 @@ def measure_site(state: LatticeState, site, rng):
     """Sample the anyon charge at one site; returns (letter, post-state)."""
     v = site
     if v in state.uniform:
-        # A_v-invariant sector: only trivial-centralizer-irrep outcomes, and
-        # K reduces to a pure flux-class projector — no expansion needed
+        # A_v-invariant sector: only the pure flux-class outcomes, and K
+        # reduces to a flux-class projector — no expansion needed
         f = _flux(state, site)
-        probs, masks, letters = [], [], []
-        for letter in _CLASS_LETTER.values():
-            members = [g.index for g in ANYON_TABLE[letter].C.members]
-            mask = np.isin(f, members)
-            p = float(np.sum(np.abs(state.amps[mask]) ** 2))
-            probs.append(p)
-            masks.append(mask)
-            letters.append(letter)
-        probs = np.array(probs)
-        probs = probs / probs.sum()
-        pick = rng.choice(len(letters), p=probs)
-        post = LatticeState(
-            state.lattice,
-            state.keys[masks[pick]],
-            state.amps[masks[pick]],
-            state.uniform,
-        ).normalized()
-        return letters[pick], post
+        masks = [np.isin(f, fluxes) for _, fluxes in _FLUX_CLASSES]
+        probs = np.array([np.sum(np.abs(state.amps[m]) ** 2) for m in masks])
+        pick = rng.choice(len(masks), p=probs / probs.sum())
+        m = masks[pick]
+        post = LatticeState(state.lattice, state.keys[m], state.amps[m], state.uniform)
+        return _FLUX_CLASSES[pick][0], post.normalized()
     # K projectors resolve the identity on the normalized state, so outcomes
     # can be sampled with an early exit instead of projecting onto all eight
     u = rng.random() * state.norm() ** 2
@@ -796,13 +783,7 @@ class OrthonormalityReport:
 
 
 def _anyon_uv_list():
-    out = []
-    for a in ANYONS:
-        irr = ANYON_TABLE[a]
-        for u in irr.basis:
-            for v in irr.basis:
-                out.append((a, u, v))
-    return out
+    return [(a, u, v) for a in ANYONS for u in ANYON_TABLE[a].basis for v in ANYON_TABLE[a].basis]
 
 
 def _ribbon_matrices(lattice, ribbon, support):
@@ -832,8 +813,7 @@ def _orthonormality_residual(lattice, r1, r2) -> float:
                 # both operators are 1/|G| times the identity
                 expect[i, j] = 1 / ORDER ** 2
             elif r1 is r2 and l1 == l2:
-                irr = ANYON_TABLE[l1[0]]
-                expect[i, j] = irr.R.dim / (len(irr.C.centralizer) * ORDER)
+                expect[i, j] = QUANTUM_DIMS[l1[0]] / ORDER ** 2
     return float(np.max(np.abs(gram - expect)))
 
 

@@ -204,15 +204,8 @@ def _move_d_like(state, alpha, rib, s, t, max_rounds, rng, transcript):
         fused, state = lat.measure_site(state, t, rng)
         transcript.append((t, fused))
         if fused == other:
-            irr = ANYON_TABLE["B"]
-            state = lat.apply_anyon_ribbon(
-                state, rib, "B", u=irr.basis[0], v=irr.basis[0]
-            )
-            out_s, state = lat.measure_site(state, s, rng)
-            transcript.append((s, out_s))
+            out_s, fused, state = _abelian_fixup(state, rib, s, t, rng, transcript)
             _expect(s, y, out_s)
-            fused, state = lat.measure_site(state, t, rng)
-            transcript.append((t, fused))
         _expect(t, alpha, fused)
     return MoveResult(False, rounds, tuple(transcript), state)
 

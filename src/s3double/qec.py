@@ -72,13 +72,6 @@ class NoiseModel:
         return kinds[int(rng.choice(len(kinds), p=probs / probs.sum()))]
 
 
-@dataclass(frozen=True)
-class SyndromeRecord:
-    config: lat.AnyonConfiguration
-    round_index: int
-    actions: tuple  # (site_a, site_b, resolved flag) per decoded pair
-
-
 # Pauli errors as monomials on the edge's group element g = mu^k sigma^l
 # (qutrit k, qubit l): X = right multiplication by sigma, Xh = left
 # multiplication by mu, Z = (-1)^l, Zh = omega^k.  Y = X Z and XhZh = Xh Zh

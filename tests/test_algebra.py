@@ -149,6 +149,25 @@ class TestFusion:
                         rhs = sum(N[b, c, f] * N[a, f, d] for f in ANYONS)
                         assert lhs == rhs
 
+    def test_character_rules_equal_kronecker_projection(self):
+        # N^c_ab as the trace of the central idempotent of c over the
+        # Kronecker coproduct module V_a (x) V_b, divided by dim V_c
+        N = algebra.derive_fusion_rules()
+        assert len(N) == 512
+        for a in ANYONS:
+            for b in ANYONS:
+                for c in ANYONS:
+                    irrep = ANYON_TABLE[c]
+                    total = 0
+                    for cc in irrep.C.members:
+                        tau = irrep.C.tau[cc]
+                        for n in irrep.C.centralizer:
+                            g = tau * n * tau.inverse()
+                            trace = np.trace(algebra.tensor_matrix(a, b, cc, g))
+                            total += irrep.R.character(n).conjugate() * trace
+                    val = total * irrep.R.dim / len(irrep.C.centralizer) / irrep.dim
+                    assert abs(val - N[a, b, c]) < 1e-9, (a, b, c, val)
+
     def test_self_duality_and_vacuum(self):
         N = algebra.derive_fusion_rules()
         for a in ANYONS:

@@ -130,7 +130,9 @@ class TestRecords:
 
 class TestPinnedProtocolOutput:
     """Records at --seed 3 as the per-round dict loops printed them; the
-    Kraus tables draw the same outcomes in the same order."""
+    Kraus tables draw the same outcomes in the same order.  The lattice
+    records are those printed when the ribbon and K coefficients were still
+    computed from the centralizer loops in the lattice module."""
 
     @pytest.mark.parametrize(
         "argv,line",
@@ -151,6 +153,45 @@ class TestPinnedProtocolOutput:
     def test_measurement_records_are_byte_identical(self, argv, line, capsys):
         code, out, _ = run(argv + ["--seed", "3"], capsys)
         assert code == 0 and out == line + "\n"
+
+    @pytest.mark.parametrize(
+        "argv,lines",
+        [
+            (
+                ["move-stats", "--anyon", "D", "--rounds", "1", "--trials", "100"],
+                [
+                    '{"analytic": 0.11111111111111116, "anyon": "D", "empirical": 0.06, '
+                    '"n": 1, "pass": true, "seed": 3, "trials": 100, "z": -1.6263455967290605}',
+                ],
+            ),
+            (
+                ["ribbon-demo", "--anyon", "G", "--trials", "20"],
+                [
+                    '{"anyon": "G", "check": "pair-creation", "deviations": 0, "pass": true, '
+                    '"seed": 3, "trials": 20}',
+                ],
+            ),
+            (
+                ["qec-cycle", "--microscopic", "--width", "3", "--height", "1", "--p", "0.1",
+                 "--rounds", "3"],
+                [
+                    '{"actions": [[[0, 0], [1, 0], false]], "check": "qec-round", "errors": 2, '
+                    '"fidelity": 0.0, "pass": true, "residual": 2, "round": 0, "seed": 3, '
+                    '"syndrome": [[[0, 0], "E"], [[1, 0], "B"]]}',
+                    '{"actions": [[[0, 0], [1, 0], false]], "check": "qec-round", "errors": 2, '
+                    '"fidelity": 0.0, "pass": true, "residual": 3, "round": 1, "seed": 3, '
+                    '"syndrome": [[[0, 0], "C"], [[1, 0], "D"], [[2, 0], "F"]]}',
+                    '{"actions": [[[0, 0], [1, 0], false]], "check": "qec-round", "errors": 0, '
+                    '"fidelity": 0.0, "pass": true, "residual": 3, "round": 2, "seed": 3, '
+                    '"syndrome": [[[0, 0], "C"], [[1, 0], "E"], [[2, 0], "F"]]}',
+                ],
+            ),
+        ],
+        ids=["move-stats", "ribbon-demo", "qec-cycle"],
+    )
+    def test_lattice_records_are_byte_identical(self, argv, lines, capsys):
+        code, out, _ = run(argv + ["--seed", "3"], capsys)
+        assert code == 0 and out == "".join(line + "\n" for line in lines)
 
     def test_merge_split_record(self, capsys):
         code, out, _ = run(["merge-split", "--trials", "125", "--seed", "3"], capsys)

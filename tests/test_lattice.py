@@ -356,6 +356,109 @@ class TestRibbonOperatorMatrix:
             lat.ribbon_operator_matrix(lattice, support, no_state)
 
 
+def _ribbon_branch_by_centralizer(state, ribbon, anyon, u, v):
+    """F^{R,C;u,v} as the sum over n in Z(C) of separate apply_ribbon calls,
+    (dim R / |Z(C)|) Gamma^R_{jj'}(n) F^{c, tau_c n tau_c'^{-1}}."""
+    irrep = ANYON_TABLE[anyon]
+    (c, j), (cp, jp) = u, v
+    tau_c, tau_cp = irrep.C.tau[c], irrep.C.tau[cp]
+    scale = irrep.R.dim / len(irrep.C.centralizer)
+    base = lat._deuniformized(state, ribbon.vertices)
+    pieces = []
+    for n in irrep.C.centralizer:
+        coeff = scale * irrep.R.matrix(n)[j, jp]
+        if abs(coeff) < 1e-15:
+            continue
+        part = lat.apply_ribbon(base, ribbon, c, tau_c * n * tau_cp.inverse())
+        pieces.append((part.keys, part.amps * coeff))
+    return lat._merged(state.lattice, pieces, base.uniform)
+
+
+def _K_by_centralizer(state, site, anyon):
+    """K^{R,C}_s as (dim R / |Z(C)|) sum_{c in C, n in Z(C)} conj chi_R(n)
+    A^{tau_c n tau_c^{-1}}_v B^c_p."""
+    irrep = ANYON_TABLE[anyon]
+    state = lat._deuniformized(state, [site])
+    scale = irrep.R.dim / len(irrep.C.centralizer)
+    pieces = []
+    for c in irrep.C.members:
+        flux_part = lat.apply_plaquette(state, site, c)
+        tau_c = irrep.C.tau[c]
+        for n in irrep.C.centralizer:
+            g = tau_c * n * tau_c.inverse()
+            g_arr = np.full(flux_part.n_terms, g.index, dtype=np.int64)
+            keys = lat._gauge_at_vertex(state.lattice, flux_part.keys, site, g_arr)
+            keys = lat.canonicalize_keys(state.lattice, keys, state.uniform)
+            coeff = scale * np.conj(irrep.R.character(n))
+            pieces.append((keys, flux_part.amps * coeff))
+    return lat._merged(state.lattice, pieces, state.uniform)
+
+
+def _random_state(lattice, n_terms, seed, uniform=(), explicit=()):
+    """Random amplitudes on random configurations, then the `uniform`
+    vertices made uniform and the `explicit` ones expanded again with new
+    random amplitudes (each A_v orbit there is then complete)."""
+    rng = np.random.default_rng(seed)
+    keys = np.unique(rng.integers(0, 6 ** lattice.n_edges, size=n_terms))
+    amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    state = lat.LatticeState(lattice, keys, amps)
+    for v in uniform:
+        state = lat.uniformize(state, v)
+    if explicit:
+        state = lat._deuniformized(state, explicit)
+        amps = rng.normal(size=state.n_terms) + 1j * rng.normal(size=state.n_terms)
+        state = lat.LatticeState(lattice, state.keys, amps, state.uniform)
+    return state
+
+
+@pytest.fixture(scope="module")
+def oracle_states():
+    lattice = lat.Lattice(2, 2)
+    uniform = [(0, 1), (1, 1), (2, 1), (1, 2)]
+    return {
+        "explicit": _random_state(lattice, 300, 1),
+        "uniform": _random_state(lattice, 300, 2, uniform),
+        "orbits": _random_state(lattice, 300, 3, uniform, explicit=[(0, 1), (1, 1)]),
+    }
+
+
+class TestAlgebraTableOracles:
+    """The ribbon and K coefficients read from algebra's tables against the
+    centralizer loops written out from (C, tau, Z(C), Gamma^R)."""
+
+    @pytest.mark.parametrize("kind", ["explicit", "uniform"])
+    @pytest.mark.parametrize("make", [lat.shortest_h, lat.shortest_v], ids=["h", "v"])
+    def test_ribbon_branch_equals_centralizer_sum(self, oracle_states, kind, make):
+        state = oracle_states[kind]
+        rib = make(state.lattice, (0, 1))
+        for a, u, v in _anyon_labels():
+            got = lat.anyon_ribbon_branch(state, rib, a, u, v)
+            want = _ribbon_branch_by_centralizer(state, rib, a, u, v)
+            assert got.uniform == want.uniform
+            assert np.array_equal(got.keys, want.keys), (a, u, v)
+            assert np.array_equal(got.amps, want.amps), (a, u, v)
+
+    @pytest.mark.parametrize("kind", ["explicit", "uniform", "orbits"])
+    @pytest.mark.parametrize("anyon", ANYONS)
+    def test_K_equals_centralizer_loop(self, oracle_states, kind, anyon):
+        # apply_K adds its A^g pieces in group-index order of g, the loop in
+        # centralizer order; at flux mu^2 the two orders differ, so sums of
+        # overlapping pieces may differ in the last bit
+        state = oracle_states[kind]
+        for site in [(0, 1), (1, 1)]:
+            got = lat.apply_K(state, site, anyon)
+            want = _K_by_centralizer(state, site, anyon)
+            assert got.uniform == want.uniform
+            assert np.array_equal(got.keys, want.keys), site
+            np.testing.assert_allclose(got.amps, want.amps, rtol=0, atol=1e-15)
+
+    def test_orbit_state_is_closed_under_the_site_gauge(self, oracle_states):
+        # so the K pieces of the "orbits" state land on each other's keys
+        state = oracle_states["orbits"]
+        for v in [(0, 1), (1, 1)]:
+            assert np.array_equal(lat.vertex_projector(state, v).keys, state.keys)
+
+
 class TestOrthonormality:
     def test_report(self):
         report = lat.verify_orthonormality()
