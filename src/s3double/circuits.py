@@ -28,7 +28,6 @@ import numpy as np
 
 from . import lattice as lat
 from .algebra import (
-    ANYON_TABLE,
     ELEMENTS,
     GroupElement,
     OMEGA,
@@ -508,7 +507,7 @@ def group_to_pair_perm(n_edges: int) -> np.ndarray:
     idx = np.arange(ORDER ** n_edges, dtype=np.int64)
     out = np.zeros_like(idx)
     for e in range(n_edges):
-        d = (idx // (ORDER ** e)) % ORDER
+        d = lat._digit(idx, e)
         k, l = d % 3, d // 3
         out += (2 * k + l) * ORDER ** (n_edges - 1 - e)
     return out
@@ -522,15 +521,13 @@ def group_matrix_to_circuit(mat: np.ndarray, n_edges: int) -> np.ndarray:
 
 
 def group_vector_to_circuit(vec: np.ndarray, n_edges: int) -> np.ndarray:
-    perm = group_to_pair_perm(n_edges)
     out = np.zeros_like(vec)
-    out[perm] = vec
+    out[group_to_pair_perm(n_edges)] = vec
     return out
 
 
 def circuit_vector_to_group(vec: np.ndarray, n_edges: int) -> np.ndarray:
-    perm = group_to_pair_perm(n_edges)
-    return vec[perm]
+    return vec[group_to_pair_perm(n_edges)]
 
 
 # ---------------------------------------------------------------------------
@@ -755,19 +752,10 @@ def embed_ribbon_circuit(circuit: AdaptiveCircuit, lattice, ribbon) -> AdaptiveC
 def ribbon_operator_kraus(lattice, ribbon, anyon: str):
     """Operator-level Kraus branches of the internally mixed pair channel, in
     the circuit basis of the two support edges."""
-    support = ribbon_support(ribbon)
-    irrep = ANYON_TABLE[anyon]
-    out = []
-    for u in irrep.basis:
-        for v in irrep.basis:
-            mat = lat.ribbon_operator_matrix(
-                lattice,
-                support,
-                lambda st: lat.anyon_ribbon_branch(st, ribbon, anyon, u, v),
-            )
-            if np.linalg.norm(mat) > PRUNE:
-                out.append(group_matrix_to_circuit(mat, 2))
-    return out
+    mats = lat.ribbon_operator_matrices(
+        lattice, ribbon_support(ribbon), lambda st: lat.anyon_ribbon_branches(st, ribbon, anyon)
+    )
+    return [group_matrix_to_circuit(mat, 2) for mat in mats if np.linalg.norm(mat) > PRUNE]
 
 
 # ---------------------------------------------------------------------------

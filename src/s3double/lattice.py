@@ -19,9 +19,10 @@ uniform vertex require de-uniformizing that vertex first (term count x6 per
 vertex).
 
 Key format: only _identity_keys (makes keys), _digit (reads one edge's group
-index) and _set_digit (writes it) know how a configuration is packed.  Two
+index) and _set_digit (writes it) know how a configuration is packed.  Three
 other places rely on it.  In the dense oracle (dense_vector, from_dense) a
-key is its own index into the 6^n_edges vector.  ribbon_operator_matrix
+key is its own index into the 6^n_edges vector; circuits.group_to_pair_perm
+reads those indices' digits through _digit.  ribbon_operator_matrices
 tags each basis column in the base-6 digits above the last edge
 (_tagged_identity_keys, _untagged); no lattice operation reads or writes
 those digits, so tagged columns evolve independently through one call.  An
@@ -37,13 +38,16 @@ elements read so far.  The anyon ribbons F^{R,C;u,v} and the single-site
 charge projectors K^{R,C}_s are fixed linear combinations of these, F^{R,C;u,v}
 = sum_g coeffs[g] F^{h,g} and K^a_s = (d_a/|G|) sum_{h,g} conj chi_a(h, g)
 A^g_v B^h_p, with coefficients read from algebra's tables (ribbon_terms,
-CHARACTERS); this module does no representation theory of its own.
+CHARACTERS); this module does no representation theory of its own.  Every
+(u, v) Kraus branch of a mixed anyon ribbon comes from anyon_ribbon_branches,
+with one triangle walk per flux h = c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -518,9 +522,10 @@ def staircase_ribbon(lattice: Lattice, site, moves: str) -> Ribbon:
     return rib
 
 
-def _ribbon_sum(state: LatticeState, ribbon: Ribbon, h: GroupElement, coeffs) -> LatticeState:
-    """sum_g coeffs[g] F^{h,g}_rho in one triangle walk: the walk moves keys
-    by h alone, and the product of the elements read picks each term's g."""
+def _ribbon_sum(state: LatticeState, ribbon: Ribbon, h: GroupElement, rows) -> list:
+    """[sum_g row[g] F^{h,g}_rho for row in rows] from one triangle walk: the
+    walk moves keys by h alone, and the product of the elements read picks
+    each term's g.  Keys are canonicalized once, before each row's mask."""
     state = _deuniformized(state, ribbon.vertices)
     keys = state.keys
     prefix = np.zeros(len(keys), dtype=np.int64)  # product of elements read
@@ -535,24 +540,39 @@ def _ribbon_sum(state: LatticeState, ribbon: Ribbon, h: GroupElement, coeffs) ->
                 keys = _left_mult(keys, tri.edge, conj)
             else:
                 keys = _right_mult_inv(keys, tri.edge, conj)
-    coeff = coeffs[prefix]
-    mask = coeff != 0
-    keys = canonicalize_keys(state.lattice, keys[mask], state.uniform)
-    return _merged(state.lattice, [(keys, state.amps[mask] * coeff[mask])], state.uniform)
+    keys = canonicalize_keys(state.lattice, keys, state.uniform)
+    coeffs = np.asarray(rows)[:, prefix]  # (row, term)
+    return [
+        _merged(state.lattice, [(keys[m], state.amps[m] * c[m])], state.uniform)
+        for c, m in zip(coeffs, coeffs != 0)
+    ]
 
 
 def apply_ribbon(
     state: LatticeState, ribbon: Ribbon, h: GroupElement, g: GroupElement
 ) -> LatticeState:
     """F^{h,g}_rho: monomial action by triangle recursion."""
-    return _ribbon_sum(state, ribbon, h, np.eye(ORDER)[g.index])
+    return _ribbon_sum(state, ribbon, h, [np.eye(ORDER)[g.index]])[0]
 
 
 def anyon_ribbon_branch(
     state: LatticeState, ribbon: Ribbon, anyon: str, u, v
 ) -> LatticeState:
     """F^{R,C;u,v}_rho (unnormalized image)."""
-    return _ribbon_sum(state, ribbon, *ribbon_terms(anyon, u, v))
+    h, coeffs = ribbon_terms(anyon, u, v)
+    return _ribbon_sum(state, ribbon, h, [coeffs])[0]
+
+
+def anyon_ribbon_branches(state: LatticeState, ribbon: Ribbon, anyon: str) -> list:
+    """F^{R,C;u,v}_rho (unnormalized images) for every (u, v), u outer and v
+    inner in the anyon's basis order, with one triangle walk per flux h = c."""
+    basis = ANYON_TABLE[anyon].basis
+    state = _deuniformized(state, ribbon.vertices)
+    out = []
+    for h, us in groupby(basis, key=lambda u: u[0]):
+        rows = [ribbon_terms(anyon, u, v)[1] for u in us for v in basis]
+        out += _ribbon_sum(state, ribbon, h, rows)
+    return out
 
 
 def apply_anyon_ribbon(
@@ -566,8 +586,8 @@ def apply_anyon_ribbon(
 ) -> LatticeState:
     """Anyon-pair ribbon.  mixed=True samples a Kraus branch (u, v) with
     probability proportional to the branch's squared norm (trajectory
-    unraveling of the maximally-mixed-internal-state channel)."""
-    irrep = ANYON_TABLE[anyon]
+    unraveling of the maximally-mixed-internal-state channel); the branches
+    come from anyon_ribbon_branches, one triangle walk per flux."""
     if not mixed:
         if u is None or v is None:
             raise ValueError("explicit (u, v) required when mixed=False")
@@ -577,20 +597,13 @@ def apply_anyon_ribbon(
         return out.normalized()
     if rng is None:
         raise ValueError("mixed application requires an rng")
-    base = _deuniformized(state, ribbon.vertices)
-    branches, weights = [], []
-    for uu in irrep.basis:
-        for vv in irrep.basis:
-            b = anyon_ribbon_branch(base, ribbon, anyon, uu, vv)
-            w = b.norm() ** 2
-            if w > PRUNE_TOL:
-                branches.append(b)
-                weights.append(w)
-    if not branches:
+    kept = [(b, b.norm()) for b in anyon_ribbon_branches(state, ribbon, anyon)]
+    kept = [(b, n) for b, n in kept if n ** 2 > PRUNE_TOL]
+    if not kept:
         raise AnnihilationError(f"all (u, v) branches of {anyon} have zero norm")
-    weights = np.array(weights) / sum(weights)
-    pick = rng.choice(len(branches), p=weights)
-    return branches[pick].normalized()
+    weights = [n ** 2 for _, n in kept]
+    b, n = kept[rng.choice(len(kept), p=np.array(weights) / sum(weights))]
+    return replace(b, amps=b.amps / n)
 
 
 # ---------------------------------------------------------------------------
@@ -730,17 +743,17 @@ def ground_space_rank(lattice: Lattice, rng, probes: int = 4, tol: float = 1e-8)
     return rank, s
 
 
-def ribbon_operator_matrix(lattice: Lattice, support, builder) -> np.ndarray:
-    """Dense matrix of builder(state) restricted to the given support edges.
+def ribbon_operator_matrices(lattice: Lattice, support, builder) -> np.ndarray:
+    """Dense (6^k, 6^k) matrices, k = len(support), of the states that
+    builder(state) returns, restricted to the given support edges.
 
-    Returns a matrix of shape (6^k, 6^k) for k = len(support); matrix index
-    i has the element on support[0] as its last base-6 digit.  All 6^k basis
-    columns go through `builder` in one state: column i carries i in the key
-    digits above the lattice's edges, which no lattice operation touches.
-    builder must therefore be linear and act trivially outside the support;
-    an output term with a non-identity element off the support, or a tag
-    that is no column, raises ValueError.  The tags take k key digits, so
-    n_edges + k may not exceed KEY_DIGITS (ResourceError).
+    Matrix index i has the element on support[0] as its last base-6 digit.
+    All 6^k basis columns go through `builder` in one state: column i
+    carries i in the key digits above the lattice's edges, which no lattice
+    operation touches.  builder must therefore be linear and act trivially
+    outside the support; an output term with a non-identity element off the
+    support, or a tag that is no column, raises ValueError.  The tags take k
+    key digits, so n_edges + k may not exceed KEY_DIGITS (ResourceError).
     """
     support = list(support)
     if lattice.n_edges + len(support) > KEY_DIGITS:
@@ -754,18 +767,24 @@ def ribbon_operator_matrix(lattice: Lattice, support, builder) -> np.ndarray:
     keys = _tagged_identity_keys(lattice.n_edges, np.arange(dim))
     for e, d in zip(support, np.unravel_index(np.arange(dim), shape)[::-1]):
         keys = _set_digit(keys, e, E.index, d)
-    out = builder(LatticeState(lattice, keys, np.ones(dim, dtype=complex)))
-    cols, rest = _untagged(out.keys, lattice.n_edges)
-    digits = [_digit(rest, e) for e in reversed(support)]
-    for e, d in zip(reversed(support), digits):
-        rest = _set_digit(rest, e, d, E.index)
-    if rest.any():
-        raise ValueError("builder acts outside the support edges")
-    if np.any((cols < 0) | (cols >= dim)):
-        raise ValueError("builder changed a column tag")
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[np.ravel_multi_index(digits, shape), cols] = out.amps
-    return mat
+    outs = builder(LatticeState(lattice, keys, np.ones(dim, dtype=complex)))
+    mats = np.zeros((len(outs), dim, dim), dtype=complex)
+    for mat, out in zip(mats, outs):
+        cols, rest = _untagged(out.keys, lattice.n_edges)
+        digits = [_digit(rest, e) for e in reversed(support)]
+        for e, d in zip(reversed(support), digits):
+            rest = _set_digit(rest, e, d, E.index)
+        if rest.any():
+            raise ValueError("builder acts outside the support edges")
+        if np.any((cols < 0) | (cols >= dim)):
+            raise ValueError("builder changed a column tag")
+        mat[np.ravel_multi_index(digits, shape), cols] = out.amps
+    return mats
+
+
+def ribbon_operator_matrix(lattice: Lattice, support, builder) -> np.ndarray:
+    """ribbon_operator_matrices for a builder that returns one state."""
+    return ribbon_operator_matrices(lattice, support, lambda st: [builder(st)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -782,38 +801,30 @@ class OrthonormalityReport:
         return self.max_residual < tol and self.operators_per_ribbon == ORDER ** 2
 
 
-def _anyon_uv_list():
-    return [(a, u, v) for a in ANYONS for u in ANYON_TABLE[a].basis for v in ANYON_TABLE[a].basis]
-
-
 def _ribbon_matrices(lattice, ribbon, support):
-    """(36, 6^2k) array: row l is the flattened matrix of the l-th label."""
-    return np.array([
-        ribbon_operator_matrix(
-            lattice,
-            support,
-            lambda st, a=a, u=u, v=v: anyon_ribbon_branch(st, ribbon, a, u, v),
-        ).reshape(-1)
-        for a, u, v in _anyon_uv_list()
-    ])
+    """(36, 6^2k) array: the flattened F^{R,C;u,v} matrices of every anyon in
+    ANYONS order, each in anyon_ribbon_branches order."""
+    mats = ribbon_operator_matrices(
+        lattice, support, lambda st: [b for a in ANYONS for b in anyon_ribbon_branches(st, ribbon, a)]
+    )
+    return mats.reshape(len(mats), -1)
 
 
 def _orthonormality_residual(lattice, r1, r2) -> float:
     """max |Tr(F1^dagger F2) / Tr(1) - expected| over all label pairs of the
     ribbons r1 and r2, from one Gram product of the flattened operators."""
-    labels = _anyon_uv_list()
     support = sorted({t.edge for t in r1.triangles} | {t.edge for t in r2.triangles})
     mats1 = _ribbon_matrices(lattice, r1, support)
     mats2 = mats1 if r1 is r2 else _ribbon_matrices(lattice, r2, support)
     gram = mats1.conj() @ mats2.T / ORDER ** len(support)
-    expect = np.zeros(gram.shape)
-    for i, l1 in enumerate(labels):
-        for j, l2 in enumerate(labels):
-            if l1[0] == "A" and l2[0] == "A":
-                # both operators are 1/|G| times the identity
-                expect[i, j] = 1 / ORDER ** 2
-            elif r1 is r2 and l1 == l2:
-                expect[i, j] = QUANTUM_DIMS[l1[0]] / ORDER ** 2
+    if r1 is r2:
+        # d_a/|G|^2 on the diagonal, for the d_a^2 branches of each anyon a
+        dims = np.array([QUANTUM_DIMS[a] for a in ANYONS])
+        expect = np.diag(np.repeat(dims, dims ** 2) / ORDER ** 2)
+    else:
+        # only the two A operators overlap: both are 1/|G| times the identity
+        expect = np.zeros(gram.shape)
+        expect[0, 0] = 1 / ORDER ** 2
     return float(np.max(np.abs(gram - expect)))
 
 
@@ -838,7 +849,6 @@ def verify_orthonormality(lattice: Lattice = None) -> OrthonormalityReport:
     rh2 = shortest_h(lattice, (0, 0))
     rv2 = shortest_v(lattice, (1, 1))  # pattern II partner: shares v_edge(1, 0)
     cases = [(rh1, rh1), (rv1, rv1), (rh1, rv1), (rh2, rv2)]
-    n_labels = len(_anyon_uv_list())
-    assert n_labels == ORDER ** 2
+    n_labels = sum(d ** 2 for d in QUANTUM_DIMS.values())
     worst = max(_orthonormality_residual(lattice, r1, r2) for r1, r2 in cases)
     return OrthonormalityReport(worst, n_labels, len(cases) * n_labels ** 2)

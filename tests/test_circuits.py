@@ -198,6 +198,16 @@ class TestGroupEdgeCircuits:
         circ = cir.build_LT_circuit("T", E, "+")
         assert dict(circ.accept) == {"k": 0, "l": 0}
 
+    @pytest.mark.parametrize("n_edges", range(1, 8))
+    def test_pair_perm_equals_base6_unpacking(self, n_edges):
+        # the permutation with the key digits unpacked by hand
+        idx = np.arange(6 ** n_edges, dtype=np.int64)
+        want = np.zeros_like(idx)
+        for e in range(n_edges):
+            d = (idx // 6 ** e) % 6
+            want += (2 * (d % 3) + d // 3) * 6 ** (n_edges - 1 - e)
+        assert np.array_equal(cir.group_to_pair_perm(n_edges), want)
+
 
 @pytest.fixture(scope="module")
 def ribbon_channels():

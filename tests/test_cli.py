@@ -132,7 +132,8 @@ class TestPinnedProtocolOutput:
     """Records at --seed 3 as the per-round dict loops printed them; the
     Kraus tables draw the same outcomes in the same order.  The lattice
     records are those printed when the ribbon and K coefficients were still
-    computed from the centralizer loops in the lattice module."""
+    computed from the centralizer loops in the lattice module; the anyon C
+    and E records, when a mixed ribbon still walked once per (u, v) branch."""
 
     @pytest.mark.parametrize(
         "argv,line",
@@ -186,8 +187,22 @@ class TestPinnedProtocolOutput:
                     '"syndrome": [[[0, 0], "C"], [[1, 0], "E"], [[2, 0], "F"]]}',
                 ],
             ),
+            (
+                ["move-stats", "--anyon", "C", "--rounds", "1", "--trials", "100"],
+                [
+                    '{"analytic": 0.5, "anyon": "C", "empirical": 0.42, "n": 1, "pass": true, '
+                    '"seed": 3, "trials": 100, "z": -1.6000000000000003}',
+                ],
+            ),
+            (
+                ["ribbon-demo", "--anyon", "E", "--trials", "20"],
+                [
+                    '{"anyon": "E", "check": "pair-creation", "deviations": 0, "pass": true, '
+                    '"seed": 3, "trials": 20}',
+                ],
+            ),
         ],
-        ids=["move-stats", "ribbon-demo", "qec-cycle"],
+        ids=["move-stats", "ribbon-demo", "qec-cycle", "move-stats-C", "ribbon-demo-E"],
     )
     def test_lattice_records_are_byte_identical(self, argv, lines, capsys):
         code, out, _ = run(argv + ["--seed", "3"], capsys)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s3double import lattice as lat
-from s3double.algebra import ANYON_TABLE, ANYONS, ELEMENTS, E, MU, SIGMA
+from s3double.algebra import ANYON_TABLE, ANYONS, ELEMENTS, E, MU, QUANTUM_DIMS, SIGMA
 
 elements = st.sampled_from(ELEMENTS)
 
@@ -46,27 +46,25 @@ class TestGeometry:
 class TestDrinfeldAlgebra:
     """Operator relations of the vertex and plaquette operators."""
 
-    def _dense_vertex(self, lattice, v, g):
-        dim = 6 ** lattice.n_edges
-        st_all = lat.LatticeState(
-            lattice,
-            np.arange(dim, dtype=np.int64),
-            np.ones(dim, dtype=complex),
-            frozenset(),
-        )
-        out = lat.apply_vertex(st_all, v, g)
-        # monomial permutation: columns are input keys, rows output keys
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[out.keys, st_all.keys] = out.amps
-        return mat
-
     def test_vertex_operators_form_group_action(self):
+        # every configuration of a 1x1 lattice, each with its own amplitude,
+        # so that keys and amplitudes together pin down the permutation
         lattice = lat.Lattice(1, 1)
         v = (1, 1)
-        mats = {g: self._dense_vertex(lattice, v, g) for g in ELEMENTS}
+        dim = 6 ** lattice.n_edges
+        amps = np.arange(1, dim + 1, dtype=complex)
+        st_all = lat.LatticeState(lattice, np.arange(dim, dtype=np.int64), amps)
+        images = {g: lat.apply_vertex(st_all, v, g) for g in ELEMENTS}
+        for g, out in images.items():
+            # a bijection on keys that moves some key unless g = e
+            assert np.array_equal(out.keys, st_all.keys)
+            assert np.array_equal(np.sort(out.amps.real), amps.real)
+            assert np.array_equal(out.amps, amps) == (g == E)
         for g in ELEMENTS:
             for h in ELEMENTS:
-                assert np.allclose(mats[g] @ mats[h], mats[g * h], atol=1e-12)
+                gh = lat.apply_vertex(images[h], v, g)
+                assert np.array_equal(gh.keys, images[g * h].keys)
+                assert np.array_equal(gh.amps, images[g * h].amps), (g, h)
 
     def test_plaquette_projectors(self):
         lattice = lat.Lattice(1, 1)
@@ -258,6 +256,22 @@ class TestRibbons:
         total = sum(lat.apply_K(st, (0, 0), a).norm() ** 2 for a in ANYONS)
         assert abs(total - 1) < 1e-10
 
+    @pytest.mark.parametrize("anyon,walks", zip(ANYONS, [1, 1, 1, 3, 3, 2, 2, 2]))
+    def test_mixed_application_walks_once_per_flux(self, anyon, walks, gs21, monkeypatch):
+        # one walk for each flux class member c, carrying d_a^2 / |C| rows
+        rows = []
+        walk = lat._ribbon_sum
+
+        def spy(state, ribbon, h, coeff_rows):
+            rows.append(len(coeff_rows))
+            return walk(state, ribbon, h, coeff_rows)
+
+        monkeypatch.setattr(lat, "_ribbon_sum", spy)
+        rib = lat.shortest_h(gs21.lattice, (0, 0))
+        lat.apply_anyon_ribbon(gs21, rib, anyon, mixed=True, rng=np.random.default_rng(0))
+        assert len(rows) == walks
+        assert sum(rows) == QUANTUM_DIMS[anyon] ** 2
+
 
 def _column_loop_matrix(lattice, support, builder):
     """Reference for ribbon_operator_matrix: one builder call per one-term
@@ -424,7 +438,8 @@ def oracle_states():
 
 class TestAlgebraTableOracles:
     """The ribbon and K coefficients read from algebra's tables against the
-    centralizer loops written out from (C, tau, Z(C), Gamma^R)."""
+    centralizer loops written out from (C, tau, Z(C), Gamma^R), and the
+    per-flux branch enumeration against one walk per (u, v) label."""
 
     @pytest.mark.parametrize("kind", ["explicit", "uniform"])
     @pytest.mark.parametrize("make", [lat.shortest_h, lat.shortest_v], ids=["h", "v"])
@@ -437,6 +452,22 @@ class TestAlgebraTableOracles:
             assert got.uniform == want.uniform
             assert np.array_equal(got.keys, want.keys), (a, u, v)
             assert np.array_equal(got.amps, want.amps), (a, u, v)
+
+    @pytest.mark.parametrize("kind", ["explicit", "uniform"])
+    @pytest.mark.parametrize("make", [lat.shortest_h, lat.shortest_v], ids=["h", "v"])
+    def test_branches_equal_per_label_branch(self, oracle_states, kind, make):
+        # every (u, v) branch, u outer and v inner in basis order, bitwise
+        state = oracle_states[kind]
+        rib = make(state.lattice, (0, 1))
+        for a in ANYONS:
+            basis = ANYON_TABLE[a].basis
+            got = lat.anyon_ribbon_branches(state, rib, a)
+            want = [lat.anyon_ribbon_branch(state, rib, a, u, v) for u in basis for v in basis]
+            assert len(got) == len(want) == QUANTUM_DIMS[a] ** 2
+            for g, w in zip(got, want):
+                assert g.uniform == w.uniform
+                assert np.array_equal(g.keys, w.keys), a
+                assert np.array_equal(g.amps, w.amps), a
 
     @pytest.mark.parametrize("kind", ["explicit", "uniform", "orbits"])
     @pytest.mark.parametrize("anyon", ANYONS)
