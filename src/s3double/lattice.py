@@ -810,12 +810,17 @@ def _ribbon_matrices(lattice, ribbon, support):
     return mats.reshape(len(mats), -1)
 
 
-def _orthonormality_residual(lattice, r1, r2) -> float:
-    """max |Tr(F1^dagger F2) / Tr(1) - expected| over all label pairs of the
-    ribbons r1 and r2, from one Gram product of the flattened operators."""
+def _orthonormality_residual(lattice, r1, r2) -> tuple:
+    """(max |Tr(F1^dagger F2) / Tr(1) - expected| over all label pairs of the
+    ribbons r1 and r2, from one Gram product of the flattened operators; the
+    operators built per ribbon).  A ribbon that does not yield |G|^2
+    operators has no expected table and gives an infinite residual."""
     support = sorted({t.edge for t in r1.triangles} | {t.edge for t in r2.triangles})
     mats1 = _ribbon_matrices(lattice, r1, support)
     mats2 = mats1 if r1 is r2 else _ribbon_matrices(lattice, r2, support)
+    built = len(mats1) if len(mats1) != ORDER ** 2 else len(mats2)
+    if built != ORDER ** 2:
+        return float("inf"), built
     gram = mats1.conj() @ mats2.T / ORDER ** len(support)
     if r1 is r2:
         # d_a/|G|^2 on the diagonal, for the d_a^2 branches of each anyon a
@@ -825,7 +830,7 @@ def _orthonormality_residual(lattice, r1, r2) -> float:
         # only the two A operators overlap: both are 1/|G| times the identity
         expect = np.zeros(gram.shape)
         expect[0, 0] = 1 / ORDER ** 2
-    return float(np.max(np.abs(gram - expect)))
+    return float(np.max(np.abs(gram - expect))), built
 
 
 def verify_orthonormality(lattice: Lattice = None) -> OrthonormalityReport:
@@ -849,6 +854,9 @@ def verify_orthonormality(lattice: Lattice = None) -> OrthonormalityReport:
     rh2 = shortest_h(lattice, (0, 0))
     rv2 = shortest_v(lattice, (1, 1))  # pattern II partner: shares v_edge(1, 0)
     cases = [(rh1, rh1), (rv1, rv1), (rh1, rv1), (rh2, rv2)]
-    n_labels = sum(d ** 2 for d in QUANTUM_DIMS.values())
-    worst = max(_orthonormality_residual(lattice, r1, r2) for r1, r2 in cases)
-    return OrthonormalityReport(worst, n_labels, len(cases) * n_labels ** 2)
+    results = [_orthonormality_residual(lattice, r1, r2) for r1, r2 in cases]
+    # report a miscount if any ribbon has one
+    built = max((n for _, n in results), key=lambda n: n != ORDER ** 2)
+    worst = max(res for res, _ in results)
+    checked = sum(n ** 2 for res, n in results if res < np.inf)
+    return OrthonormalityReport(worst, built, checked)

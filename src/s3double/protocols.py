@@ -2,8 +2,9 @@
 
 Moving a non-Abelian anyon one site works by creating a short pair toward the
 target and fusing at the source, retrying adaptively on non-vacuum outcomes.
-Abelian anyons move deterministically; the C/F/G/H types succeed with
-probability 1 - (1/2)^n after n rounds and the D/E types with
+One decision tree, read off the fusion rules in move_step, serves every
+non-Abelian anyon; Abelian anyons move deterministically.  The C/F/G/H types
+succeed with probability 1 - (1/2)^n after n rounds and the D/E types with
 1 - (8/9)(1/2)^(n-1).  Every operation touches only the source and target
 sites, never the distant partner anyon.
 """
@@ -15,10 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice as lat
-from .algebra import ANYON_TABLE, ANYONS
+from .algebra import ANYON_TABLE, ANYONS, fusion_outcomes
 
+# closed-form success curves only; move_step reads its tree off _FUSION
 C_LIKE = ("C", "F", "G", "H")
 D_LIKE = ("D", "E")
+_FUSION = {(a, b): frozenset(fusion_outcomes(a, b)) for a in ANYONS for b in ANYONS}
+_B_TIMES = {a: fusion_outcomes("B", a)[0] for a in ANYONS}
 DEFAULT_BUDGET = 32
 
 
@@ -86,8 +90,25 @@ def _abelian_fixup(state, rib, s, t, rng, transcript):
     return out_s, out_t, state
 
 
+def _expect(site, want, got):
+    if got != want:
+        raise ProtocolError(f"expected {want} at {site}, measured {got}")
+
+
 def move_step(state: lat.LatticeState, plan: MovePlan, rng) -> MoveResult:
-    """Move the anyon at plan.source one site to plan.target."""
+    """Move the anyon at plan.source one site to plan.target.
+
+    A stays put and B moves with one B ribbon.  Every other anyon alpha runs
+    one decision tree read off the fusion rules.  Subroutine 1 applies an
+    alpha ribbon and fuses the source: A succeeds, B is removed with a B
+    ribbon, and any other outcome y of alpha x alpha becomes the ribbon label
+    of subroutine 2 (y = alpha for C/F/G/H, y in C/F/G/H for D/E).  Each
+    subroutine-2 pass applies a y ribbon and fuses the source: A or B ends in
+    success after a B fix-up; y fuses the target, whose outcome must lie in
+    {A, alpha} & (alpha x y) or be moved there by a B ribbon (B -> A for
+    C/F/G/H, E <-> D for D/E); A returns to subroutine 1 and alpha repeats
+    subroutine 2.  Any other outcome raises ProtocolError.
+    """
     alpha = plan.anyon
     s, t = plan.source, plan.target
     rib = connecting_ribbon(state.lattice, s, t)
@@ -101,112 +122,41 @@ def move_step(state: lat.LatticeState, plan: MovePlan, rng) -> MoveResult:
             raise ProtocolError(f"B move landed on {out_t}")
         return MoveResult(True, 1, tuple(transcript), state)
 
-    if alpha in C_LIKE:
-        return _move_c_like(state, alpha, rib, s, t, plan.max_rounds, rng, transcript)
-    if alpha in D_LIKE:
-        return _move_d_like(state, alpha, rib, s, t, plan.max_rounds, rng, transcript)
-    raise ProtocolError(f"no movement protocol for {alpha}")
-
-
-def _expect(site, want, got):
-    if got != want:
-        raise ProtocolError(f"expected {want} at {site}, measured {got}")
-
-
-def _move_c_like(state, alpha, rib, s, t, max_rounds, rng, transcript):
-    """Decision tree for X x X = A + B + X anyons.
-
-    Subroutine 1 fuses the source pair: A succeeds, B is removed with a
-    deterministic B ribbon, X enters subroutine 2.  Each subroutine-2 pass
-    fuses the new source pair: A/B end in success after deterministic
-    corrections, X triggers a target fusion that routes back to subroutine 1
-    (outcome A/B) or repeats subroutine 2 (outcome X).
-    """
     rounds = 0
-    subroutine = 1
-    while rounds < max_rounds:
-        state = lat.apply_anyon_ribbon(state, rib, alpha, mixed=True, rng=rng)
+    y = None  # subroutine 1 while None, else the ribbon label of subroutine 2
+    while rounds < plan.max_rounds:
+        state = lat.apply_anyon_ribbon(state, rib, y or alpha, mixed=True, rng=rng)
         out, state = lat.measure_site(state, s, rng)
         transcript.append((s, out))
         rounds += 1
-        if subroutine == 1:
-            if out == "A":
-                return MoveResult(True, rounds, tuple(transcript), state)
-            if out == "B":
-                out_s, out_t, state = _abelian_fixup(state, rib, s, t, rng, transcript)
-                _expect(s, "A", out_s)
-                _expect(t, alpha, out_t)
-                return MoveResult(True, rounds, tuple(transcript), state)
-            _expect(s, alpha, out)
-            subroutine = 2
-        else:
-            if out in ("A", "B"):
-                if out == "B":
-                    out_s, _, state = _abelian_fixup(state, rib, s, t, rng, transcript)
-                    _expect(s, "A", out_s)
-                out_t, state = lat.measure_site(state, t, rng)
-                transcript.append((t, out_t))
-                _expect(t, alpha, out_t)
-                return MoveResult(True, rounds, tuple(transcript), state)
-            _expect(s, alpha, out)
-            fused, state = lat.measure_site(state, t, rng)
-            transcript.append((t, fused))
-            if fused == "B":
-                out_s, out_t, state = _abelian_fixup(state, rib, s, t, rng, transcript)
-                _expect(s, alpha, out_s)
-                _expect(t, "A", out_t)
-                fused = "A"
-            if fused == "A":
-                subroutine = 1
-            else:
-                _expect(t, alpha, fused)
-                subroutine = 2
-    return MoveResult(False, rounds, tuple(transcript), state)
-
-
-def _move_d_like(state, alpha, rib, s, t, max_rounds, rng, transcript):
-    """Decision tree for the three-dimensional anyons D and E.
-
-    The first fusion succeeds only on A (probability 1/9); any
-    two-dimensional outcome Y becomes the intermediate label of subroutine 2,
-    which retries with shortest Y ribbons, fixing E/D target outcomes with a
-    B ribbon (B x D = E, B x E = D) so every pass repeats identically.
-    """
-    other = "E" if alpha == "D" else "D"
-    rounds = 0
-    intermediate = None
-    while rounds < max_rounds:
-        if intermediate is None:
-            state = lat.apply_anyon_ribbon(state, rib, alpha, mixed=True, rng=rng)
-            out, state = lat.measure_site(state, s, rng)
-            transcript.append((s, out))
-            rounds += 1
-            if out == "A":
-                return MoveResult(True, rounds, tuple(transcript), state)
-            if out not in C_LIKE:
-                raise ProtocolError(f"unexpected source fusion {out}")
-            intermediate = out
-            continue
-        y = intermediate
-        state = lat.apply_anyon_ribbon(state, rib, y, mixed=True, rng=rng)
-        out, state = lat.measure_site(state, s, rng)
-        transcript.append((s, out))
-        rounds += 1
+        if y is None and out not in _FUSION[alpha, alpha]:
+            raise ProtocolError(f"unexpected source fusion {out}")
         if out in ("A", "B"):
             if out == "B":
-                out_s, _, state = _abelian_fixup(state, rib, s, t, rng, transcript)
+                out_s, out_t, state = _abelian_fixup(state, rib, s, t, rng, transcript)
                 _expect(s, "A", out_s)
-            out_t, state = lat.measure_site(state, t, rng)
-            transcript.append((t, out_t))
-            _expect(t, alpha, out_t)
+            if y is not None:
+                out_t, state = lat.measure_site(state, t, rng)
+                transcript.append((t, out_t))
+            if out == "B" or y is not None:
+                _expect(t, alpha, out_t)
             return MoveResult(True, rounds, tuple(transcript), state)
+        if y is None:
+            y = out
+            continue
         _expect(s, y, out)
         fused, state = lat.measure_site(state, t, rng)
         transcript.append((t, fused))
-        if fused == other:
-            out_s, fused, state = _abelian_fixup(state, rib, s, t, rng, transcript)
+        allowed = {"A", alpha} & _FUSION[alpha, y]
+        if fused not in allowed and _B_TIMES[fused] in allowed:
+            out_s, out_t, state = _abelian_fixup(state, rib, s, t, rng, transcript)
             _expect(s, y, out_s)
-        _expect(t, alpha, fused)
+            _expect(t, _B_TIMES[fused], out_t)
+            fused = out_t
+        if fused not in allowed:
+            raise ProtocolError(f"unexpected target fusion {fused} at {t}")
+        if fused == "A":
+            y = None
     return MoveResult(False, rounds, tuple(transcript), state)
 
 

@@ -150,18 +150,18 @@ def decode_greedy(config: lat.AnyonConfiguration):
     """Pair non-trivial sites by greedy nearest-neighbour matching
     (Manhattan distance, lexicographic tie-break); one site may stay
     unpaired.  Returns [(site_a, site_b, path from a to b), ...]."""
-    remaining = sorted(config.nontrivial())
+    sites = sorted(config.nontrivial())
+    pairs = sorted(
+        (_manhattan(a, b), a, b) for i, a in enumerate(sites) for b in sites[i + 1:]
+    )
+    # the first pair in (distance, a, b) order whose sites are both free is
+    # the closest pair among the sites still free
+    free = set(sites)
     pattern = []
-    while len(remaining) >= 2:
-        best = min(
-            (( _manhattan(a, b), a, b)
-             for i, a in enumerate(remaining)
-             for b in remaining[i + 1:]),
-        )
-        _, a, b = best
-        remaining.remove(a)
-        remaining.remove(b)
-        pattern.append((a, b, _path(a, b)))
+    for _, a, b in pairs:
+        if a in free and b in free:
+            free -= {a, b}
+            pattern.append((a, b, _path(a, b)))
     return pattern
 
 

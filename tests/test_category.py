@@ -1,6 +1,9 @@
 """Consistency, interferometry, and oracle tests for the category module."""
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +199,20 @@ class TestReferenceFEntries:
         assert abs(data.f_entry("G", "D", "D", "G", "D", "G") - rt2) < 1e-12
         assert abs(data.f_entry("G", "D", "D", "G", "E", "G") + rt2) < 1e-12
         assert abs(data.f_entry("B", "D", "D", "G", "E", "G") - 1) < 1e-12
+
+    def test_generator_targets_hold(self, data, monkeypatch):
+        # every value the table generator pins (F entries and interferometry
+        # amplitudes) must hold on the table it shipped
+        path = Path(__file__).resolve().parents[1] / "tools" / "generate_fr_table.py"
+        spec = importlib.util.spec_from_file_location("generate_fr_table", path)
+        tool = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src
+        spec.loader.exec_module(tool)
+        targets = tool.build_targets()
+        assert len(targets) == 39
+        for kind, labels, value in targets:
+            got = data.F[labels] if kind == "F" else interferometry_amplitude(*labels, data=data)
+            assert abs(got - value) < 1e-12, (kind, labels, got, value)
 
 
 class TestOracle:

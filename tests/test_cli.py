@@ -133,7 +133,9 @@ class TestPinnedProtocolOutput:
     Kraus tables draw the same outcomes in the same order.  The lattice
     records are those printed when the ribbon and K coefficients were still
     computed from the centralizer loops in the lattice module; the anyon C
-    and E records, when a mixed ribbon still walked once per (u, v) branch."""
+    and E records, when a mixed ribbon still walked once per (u, v) branch.
+    The three-round move-stats records are those printed when C/F/G/H and
+    D/E each had a hand-written decision tree."""
 
     @pytest.mark.parametrize(
         "argv,line",
@@ -207,6 +209,36 @@ class TestPinnedProtocolOutput:
     def test_lattice_records_are_byte_identical(self, argv, lines, capsys):
         code, out, _ = run(argv + ["--seed", "3"], capsys)
         assert code == 0 and out == "".join(line + "\n" for line in lines)
+
+    # (analytic, empirical, z) for n = 1, 2, 3 at 100 trials; the two-dimensional
+    # anyons draw the same outcomes, so C, F, G and H print the same numbers
+    THREE_ROUNDS = {
+        "CFGH": [
+            (0.5, 0.46, -0.7999999999999996),
+            (0.75, 0.76, 0.23094010767585052),
+            (0.875, 0.91, 1.058300524425837),
+        ],
+        "E": [
+            (0.11111111111111116, 0.09, -0.6717514421272216),
+            (0.5555555555555556, 0.55, -0.1118033988749891),
+            (0.7777777777777778, 0.81, 0.7750576015460318),
+        ],
+    }
+
+    @pytest.mark.parametrize("anyon", "CEFGH")
+    def test_three_round_move_stats_are_byte_identical(self, anyon, capsys):
+        (rows,) = [v for k, v in self.THREE_ROUNDS.items() if anyon in k]
+        lines = [
+            f'{{"analytic": {ana!r}, "anyon": "{anyon}", "empirical": {emp!r}, '
+            f'"n": {n}, "pass": true, "seed": 3, "trials": 100, "z": {z!r}}}\n'
+            for n, (ana, emp, z) in enumerate(rows, 1)
+        ]
+        code, out, _ = run(
+            ["move-stats", "--anyon", anyon, "--rounds", "3", "--trials", "100",
+             "--seed", "3"],
+            capsys,
+        )
+        assert code == 0 and out == "".join(lines)
 
     def test_merge_split_record(self, capsys):
         code, out, _ = run(["merge-split", "--trials", "125", "--seed", "3"], capsys)

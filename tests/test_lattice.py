@@ -156,20 +156,18 @@ class TestRibbons:
                     lattice, support,
                     lambda st: lat.apply_ribbon(st, glued, h, g),
                 )
-                acc = np.zeros_like(big)
-                for m in ELEMENTS:
-                    m1 = lat.ribbon_operator_matrix(
-                        lattice, support,
-                        lambda st: lat.apply_ribbon(st, r1, h, m),
-                    )
-                    m2 = lat.ribbon_operator_matrix(
-                        lattice, support,
-                        lambda st: lat.apply_ribbon(
-                            st, r2, m.inverse() * h * m, m.inverse() * g
-                        ),
-                    )
-                    acc += m2 @ m1
-                assert np.abs(big - acc).max() < 1e-12
+                # one operator per m: F^{mbar h m, mbar g}_{rho2} F^{h,m}_{rho1}
+                terms = lat.ribbon_operator_matrices(
+                    lattice, support,
+                    lambda st: [
+                        lat.apply_ribbon(
+                            lat.apply_ribbon(st, r1, h, m),
+                            r2, m.inverse() * h * m, m.inverse() * g,
+                        )
+                        for m in ELEMENTS
+                    ],
+                )
+                assert np.abs(big - terms.sum(axis=0)).max() < 1e-12
 
     def test_six_triangle_staircase_operator(self):
         # two horizontal steps then one vertical step: the six-triangle
@@ -522,8 +520,23 @@ class TestOrthonormality:
                 else:
                     expect = 0.0
                 worst = max(worst, abs(tr - expect))
-        gram = lat._orthonormality_residual(lattice, rib, rib)
-        assert abs(gram - worst) < 1e-14
+        gram, built = lat._orthonormality_residual(lattice, rib, rib)
+        assert abs(gram - worst) < 1e-14 and built == 36
+
+    def test_missing_branch_fails_report(self, monkeypatch):
+        # the count is the number of operators built, so a dropped Kraus
+        # branch fails the check instead of raising on the Gram comparison
+        branches = lat.anyon_ribbon_branches
+
+        def drop_last_d(state, ribbon, anyon):
+            out = branches(state, ribbon, anyon)
+            return out[:-1] if anyon == "D" else out
+
+        monkeypatch.setattr(lat, "anyon_ribbon_branches", drop_last_d)
+        report = lat.verify_orthonormality()
+        assert report.operators_per_ribbon == 35
+        assert report.max_residual == np.inf
+        assert not report.passes()
 
 
 class TestSerialization:

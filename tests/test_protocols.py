@@ -6,7 +6,7 @@ import pytest
 from s3double import lattice as lat
 from s3double import protocols as pro
 
-ANYON_SAMPLE = ("B", "C", "D", "E", "G")
+ANYON_SAMPLE = tuple("BCDEFGH")
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,7 @@ class TestMoveStep:
         # would raise ProtocolError instead
         lattice, gs = strip
         rng = np.random.default_rng(77)
-        for anyon in ("C", "D"):
+        for anyon in ANYON_SAMPLE:
             for _ in range(30):
                 st = lat.apply_anyon_ribbon(
                     gs, lat.shortest_h(lattice, (0, 0)), anyon, mixed=True, rng=rng
@@ -110,6 +110,55 @@ class TestMoveStep:
                 for site, out in res.transcript:
                     assert site in ((1, 0), (2, 0))
                     assert out in "ABCDEFGH"
+
+    @pytest.mark.parametrize("anyon,outcome", [("C", "D"), ("F", "G"), ("D", "B"), ("E", "E")])
+    def test_source_outcome_outside_fusion_rules_raises(self, anyon, outcome, strip, monkeypatch):
+        # alpha x alpha holds neither outcome, so no move may go on from it
+        lattice, gs = strip
+        rng = np.random.default_rng(5)
+        st = lat.apply_anyon_ribbon(
+            gs, lat.shortest_h(lattice, (0, 0)), anyon, mixed=True, rng=rng
+        )
+        measure = lat.measure_site
+        calls = []
+
+        def misreport_first(state, site, rng):
+            out, post = measure(state, site, rng)
+            calls.append(site)
+            return (outcome if len(calls) == 1 else out), post
+
+        monkeypatch.setattr(lat, "measure_site", misreport_first)
+        with pytest.raises(pro.ProtocolError, match=rf"(source fusion|measured) {outcome}$"):
+            pro.move_step(st, pro.MovePlan(anyon, (1, 0), (2, 0)), rng)
+        assert calls == [(1, 0)]
+
+    def test_vacuum_at_d_target_raises(self, strip, monkeypatch):
+        # D x y holds no A for any y in C/F/G/H, so a D move that reads A at
+        # its target has gone wrong; a move may succeed only before it
+        # measures the target
+        lattice, gs = strip
+        target = (2, 0)
+        measure = lat.measure_site
+
+        def vacuum_at_target(state, site, rng):
+            out, post = measure(state, site, rng)
+            return ("A" if site == target else out), post
+
+        monkeypatch.setattr(lat, "measure_site", vacuum_at_target)
+        raised = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            st = lat.apply_anyon_ribbon(
+                gs, lat.shortest_h(lattice, (0, 0)), "D", mixed=True, rng=rng
+            )
+            try:
+                res = pro.move_step(st, pro.MovePlan("D", (1, 0), target), rng)
+            except pro.ProtocolError as err:
+                assert f"A at {target}" in str(err) or "measured A" in str(err)
+                raised += 1
+            else:
+                assert res.success and all(site != target for site, _ in res.transcript)
+        assert raised >= 6
 
 
 class TestMovePath:

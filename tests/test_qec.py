@@ -226,6 +226,35 @@ class TestDecoder:
         [(_, _, path)] = qec.decode_greedy(cfg)
         assert path == [(0, 0), (1, 0), (2, 0), (2, 1)]
 
+    @staticmethod
+    def _rescan(config):
+        # oracle: rescan every remaining pair for the (distance, a, b) minimum
+        remaining = sorted(config.nontrivial())
+        pattern = []
+        while len(remaining) >= 2:
+            _, a, b = min(
+                (qec._manhattan(a, b), a, b)
+                for i, a in enumerate(remaining)
+                for b in remaining[i + 1:]
+            )
+            remaining.remove(a)
+            remaining.remove(b)
+            pattern.append((a, b, qec._path(a, b)))
+        return pattern
+
+    def test_matches_rescan_with_distance_ties(self):
+        # a 6x6 grid with up to 13 anyons has many equal distances, so the
+        # lexicographic tie-break decides most pairs
+        rng = np.random.default_rng(12)
+        sites = [(x, y) for x in range(6) for y in range(6)]
+        for _ in range(200):
+            n = int(rng.integers(0, 14))
+            chosen = rng.choice(len(sites), size=n, replace=False)
+            cfg = lat.AnyonConfiguration(
+                {sites[i]: "ABCDEFGH"[rng.integers(1, 8)] for i in chosen}
+            )
+            assert qec.decode_greedy(cfg) == self._rescan(cfg)
+
 
 class TestMicroscopicCycle:
     def test_noiseless_identity(self):
