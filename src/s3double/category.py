@@ -2,9 +2,10 @@
 
 Holds fusion multiplicities, quantum dimensions, R-symbols and F-symbols for
 the eight anyons A..H, verifies their consistency (pentagon/hexagon/
-unitarity), evaluates the interferometry amplitudes used by the remote
-measurement protocols, and tabulates their constant per-round factors once per
-category (``CategoryData.qutrit_tables``).
+unitarity, each as array gathers over its admissible label tuples from dense
+tables that are rebuilt per call, never cached), evaluates the interferometry
+amplitudes used by the remote measurement protocols, and tabulates their
+constant per-round factors once per category (``CategoryData.qutrit_tables``).
 
 Conventions
 -----------
@@ -158,110 +159,106 @@ class ConsistencyReport:
     hexagon: float
     unitarity: float
     vacuum: float
+    # admissible label tuples evaluated: a count of 0 means nothing was checked
+    pentagon_equations: int
+    hexagon_equations: int
+    blocks: int
 
     @property
     def max_residual(self) -> float:
         return max(self.pentagon, self.hexagon, self.unitarity, self.vacuum)
 
     def passes(self, tol: float = 1e-9) -> bool:
-        return self.max_residual < tol
+        counts = (self.pentagon_equations, self.hexagon_equations, self.blocks)
+        return self.max_residual < tol and min(counts) > 0
 
 
-def _check_complete(data: CategoryData):
-    for a, b in itertools.product(data.anyons, repeat=2):
-        for c in data.outcomes(a, b):
-            if (a, b, c) not in data.R:
-                raise CategoryError(f"missing R entry {(a, b, c)}")
-    for a, b, c, d in itertools.product(data.anyons, repeat=4):
-        mat, es, fs = data.f_matrix(a, b, c, d)
-        for i, e in enumerate(es):
-            for j, f in enumerate(fs):
-                if (a, b, c, d, e, f) not in data.F:
-                    raise CategoryError(f"missing F entry {(a, b, c, d, e, f)}")
+def _dense(table: dict, index: dict, rank: int):
+    """(values, present) arrays of a label-keyed table, one axis per label."""
+    values = np.zeros((len(index),) * rank, dtype=complex)
+    present = np.zeros(values.shape, dtype=bool)
+    keys = np.array([[index[x] for x in key] for key in table], dtype=int)
+    pos = tuple(keys.reshape(-1, rank).T)
+    values[pos] = list(table.values())
+    present[pos] = True
+    return values, present
+
+
+def _labels_at(mask, labels) -> tuple:
+    """Labels of the first true entry of a mask over label indices."""
+    return tuple(labels[i] for i in np.argwhere(mask)[0])
 
 
 def verify_consistency(data: CategoryData) -> ConsistencyReport:
     """Max pentagon/hexagon/unitarity/vacuum residuals over all admissible
-    label tuples."""
-    _check_complete(data)
+    label tuples.
+
+    N, R and F are laid out as dense arrays indexed by position in
+    ``data.anyons``; nothing outlives the call.  Each identity is evaluated
+    once over the index arrays of its admissible tuples (``np.nonzero`` of
+    products of N), and each sum over a free label is accumulated left to
+    right as one gather per label value.  Raises ``CategoryError`` when an
+    admissible R or F entry is missing or an F block is not square.
+    """
     labels = data.anyons
-    N = lambda a, b, c: data.N.get((a, b, c), 0)
-    Fel = data.f_entry
+    n = len(labels)
+    index = {a: i for i, a in enumerate(labels)}
+    N = _dense(data.N, index, 3)[0] != 0
+    R, has_r = _dense(data.R, index, 3)
+    F, has_f = _dense(data.F, index, 6)
+    if (N & ~has_r).any():
+        raise CategoryError(f"missing R entry {_labels_at(N & ~has_r, labels)}")
+    # [F^{abc}_d]_{ef} exists when a b -> e, e c -> d, b c -> f and a f -> d
+    adm = np.einsum("abe,ecd,bcf,afd->abcdef", N, N, N, N)
+    if (adm & ~has_f).any():
+        raise CategoryError(f"missing F entry {_labels_at(adm & ~has_f, labels)}")
+    F *= adm  # an F symbol vanishes off the admissible set
+    rows = np.einsum("abe,ecd->abcd", N, N, dtype=int)
+    cols = np.einsum("bcf,afd->abcd", N, N, dtype=int)
+    if (rows != cols).any():
+        raise CategoryError(f"non-square F block {_labels_at(rows != cols, labels)}")
 
-    unit = vac = 0.0
-    for a, b, c, d in itertools.product(labels, repeat=4):
-        mat, es, fs = data.f_matrix(a, b, c, d)
-        if not es and not fs:
-            continue
-        if len(es) != len(fs):
-            raise CategoryError(f"non-square F block {(a, b, c, d)}")
-        if len(es):
-            unit = max(
-                unit,
-                float(
-                    np.max(np.abs(mat @ mat.conj().T - np.eye(len(es))))
-                ),
-            )
-        if "A" in (a, b, c):
-            vac = max(vac, float(np.max(np.abs(mat - np.eye(len(es))))))
+    # unitarity: every entry (e, x) of F F^dagger - 1 in every non-empty block
+    row = np.einsum("abe,ecd->abcde", N, N)
+    a, b, c, d, e, x = np.nonzero(np.einsum("abcde,abcdx->abcdex", row, row))
+    gram = sum(F[a, b, c, d, e, f] * F[a, b, c, d, x, f].conj() for f in range(n))
+    unit = np.abs(gram - (e == x)).max(initial=0.0)
+    is_vac = np.array([label == "A" for label in labels])
+    touch = is_vac[:, None, None] | is_vac[None, :, None] | is_vac[None, None, :]
+    vac = np.abs(F[adm & touch[..., None, None, None]] - 1).max(initial=0.0)
 
-    pent = 0.0
-    for a, b, c, d, e in itertools.product(labels, repeat=5):
-        for f in data.outcomes(a, b):
-            for g in labels:
-                if not (N(f, c, g) and N(g, d, e)):
-                    continue
-                for l in data.outcomes(c, d):
-                    if not N(f, l, e):
-                        continue
-                    for k in labels:
-                        if not (N(b, l, k) and N(a, k, e)):
-                            continue
-                        lhs = Fel(f, c, d, e, g, l) * Fel(a, b, l, e, f, k)
-                        rhs = sum(
-                            Fel(a, b, c, g, f, h)
-                            * Fel(a, h, d, e, g, k)
-                            * Fel(b, c, d, k, h, l)
-                            for h in labels
-                        )
-                        pent = max(pent, abs(lhs - rhs))
+    # pentagon tuples: (a b)_f c -> g, g d -> e, then l = c d, then k = b l
+    a, b, f, c, g, d, e = np.nonzero(np.einsum("abf,fcg,gde->abfcgde", N, N, N))
+    i, l = np.nonzero(N[c, d] & N[f, :, e])
+    a, b, f, c, g, d, e = (y[i] for y in (a, b, f, c, g, d, e))
+    i, k = np.nonzero(N[b, l] & N[a, :, e])
+    a, b, f, c, g, d, e, l = (y[i] for y in (a, b, f, c, g, d, e, l))
+    lhs = F[f, c, d, e, g, l] * F[a, b, l, e, f, k]
+    rhs = sum(
+        F[a, b, c, g, f, h] * F[a, h, d, e, g, k] * F[b, c, d, k, h, l]
+        for h in range(n)
+    )
+    pent = np.abs(lhs - rhs).max(initial=0.0)
+    pentagon_equations = len(k)
 
-    hexa = 0.0
-    Rc = {k: v.conjugate() for k, v in data.R.items()}
-    for a, b, c, d in itertools.product(labels, repeat=4):
-        for e in data.outcomes(a, c):
-            if not N(e, b, d):
-                continue
-            for g in data.outcomes(c, b):
-                if not N(a, g, d):
-                    continue
-                lhs = (
-                    data.R.get((c, a, e), 0)
-                    * Fel(a, c, b, d, e, g)
-                    * data.R.get((c, b, g), 0)
-                )
-                rhs = sum(
-                    Fel(c, a, b, d, e, f)
-                    * data.R.get((c, f, d), 0)
-                    * Fel(a, b, c, d, f, g)
-                    for f in labels
-                )
-                hexa = max(hexa, abs(lhs - rhs))
-                # second hexagon: inverse braiding, R labels transposed
-                lhs = (
-                    Rc.get((a, c, e), 0)
-                    * Fel(a, c, b, d, e, g)
-                    * Rc.get((b, c, g), 0)
-                )
-                rhs = sum(
-                    Fel(c, a, b, d, e, f)
-                    * Rc.get((f, c, d), 0)
-                    * Fel(a, b, c, d, f, g)
-                    for f in labels
-                )
-                hexa = max(hexa, abs(lhs - rhs))
+    a, b, c, d, e, g = np.nonzero(np.einsum("ace,ebd,cbg,agd->abcdeg", N, N, N, N))
+    Rc = R.conj()
+    mid = F[a, c, b, d, e, g]
+    rhs = rhs_inv = 0
+    for f in range(n):
+        outer, inner = F[c, a, b, d, e, f], F[a, b, c, d, f, g]
+        rhs = rhs + outer * R[c, f, d] * inner
+        # second hexagon: inverse braiding, R labels transposed
+        rhs_inv = rhs_inv + outer * Rc[f, c, d] * inner
+    hexa = max(
+        np.abs(R[c, a, e] * mid * R[c, b, g] - rhs).max(initial=0.0),
+        np.abs(Rc[a, c, e] * mid * Rc[b, c, g] - rhs_inv).max(initial=0.0),
+    )
 
-    return ConsistencyReport(pent, hexa, unit, vac)
+    return ConsistencyReport(
+        float(pent), float(hexa), float(unit), float(vac),
+        pentagon_equations, len(g), int(np.count_nonzero(rows)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,9 @@ def _cmd_verify_category(args, emit):
             "hexagon": report.hexagon,
             "unitarity": report.unitarity,
             "vacuum": report.vacuum,
+            "pentagon_equations": report.pentagon_equations,
+            "hexagon_equations": report.hexagon_equations,
+            "blocks": report.blocks,
         },
         report.passes(1e-9),
     )

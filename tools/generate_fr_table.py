@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import itertools
 import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import least_squares
 
-sys.path.insert(0, "src")
+# the checkout this tool belongs to, whatever the working directory
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from s3double import algebra, category
 from s3double.algebra import ANYONS, QUANTUM_DIMS
@@ -173,7 +176,8 @@ def main():
         f"pentagon {report.pentagon:.2e}  hexagon {report.hexagon:.2e}  "
         f"unitarity {report.unitarity:.2e}  vacuum {report.vacuum:.2e}"
     )
-    assert report.passes(1e-10), "consistency check failed on fitted data"
+    if not report.passes(1e-10):
+        raise SystemExit("consistency check failed on fitted data")
 
     def clean(z):
         z = complex(z)
@@ -192,7 +196,7 @@ def main():
     for key in sorted(F):
         re, im = clean(F[key])
         lines.append(f"F {' '.join(key)} {re!r} {im!r}")
-    out = "src/s3double/data/fr_table.txt"
+    out = SRC / "s3double" / "data" / "fr_table.txt"
     with open(out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(R)} R and {len(F)} F records to {out}")
