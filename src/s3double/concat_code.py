@@ -8,6 +8,12 @@ code zero or one times, and an odd number of blocks makes the net logical
 action exactly one conjugation per logical qubit value (2^q mod 3 is 1 for
 even q and 2 for odd q).  Qutrit error correction between the layers keeps
 single physical faults from propagating.
+
+Every qutrit register vector on the schedule is a codeword moved by
+monomials (conjugation and single-qutrit Paulis), so its support is one
+coset x + rowspan(H_X): 9 of the 3^9 basis states for the [[9, 1, 3]]
+code.  Registers are held as that support (`SupportVector`), and each
+operator and stabilizer expectation acts on its digit rows.
 """
 
 from __future__ import annotations
@@ -174,33 +180,17 @@ class QuditCSSCode:
         return best
 
     @functools.cached_property
-    def stabilizer_ops(self):
-        """Dense action of each Z-type then X-type check row: ("Z", phases)
-        or ("X", permutation) over the p^n basis states."""
-        _check_dense(self)
-        digits = _digit_table(self.p, self.n)
-        omega = np.exp(2j * np.pi / self.p)
-        weights = self.p ** np.arange(self.n - 1, -1, -1)
-        ops = []
-        for h in self.H_Z:
-            ops.append(("Z", omega ** (digits @ h % self.p)))
-        for r in self.H_X:
-            ops.append(("X", ((digits + r) % self.p) @ weights))
-        return ops
-
-    @functools.cached_property
     def correction_table(self):
         """syndrome tuple -> (site, a, b) of a weight<=1 error; defined when
         errors sharing a syndrome differ only by a stabilizer."""
-        base = codewords(self, 0)
+        base = _codeword_support(self, 0)
         table = {_syndrome(self, base): (0, 0, 0)}
         for site in range(self.n):
             for a in range(3):
                 for b in range(3):
                     if (a, b) == (0, 0):
                         continue
-                    perm, phase = _pauli_vec_op(self.n, site, a, b)
-                    syn = _syndrome(self, _apply_vec_op(base, perm, phase))
+                    syn = _syndrome(self, _pauli(base, site, a, b))
                     if syn in table:
                         if not _equivalent_errors(self, table[syn], (site, a, b)):
                             raise CodeError("inequivalent errors share a syndrome")
@@ -271,88 +261,99 @@ def qutrit_shor_code() -> QuditCSSCode:
 
 
 # ---------------------------------------------------------------------------
-# Dense codewords (length <= 9)
+# Codeword supports
 
 
-def _check_dense(code):
-    if code.p**code.n > 3**12:
-        raise CodeError("code too long for dense codewords")
+def _weights(p, n):
+    """Place values of the n digits of a basis index (qudit 0 most significant)."""
+    return p ** np.arange(n - 1, -1, -1)
 
 
-def codewords(code: QuditCSSCode, logical) -> np.ndarray:
-    """Normalized equal superposition over the coset logical.x + rowspan(H_X)
-    (qudit 0 is the most significant digit)."""
-    _check_dense(code)
+@dataclass(frozen=True, eq=False)
+class SupportVector:
+    """Register vector held on its support: one row of p-ary digits per
+    basis state (qudit 0 most significant) and its amplitude.  Rows are
+    stored in ascending order of their basis index, `keys`."""
+
+    p: int
+    digits: np.ndarray
+    amps: np.ndarray
+    keys: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        keys = self.digits @ _weights(self.p, self.digits.shape[1])
+        order = np.argsort(keys)
+        object.__setattr__(self, "digits", self.digits[order])
+        object.__setattr__(self, "amps", self.amps[order])
+        object.__setattr__(self, "keys", keys[order])
+
+    def dense(self) -> np.ndarray:
+        vec = np.zeros(self.p ** self.digits.shape[1], dtype=complex)
+        vec[self.keys] = self.amps
+        return vec
+
+
+def _codeword_support(code: QuditCSSCode, logical) -> SupportVector:
+    """Normalized equal superposition over the coset logical.x + rowspan(H_X)."""
     if isinstance(logical, (int, np.integer)):
         logical = (int(logical),)
     logical = tuple(int(v) % code.p for v in logical)
     if len(logical) != code.k:
         raise CodeError(f"logical value must have {code.k} digits")
-    reps = code.logical_x_reps()
     x = np.zeros(code.n, dtype=np.int64)
-    for v, rep in zip(logical, reps):
+    for v, rep in zip(logical, code.logical_x_reps()):
         x = (x + v * rep) % code.p
-    weights = code.p ** np.arange(code.n - 1, -1, -1)
-    vec = np.zeros(code.p**code.n, dtype=complex)
-    for y in span_vectors(code.H_X, code.p):
-        vec[int(((x + np.array(y)) % code.p) @ weights)] += 1.0
-    return vec / np.linalg.norm(vec)
+    span = np.array(span_vectors(code.H_X, code.p), dtype=np.int64).reshape(-1, code.n)
+    amps = np.ones(len(span), dtype=complex)
+    return SupportVector(code.p, (x + span) % code.p, amps / np.linalg.norm(amps))
 
 
-@functools.lru_cache(maxsize=None)
-def _digit_table(p, n):
-    idx = np.arange(p**n)
-    digits = np.zeros((p**n, n), dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        digits[:, j] = idx % p
-        idx = idx // p
-    return digits
+def codewords(code: QuditCSSCode, logical) -> np.ndarray:
+    """Normalized equal superposition over the coset logical.x + rowspan(H_X)
+    as a dense p^n vector (qudit 0 is the most significant digit)."""
+    if code.p**code.n > 3**12:
+        raise CodeError("code too long for dense codewords")
+    return _codeword_support(code, logical).dense()
 
 
-@functools.lru_cache(maxsize=None)
-def _qutrit_tables(n):
-    digits = _digit_table(3, n)
-    weights = 3 ** np.arange(n - 1, -1, -1)
-    conj_perm = ((-digits) % 3) @ weights
-    return digits, weights, conj_perm
+def _conjugated(vec: SupportVector) -> SupportVector:
+    """Charge conjugation of every qutrit: each digit d becomes -d."""
+    return SupportVector(3, -vec.digits % 3, vec.amps)
 
 
-def _pauli_vec_op(n, site, a, b):
-    """Dense action of Xh^a Zh^b on qutrit `site` of an n-qutrit register:
-    returns (perm, phase) with (O psi)[perm] = phase * psi."""
-    digits, weights, _ = _qutrit_tables(n)
-    shifted = digits.copy()
-    shifted[:, site] = (shifted[:, site] + a) % 3
-    perm = shifted @ weights
-    phase = OMEGA3 ** (b * digits[:, site])
-    return perm, phase
+def _monomial(vec: SupportVector, site, shift, exponents) -> SupportVector:
+    """Multiply each basis state by OMEGA3**exponents, then shift the digit
+    of qutrit `site` by `shift`."""
+    digits = vec.digits.copy()
+    digits[:, site] = (digits[:, site] + shift) % 3
+    return SupportVector(3, digits, vec.amps * OMEGA3**exponents)
 
 
-def _apply_vec_op(vec, perm, phase):
-    out = np.zeros_like(vec)
-    out[perm] = phase * vec
-    return out
+def _pauli(vec: SupportVector, site, a, b) -> SupportVector:
+    """Xh^a Zh^b on qutrit `site`: the phase reads the pre-shift digit."""
+    return _monomial(vec, site, a, b * vec.digits[:, site])
 
 
-def stabilizer_expectations(code: QuditCSSCode, vec):
-    """<psi|S|psi> for every Z-type then X-type stabilizer row."""
-    values = []
-    for kind, arr in code.stabilizer_ops:
-        if kind == "Z":
-            values.append(complex(np.vdot(vec, arr * vec)))
-        else:
-            values.append(complex(np.vdot(vec, _apply_vec_op(vec, arr, 1.0))))
-    return values
+def stabilizer_expectations(code: QuditCSSCode, vec: SupportVector) -> np.ndarray:
+    """<psi|S|psi> for every Z-type then X-type stabilizer row.  A Z row is
+    a phase per basis state weighted by |amplitude|^2; an X row pairs each
+    basis state with its shift, and a shift off the support adds zero."""
+    omega = np.exp(2j * np.pi / code.p)
+    z = np.abs(vec.amps) ** 2 @ omega ** (vec.digits @ code.H_Z.T % code.p)
+    shifted = (vec.digits + code.H_X[:, None, :]) % code.p @ _weights(code.p, code.n)
+    pos = np.minimum(np.searchsorted(vec.keys, shifted), len(vec.keys) - 1)
+    hits = vec.keys[pos] == shifted
+    x = np.where(hits, np.conj(vec.amps[pos]) * vec.amps, 0).sum(axis=1)
+    return np.concatenate([z, x])
 
 
 def _syndrome(code, vec):
     """Definite stabilizer syndrome of a state hit by a Pauli error."""
-    syn = []
-    for val in stabilizer_expectations(code, vec):
-        if abs(abs(val) - 1) > 1e-9:
-            raise CodeError("state has no definite syndrome")
-        syn.append(int(np.round(np.angle(val) / (2 * np.pi / code.p))) % code.p)
-    return tuple(syn)
+    vals = stabilizer_expectations(code, vec)
+    if np.any(np.abs(np.abs(vals) - 1) > 1e-9):
+        raise CodeError("state has no definite syndrome")
+    steps = np.round(np.angle(vals) / (2 * np.pi / code.p)).astype(np.int64) % code.p
+    return tuple(int(v) for v in steps)
 
 
 def _equivalent_errors(code, e1, e2):
@@ -383,12 +384,13 @@ def correction_table(code: QuditCSSCode):
 @dataclass
 class ConcatState:
     """Joint state of an [[n^2,1,n]] Shor qubit code (compressed to one
-    binary symbol per uniform n-block) and a dense n-qutrit register."""
+    binary symbol per uniform n-block) and an n-qutrit register held on its
+    codeword support."""
 
     n: int
     qutrit_code: QuditCSSCode
     branches: dict  # block bit-string tuple -> (amplitude, pool index)
-    pool: list = field(default_factory=list)  # unit-norm qutrit vectors
+    pool: list = field(default_factory=list)  # unit-norm SupportVectors
     memo: dict = field(default_factory=dict)  # (pool index, op token) -> pool index
 
     def copy(self):
@@ -404,7 +406,7 @@ def concat_state(n: int, alpha: int, beta: int, qutrit_code=None) -> ConcatState
     if qutrit_code.n != n:
         raise CodeError("qutrit code length must equal the block count")
     amp = 1.0 / np.sqrt(2 ** (n - 1))
-    vec = codewords(qutrit_code, beta % 3)
+    vec = _codeword_support(qutrit_code, beta % 3)
     branches = {
         bits: (amp, 0)
         for bits in itertools.product((0, 1), repeat=n)
@@ -425,12 +427,21 @@ def combine(s1: ConcatState, s2: ConcatState, c1, c2) -> ConcatState:
     return ConcatState(s1.n, s1.qutrit_code, branches, pool)
 
 
+def _overlap(v1: SupportVector, v2: SupportVector) -> complex:
+    """<v1|v2> over the basis states the two supports share."""
+    _, j1, j2 = np.intersect1d(v1.keys, v2.keys, assume_unique=True, return_indices=True)
+    return np.vdot(v1.amps[j1], v2.amps[j2])
+
+
 def concat_inner(s1: ConcatState, s2: ConcatState) -> complex:
     total = 0.0
+    overlaps = {}  # (pool index, pool index) -> register overlap
     for bits, (a1, i1) in s1.branches.items():
         if bits in s2.branches:
             a2, i2 = s2.branches[bits]
-            total += np.conj(a1) * a2 * np.vdot(s1.pool[i1], s2.pool[i2])
+            if (i1, i2) not in overlaps:
+                overlaps[(i1, i2)] = _overlap(s1.pool[i1], s2.pool[i2])
+            total += np.conj(a1) * a2 * overlaps[(i1, i2)]
     return complex(total)
 
 
@@ -449,20 +460,13 @@ def _transform_pool(state, selector, token, op):
 def apply_cc_block(state: ConcatState, block: int):
     """Transversal controlled-conjugation layer for one qubit block: every
     branch whose block symbol is 1 conjugates all n qutrits."""
-    _, _, conj_perm = _qutrit_tables(state.n)
-    _transform_pool(
-        state,
-        lambda bits: bits[block] == 1,
-        "conj",
-        lambda v: _apply_vec_op(v, conj_perm, 1.0),
-    )
+    _transform_pool(state, lambda bits: bits[block] == 1, "conj", _conjugated)
 
 
 def apply_qutrit_pauli(state: ConcatState, site: int, a: int, b: int):
     """Physical Xh^a Zh^b error on one qutrit (acts on every branch)."""
-    perm, phase = _pauli_vec_op(state.n, site, a, b)
     _transform_pool(
-        state, lambda bits: True, f"pauli{site},{a},{b}", lambda v: _apply_vec_op(v, perm, phase)
+        state, lambda bits: True, f"pauli{site},{a},{b}", lambda v: _pauli(v, site, a, b)
     )
 
 
@@ -481,18 +485,14 @@ def error_correct(state: ConcatState):
         report.append({"syndrome": syn, "correction": (site, a, b)})
         if (a, b) != (0, 0):
             corrections[vid] = (site, a, b)
-    for vid, (site, a, b) in list(corrections.items()):
-        # exact inverse of Xh^a Zh^b: shift back, then unwind the phase
-        digits, weights, _ = _qutrit_tables(state.n)
-        shifted = digits.copy()
-        shifted[:, site] = (shifted[:, site] - a) % 3
-        perm = shifted @ weights
-        phase = OMEGA3 ** (-b * digits[:, site] % 3)
+    for vid, (site, a, b) in corrections.items():
+        # inverse of Xh^a Zh^b up to the global phase OMEGA3**(-a*b): unwind
+        # the phase on the digit before the shift back
         _transform_pool(
             state,
             lambda bits, v=vid: state.branches[bits][1] == v,
             f"fix{site},{a},{b}",
-            lambda vec: _apply_vec_op(vec, perm, phase),
+            lambda vec: _monomial(vec, site, -a, -b * vec.digits[:, site] % 3),
         )
     return report
 
@@ -540,9 +540,24 @@ def logical_CC(n: int, qubit_code=None, qutrit_code=None) -> GateSchedule:
     return GateSchedule(n, qubit_code, qutrit_code, tuple(steps))
 
 
+def _check_errors(n, errors):
+    """Reject a fault the schedule would never inject or that is the identity."""
+    for fault in errors:
+        after, site, a, b = fault
+        if not all(isinstance(v, (int, np.integer)) for v in fault):
+            raise CodeError(f"fault {fault} must be four integers")
+        if not (0 <= after < n and 0 <= site < n):
+            raise CodeError(
+                f"fault {fault} needs 0 <= after_block < {n} and 0 <= site < {n}"
+            )
+        if (a % 3, b % 3) == (0, 0):
+            raise CodeError(f"fault {fault} is the identity: (a, b) = (0, 0) mod 3")
+
+
 def apply_schedule(schedule: GateSchedule, state: ConcatState, errors=(), correct=True):
     """Run the schedule; `errors` lists (after_block, site, a, b) physical
     qutrit faults injected right after the given transversal layer."""
+    _check_errors(schedule.n, errors)
     state = state.copy()
     report = {"recoveries": [], "uncorrectable": 0}
     for step in schedule.steps:
@@ -612,9 +627,12 @@ def fault_tolerance_demo(
     errors = tuple(extra_errors)
     if error_site is not None:
         if isinstance(error_kind, str):
-            a, b = _PAULI_NAMES[error_kind]
-        else:
-            a, b = error_kind
+            if error_kind not in _PAULI_NAMES:
+                raise CodeError(
+                    f"unknown error kind {error_kind!r}; expected one of {sorted(_PAULI_NAMES)}"
+                )
+            error_kind = _PAULI_NAMES[error_kind]
+        a, b = error_kind
         errors = ((after_block, int(error_site), a, b),) + errors
     deviation, report = verify_logical_action(schedule, errors)
     return {
@@ -669,6 +687,16 @@ def schur_obstruction_check(code: QuditCSSCode, a=None):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _digit_table(p, n):
+    idx = np.arange(p**n)
+    digits = np.zeros((p**n, n), dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        digits[:, j] = idx % p
+        idx = idx // p
+    return digits
+
+
 def naive_transversal_check(qubit_code: QuditCSSCode, qutrit_code: QuditCSSCode):
     """Apply plain transversal controlled conjugation between two equal
     length codes and measure the leakage out of the joint code space."""
@@ -683,7 +711,7 @@ def naive_transversal_check(qubit_code: QuditCSSCode, qutrit_code: QuditCSSCode)
         for be in range(3)
     ]
     bits = _digit_table(2, n)
-    digits, weights, _ = _qutrit_tables(n)
+    digits = _digit_table(3, n)
     dim3 = 3**n
     worst = 0.0
     for al in range(2):
@@ -695,8 +723,8 @@ def naive_transversal_check(qubit_code: QuditCSSCode, qutrit_code: QuditCSSCode)
                 if not block.any():
                     continue
                 signs = np.where(bits[s] == 1, -1, 1)
-                perm = ((digits * signs) % 3) @ weights
-                out[s * dim3 : (s + 1) * dim3] = _apply_vec_op(block, perm, 1.0)
+                perm = ((digits * signs) % 3) @ _weights(3, n)
+                out[s * dim3 + perm] = block
             proj = sum(v * np.vdot(v, out) for v in logical)
             worst = max(worst, float(np.linalg.norm(out - proj)))
     return {"leakage": worst}

@@ -110,6 +110,19 @@ class TestRecords:
         )
         assert code == 0 and records(out)[0]["uncorrectable"] == 0
 
+    def test_concat_cc_rejects_unplaceable_fault(self, capsys):
+        for extra in (
+            ["--after-block", "9"],
+            ["--after-block", "-1"],
+            ["--error-site", "-1"],
+            ["--error-site", "9"],
+            ["--error-kind", "foo"],
+        ):
+            code, out, _ = run(["concat-cc", "--blocks", "9", "--error-site", "4"] + extra, capsys)
+            (rec,) = records(out)
+            assert code == 1 and rec["pass"] is False, extra
+            assert rec["error"] == "CodeError", extra
+
     def test_circuit_equivalence(self, capsys):
         code, out, _ = run(["circuit-equivalence"], capsys)
         _, again, _ = run(["circuit-equivalence"], capsys)

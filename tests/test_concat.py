@@ -1,10 +1,67 @@
 """Qudit CSS codes and the block-scheduled logical controlled conjugation."""
 
+import functools
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from s3double import circuits as cir
 from s3double import concat_code as cc
+
+
+# Dense reference: the register as a 3^n vector, operators as index tables.
+
+
+@functools.cache
+def _dense_tables(n):
+    """Digit rows of the 3^n basis states (qudit 0 most significant) and the
+    place values that map a digit row back to its index."""
+    digits = np.array(list(itertools.product(range(3), repeat=n)), dtype=np.int64)
+    return digits, 3 ** np.arange(n - 1, -1, -1)
+
+
+def _dense_permute(vec, perm, phase=1.0):
+    out = np.zeros_like(vec)
+    out[perm] = phase * vec
+    return out
+
+
+def _dense_pauli(vec, n, site, a, b):
+    digits, weights = _dense_tables(n)
+    shifted = digits.copy()
+    shifted[:, site] = (shifted[:, site] + a) % 3
+    return _dense_permute(vec, shifted @ weights, cc.OMEGA3 ** (b * digits[:, site]))
+
+
+def _dense_conjugate(vec, n):
+    digits, weights = _dense_tables(n)
+    return _dense_permute(vec, (-digits % 3) @ weights)
+
+
+@functools.cache
+def _dense_stabilizers(code):
+    """Per Z-type row its phase over the 3^n basis states; per X-type row
+    its permutation of them."""
+    digits, weights = _dense_tables(code.n)
+    phases = [cc.OMEGA3 ** (digits @ h % 3) for h in code.H_Z]
+    perms = [(digits + r) % 3 @ weights for r in code.H_X]
+    return phases, perms
+
+
+def _dense_expectations(code, vec):
+    """<psi|S|psi> per Z-type then X-type row, as vdots over 3^n entries."""
+    phases, perms = _dense_stabilizers(code)
+    vals = [np.vdot(vec, phase * vec) for phase in phases]
+    vals += [np.vdot(vec, _dense_permute(vec, perm)) for perm in perms]
+    return np.array(vals)
+
+
+def _dense_syndrome(code, vec):
+    vals = _dense_expectations(code, vec)
+    assert np.allclose(np.abs(vals), 1, atol=1e-9)
+    return tuple(int(v) for v in np.round(np.angle(vals) / (2 * np.pi / 3)).astype(int) % 3)
 
 
 class TestLinearAlgebra:
@@ -87,7 +144,7 @@ class TestCodewords:
     def test_codewords_are_stabilizer_eigenstates(self):
         for code in (cc.shor_code(3), cc.qutrit_shor_code()):
             for logical in range(code.p):
-                vec = cc.codewords(code, logical)
+                vec = cc._codeword_support(code, logical)
                 for val in cc.stabilizer_expectations(code, vec):
                     assert val == pytest.approx(1.0, abs=1e-12)
 
@@ -106,8 +163,7 @@ class TestCorrectionTable:
                 for b in range(3):
                     if (a, b) == (0, 0):
                         continue
-                    perm, phase = cc._pauli_vec_op(9, site, a, b)
-                    syn = cc._syndrome(code, cc._apply_vec_op(base, perm, phase))
+                    syn = _dense_syndrome(code, _dense_pauli(base, 9, site, a, b))
                     assert cc._equivalent_errors(code, table[syn], (site, a, b))
 
     def test_zero_syndrome_is_identity(self):
@@ -115,6 +171,83 @@ class TestCorrectionTable:
         table = cc.correction_table(code)
         zero = tuple([0] * 8)
         assert table[zero] == (0, 0, 0)
+
+
+class TestSupportRegister:
+    def _states(self, code):
+        """Codeword 0, codeword 1 and its conjugate, and all 144 single-qutrit
+        Paulis on the last two, each as (support vector, dense reference)."""
+        cw1 = cc._codeword_support(code, 1)
+        starts = [(cw1, cw1.dense())]
+        starts.append((cc._conjugated(cw1), _dense_conjugate(cw1.dense(), code.n)))
+        cw0 = cc._codeword_support(code, 0)
+        states = [(cw0, cw0.dense())] + starts
+        for vec, ref in starts:
+            for site in range(code.n):
+                for a, b in itertools.product(range(3), repeat=2):
+                    if (a, b) != (0, 0):
+                        states.append(
+                            (cc._pauli(vec, site, a, b), _dense_pauli(ref, code.n, site, a, b))
+                        )
+        return states
+
+    def test_support_syndromes_match_dense_reference(self):
+        code = cc.qutrit_shor_code()
+        states = self._states(code)
+        assert len(states) == 147
+        for vec, ref in states:
+            assert len(vec.keys) == 9 and np.all(np.diff(vec.keys) > 0)
+            assert np.allclose(vec.dense(), ref, rtol=0, atol=1e-15)
+            got = cc.stabilizer_expectations(code, vec)
+            assert np.allclose(got, _dense_expectations(code, ref), rtol=0, atol=1e-12)
+            assert cc._syndrome(code, vec) == _dense_syndrome(code, ref)
+
+    def test_recovery_matches_dense_reference(self):
+        # the recovery multiplies by OMEGA3**(-b*d) on the pre-shift digit d,
+        # then shifts back by a; numpy's vectorised complex product rounds a
+        # 3^9 array differently from a 9-term one, hence the 1e-15
+        code = cc.qutrit_shor_code()
+        digits, weights = _dense_tables(9)
+        cw = cc.codewords(code, 1)
+        for site in range(9):
+            for a, b in itertools.product(range(3), repeat=2):
+                if (a, b) == (0, 0):
+                    continue
+                state = cc.concat_state(9, 0, 1, code)
+                cc.apply_qutrit_pauli(state, site, a, b)
+                erred = state.pool[-1].dense()
+                (rec,) = cc.error_correct(state)
+                fs, fa, fb = rec["correction"]
+                shifted = digits.copy()
+                shifted[:, fs] = (shifted[:, fs] - fa) % 3
+                phase = cc.OMEGA3 ** (-fb * digits[:, fs] % 3)
+                want = _dense_permute(erred, shifted @ weights, phase)
+                (vid,) = {v for _, v in state.branches.values()}
+                assert np.allclose(state.pool[vid].dense(), want, rtol=0, atol=1e-15)
+                assert abs(np.vdot(cw, want)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_shift_off_the_support_is_zero(self):
+        code = cc.qutrit_shor_code()
+        basis = cc.SupportVector(3, np.zeros((1, 9), dtype=np.int64), np.ones(1, dtype=complex))
+        got = cc.stabilizer_expectations(code, basis)
+        assert np.array_equal(got, _dense_expectations(code, basis.dense()))
+        assert list(got) == [1] * 6 + [0] * 2
+
+    def test_mixed_syndromes_rejected(self):
+        code = cc.qutrit_shor_code()
+        cw = cc._codeword_support(code, 0)
+        moved = cc._pauli(cw, 0, 1, 0)
+        assert cc._syndrome(code, cw) != cc._syndrome(code, moved)
+        mixed = cc.SupportVector(
+            3,
+            np.vstack([cw.digits, moved.digits]),
+            np.concatenate([cw.amps, moved.amps]) / np.sqrt(2),
+        )
+        ref = _dense_expectations(code, mixed.dense())
+        assert np.allclose(cc.stabilizer_expectations(code, mixed), ref, rtol=0, atol=1e-12)
+        assert np.min(np.abs(ref)) < 0.9
+        with pytest.raises(cc.CodeError, match="no definite syndrome"):
+            cc._syndrome(code, mixed)
 
 
 class TestLogicalCC:
@@ -134,7 +267,7 @@ class TestLogicalCC:
         # the block-compressed simulation agrees with a dense 9-qubit x
         # 3-qutrit application of the per-block transversal layers
         shor3, rep = cc.shor_code(3), cc.qutrit_repetition_code()
-        digits, weights, _ = cc._qutrit_tables(3)
+        digits, weights = _dense_tables(3)
         bits = cc._digit_table(2, 9)
         for alpha in range(2):
             for beta in range(3):
@@ -148,7 +281,7 @@ class TestLogicalCC:
                         [(-1) ** (bits[s][j] + bits[s][3 + j] + bits[s][6 + j]) for j in range(3)]
                     )
                     perm = ((digits * sign) % 3) @ weights
-                    out[s * 27 : (s + 1) * 27] = cc._apply_vec_op(block, perm, 1.0)
+                    out[s * 27 : (s + 1) * 27] = _dense_permute(block, perm)
                 want = np.kron(
                     cc.codewords(shor3, alpha), cc.codewords(rep, (1 + alpha) * beta % 3)
                 )
@@ -203,6 +336,71 @@ class TestFaultTolerance:
         report = cc.fault_tolerance_demo(9, 0, "Xh", extra_errors=((1, 1, 1, 0),))
         assert not report["ok"]
         assert report["deviation"] > 0.5
+
+    def test_second_fault_pool_sharing(self):
+        # recovery acts once per distinct register vector; a second Xh in
+        # the same window leaves 84 vectors without a table syndrome when
+        # it sits on another 3-block, and a wrong but table-listed
+        # correction when it shares one
+        report = cc.fault_tolerance_demo(9, 0, "Xh", extra_errors=((1, 4, 1, 0),))
+        assert report["deviation"] == pytest.approx(1.0, abs=1e-12)
+        assert report["uncorrectable"] == 84
+        report = cc.fault_tolerance_demo(9, 0, "Xh", extra_errors=((1, 1, 1, 0),))
+        assert report["deviation"] == pytest.approx(1.0, abs=1e-12)
+        assert report["uncorrectable"] == 0
+
+    def test_pool_vectors_shared(self):
+        sch = cc.logical_CC(9)
+        added = 0
+        for alpha in (0, 1):
+            for beta in (0, 1, 2):
+                inp = cc.concat_state(9, alpha, beta, sch.qutrit_code)
+                out, _ = cc.apply_schedule(sch, inp, ((1, 4, 1, 0),))
+                added += len(out.pool) - len(inp.pool)
+        assert added == 165
+
+    def test_schedule_holds_no_dense_register(self):
+        tracemalloc.start()
+        try:
+            report = cc.fault_tolerance_demo(9, 4, "Xh")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report["ok"]
+        # one 3^9 x 9 digit table is 1.4 MB; dense registers peaked at 30 MB
+        assert peak < 4 * 2**20
+
+    def test_fault_after_last_layer_rejected(self):
+        with pytest.raises(cc.CodeError, match="after_block"):
+            cc.fault_tolerance_demo(9, 4, "Xh", after_block=9)
+
+    def test_negative_layer_rejected(self):
+        with pytest.raises(cc.CodeError, match="after_block"):
+            cc.fault_tolerance_demo(9, 4, "Xh", after_block=-1)
+
+    def test_negative_site_rejected(self):
+        with pytest.raises(cc.CodeError, match="site"):
+            cc.fault_tolerance_demo(9, -1, "Xh")
+
+    def test_site_past_the_register_rejected(self):
+        with pytest.raises(cc.CodeError, match="site"):
+            cc.fault_tolerance_demo(9, 9, "Xh")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(cc.CodeError, match="unknown error kind 'foo'"):
+            cc.fault_tolerance_demo(9, 4, "foo")
+
+    def test_identity_fault_rejected(self):
+        for kind in ((0, 0), (3, 0), (0, 3)):
+            with pytest.raises(cc.CodeError, match="identity"):
+                cc.fault_tolerance_demo(9, 4, kind)
+
+    def test_schedule_rejects_unplaceable_errors(self):
+        sch = cc.logical_CC(9)
+        inp = cc.concat_state(9, 0, 1, sch.qutrit_code)
+        for fault in ((9, 0, 1, 0), (0, 9, 1, 0), (0, 0, 0, 3), (0, 0.5, 1, 0)):
+            with pytest.raises(cc.CodeError):
+                cc.apply_schedule(sch, inp, (fault,))
 
 
 class TestObstruction:
