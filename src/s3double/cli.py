@@ -98,6 +98,8 @@ def _cmd_verify_category(args, emit):
             "magnitudes": oracle.magnitude_residual,
             "monodromy": oracle.monodromy_residual,
             "twists": oracle.twist_residual,
+            "f_entries": oracle.f_entries,
+            "r_entries": oracle.r_entries,
         },
         oracle.passes(1e-9),
     )

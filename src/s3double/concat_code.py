@@ -37,6 +37,11 @@ class CodeError(RuntimeError):
 # Linear algebra over F_p
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _as_matrix(rows, n):
     m = np.array(rows, dtype=np.int64)
     if m.size == 0:
@@ -144,9 +149,10 @@ class QuditCSSCode:
     def k(self) -> int:
         return self.n - rank(self.H_X, self.p) - rank(self.H_Z, self.p)
 
-    def logical_x_reps(self):
-        """Minimum-weight coset representatives of ker(H_Z)/rowspan(H_X),
-        one per logical qudit (length <= 9 only)."""
+    @functools.cached_property
+    def logical_x_reps(self) -> np.ndarray:
+        """Read-only rows: minimum-weight coset representatives of
+        ker(H_Z)/rowspan(H_X), one per logical qudit (length <= 9 only)."""
         if self.n > 9:
             raise CodeError("logical representatives enumerated for n <= 9 only")
         ker = kernel_basis(self.H_Z, self.p)
@@ -160,11 +166,17 @@ class QuditCSSCode:
                 continue
             if in_rowspan(accepted, v, self.p):
                 continue
-            reps.append(np.array(v, dtype=np.int64))
+            reps.append(v)
             accepted = np.vstack([accepted, v])
             if len(reps) == self.k:
-                return reps
+                return _read_only(np.array(reps, dtype=np.int64))
         raise CodeError("failed to construct logical representatives")
+
+    @functools.cached_property
+    def x_span(self) -> np.ndarray:
+        """Read-only rows: every vector of rowspan(H_X), in ascending order."""
+        span = np.array(span_vectors(self.H_X, self.p), dtype=np.int64)
+        return _read_only(span.reshape(-1, self.n))
 
     def distance(self):
         """Minimum weight over both logical-operator cosets (n <= 9 only;
@@ -301,11 +313,10 @@ def _codeword_support(code: QuditCSSCode, logical) -> SupportVector:
     if len(logical) != code.k:
         raise CodeError(f"logical value must have {code.k} digits")
     x = np.zeros(code.n, dtype=np.int64)
-    for v, rep in zip(logical, code.logical_x_reps()):
+    for v, rep in zip(logical, code.logical_x_reps):
         x = (x + v * rep) % code.p
-    span = np.array(span_vectors(code.H_X, code.p), dtype=np.int64).reshape(-1, code.n)
-    amps = np.ones(len(span), dtype=complex)
-    return SupportVector(code.p, (x + span) % code.p, amps / np.linalg.norm(amps))
+    amps = np.ones(len(code.x_span), dtype=complex)
+    return SupportVector(code.p, (x + code.x_span) % code.p, amps / np.linalg.norm(amps))
 
 
 def codewords(code: QuditCSSCode, logical) -> np.ndarray:

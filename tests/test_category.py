@@ -108,6 +108,73 @@ def rebuilt(data, **tables):
     )
 
 
+def reference_raw_symbols():
+    """(F, R, splitting matrices) from the intertwiner construction by explicit
+    kron products and traces, one label tuple at a time: the reference the
+    batched oracle is compared with.  Same SVD, normalisation and phase
+    convention."""
+
+    def group_matrix(a, g):
+        return sum(algebra.double_matrix(a, h, g) for h in algebra.ELEMENTS)
+
+    gens = [("d", h) for h in algebra.ELEMENTS] + [("g", algebra.MU), ("g", algebra.SIGMA)]
+    splitting = {}
+    for a, b, c in itertools.product(ANYONS, repeat=3):
+        da, db, dc = QUANTUM_DIMS[a], QUANTUM_DIMS[b], QUANTUM_DIMS[c]
+        blocks = []
+        for kind, x in gens:
+            if kind == "d":
+                m_ab = algebra.tensor_matrix(a, b, x, algebra.E)
+                m_c = algebra.double_matrix(c, x, algebra.E)
+            else:
+                m_ab = np.kron(group_matrix(a, x), group_matrix(b, x))
+                m_c = group_matrix(c, x)
+            blocks.append(np.kron(m_c, np.eye(da * db)) - np.kron(np.eye(dc), m_ab.T))
+        _, s, vh = np.linalg.svd(np.vstack(blocks))
+        null_dim = int(np.sum(s < 1e-9))
+        assert null_dim == algebra.derive_fusion_rules()[a, b, c], (a, b, c)
+        if null_dim == 0:
+            continue
+        T = vh[-1].conj().reshape(dc, da * db)
+        T = T / np.sqrt(np.trace(T @ T.conj().T).real / dc)
+        flat = T.reshape(-1)
+        lead = flat[int(np.argmax(np.abs(flat) > 0.3))]
+        splitting[a, b, c] = (T * (abs(lead) / lead)).conj().T
+
+    F, R = {}, {}
+    outcomes = algebra.fusion_outcomes
+    for a, b in itertools.product(ANYONS, repeat=2):
+        da, db = QUANTUM_DIMS[a], QUANTUM_DIMS[b]
+        braid = sum(
+            np.kron(group_matrix(a, h), algebra.double_matrix(b, h, algebra.E))
+            for h in algebra.ELEMENTS
+        )
+        swap = np.zeros((db * da, da * db))
+        for i, j in itertools.product(range(da), range(db)):
+            swap[j * da + i, i * db + j] = 1
+        braid = swap @ braid
+        for c in outcomes(a, b):
+            value = np.trace(splitting[b, a, c].conj().T @ braid @ splitting[a, b, c])
+            R[a, b, c] = complex(value / QUANTUM_DIMS[c])
+        for c, d in itertools.product(ANYONS, repeat=2):
+            for e in outcomes(a, b):
+                if not algebra.derive_fusion_rules()[e, c, d]:
+                    continue
+                left = np.kron(splitting[a, b, e], np.eye(QUANTUM_DIMS[c])) @ splitting[e, c, d]
+                for f in outcomes(b, c):
+                    if not algebra.derive_fusion_rules()[a, f, d]:
+                        continue
+                    right = np.kron(np.eye(da), splitting[b, c, f]) @ splitting[a, f, d]
+                    value = np.trace(right.conj().T @ left)
+                    F[a, b, c, d, e, f] = complex(value / QUANTUM_DIMS[d])
+    return F, R, splitting
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return reference_raw_symbols()
+
+
 class TestConsistency:
     def test_full_report(self, data):
         report = category.verify_consistency(data)
@@ -404,3 +471,104 @@ class TestOracle:
         )
         report = category.verify_consistency(raw)
         assert report.passes(1e-9), report
+
+    def test_raw_symbols_match_reference(self, reference):
+        ref_F, ref_R, _ = reference
+        raw_F, raw_R = category.raw_symbols()
+        # same keys in the same order, every entry in the same phase gauge
+        assert list(raw_F) == list(ref_F) and len(raw_F) == 2948
+        assert list(raw_R) == list(ref_R) and len(raw_R) == 116
+        for raw, ref in ((raw_F, ref_F), (raw_R, ref_R)):
+            assert all(type(v) is complex for v in raw.values())
+            assert max(abs(raw[k] - ref[k]) for k in ref) < 1e-12
+
+    def test_splitting_tensors_match_reference(self, reference):
+        S, counts = category.splitting_tensors()
+        splitting = reference[2]
+        assert int(counts.sum()) == len(splitting) == 116
+        for (a, b, c), ref in splitting.items():
+            i, j, k = (ANYONS.index(x) for x in (a, b, c))
+            da, db, dc = (QUANTUM_DIMS[x] for x in (a, b, c))
+            assert np.abs(S[i, j, k, :da, :db, :dc].reshape(da * db, dc) - ref).max() < 1e-12
+        # padding and absent channels are zero
+        assert np.count_nonzero(S) == sum(np.count_nonzero(s) for s in splitting.values())
+        with pytest.raises(ValueError):
+            S[0, 0, 0, 0, 0, 0] = 1
+
+    def test_pair_actions_match_tensor_matrices(self):
+        delta, group = category.pair_actions()
+        D, G = category.module_matrices()
+        for (i, a), (j, b) in itertools.product(enumerate(ANYONS), repeat=2):
+            da, db = QUANTUM_DIMS[a], QUANTUM_DIMS[b]
+            for h in algebra.ELEMENTS:
+                got = delta[i, j, h.index, :da, :db, :da, :db].reshape(da * db, da * db)
+                want = algebra.tensor_matrix(a, b, h, algebra.E)
+                assert np.abs(got - want).max() < 1e-15, (a, b, h)
+                act_a = sum(algebra.double_matrix(a, x, h) for x in algebra.ELEMENTS)
+                act_b = sum(algebra.double_matrix(b, x, h) for x in algebra.ELEMENTS)
+                assert np.array_equal(G[i, h.index, :da, :da], act_a)
+                got = group[i, j, h.index, :da, :db, :da, :db].reshape(da * db, da * db)
+                assert np.array_equal(got, np.kron(act_a, act_b)), (a, b, h)
+            # nothing outside the d_a x d_b block
+            assert not delta[i, j][..., da:, :, :, :].any()
+            assert not group[i, j][..., :, db:, :, :].any()
+
+    def test_wrong_multiplicity_raises(self, monkeypatch):
+        wrong = dict(algebra.derive_fusion_rules())
+        wrong["C", "C", "D"] = 1
+        monkeypatch.setattr(algebra, "derive_fusion_rules", lambda: wrong)
+        category.splitting_tensors.cache_clear()
+        try:
+            with pytest.raises(category.CategoryError, match="multiplicity 1"):
+                category.splitting_tensors()
+        finally:
+            category.splitting_tensors.cache_clear()
+
+    def test_dimension_check_reads_the_intertwiner_counts(self, data, monkeypatch):
+        category.raw_symbols()  # cached before the counts are replaced
+        S, counts = category.splitting_tensors()
+        short = counts.copy()
+        short[ANYONS.index("D"), ANYONS.index("D"), ANYONS.index("C")] = 0
+        monkeypatch.setattr(category, "splitting_tensors", lambda: (S, short))
+        report = category.derive_gauge_invariants(data)
+        # d_D d_D = 9 but the C channel (d = 2) is missing from the counts
+        assert report.dim_residual == 2.0
+        assert not report.passes()
+
+    def test_scaled_f_magnitude_fails(self, data):
+        key = ("G", "G", "G", "G", "A", "G")
+        F = dict(data.F)
+        F[key] *= 1 + 1e-6
+        report = category.derive_gauge_invariants(rebuilt(data, F=F))
+        assert report.magnitude_residual > 1e-7 and report.worst_entry == key
+        assert not report.passes()
+        # the oracle compares |F| only; one entry's phase is the consistency
+        # check's to catch
+        assert category.derive_gauge_invariants(
+            rebuilt(data, F=with_phase(data.F, key))
+        ).passes()
+
+    def test_changed_monodromy_fails(self, data):
+        report = category.derive_gauge_invariants(
+            rebuilt(data, R=with_phase(data.R, ("C", "D", "D")))
+        )
+        assert report.monodromy_residual > 1e-7 and report.twist_residual < 1e-9
+        assert not report.passes()
+
+    def test_sign_flipped_self_braid_fails_on_twist(self, data):
+        # R^{CC}_A -> -R^{CC}_A keeps the monodromy (R^{CC}_A)^2; only the
+        # twist theta_C = sum_c (d_c/d_C) R^{CC}_c sees it
+        R = dict(data.R)
+        R["C", "C", "A"] *= -1
+        report = category.derive_gauge_invariants(rebuilt(data, R=R))
+        assert report.monodromy_residual < 1e-9
+        assert abs(report.twist_residual - 1.0) < 1e-9
+        assert not report.passes()
+
+    def test_counts_entries_compared(self, data):
+        report = category.derive_gauge_invariants(data)
+        assert (report.f_entries, report.r_entries) == (2948, 116)
+        fields = dict(report.__dict__, f_entries=0)
+        assert not category.OracleReport(**fields).passes()
+        fields = dict(report.__dict__, r_entries=0)
+        assert not category.OracleReport(**fields).passes()

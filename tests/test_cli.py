@@ -53,6 +53,8 @@ class TestRecords:
         assert code == 0 and len(recs) == 2
         assert all(r["pass"] and r["seed"] == 1 for r in recs)
         assert {r["check"] for r in recs} == {"consistency", "gauge-invariant-oracle"}
+        oracle = recs[1]
+        assert (oracle["f_entries"], oracle["r_entries"]) == (2948, 116)
 
     def test_ground_state_records(self, capsys):
         code, out, _ = run(["ground-state", "--width", "2", "--height", "1"], capsys)

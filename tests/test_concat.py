@@ -94,6 +94,19 @@ class TestCodes:
         code = cc.qutrit_shor_code()
         assert (code.p, code.n, code.k, code.distance()) == (3, 9, 1, 3)
 
+    def test_coset_tables_are_cached_and_read_only(self):
+        code = cc.qutrit_shor_code()
+        reps, span = code.logical_x_reps, code.x_span
+        assert code.logical_x_reps is reps and code.x_span is span
+        assert reps.shape == (1, 9) and span.shape == (9, 9)
+        # each representative is a logical X: in ker(H_Z), outside rowspan(H_X)
+        assert not ((code.H_Z @ reps.T) % 3).any()
+        assert not cc.in_rowspan(code.H_X, reps[0], 3)
+        assert sorted(map(tuple, span.tolist())) == cc.span_vectors(code.H_X, 3)
+        for table in (reps, span):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+
     def test_repetition_distance_one(self):
         code = cc.qutrit_repetition_code()
         assert (code.k, code.distance()) == (1, 1)
