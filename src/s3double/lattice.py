@@ -40,7 +40,8 @@ charge projectors K^{R,C}_s are fixed linear combinations of these, F^{R,C;u,v}
 A^g_v B^h_p, with coefficients read from algebra's tables (ribbon_terms,
 CHARACTERS); this module does no representation theory of its own.  Every
 (u, v) Kraus branch of a mixed anyon ribbon comes from anyon_ribbon_branches,
-with one triangle walk per flux h = c.
+with one triangle walk and one merge per flux h = c; the K^a of one flux
+class come from one A^g_v orbit and one merge (_charge_projections).
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .algebra import (
     ANYONS,
     CHARACTERS,
     E,
-    ELEMENTS,
     GroupElement,
     INV_TABLE,
     MUL_TABLE,
@@ -247,15 +247,19 @@ def _merged(lattice, pieces, uniform) -> LatticeState:
     amplitudes dropped.  No pieces give the zero state."""
     if not pieces:
         return LatticeState(lattice, _identity_keys(0), np.zeros(0, dtype=complex), uniform)
-    if len(pieces) == 1:
-        keys, amps = pieces[0]
-    else:
-        keys, amps = map(np.concatenate, zip(*pieces))
+    keys, amps = pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces))
+    return _merged_columns(lattice, keys, amps[:, None], uniform)[0]
+
+
+def _merged_columns(lattice, keys, amps, uniform) -> list:
+    """[_merged of (keys, column) for each column of the (term, column) amps],
+    with one np.unique for all columns."""
     uniq, inverse = np.unique(keys, return_inverse=True)
-    out = np.zeros(len(uniq), dtype=complex)
-    np.add.at(out, inverse, amps)
+    out = np.zeros((amps.shape[1], len(uniq)), dtype=complex)
+    for col, a in zip(out, amps.T):
+        np.add.at(col, inverse, a)
     keep = np.abs(out) > PRUNE_TOL
-    return LatticeState(lattice, uniq[keep], out[keep], uniform)
+    return [LatticeState(lattice, uniq[m], col[m], uniform) for col, m in zip(out, keep)]
 
 
 def _left_mult(keys, edge, g_arr):
@@ -291,6 +295,13 @@ def _gauge_at_vertex(lattice, keys, v, g_arr, star=None):
         else:
             keys = _right_mult_inv(keys, edge, g_arr)
     return keys
+
+
+def _gauge_orbit(lattice, keys, v):
+    """A^g_v of every key for every g, g-major: entry g * len(keys) + i is
+    A^g_v of keys[i]."""
+    g_arr = np.repeat(np.arange(ORDER, dtype=np.int64), len(keys))
+    return _gauge_at_vertex(lattice, np.tile(keys, ORDER), v, g_arr)
 
 
 def canonicalize_keys(lattice, keys, uniform):
@@ -370,13 +381,7 @@ def uniformize(state: LatticeState, v) -> LatticeState:
 def _gauge_average(state: LatticeState, v, uniform, divisor) -> LatticeState:
     """sum_g A^g_v / divisor applied to the stored terms, canonicalized for
     the given uniform set."""
-    orbit = [
-        _gauge_at_vertex(
-            state.lattice, state.keys, v, np.full(state.n_terms, g, dtype=np.int64)
-        )
-        for g in range(ORDER)
-    ]
-    keys = canonicalize_keys(state.lattice, np.concatenate(orbit), uniform)
+    keys = canonicalize_keys(state.lattice, _gauge_orbit(state.lattice, state.keys, v), uniform)
     return _merged(state.lattice, [(keys, np.tile(state.amps / divisor, ORDER))], uniform)
 
 
@@ -525,7 +530,8 @@ def staircase_ribbon(lattice: Lattice, site, moves: str) -> Ribbon:
 def _ribbon_sum(state: LatticeState, ribbon: Ribbon, h: GroupElement, rows) -> list:
     """[sum_g row[g] F^{h,g}_rho for row in rows] from one triangle walk: the
     walk moves keys by h alone, and the product of the elements read picks
-    each term's g.  Keys are canonicalized once, before each row's mask."""
+    each term's g.  All rows share the walk's keys, so they are canonicalized
+    and merged once."""
     state = _deuniformized(state, ribbon.vertices)
     keys = state.keys
     prefix = np.zeros(len(keys), dtype=np.int64)  # product of elements read
@@ -541,11 +547,9 @@ def _ribbon_sum(state: LatticeState, ribbon: Ribbon, h: GroupElement, rows) -> l
             else:
                 keys = _right_mult_inv(keys, tri.edge, conj)
     keys = canonicalize_keys(state.lattice, keys, state.uniform)
-    coeffs = np.asarray(rows)[:, prefix]  # (row, term)
-    return [
-        _merged(state.lattice, [(keys[m], state.amps[m] * c[m])], state.uniform)
-        for c, m in zip(coeffs, coeffs != 0)
-    ]
+    coeffs = np.asarray(rows).T[prefix]  # (term, row)
+    # amplitudes stay the left operand: a * c and c * a can round differently
+    return _merged_columns(state.lattice, keys, state.amps[:, None] * coeffs, state.uniform)
 
 
 def apply_ribbon(
@@ -626,54 +630,70 @@ class AnyonConfiguration:
 _FLUX_CLASSES = tuple(
     (a, np.flatnonzero(CHARACTERS[ANYONS.index(a), :, E.index])) for a in "ADF"
 )
+# flux h -> index of its class in _FLUX_CLASSES
+_CLASS_OF_FLUX = np.argmax([np.isin(np.arange(ORDER), f) for _, f in _FLUX_CLASSES], axis=0)
+
+
+def _charge_table(fluxes):
+    """(anyons, h, g, coeffs) of one flux class: its anyons in ANYONS order,
+    the (h, g) pairs in (h, g) order at which any of them has chi_a(h, g) != 0,
+    and coeffs[pair, anyon] = (d_a/|G|) conj chi_a(h, g)."""
+    anyons = "".join(a for a, chars in zip(ANYONS, CHARACTERS) if chars[fluxes].any())
+    chars = CHARACTERS[[ANYONS.index(a) for a in anyons]]
+    h, g = np.nonzero(chars.any(axis=0))
+    scale = np.array([QUANTUM_DIMS[a] for a in anyons]) / ORDER
+    return anyons, h, g, scale * np.conj(chars[:, h, g]).T
+
+
+_CHARGE_TABLES = tuple(_charge_table(fluxes) for _, fluxes in _FLUX_CLASSES)
+
+
+def _charge_projections(state: LatticeState, site, flux, table) -> list:
+    """[(a, K^a_s applied to state)] for the anyons a of a flux class's table,
+    from one A^g_v orbit of the (term, g) pairs that their characters reach;
+    flux is _flux(state, site) and the site vertex must not be uniform."""
+    anyons, hs, gs, coeffs = table
+    # (h, g, term) order: keys that collide are summed as a loop over h, then g would
+    pair, term = np.nonzero(hs[:, None] == flux)
+    if not len(term):  # no term carries a flux of this class
+        return [(a, _merged(state.lattice, [], state.uniform)) for a in anyons]
+    keys = _gauge_at_vertex(state.lattice, state.keys[term], site, gs[pair])
+    keys = canonicalize_keys(state.lattice, keys, state.uniform)
+    amps = coeffs[pair]
+    # amplitudes stay the left operand: a * c and c * a can round differently
+    np.multiply(state.amps[term, None], amps, out=amps)
+    return list(zip(anyons, _merged_columns(state.lattice, keys, amps, state.uniform)))
 
 
 def apply_K(state: LatticeState, site, anyon: str) -> LatticeState:
-    """Charge projector K^a_s = (d_a/|G|) sum_{h,g} conj chi_a(h, g) A^g_v B^h_p
-    (site vertex must not be uniform)."""
-    chars = CHARACTERS[ANYONS.index(anyon)]
-    scale = QUANTUM_DIMS[anyon] / ORDER
-    v = site
-    if v in state.uniform:
-        state = deuniformize(state, v)
-    pieces = []
-    for h in np.flatnonzero(chars.any(axis=1)):
-        flux_part = apply_plaquette(state, site, ELEMENTS[h])
-        if flux_part.n_terms == 0:
-            continue
-        for g in np.flatnonzero(chars[h]):
-            g_arr = np.full(flux_part.n_terms, g, dtype=np.int64)
-            keys = _gauge_at_vertex(state.lattice, flux_part.keys, v, g_arr)
-            pieces.append((keys, flux_part.amps * (scale * np.conj(chars[h, g]))))
-    if not pieces:
-        return _merged(state.lattice, [], state.uniform)
-    # one canonicalize call for all pieces: per-call overhead dominates on
-    # the few-term states of the protocols
-    keys, amps = map(np.concatenate, zip(*pieces))
-    keys = canonicalize_keys(state.lattice, keys, state.uniform)
-    return _merged(state.lattice, [(keys, amps)], state.uniform)
+    """Charge projector K^a_s = (d_a/|G|) sum_{h,g} conj chi_a(h, g) A^g_v B^h_p,
+    read off the projections of a's flux class."""
+    if site in state.uniform:
+        state = deuniformize(state, site)
+    table = next(t for t in _CHARGE_TABLES if anyon in t[0])
+    return dict(_charge_projections(state, site, _flux(state, site), table))[anyon]
 
 
 def measure_site(state: LatticeState, site, rng):
     """Sample the anyon charge at one site; returns (letter, post-state)."""
-    v = site
-    if v in state.uniform:
+    if site in state.uniform:
         # A_v-invariant sector: only the pure flux-class outcomes, and K
         # reduces to a flux-class projector — no expansion needed
-        f = _flux(state, site)
-        masks = [np.isin(f, fluxes) for _, fluxes in _FLUX_CLASSES]
+        f = _CLASS_OF_FLUX[_flux(state, site)]
+        masks = [f == i for i in range(len(_FLUX_CLASSES))]
         probs = np.array([np.sum(np.abs(state.amps[m]) ** 2) for m in masks])
         pick = rng.choice(len(masks), p=probs / probs.sum())
         m = masks[pick]
         post = LatticeState(state.lattice, state.keys[m], state.amps[m], state.uniform)
         return _FLUX_CLASSES[pick][0], post.normalized()
     # K projectors resolve the identity on the normalized state, so outcomes
-    # can be sampled with an early exit instead of projecting onto all eight
+    # can be sampled with an early exit; classes are projected lazily, in
+    # ANYONS order, so none after the outcome's class is built
     u = rng.random() * state.norm() ** 2
     acc = 0.0
     letter, post = None, None
-    for a in ANYONS:
-        proj = apply_K(state, site, a)
+    flux = _flux(state, site)
+    for a, proj in (p for t in _CHARGE_TABLES for p in _charge_projections(state, site, flux, t)):
         w = proj.norm() ** 2
         if w <= PRUNE_TOL:
             continue

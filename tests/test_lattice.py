@@ -1,12 +1,27 @@
 """Lattice, ribbon-operator, and charge-measurement tests."""
 
+import tracemalloc
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s3double import lattice as lat
-from s3double.algebra import ANYON_TABLE, ANYONS, ELEMENTS, E, MU, QUANTUM_DIMS, SIGMA
+from s3double.algebra import (
+    ANYON_TABLE,
+    ANYONS,
+    CHARACTERS,
+    ELEMENTS,
+    INV_TABLE,
+    MU,
+    MUL_TABLE,
+    QUANTUM_DIMS,
+    SIGMA,
+    E,
+    ribbon_terms,
+)
 
 elements = st.sampled_from(ELEMENTS)
 
@@ -406,6 +421,85 @@ def _K_by_centralizer(state, site, anyon):
     return lat._merged(state.lattice, pieces, state.uniform)
 
 
+def _K_per_anyon(state, site, anyon):
+    """K^a_s as one anyon's own loop: for each flux h, the B^h_p part moved by
+    A^g_v for each g with chi_a(h, g) != 0, then one canonicalize and merge."""
+    chars = CHARACTERS[ANYONS.index(anyon)]
+    scale = QUANTUM_DIMS[anyon] / lat.ORDER
+    state = lat._deuniformized(state, [site])
+    pieces = []
+    for h in np.flatnonzero(chars.any(axis=1)):
+        flux_part = lat.apply_plaquette(state, site, ELEMENTS[h])
+        if flux_part.n_terms == 0:
+            continue
+        for g in np.flatnonzero(chars[h]):
+            g_arr = np.full(flux_part.n_terms, g, dtype=np.int64)
+            keys = lat._gauge_at_vertex(state.lattice, flux_part.keys, site, g_arr)
+            pieces.append((keys, flux_part.amps * (scale * np.conj(chars[h, g]))))
+    if not pieces:
+        return lat._merged(state.lattice, [], state.uniform)
+    keys, amps = map(np.concatenate, zip(*pieces))
+    keys = lat.canonicalize_keys(state.lattice, keys, state.uniform)
+    return lat._merged(state.lattice, [(keys, amps)], state.uniform)
+
+
+def _measure_site_per_anyon(state, site, rng):
+    """measure_site as a walk over the eight anyons, one _K_per_anyon each,
+    with np.isin flux-class masks at a uniform vertex."""
+    if site in state.uniform:
+        f = lat._flux(state, site)
+        masks = [np.isin(f, fluxes) for _, fluxes in lat._FLUX_CLASSES]
+        probs = np.array([np.sum(np.abs(state.amps[m]) ** 2) for m in masks])
+        pick = rng.choice(len(masks), p=probs / probs.sum())
+        m = masks[pick]
+        post = lat.LatticeState(state.lattice, state.keys[m], state.amps[m], state.uniform)
+        return lat._FLUX_CLASSES[pick][0], post.normalized()
+    u = rng.random() * state.norm() ** 2
+    acc = 0.0
+    letter, post = None, None
+    for a in ANYONS:
+        proj = _K_per_anyon(state, site, a)
+        w = proj.norm() ** 2
+        if w <= lat.PRUNE_TOL:
+            continue
+        letter, post = a, proj
+        acc += w
+        if acc >= u:
+            break
+    post = post.normalized()
+    if letter == "A" and site != (0, 0):
+        post = lat.uniformize(post, site)
+    return letter, post
+
+
+def _branches_per_row(state, ribbon, anyon):
+    """anyon_ribbon_branches with one _merged per (u, v) row of each flux
+    walk, over the terms where that row's coefficient is nonzero; also
+    whether canonicalization moved any key of a walk."""
+    basis = ANYON_TABLE[anyon].basis
+    state = lat._deuniformized(state, ribbon.vertices)
+    out, moved = [], False
+    for h, us in groupby(basis, key=lambda u: u[0]):
+        keys, prefix = state.keys, np.zeros(state.n_terms, dtype=np.int64)
+        for tri in ribbon.triangles:
+            if tri.kind == "direct":
+                d = lat._digit(keys, tri.edge)
+                prefix = MUL_TABLE[prefix, d if tri.positive else INV_TABLE[d]]
+            else:
+                conj = MUL_TABLE[MUL_TABLE[INV_TABLE[prefix], h.index], prefix]
+                step = lat._left_mult if tri.positive else lat._right_mult_inv
+                keys = step(keys, tri.edge, conj)
+        canonical = lat.canonicalize_keys(state.lattice, keys, state.uniform)
+        moved |= not np.array_equal(canonical, keys)
+        keys = canonical
+        for u in us:
+            for v in basis:
+                c = ribbon_terms(anyon, u, v)[1][prefix]
+                m = c != 0
+                out.append(lat._merged(state.lattice, [(keys[m], state.amps[m] * c[m])], state.uniform))
+    return out, moved
+
+
 def _random_state(lattice, n_terms, seed, uniform=(), explicit=()):
     """Random amplitudes on random configurations, then the `uniform`
     vertices made uniform and the `explicit` ones expanded again with new
@@ -486,6 +580,72 @@ class TestAlgebraTableOracles:
         state = oracle_states["orbits"]
         for v in [(0, 1), (1, 1)]:
             assert np.array_equal(lat.vertex_projector(state, v).keys, state.keys)
+
+
+class TestChargeMeasurementOracles:
+    """measure_site and the mixed-ribbon branches against the per-anyon and
+    per-row references, bitwise."""
+
+    @pytest.mark.parametrize("kind", ["explicit", "uniform", "orbits"])
+    def test_measure_site_equals_per_anyon_walk(self, oracle_states, kind):
+        state = oracle_states[kind]
+        classes = set()
+        for site in [(0, 1), (1, 1)]:
+            for seed in range(24):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                letter, post = lat.measure_site(state, site, rng)
+                want_letter, want = _measure_site_per_anyon(state, site, ref_rng)
+                assert letter == want_letter, (site, seed)
+                assert post.uniform == want.uniform
+                assert np.array_equal(post.keys, want.keys), (site, seed)
+                assert np.array_equal(post.amps, want.amps), (site, seed)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                classes.add(letter)
+        # outcomes of all three flux classes occur
+        assert classes & set("ABC") and classes & set("DE") and classes & set("FGH"), classes
+
+    # the h ribbon's dual edge is the tree edge into the uniform vertex (1, 2),
+    # so its walks leave the canonical gauge; the v ribbon's dual edge is no
+    # tree edge
+    @pytest.mark.parametrize(
+        "make,moving", [(lat.shortest_h, set("DEFGH")), (lat.shortest_v, set())], ids=["h", "v"]
+    )
+    def test_branches_equal_per_row_merge(self, oracle_states, make, moving):
+        state = oracle_states["uniform"]
+        rib = make(state.lattice, (0, 1))
+        moved = set()
+        for a in ANYONS:
+            got = lat.anyon_ribbon_branches(state, rib, a)
+            want, moves = _branches_per_row(state, rib, a)
+            if moves:
+                moved.add(a)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.uniform == w.uniform
+                assert np.array_equal(g.keys, w.keys), a
+                assert np.array_equal(g.amps, w.amps), a
+        # a walk never maps two terms to one key (F^{h,g} commutes with A_v at
+        # each vertex left uniform), so each sum has one term per key
+        assert moved == moving
+
+    def test_measure_site_memory_on_an_expanded_ribbon_state(self):
+        # one D pair on the fully expanded 3x1 strip: 93,312 terms, all with
+        # a transposition flux at the site; the per-class projection peaks
+        # near 19 MiB, one of all eight anyons over the whole A_v orbit at
+        # once above 150 MiB
+        gs = lat.ground_state(lat.Lattice(3, 1))
+        rib = lat.shortest_h(gs.lattice, (0, 0))
+        state = lat.apply_anyon_ribbon(gs, rib, "D", mixed=True, rng=np.random.default_rng(0))
+        state = lat.expanded(state)
+        assert state.n_terms == 93312
+        tracemalloc.start()
+        try:
+            letter, post = lat.measure_site(state, (0, 0), np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert letter in "DE" and post.n_terms == state.n_terms
+        assert peak <= 32 * 2**20, peak / 2**20
 
 
 class TestOrthonormality:
