@@ -5,23 +5,31 @@ sigma exponent), so every edge operator becomes a small circuit over dimension
 2 and 3 wires.  The module provides
 
 * one interpreter for adaptive circuits (classically controlled gates,
-  mid-circuit measurement, ancilla allocation and trace-out): `_step` returns
-  every branch of one op, `simulate` follows one sampled trajectory through
-  it and `channel_kraus` enumerates every branch,
+  mid-circuit measurement, ancilla allocation and trace-out) on a sparse
+  register, a digit matrix (one row per stored basis state, one column per
+  wire) with its amplitudes: `_step` returns every branch of one op,
+  `simulate` follows one sampled trajectory through it and `channel_kraus`
+  enumerates every branch,
 * builders for the single-edge group multiplication / projection circuits,
   for the two-edge anyon-pair ribbon circuits of every anyon type, and for
   the adaptive charge-measurement circuit at a lattice site,
 * channel extraction by branch enumeration and Choi-matrix equivalence
-  checking against operator-level oracles.
+  checking against operator-level oracles,
+* exact conversion between a lattice state's stored terms and the register
+  (edge e's group index g = k + 3l on qutrit wire 2e = k and qubit wire
+  2e+1 = l), so the charge-measurement circuit runs on the sparse state.
 
-The charge-conjugation gate CC (qubit-controlled qutrit inversion) is the
-only non-Clifford gate kind; every other kind is a qubit/qutrit Pauli or a
-controlled Pauli.  Maximally mixed ancillas are realized as uniformly sampled
-computational basis states (trajectory unraveling of the trace-out channel).
+Every gate kind is a monomial, so a gate is a lookup on the digits of its
+wires plus a phase.  The charge-conjugation gate CC (qubit-controlled qutrit
+inversion) is the only non-Clifford gate kind; every other kind is a
+qubit/qutrit Pauli or a controlled Pauli.  Maximally mixed ancillas are
+realized as uniformly sampled computational basis states (trajectory
+unraveling of the trace-out channel).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,17 +54,22 @@ class CircuitError(RuntimeError):
 
 
 def _monomial_powers(dims, period, action):
-    """Read-only powers U^0 .. U^(period-1) of the monomial gate on wires of
-    `dims` with U^p |x> = phase |y> for (y, phase) = action(p, *x)."""
+    """Powers U^0 .. U^(period-1) of the monomial gate on wires of `dims`
+    with U^p |x> = phase |y> for (y, phase) = action(p, *x).  Each power is a
+    read-only (target, phase) pair of arrays over the local basis (C order,
+    first wire slowest): U^p |x> = phase[x] |target[x]>."""
     size = int(np.prod(dims))
     powers = []
     for p in range(period):
-        u = np.zeros((size, size), dtype=complex)
+        target = np.zeros(size, dtype=np.int64)
+        phase = np.zeros(size, dtype=complex)
         for x in np.ndindex(*dims):
-            y, phase = action(p, *x)
-            u[np.ravel_multi_index(y, dims), np.ravel_multi_index(x, dims)] = phase
-        u.setflags(write=False)
-        powers.append(u)
+            y, ph = action(p, *x)
+            i = np.ravel_multi_index(x, dims)
+            target[i], phase[i] = np.ravel_multi_index(y, dims), ph
+        target.setflags(write=False)
+        phase.setflags(write=False)
+        powers.append((target, phase))
     return tuple(dims), tuple(powers)
 
 
@@ -87,9 +100,14 @@ def _gate_entry(kind):
 
 
 def gate_unitary(kind: str, power: int = 1) -> np.ndarray:
-    """The read-only table entry U^power of a gate kind."""
+    """U^power of a gate kind as a read-only dense matrix, built from its
+    (target, phase) table entry."""
     powers = _gate_entry(kind)[1]
-    return powers[power % len(powers)]
+    target, phase = powers[power % len(powers)]
+    u = np.zeros((len(target), len(target)), dtype=complex)
+    u[target, np.arange(len(target))] = phase
+    u.setflags(write=False)
+    return u
 
 
 def _projector_table():
@@ -101,13 +119,7 @@ def _projector_table():
     ]
     plus3 = np.full((3, 1), 1 / np.sqrt(3), dtype=complex)
     p0 = plus3 @ plus3.conj().T
-    table = {
-        ("comp", d): [
-            np.diag([1.0 if i == o else 0.0 for i in range(d)]).astype(complex)
-            for o in range(d)
-        ]
-        for d in (2, 3)
-    }
+    table = {("comp", d): [np.diag(row).astype(complex) for row in np.eye(d)] for d in (2, 3)}
     table["x2", 2] = [v @ v.conj().T for v in (plus2, minus2)]
     table["x3", 3] = [v @ v.conj().T for v in fourier3]
     table["ma1", 3] = [p0, np.eye(3, dtype=complex) - p0]
@@ -224,50 +236,31 @@ class AdaptiveCircuit:
         return "\n".join(lines) + "\n"
 
 
+def _parse_pairs(text):
+    """((label, value), ...) of "label=value,..." text."""
+    return tuple((l, int(v)) for l, v in (p.split("=") for p in text.split(",") if p))
+
+
 def from_text(text: str) -> AdaptiveCircuit:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     dims = tuple(int(d) for d in lines[0].split()[1].split(","))
-    accept_tok = lines[1].split()
-    accept = tuple(
-        (l, int(v))
-        for l, v in (p.split("=") for p in (accept_tok[1].split(",") if len(accept_tok) > 1 else []) if p)
-    )
+    accept = _parse_pairs("".join(lines[1].split()[1:]))
     ops = []
     for ln in lines[2:]:
         toks = ln.split()
         kv = dict(t.split("=", 1) for t in toks[1:] if "=" in t)
-        cond = tuple(
-            (l, int(v))
-            for l, v in (p.split("=") for p in kv.get("cond", "").split(",") if p)
-        )
         if toks[0] == "gate":
-            ops.append(
-                Op(
-                    "gate",
-                    gate=toks[1],
-                    wires=tuple(_parse_wire(w) for w in kv["w"].split(",")),
-                    power=Expr.decode(kv["pow"]),
-                    cond=cond,
-                )
-            )
+            wires = tuple(_parse_wire(w) for w in kv["w"].split(","))
+            op = Op("gate", gate=toks[1], wires=wires, power=Expr.decode(kv["pow"]))
         elif toks[0] == "measure":
-            ops.append(
-                Op(
-                    "measure",
-                    wires=(_parse_wire(kv["w"]),),
-                    basis=kv["basis"],
-                    label=kv["label"],
-                    cond=cond,
-                )
-            )
+            op = Op("measure", wires=(_parse_wire(kv["w"]),), basis=kv["basis"], label=kv["label"])
         elif toks[0] == "alloc":
-            ops.append(
-                Op("alloc", label=kv["name"], dim=int(kv["dim"]), init=kv["init"], cond=cond)
-            )
+            op = Op("alloc", label=kv["name"], dim=int(kv["dim"]), init=kv["init"])
         elif toks[0] == "free":
-            ops.append(Op("free", label=kv["name"], cond=cond))
+            op = Op("free", label=kv["name"])
         else:
             raise CircuitError(f"bad line {ln!r}")
+        ops.append(replace(op, cond=_parse_pairs(kv.get("cond", ""))))
     return AdaptiveCircuit(dims, tuple(ops), accept)
 
 
@@ -276,60 +269,58 @@ def from_text(text: str) -> AdaptiveCircuit:
 
 
 class QuditRegister:
-    """Ordered wires of dimension 2 or 3 with a dense state vector."""
+    """Ordered wires of dimension 2 or 3 with a sparse state: row i of
+    `digits` (terms x wires) is a basis state and `amps[i]` its amplitude.
+    Equal rows are added up.  Without digits the register holds |0...0>."""
 
-    def __init__(self, dims, vec=None):
+    def __init__(self, dims, digits=None, amps=None):
         self.dims = list(dims)
         if any(d not in (2, 3) for d in self.dims):
             raise CircuitError("wire dimensions must be 2 or 3")
-        size = int(np.prod(self.dims)) if self.dims else 1
-        if vec is None:
-            vec = np.zeros(size, dtype=complex)
-            vec[0] = 1.0
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        if vec.size != size:
-            raise CircuitError("vector length does not match wire dimensions")
-        self.vec = vec
+        if digits is None:
+            digits, amps = np.zeros((1, len(self.dims)), dtype=np.int8), [1.0]
+        digits, amps = np.asarray(digits), np.asarray(amps, dtype=complex)
+        if digits.ndim != 2 or digits.shape[1] != len(self.dims) or amps.shape != (len(digits),):
+            raise CircuitError("a register needs one digit column per wire, one amplitude per row")
+        if digits.dtype.kind not in "iu" or ((digits < 0) | (digits >= self.dims)).any():
+            raise CircuitError("register digits must be integers below their wire dimension")
+        self.digits, self.amps = _merged_rows(digits.astype(np.int8), amps, self.dims)
         self.record = {}
 
     def norm(self):
-        return float(np.linalg.norm(self.vec))
+        return float(np.linalg.norm(self.amps))
 
 
-def _apply_unitary(vec, dims, axes, u):
-    t = vec.reshape(dims)
-    n = len(axes)
-    t = np.moveaxis(t, axes, range(n))
-    shp = t.shape
-    d = int(np.prod(shp[:n]))
-    t = (u @ t.reshape(d, -1)).reshape(shp)
-    t = np.moveaxis(t, range(n), axes)
-    return t.reshape(-1)
+def _merged_rows(digits, amps, radices):
+    """Distinct rows of `digits`, the amplitudes of equal rows added and exact
+    zeros dropped.  Rows are keyed by one int64 mixed-radix key."""
+    size = math.prod(radices)
+    if size > np.iinfo(np.int64).max:
+        raise lat.ResourceError(f"{size} register basis states overflow an int64 key", len(amps))
+    keys = np.ravel_multi_index(digits.T, radices)
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    summed = np.zeros(len(uniq), dtype=complex)
+    np.add.at(summed, inverse, amps)
+    keep = summed != 0
+    return digits[first[keep]], summed[keep]
 
 
-def _init_vector(init, dim):
-    if init == "zero":
-        v = np.zeros(dim, dtype=complex)
-        v[0] = 1.0
-        return v
-    if init == "plus":
-        return np.full(dim, 1 / np.sqrt(dim), dtype=complex)
-    raise CircuitError(f"unknown ancilla init {init!r}")
+def _step(op, dims, names, digits, amps, record, tail=()):
+    """Every branch of one op as a list of (weight, dims, names, digits, amps,
+    record).  Row i of `digits` (one column per wire of `dims`, then one per
+    radix of `tail`, which no op reads) is a basis state and `amps[i]` its
+    amplitude; `names` maps ancilla names to wires.  No input is modified.
 
-
-def _step(op, dims, names, rows, record):
-    """Every branch of one op as a list of (weight, dims, names, rows, record).
-
-    `rows` has one row per basis state of the wires `dims` and one column per
-    input basis state (a state vector is one column); `names` maps ancilla
-    names to wire indices.  No input is modified.  A gate, a pure ancilla or
-    an op whose condition fails gives one branch of weight 1; a mixed ancilla
-    gives one branch per basis state, of weight 1/dim, with the state recorded
-    under its name; a measurement or a free gives one unnormalised branch per
-    outcome, zero-norm ones included."""
+    A failed condition or a gate power of 0 returns the input; a gate looks
+    up its wires' digits in its (target, phase) table.  An alloc adds a
+    column: `plus` tiles the rows over its values with amplitude/sqrt(dim),
+    `mixed` gives one branch per value, of weight 1/dim, recorded under the
+    ancilla's name.  A measurement gives one unnormalised branch per outcome
+    (zero-norm ones included): each row goes through the nonzero entries of
+    the projector's column, then equal rows merge.  A free gives one branch
+    per value: the rows with that value, the column dropped."""
     if any(record.get(l) != v for l, v in op.cond):
-        return [(1.0, dims, names, rows, record)]
-    cols = rows.shape[1]
+        return [(1.0, dims, names, digits, amps, record)]
 
     def axis(w):
         if isinstance(w, str):
@@ -340,34 +331,42 @@ def _step(op, dims, names, rows, record):
             raise CircuitError(f"wire {w} out of range")
         return w
 
-    def apply(u, axes):
-        return _apply_unitary(rows.reshape(-1), dims + [cols], axes, u).reshape(-1, cols)
-
     if op.kind == "gate":
         want, powers = _gate_entry(op.gate)
         axes = [axis(w) for w in op.wires]
         if tuple(dims[a] for a in axes) != want:
             raise CircuitError(f"gate {op.gate} wire dimension mismatch")
         p = op.power(record) % len(powers)
-        return [(1.0, dims, names, apply(powers[p], axes) if p else rows, record)]
+        if not p:
+            return [(1.0, dims, names, digits, amps, record)]
+        target, phase = powers[p]
+        local = np.ravel_multi_index(digits[:, axes].T, want)
+        out = digits.copy()
+        for a, moved in zip(axes, np.unravel_index(target, want)):
+            out[:, a] = moved[local]
+        return [(1.0, dims, names, out, amps * phase[local], record)]
     if op.kind == "alloc":
         if op.label in names:
             raise CircuitError(f"ancilla {op.label!r} already allocated")
         if op.dim not in (2, 3):
             raise CircuitError("wire dimensions must be 2 or 3")
-        if op.init == "mixed":
-            inits = [
-                (1.0 / op.dim, {**record, op.label: o}, v)
-                for o, v in enumerate(np.eye(op.dim, dtype=complex))
-            ]
-        else:
-            inits = [(1.0, record, _init_vector(op.init, op.dim))]
+        a = len(dims)
         grown = dims + [op.dim]
-        named = {**names, op.label: len(dims)}
-        return [
-            (w, grown, named, np.einsum("is,a->ias", rows, v).reshape(-1, cols), rec)
-            for w, rec, v in inits
-        ]
+        named = {**names, op.label: a}
+        if op.init == "mixed":
+            return [
+                (1.0 / op.dim, grown, named, np.insert(digits, a, o, axis=1), amps,
+                 {**record, op.label: o})
+                for o in range(op.dim)
+            ]
+        if op.init == "zero":
+            return [(1.0, grown, named, np.insert(digits, a, 0, axis=1), amps, record)]
+        if op.init == "plus":
+            values = np.tile(np.arange(op.dim), len(digits))
+            tiled = np.insert(np.repeat(digits, op.dim, axis=0), a, values, axis=1)
+            return [(1.0, grown, named, tiled, np.repeat(amps * (1 / np.sqrt(op.dim)), op.dim),
+                     record)]
+        raise CircuitError(f"unknown ancilla init {op.init!r}")
     if op.kind == "measure":
         if len(op.wires) != 1:
             raise CircuitError("a measurement reads exactly one wire")
@@ -375,26 +374,34 @@ def _step(op, dims, names, rows, record):
         projs = _PROJECTORS.get((op.basis, dims[a]))
         if projs is None:
             raise CircuitError(f"no {op.basis!r} measurement on a dimension-{dims[a]} wire")
-        return [
-            (1.0, dims, names, apply(pr, [a]), {**record, op.label: o})
-            for o, pr in enumerate(projs)
-        ]
+        out = []
+        for o, pr in enumerate(projs):
+            coef = pr[:, digits[:, a]]
+            y, t = np.nonzero(coef)
+            projected = digits[t]
+            projected[:, a] = y
+            part = (projected, amps[t] * coef[y, t])
+            if op.basis != "comp":
+                part = _merged_rows(*part, dims + list(tail))
+            out.append((1.0, dims, names, *part, {**record, op.label: o}))
+        return out
     if op.kind == "free":
         if op.label not in names:
             raise CircuitError(f"ancilla {op.label!r} not allocated")
         a = names[op.label]
         kept = dims[:a] + dims[a + 1 :]
         renamed = {n: (x - 1 if x > a else x) for n, x in names.items() if n != op.label}
-        t = rows.reshape(dims + [cols])
-        return [
-            (1.0, kept, renamed, np.take(t, o, axis=a).reshape(-1, cols), record)
-            for o in range(dims[a])
-        ]
+        out = []
+        for o in range(dims[a]):
+            m = digits[:, a] == o
+            out.append((1.0, kept, renamed, np.delete(digits[m], a, axis=1), amps[m], record))
+        return out
     raise CircuitError(f"unknown op kind {op.kind!r}")
 
 
 def simulate(circuit: AdaptiveCircuit, register: QuditRegister, rng):
-    """Run one trajectory; returns (final register, outcome transcript).
+    """Run one trajectory, one `_step` per op on the register's digits and
+    amplitudes; returns (final register, outcome transcript).
 
     A mixed ancilla draws its basis state with `rng.integers(dim)`; a
     measurement or a free draws its outcome with one `rng.choice` over all
@@ -403,19 +410,19 @@ def simulate(circuit: AdaptiveCircuit, register: QuditRegister, rng):
     misses a non-empty `accept` raises `CircuitError` naming the label."""
     if tuple(register.dims[: len(circuit.system_dims)]) != tuple(circuit.system_dims):
         raise CircuitError("register does not match circuit system wires")
-    dims, names = list(register.dims), {}
-    rows, record = register.vec.reshape(-1, 1).copy(), dict(register.record)
+    dims, names, record = list(register.dims), {}, dict(register.record)
+    digits, amps = register.digits, register.amps
     for op in circuit.ops:
-        branches = _step(op, dims, names, rows, record)
+        branches = _step(op, dims, names, digits, amps, record)
         if len(branches) == 1:
-            _, dims, names, rows, record = branches[0]
+            _, dims, names, digits, amps, record = branches[0]
         elif op.kind == "alloc":
-            _, dims, names, rows, record = branches[int(rng.integers(len(branches)))]
+            _, dims, names, digits, amps, record = branches[int(rng.integers(len(branches)))]
         else:
-            probs = [float(np.vdot(b[3], b[3]).real) for b in branches]
+            probs = [float(np.vdot(b[4], b[4]).real) for b in branches]
             o = int(rng.choice(len(probs), p=np.array(probs) / sum(probs)))
-            _, dims, names, rows, record = branches[o]
-            rows = rows / np.sqrt(probs[o])
+            _, dims, names, digits, amps, record = branches[o]
+            amps = amps / np.sqrt(probs[o])
     if names:
         raise CircuitError(f"ancillas never freed: {sorted(names)}")
     for label, want in circuit.accept:
@@ -423,7 +430,7 @@ def simulate(circuit: AdaptiveCircuit, register: QuditRegister, rng):
             raise CircuitError(
                 f"trajectory rejected: {label}={record.get(label)}, accept needs {label}={want}"
             )
-    reg = QuditRegister(dims, rows)
+    reg = QuditRegister(dims, digits, amps)
     reg.record = record
     return reg, dict(record)
 
@@ -435,22 +442,29 @@ def simulate(circuit: AdaptiveCircuit, register: QuditRegister, rng):
 def channel_kraus(circuit: AdaptiveCircuit):
     """All (weight, Kraus) branches of the circuit channel on its system
     wires, depth first; a split drops its branches of norm below PRUNE.
-    Ancillas must be freed before the end of the circuit."""
-    sys_dim = int(np.prod(circuit.system_dims))
+    Ancillas must be freed before the end of the circuit.  The walk starts
+    from the sys_dim basis states, each term's input state in a last digit
+    column, and scatters each leaf into a sys_dim x sys_dim matrix."""
+    sys_dims = list(circuit.system_dims)
+    sys_dim = math.prod(sys_dims)
+    basis = np.arange(sys_dim)
+    digits = np.column_stack(np.unravel_index(basis, sys_dims) + (basis,))
     out = []
-    stack = [(1.0, list(circuit.system_dims), {}, np.eye(sys_dim, dtype=complex), {}, 0)]
+    stack = [(1.0, sys_dims, {}, digits, np.ones(sys_dim, dtype=complex), {}, 0)]
     while stack:
-        weight, dims, names, rows, record, i = stack.pop()
+        weight, dims, names, digits, amps, record, i = stack.pop()
         if i == len(circuit.ops):
             if names:
                 raise CircuitError(f"ancillas never freed: {sorted(names)}")
             if all(record.get(l) == v for l, v in circuit.accept):
-                out.append((weight, rows))
+                kraus = np.zeros((sys_dim, sys_dim), dtype=complex)
+                kraus[np.ravel_multi_index(digits[:, :-1].T, sys_dims), digits[:, -1]] = amps
+                out.append((weight, kraus))
             continue
-        branches = _step(circuit.ops[i], dims, names, rows, record)
-        for w, new_dims, new_names, new_rows, rec in branches:
-            if len(branches) == 1 or np.linalg.norm(new_rows) >= PRUNE:
-                stack.append((weight * w, new_dims, new_names, new_rows, rec, i + 1))
+        branches = _step(circuit.ops[i], dims, names, digits, amps, record, (sys_dim,))
+        for w, new_dims, new_names, new_digits, new_amps, rec in branches:
+            if len(branches) == 1 or np.linalg.norm(new_amps) >= PRUNE:
+                stack.append((weight * w, new_dims, new_names, new_digits, new_amps, rec, i + 1))
     return out
 
 
@@ -497,20 +511,18 @@ def check_equivalence(circuit: AdaptiveCircuit, operator_kraus) -> float:
 # Basis conversion between group digits and qutrit/qubit pairs
 
 
-def group_to_pair_perm(n_edges: int) -> np.ndarray:
-    """perm[group_index] = circuit_index for n_edges edges.
+def _pair_digits(keys, n_edges):
+    """Wire digits (keys x 2 n_edges) of lattice keys: edge e's group index
+    g = k + 3l goes to its qutrit wire 2e as k and its qubit wire 2e+1 as l."""
+    g = np.column_stack([lat._digit(keys, e) for e in range(n_edges)])
+    return np.stack([g % 3, g // 3], axis=2).reshape(len(keys), 2 * n_edges)
 
-    Group packing: edge 0 is the least significant base-6 digit, digit
-    g = k + 3l.  Circuit packing: wires (edge0 qutrit, edge0 qubit, edge1
-    qutrit, ...) in C order (wire 0 slowest).
-    """
-    idx = np.arange(ORDER ** n_edges, dtype=np.int64)
-    out = np.zeros_like(idx)
-    for e in range(n_edges):
-        d = lat._digit(idx, e)
-        k, l = d % 3, d // 3
-        out += (2 * k + l) * ORDER ** (n_edges - 1 - e)
-    return out
+
+def group_to_pair_perm(n_edges: int) -> np.ndarray:
+    """perm[group_index] = circuit_index for n_edges edges: a group index is a
+    lattice key, a circuit index packs the wires in C order (wire 0 slowest)."""
+    digits = _pair_digits(np.arange(ORDER ** n_edges, dtype=np.int64), n_edges)
+    return np.ravel_multi_index(digits.T, (3, 2) * n_edges)
 
 
 def group_matrix_to_circuit(mat: np.ndarray, n_edges: int) -> np.ndarray:
@@ -518,16 +530,6 @@ def group_matrix_to_circuit(mat: np.ndarray, n_edges: int) -> np.ndarray:
     out = np.zeros_like(mat)
     out[np.ix_(perm, perm)] = mat
     return out
-
-
-def group_vector_to_circuit(vec: np.ndarray, n_edges: int) -> np.ndarray:
-    out = np.zeros_like(vec)
-    out[group_to_pair_perm(n_edges)] = vec
-    return out
-
-
-def circuit_vector_to_group(vec: np.ndarray, n_edges: int) -> np.ndarray:
-    return vec[group_to_pair_perm(n_edges)]
 
 
 # ---------------------------------------------------------------------------
@@ -613,12 +615,7 @@ def _c_anyon_ops(t_qt, t_qb, zh_sign):
     return [
         Op("alloc", label="mv", dim=2, init="mixed"),
         Op("measure", wires=(t_qb,), basis="comp", label="m"),
-        Op(
-            "gate",
-            gate="Zh",
-            wires=(t_qt,),
-            power=Expr(const=zh_sign, terms=u_terms, inner_mod=2, scale=zh_sign),
-        ),
+        Op("gate", gate="Zh", wires=(t_qt,), power=Expr(zh_sign, u_terms, 2, zh_sign)),
         Op("free", label="mv"),
     ]
 
@@ -681,19 +678,8 @@ def _fgh_anyon_ops(anyon, t_qt, t_qb, l_qt, zh_sign):
         Op("measure", wires=(t_qb,), basis="comp", label="z"),
     ]
     if r:
-        ops.append(
-            Op(
-                "gate",
-                gate="Zh",
-                wires=(t_qt,),
-                power=Expr(
-                    const=zh_sign * r,
-                    terms=(("z", 1), ("mv", -1)),
-                    inner_mod=2,
-                    scale=zh_sign * r,
-                ),
-            )
-        )
+        power = Expr(zh_sign * r, (("z", 1), ("mv", -1)), 2, zh_sign * r)
+        ops.append(Op("gate", gate="Zh", wires=(t_qt,), power=power))
     ops.append(Op("free", label="mv"))
     return ops
 
@@ -823,11 +809,8 @@ def _qubit_controlled_mu_ops(lattice, site, anc, k, cond):
             Op("gate", gate="Xh", wires=(2 * e,), power=Expr(2 * p), cond=cond),
         ]
         if not starts:
-            seq = (
-                [Op("gate", gate="CC", wires=(2 * e + 1, 2 * e), cond=cond)]
-                + seq
-                + [Op("gate", gate="CC", wires=(2 * e + 1, 2 * e), cond=cond)]
-            )
+            cc = Op("gate", gate="CC", wires=(2 * e + 1, 2 * e), cond=cond)
+            seq = [cc] + seq + [cc]
         ops.extend(seq)
     return ops
 
@@ -908,22 +891,36 @@ def classify_K_transcript(record) -> str:
 
 
 def register_from_lattice(state) -> QuditRegister:
-    """Dense circuit register (<= 7 edges) from a lattice state."""
-    vec = lat.dense_vector(state)
+    """Register of a lattice state's stored terms (orbit representatives
+    under its uniform set), edge e on wires 2e and 2e+1 (see _pair_digits)."""
     n = state.lattice.n_edges
-    return QuditRegister((3, 2) * n, group_vector_to_circuit(vec, n))
+    return QuditRegister((3, 2) * n, _pair_digits(state.keys, n), state.amps)
 
 
-def lattice_from_register(reg: QuditRegister, lattice):
+def lattice_from_register(reg: QuditRegister, lattice, uniform=frozenset()):
+    """Inverse of register_from_lattice, for a state with the given uniform
+    set."""
     n = lattice.n_edges
     if len(reg.dims) != 2 * n:
         raise CircuitError("register still holds ancilla wires")
-    return lat.from_dense(lattice, circuit_vector_to_group(reg.vec, n))
+    g = reg.digits.reshape(-1, n, 2).astype(np.int64) @ np.array([1, 3])
+    keys = lat._identity_keys(len(g))
+    for e in range(n):
+        keys = lat._set_digit(keys, e, 0, g[:, e])
+    return lat._merged(lattice, [(keys, reg.amps)], frozenset(uniform))
 
 
 def measure_site_circuit(state, site, rng):
     """Charge measurement at one site via the gate-level circuit; returns
-    (letter, post-measurement lattice state)."""
-    circuit = build_K_circuit(state.lattice, site)
-    reg, record = simulate(circuit, register_from_lattice(lat.expanded(state)), rng)
-    return classify_K_transcript(record), lattice_from_register(reg, state.lattice)
+    (letter, post-measurement lattice state).
+
+    Every endpoint of an edge that the circuit touches is made explicit
+    first.  Other uniform vertices stay uniform: no touched edge meets them,
+    so the circuit commutes with their A_v and leaves their canonical tree
+    edges alone."""
+    lattice = state.lattice
+    circuit = build_K_circuit(lattice, site)
+    edges = {w // 2 for op in circuit.ops for w in op.wires if isinstance(w, int)}
+    state = lat._deuniformized(state, sorted({v for e in edges for v in lattice.edge_endpoints(e)}))
+    reg, record = simulate(circuit, register_from_lattice(state), rng)
+    return classify_K_transcript(record), lattice_from_register(reg, lattice, state.uniform)

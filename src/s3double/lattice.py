@@ -19,14 +19,17 @@ uniform vertex require de-uniformizing that vertex first (term count x6 per
 vertex).
 
 Key format: only _identity_keys (makes keys), _digit (reads one edge's group
-index) and _set_digit (writes it) know how a configuration is packed.  Three
+index) and _set_digit (writes it) know how a configuration is packed.  Four
 other places rely on it.  In the dense oracle (dense_vector, from_dense) a
 key is its own index into the 6^n_edges vector; circuits.group_to_pair_perm
-reads those indices' digits through _digit.  ribbon_operator_matrices
-tags each basis column in the base-6 digits above the last edge
-(_tagged_identity_keys, _untagged); no lattice operation reads or writes
-those digits, so tagged columns evolve independently through one call.  An
-int64 key holds KEY_DIGITS base-6 digits in all.
+reads those indices' digits through _digit.  The circuit register
+conversion (circuits.register_from_lattice, lattice_from_register) reads
+each stored key's edge digits through _digit and writes them back through
+_identity_keys and _set_digit, uniform set unchanged.
+ribbon_operator_matrices tags each basis column in the base-6 digits above
+the last edge (_tagged_identity_keys, _untagged); no lattice operation reads
+or writes those digits, so tagged columns evolve independently through one
+call.  An int64 key holds KEY_DIGITS base-6 digits in all.
 
 Operator conventions: L^g_+|m> = |gm>, L^g_-|m> = |m gbar>, T^h_+ = delta_{h,m},
 T^h_- = delta_{hbar,m}.  A^g_v acts with L^g_+ on edges starting at v and

@@ -448,7 +448,7 @@ class TestReferenceFEntries:
         )
         done = subprocess.run(
             [sys.executable, "-c", load], cwd=tmp_path, capture_output=True, text=True,
-            env={"PATH": "", "PYTHONNOUSERSITE": "1"}, timeout=120,
+            env={"PATH": "", "PYTHONNOUSERSITE": "1", "PYTHONDONTWRITEBYTECODE": "1"}, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         want = TOOL.parents[1] / "src" / "s3double" / "category.py"

@@ -1,6 +1,8 @@
 """Gate-level circuit tests: simulator semantics, operator equivalence,
 adaptive charge measurement, and stabilizer-map identities."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -34,13 +36,34 @@ def _strip_classical(ops, anc_wire, anc_name, drop_meta=True):
     return tuple(out)
 
 
-def _run_unitary(ops, dims, vec, record=None, seed=0):
+def _register(dims, vec):
+    """Register holding every entry of a dense vector over wires `dims`."""
+    digits = np.indices(dims, dtype=np.int8).reshape(len(dims), -1).T
+    return cir.QuditRegister(dims, digits, vec)
+
+
+def _dense(reg):
+    """Dense vector of a register (C order, wire 0 slowest)."""
+    vec = np.zeros(int(np.prod(reg.dims)), dtype=complex)
+    np.add.at(vec, np.ravel_multi_index(reg.digits.T, reg.dims), reg.amps)
+    return vec
+
+
+def _apply_wire(reg, wire, u):
+    """Register with the one-wire matrix u applied to `wire`."""
+    coef = u[:, reg.digits[:, wire]]
+    y, t = np.nonzero(coef)
+    digits = reg.digits[t]
+    digits[:, wire] = y
+    return cir.QuditRegister(reg.dims, digits, reg.amps[t] * coef[y, t])
+
+
+def _run_unitary(ops, dims, reg, record=None, seed=0):
     circ = cir.AdaptiveCircuit(tuple(dims), tuple(ops))
-    reg = cir.QuditRegister(dims, vec)
-    if record:
-        reg.record.update(record)
+    reg = copy.copy(reg)
+    reg.record = dict(record or {})
     out, _ = cir.simulate(circ, reg, np.random.default_rng(seed))
-    return out.vec
+    return out
 
 
 class TestGates:
@@ -91,8 +114,48 @@ class TestSimulator:
         rng = np.random.default_rng(0)
         vec = rng.normal(size=6) + 1j * rng.normal(size=6)
         circ = cir.AdaptiveCircuit((3, 2), ())
-        reg, rec = cir.simulate(circ, cir.QuditRegister((3, 2), vec), rng)
-        assert np.allclose(reg.vec, vec) and rec == {}
+        reg, rec = cir.simulate(circ, _register((3, 2), vec), rng)
+        assert np.allclose(_dense(reg), vec) and rec == {}
+
+    @pytest.mark.parametrize(
+        "dims,digits",
+        [
+            ((3, 2), [[3, 0]]),
+            ((3, 2), [[0, 2]]),
+            ((3, 2), [[-1, 0]]),
+            ((3, 2), [[0]]),
+            ((3, 4), [[0, 0]]),
+            ((3, 2), [[0.5, 0]]),
+        ],
+        ids=[
+            "qutrit-digit-3", "qubit-digit-2", "negative-digit", "missing-column", "dimension-4",
+            "fractional-digit",
+        ],
+    )
+    def test_malformed_register_raises(self, dims, digits):
+        with pytest.raises(cir.CircuitError):
+            cir.QuditRegister(dims, digits, [1.0])
+
+    def test_repeated_rows_add_up(self):
+        reg = cir.QuditRegister((3, 2), [[1, 1], [0, 1], [1, 1], [2, 0]], [0.5, 1.0, 0.5j, 0.0])
+        assert np.allclose(_dense(reg), [0, 1, 0, 0.5 + 0.5j, 0, 0])
+        assert len(reg.amps) == 2 and abs(reg.norm() - np.sqrt(1.5)) < 1e-12
+
+    def test_key_overflow_raises(self):
+        # 24 edges fill an int64 key (6^24 < 2^63); a live qutrit ancilla
+        # takes the register past it, so merging the 3 x 3 projected rows of
+        # the x3 measurement must say so
+        n = lat.Lattice(3, 3).n_edges
+        circ = cir.AdaptiveCircuit(
+            (3, 2) * n,
+            (
+                cir.Op("alloc", label="a", dim=3, init="plus"),
+                cir.Op("measure", wires=("a",), basis="x3", label="x"),
+                cir.Op("free", label="a"),
+            ),
+        )
+        with pytest.raises(lat.ResourceError, match=r"estimated term count 9\)"):
+            cir.simulate(circ, cir.QuditRegister((3, 2) * n), np.random.default_rng(0))
 
     def test_dimension_mismatch_raises(self):
         circ = cir.AdaptiveCircuit((3, 2), (cir.Op("gate", gate="X", wires=(0,)),))
@@ -106,7 +169,7 @@ class TestSimulator:
         circ = cir.AdaptiveCircuit(
             (3, 2), (cir.Op("measure", wires=(0,), basis="comp", label="k"),)
         )
-        reg, rec = cir.simulate(circ, cir.QuditRegister((3, 2), vec), rng)
+        reg, rec = cir.simulate(circ, _register((3, 2), vec), rng)
         assert abs(reg.norm() - 1) < 1e-12 and rec["k"] in (0, 1, 2)
 
     @pytest.mark.parametrize("run", ["simulate", "channel_kraus"])
@@ -156,7 +219,7 @@ class TestSimulator:
         ((_, kraus),) = cir.channel_kraus(circ)
         want = kraus @ vec / np.linalg.norm(kraus @ vec)
         for seed in range(20):
-            reg = cir.QuditRegister((3, 2), vec)
+            reg = _register((3, 2), vec)
             rng = np.random.default_rng(seed)
             if seed not in (8, 12):
                 with pytest.raises(cir.CircuitError, match=r"trajectory rejected: [kl]="):
@@ -164,18 +227,18 @@ class TestSimulator:
                 continue
             out, rec = cir.simulate(circ, reg, rng)
             assert rec == dict(circ.accept)
-            assert np.allclose(out.vec, want, atol=1e-12)
+            assert np.allclose(_dense(out), want, atol=1e-12)
 
     def test_replay_determinism(self):
         circ = cir.build_ribbon_circuit("D", "h")
         vec = np.random.default_rng(3).normal(size=36).astype(complex)
         vec /= np.linalg.norm(vec)
         runs = [
-            cir.simulate(circ, cir.QuditRegister((3, 2, 3, 2), vec), np.random.default_rng(7))
+            cir.simulate(circ, _register((3, 2, 3, 2), vec), np.random.default_rng(7))
             for _ in range(2)
         ]
         assert runs[0][1] == runs[1][1]
-        assert np.allclose(runs[0][0].vec, runs[1][0].vec)
+        assert np.allclose(_dense(runs[0][0]), _dense(runs[1][0]))
 
 
 class TestGroupEdgeCircuits:
@@ -403,16 +466,57 @@ class TestChargeMeasurementCircuit:
             sigma = max(np.sqrt(probs[a] * (1 - probs[a]) / n), 1e-9)
             assert abs(counts[a] / n - probs[a]) < 3 * sigma, a
 
+    @pytest.mark.parametrize(
+        "shape,make,site",
+        [
+            ((3, 1), lambda L: lat.shortest_h(L, (1, 0)), (2, 0)),
+            ((2, 2), lambda L: lat.shortest_v(L, (1, 1)), (1, 0)),
+        ],
+        ids=["3x1", "2x2"],
+    )
+    def test_pair_letters_beyond_dense_reach(self, shape, make, site):
+        # 10 and 12 edges: no dense register of these lattices fits in memory
+        lattice = lat.Lattice(*shape)
+        gs = lat.ground_state(lattice)
+        rib = make(lattice)
+        touched = {
+            v
+            for e in {e for e, _ in lattice.star(site)} | set(lattice.plaquette_edges(site))
+            for v in lattice.edge_endpoints(e)
+        }
+        rng = np.random.default_rng(sum(shape))
+        for anyon in "ABCDEFGH":
+            st = lat.apply_anyon_ribbon(gs, rib, anyon, mixed=True, rng=rng)
+            letter, post = cir.measure_site_circuit(st, site, rng)
+            assert letter == anyon
+            assert post.uniform == st.uniform - touched
+            check, _ = lat.measure_site(post, site, rng)
+            assert check == letter
+
+    @pytest.mark.parametrize("anyon", "CD")
+    def test_untouched_vertices_stay_uniform(self, anyon, strip):
+        # the circuit on the stored orbit representatives equals the circuit
+        # on the fully expanded state, outcome and post-state alike
+        lattice, gs = strip
+        site = (1, 0)
+        rib = lat.shortest_h(lattice, (0, 0))
+        st = lat.apply_anyon_ribbon(gs, rib, anyon, mixed=True, rng=np.random.default_rng(3))
+        letter, post = cir.measure_site_circuit(st, site, np.random.default_rng(8))
+        assert post.uniform == {(0, 1)}
+        ref_letter, ref = cir.measure_site_circuit(lat.expanded(st), site, np.random.default_rng(8))
+        assert letter == ref_letter == anyon
+        assert abs(lat.inner(lat.expanded(post), ref) - 1) < 1e-12
+
     def test_projective_repeat(self, cell):
         lattice, _ = cell
         rng = np.random.default_rng(4)
         vec = rng.normal(size=6**4) + 1j * rng.normal(size=6**4)
         vec /= np.linalg.norm(vec)
         circ = cir.build_K_circuit(lattice, (0, 0))
-        reg0 = cir.QuditRegister((3, 2) * 4, vec)
+        reg0 = _register((3, 2) * 4, vec)
         for _ in range(6):
             reg, rec = cir.simulate(circ, reg0, rng)
-            reg2, rec2 = cir.simulate(circ, cir.QuditRegister(reg.dims, reg.vec), rng)
+            reg2, rec2 = cir.simulate(circ, cir.QuditRegister(reg.dims, reg.digits, reg.amps), rng)
             assert cir.classify_K_transcript(rec) == cir.classify_K_transcript(rec2)
 
 
@@ -427,13 +531,11 @@ class TestStabilizerMaps:
 
     def _lattice_map(self, vec, lattice, anc_dim, fn):
         n = lattice.n_edges
+        perm = cir.group_to_pair_perm(n)
         m = vec.reshape(-1, anc_dim)
         out = np.zeros_like(m)
         for a in range(anc_dim):
-            g = cir.circuit_vector_to_group(m[:, a].copy(), n)
-            out[:, a] = cir.group_vector_to_circuit(
-                lat.dense_vector(fn(lat.from_dense(lattice, g))), n
-            )
+            out[perm, a] = lat.dense_vector(fn(lat.from_dense(lattice, m[perm, a])))
         return out.reshape(-1)
 
     @pytest.mark.parametrize("k,l", [(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)])
@@ -452,9 +554,9 @@ class TestStabilizerMaps:
                 ops += cir._qubit_controlled_mu_ops(lattice, site, "a", k, ())
         dims = [3, 2] * n + [anc_dim]
         ops = _strip_classical(ops, 2 * n, "a")
-        vec = self._rand(dims, 10 * k + l)
-        lhs = _run_unitary(ops, dims, cir._apply_unitary(vec, dims, [2 * n], frame))
-        rhs = cir._apply_unitary(_run_unitary(ops, dims, vec), dims, [2 * n], frame)
+        reg = _register(dims, self._rand(dims, 10 * k + l))
+        lhs = _dense(_run_unitary(ops, dims, _apply_wire(reg, 2 * n, frame)))
+        rhs = _dense(_apply_wire(_run_unitary(ops, dims, reg), 2 * n, frame))
         rhs = self._lattice_map(rhs, lattice, anc_dim, lambda st: lat.apply_vertex(st, site, g))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -463,15 +565,16 @@ class TestStabilizerMaps:
         n = lattice.n_edges
         dims = [3, 2] * n + [2]
         ops = _strip_classical(cir._flux_parity_ops(lattice, (0, 0)), 2 * n, "fp")
-        vec = self._rand(dims, 3)
+        reg = _register(dims, self._rand(dims, 3))
         z = cir.gate_unitary("Z")
-        lhs = _run_unitary(ops, dims, cir._apply_unitary(vec, dims, [2 * n], z))
-        rhs = cir._apply_unitary(_run_unitary(ops, dims, vec), dims, [2 * n], z)
+        lhs = _dense(_run_unitary(ops, dims, _apply_wire(reg, 2 * n, z)))
+        rhs = _dense(_apply_wire(_run_unitary(ops, dims, reg), 2 * n, z))
         idx = np.arange(6**n)
         parity = np.zeros(6**n)
         for e in lattice.plaquette_edges((0, 0)):
             parity += (idx // 6**e) % 6 // 3
-        diag = cir.group_vector_to_circuit(((-1.0) ** parity).astype(complex), n)
+        diag = np.zeros(6**n, dtype=complex)
+        diag[cir.group_to_pair_perm(n)] = (-1.0) ** parity
         rhs = (rhs.reshape(-1, 2) * diag[:, None]).reshape(-1)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -483,17 +586,18 @@ class TestStabilizerMaps:
         n = lattice.n_edges
         dims = [3, 2] * n + [3]
         ops = _strip_classical(cir._flux_exponent_ops(lattice, (0, 0)), 2 * n, "fk")
-        vec = self._rand(dims, 5 + l)
+        reg = _register(dims, self._rand(dims, 5 + l))
         zh = cir.gate_unitary("Zh")
-        lhs = _run_unitary(ops, dims, cir._apply_unitary(vec, dims, [2 * n], zh), {"l": l})
-        rhs = cir._apply_unitary(_run_unitary(ops, dims, vec, {"l": l}), dims, [2 * n], zh)
+        lhs = _dense(_run_unitary(ops, dims, _apply_wire(reg, 2 * n, zh), {"l": l}))
+        rhs = _dense(_apply_wire(_run_unitary(ops, dims, reg, {"l": l}), 2 * n, zh))
         idx = np.arange(6**n)
         le, be, re, te = lattice.plaquette_edges((0, 0))
         kd = lambda e: (idx // 6**e) % 6 % 3
         ld = lambda e: (idx // 6**e) % 6 // 3
         s = 1 if l == 0 else -1
         expo = kd(le) + (-1) ** ld(le) * kd(be) - s * (-1) ** ld(te) * kd(re) - s * kd(te)
-        diag = cir.group_vector_to_circuit((OMEGA ** (expo % 3)).conj().astype(complex), n)
+        diag = np.zeros(6**n, dtype=complex)
+        diag[cir.group_to_pair_perm(n)] = (OMEGA ** (expo % 3)).conj()
         rhs = (rhs.reshape(-1, 3) * diag[:, None]).reshape(-1)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -536,6 +640,8 @@ class TestSerialization:
         st = lat.apply_anyon_ribbon(
             gs, lat.shortest_h(lattice, (0, 0)), "C", mixed=True, rng=rng
         )
+        back = cir.lattice_from_register(cir.register_from_lattice(st), lattice, st.uniform)
+        assert back.uniform == st.uniform and abs(lat.inner(st, back) - 1) < 1e-12
         st = lat.expanded(st)
         back = cir.lattice_from_register(cir.register_from_lattice(st), lattice)
         assert abs(lat.inner(st, back) - 1) < 1e-12
