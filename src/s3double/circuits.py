@@ -287,6 +287,14 @@ class QuditRegister:
         self.digits, self.amps = _merged_rows(digits.astype(np.int8), amps, self.dims)
         self.record = {}
 
+    @classmethod
+    def _canonical(cls, dims, digits, amps, record):
+        """Register over rows that are already distinct and nonzero, as
+        `_step` leaves them: no checks and no merge."""
+        reg = cls.__new__(cls)
+        reg.dims, reg.digits, reg.amps, reg.record = list(dims), digits, amps, record
+        return reg
+
     def norm(self):
         return float(np.linalg.norm(self.amps))
 
@@ -430,9 +438,8 @@ def simulate(circuit: AdaptiveCircuit, register: QuditRegister, rng):
             raise CircuitError(
                 f"trajectory rejected: {label}={record.get(label)}, accept needs {label}={want}"
             )
-    reg = QuditRegister(dims, digits, amps)
-    reg.record = record
-    return reg, dict(record)
+    # _step keeps the rows of a register distinct and nonzero
+    return QuditRegister._canonical(dims, digits, amps, record), dict(record)
 
 
 # ---------------------------------------------------------------------------

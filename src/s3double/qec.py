@@ -7,6 +7,13 @@ non-trivial sites and recovery fuses each pair away, either microscopically
 (on a small lattice, with ribbon operators and charge measurements) or
 phenomenologically (tracking only anyon letters on a site grid, with fusion
 outcomes sampled from the quantum-dimension probability law).
+
+Cost of a phenomenological round: one uniform draw per edge (the floor); a
+bounds check per error edge; one draw per sampled letter from a constant
+cumulative law (the Pauli alphabet's is built once per NoiseModel, the
+lone-vertex mixtures' once per module, each fusion pair's once per
+CategoryData); and one vectorised sort of the n(n-1)/2 pair distances of the
+n non-trivial sites in the decoder, O(n^2 log n) at most.
 """
 
 from __future__ import annotations
@@ -50,12 +57,35 @@ S3_MIX = {
 }
 
 
+def _cdf(weights) -> np.ndarray:
+    """Cumulative law of the weights, as Generator.choice builds it from
+    p = weights / weights.sum()."""
+    weights = np.asarray(weights, dtype=float)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng) -> int:
+    """Index drawn from a cumulative law.  It consumes the single double
+    that rng.choice(len(p), p=p) consumes and returns the same index as
+    that call, p being the law's probability vector."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+# kind -> (letters, cumulative law) of the S3_MIX rows
+_S3_MIX_LAWS = {
+    kind: (tuple(a for a, _ in row), _cdf([w for _, w in row])) for kind, row in S3_MIX.items()
+}
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Independent per-edge error rate with a weighted Pauli alphabet."""
 
     p: float
     weights: tuple = tuple((k, 1 / 6) for k in PAULI_KINDS)
+    _law: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.p <= 1:
@@ -63,13 +93,16 @@ class NoiseModel:
         kinds = [k for k, _ in self.weights]
         if sorted(kinds) != sorted(set(kinds)) or set(kinds) - set(PAULI_KINDS):
             raise QECError("invalid Pauli alphabet")
+        probs = np.array([w for _, w in self.weights], dtype=float)
+        if not np.all(np.isfinite(probs) & (probs >= 0)):
+            raise QECError("alphabet weights must be finite and non-negative")
         if abs(sum(w for _, w in self.weights) - 1) > 1e-12:
             raise QECError("alphabet weights must sum to 1")
+        object.__setattr__(self, "_law", (tuple(kinds), _cdf(probs)))
 
     def sample_kind(self, rng) -> str:
-        kinds = [k for k, _ in self.weights]
-        probs = np.array([w for _, w in self.weights])
-        return kinds[int(rng.choice(len(kinds), p=probs / probs.sum()))]
+        kinds, cdf = self._law
+        return kinds[_draw(cdf, rng)]
 
 
 # Pauli errors as monomials on the edge's group element g = mu^k sigma^l
@@ -108,8 +141,9 @@ def syndrome_sites(lattice: lat.Lattice, edge: int):
         sites = ((x, y - 1), (x, y), (x + 1, y))
     else:
         sites = ((x - 1, y), (x, y), (x, y + 1))
-    grid = set(lattice.sites)
-    return tuple(s if s in grid else None for s in sites)
+    return tuple(
+        s if 0 <= s[0] < lattice.W and 0 <= s[1] < lattice.H else None for s in sites
+    )
 
 
 def pauli_to_anyons(lattice: lat.Lattice, edge: int, kind: str) -> dict:
@@ -129,10 +163,6 @@ def pauli_to_anyons(lattice: lat.Lattice, edge: int, kind: str) -> dict:
 # Decoder
 
 
-def _manhattan(a, b) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
 def _path(a, b):
     """Site path from a to b stepping in x first, then in y."""
     path = [a]
@@ -149,19 +179,34 @@ def _path(a, b):
 def decode_greedy(config: lat.AnyonConfiguration):
     """Pair non-trivial sites by greedy nearest-neighbour matching
     (Manhattan distance, lexicographic tie-break); one site may stay
-    unpaired.  Returns [(site_a, site_b, path from a to b), ...]."""
+    unpaired.  Returns [(site_a, site_b, path from a to b), ...].
+
+    Cost: one vectorised sort of the n(n-1)/2 pair distances, O(n^2 log n)
+    at most (a radix sort, O(n^2), when every distance fits 16 bits), then a
+    walk over the sorted pairs that stops once fewer than two sites are
+    free."""
     sites = sorted(config.nontrivial())
-    pairs = sorted(
-        (_manhattan(a, b), a, b) for i, a in enumerate(sites) for b in sites[i + 1:]
-    )
-    # the first pair in (distance, a, b) order whose sites are both free is
-    # the closest pair among the sites still free
-    free = set(sites)
+    n = len(sites)
+    if n < 2:
+        return []
+    x, y = np.array(sites).T
+    i, j = np.triu_indices(n, 1)
+    dist = np.abs(x[i] - x[j]) + np.abs(y[i] - y[j])
+    if dist.max() < 2**16:
+        dist = dist.astype(np.uint16)  # numpy sorts 16-bit keys by radix sort
+    # the sites are sorted, so (i, j) order with i < j is the lexicographic
+    # (a, b) order, and a stable sort on distance gives (distance, a, b) order
+    order = np.argsort(dist, kind="stable")
+    # the first pair in that order whose sites are both free is the closest
+    # pair among the sites still free
+    free = [True] * n
     pattern = []
-    for _, a, b in pairs:
-        if a in free and b in free:
-            free -= {a, b}
-            pattern.append((a, b, _path(a, b)))
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if free[a] and free[b]:
+            free[a] = free[b] = False
+            pattern.append((sites[a], sites[b], _path(sites[a], sites[b])))
+            if n - 2 * len(pattern) < 2:
+                break
     return pattern
 
 
@@ -241,17 +286,23 @@ def _microscopic_cycle(state, noise, rounds, rng, budget):
 
 
 def sample_fusion(a: str, b: str, rng, data=None) -> str:
-    """Fusion outcome of a x b sampled with probability d_c N_ab^c/(d_a d_b)."""
+    """Fusion outcome of a x b sampled with probability d_c N_ab^c/(d_a d_b).
+    The (outcomes, cumulative law) of each pair is built once per category."""
     data = data or category.default_category()
-    outs = data.outcomes(a, b)
-    probs = np.array([category.fusion_probability(a, b, c, data) for c in outs])
-    return outs[int(rng.choice(len(outs), p=probs / probs.sum()))]
+    laws = data._derived.setdefault("fusion_laws", {})
+    law = laws.get((a, b))
+    if law is None:
+        outs = data.outcomes(a, b)
+        probs = np.array([category.fusion_probability(a, b, c, data) for c in outs])
+        law = laws[a, b] = (outs, _cdf(probs))
+    outs, cdf = law
+    return outs[_draw(cdf, rng)]
 
 
 def _sample_syndrome_letter(kind, slot, table, rng):
-    if slot == 2 and kind in S3_MIX:
-        letters, probs = zip(*S3_MIX[kind])
-        return letters[int(rng.choice(len(letters), p=probs))]
+    if slot == 2 and kind in _S3_MIX_LAWS:
+        letters, cdf = _S3_MIX_LAWS[kind]
+        return letters[_draw(cdf, rng)]
     return table[kind][slot]
 
 

@@ -519,6 +519,22 @@ class TestChargeMeasurementCircuit:
             reg2, rec2 = cir.simulate(circ, cir.QuditRegister(reg.dims, reg.digits, reg.amps), rng)
             assert cir.classify_K_transcript(rec) == cir.classify_K_transcript(rec2)
 
+    def test_result_rows_are_distinct_and_nonzero(self, cell):
+        # simulate returns the rows _step leaves without merging them again,
+        # so they must already be a canonical sparse vector
+        lattice, _ = cell
+        rng = np.random.default_rng(6)
+        vec = rng.normal(size=6**4) + 1j * rng.normal(size=6**4)
+        circ = cir.build_K_circuit(lattice, (0, 0))
+        reg0 = _register((3, 2) * 4, vec / np.linalg.norm(vec))
+        for _ in range(6):
+            reg, _ = cir.simulate(circ, reg0, rng)
+            keys = np.ravel_multi_index(reg.digits.T, reg.dims)
+            assert len(np.unique(keys)) == len(keys) and np.all(reg.amps != 0)
+            merged = cir.QuditRegister(reg.dims, reg.digits, reg.amps)
+            assert len(merged.amps) == len(reg.amps)
+            assert np.array_equal(_dense(merged), _dense(reg))
+
 
 class TestStabilizerMaps:
     """The entangling stages map ancilla frame operators onto the site

@@ -42,6 +42,12 @@ class TestNoiseModel:
         with pytest.raises(qec.QECError):
             qec.NoiseModel(0.1, weights=(("X", 0.5), ("Z", 0.2)))
 
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+    def test_rejects_weights_it_cannot_sample(self, bad):
+        # a negative weight that still sums to 1, and non-finite weights
+        with pytest.raises(qec.QECError):
+            qec.NoiseModel(0.5, weights=(("X", 1 - bad), ("Z", bad)))
+
     def test_sample_kind_respects_weights(self):
         noise = qec.NoiseModel(1.0, weights=(("Z", 1.0),))
         rng = np.random.default_rng(0)
@@ -79,6 +85,19 @@ class TestGeometry:
             (1, 0),
             (1, 1),
         )
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (2, 3), (5, 4)])
+    def test_syndrome_sites_match_site_set(self, shape):
+        lattice = lat.Lattice(*shape)
+        grid = set(lattice.sites)
+        for edge in range(lattice.n_edges):
+            (x, y), _ = lattice.edge_endpoints(edge)
+            if lattice.is_horizontal(edge):
+                sites = ((x, y - 1), (x, y), (x + 1, y))
+            else:
+                sites = ((x - 1, y), (x, y), (x, y + 1))
+            want = tuple(s if s in grid else None for s in sites)
+            assert qec.syndrome_sites(lattice, edge) == want
 
     def test_inject_rejects_unknown_kind(self, square):
         lattice, gs = square
@@ -233,7 +252,7 @@ class TestDecoder:
         pattern = []
         while len(remaining) >= 2:
             _, a, b = min(
-                (qec._manhattan(a, b), a, b)
+                (abs(a[0] - b[0]) + abs(a[1] - b[1]), a, b)
                 for i, a in enumerate(remaining)
                 for b in remaining[i + 1:]
             )
@@ -242,18 +261,27 @@ class TestDecoder:
             pattern.append((a, b, qec._path(a, b)))
         return pattern
 
-    def test_matches_rescan_with_distance_ties(self):
-        # a 6x6 grid with up to 13 anyons has many equal distances, so the
-        # lexicographic tie-break decides most pairs
+    def _check_random_configs(self, width, max_anyons, configs):
         rng = np.random.default_rng(12)
-        sites = [(x, y) for x in range(6) for y in range(6)]
-        for _ in range(200):
-            n = int(rng.integers(0, 14))
+        sites = [(x, y) for x in range(width) for y in range(width)]
+        for k in range(configs):
+            # the first configurations pin the smallest and the largest size
+            n = (0, 1, 2, max_anyons)[k] if k < 4 else int(rng.integers(0, max_anyons + 1))
             chosen = rng.choice(len(sites), size=n, replace=False)
             cfg = lat.AnyonConfiguration(
                 {sites[i]: "ABCDEFGH"[rng.integers(1, 8)] for i in chosen}
             )
             assert qec.decode_greedy(cfg) == self._rescan(cfg)
+
+    def test_matches_rescan_with_distance_ties(self):
+        # a 6x6 grid with up to 13 anyons has many equal distances, so the
+        # lexicographic tie-break decides most pairs
+        self._check_random_configs(6, 13, 200)
+
+    def test_matches_rescan_on_benchmark_grid(self):
+        # the 40x40 grid of the phenomenological benchmark job, which holds
+        # about 110 anyons per round at p = 0.01
+        self._check_random_configs(40, 170, 25)
 
 
 class TestMicroscopicCycle:
@@ -407,10 +435,43 @@ class TestFusionSampling:
                 sigma = np.sqrt(p * (1 - p) / n)
                 assert abs(counts[c] / n - p) < 4 * sigma + 1e-9
 
+    def test_law_built_once_per_pair_and_category(self, monkeypatch):
+        calls = []
+        real = category.fusion_probability
+
+        def counted(a, b, c, data=None):
+            calls.append((a, b, c))
+            return real(a, b, c, data)
+
+        monkeypatch.setattr(category, "fusion_probability", counted)
+        rng = np.random.default_rng(1)
+        # two uncached copies of the default table: each builds its own law
+        for data in (category.default_category.__wrapped__() for _ in range(2)):
+            for _ in range(5):
+                qec.sample_fusion("D", "D", rng, data)
+        outs = category.default_category().outcomes("D", "D")
+        assert calls == [("D", "D", c) for c in outs] * 2
+
     def test_abelian_deterministic(self):
         rng = np.random.default_rng(0)
         assert qec.sample_fusion("B", "B", rng) == "A"
         assert qec.sample_fusion("B", "D", rng) == "E"
+
+
+class TestDraw:
+    def test_matches_generator_choice(self):
+        # the draw helper must take the same double and return the same
+        # index as Generator.choice with a 1-D p, for any law
+        laws = np.random.default_rng(3)
+        for seed in range(1000):
+            w = laws.random(int(laws.integers(1, 9)))
+            w[laws.random(len(w)) < 0.2] = 0.0
+            if not w.any():
+                w[0] = 1.0
+            p = w / w.sum()
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert qec._draw(qec._cdf(w), rng_a) == int(rng_b.choice(len(p), p=p))
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestPhenomenologicalCycle:
