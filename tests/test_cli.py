@@ -276,6 +276,59 @@ class TestPinnedProtocolOutput:
         code, out, _ = run(["qec-cycle"] + argv + ["--seed", "3"], capsys)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["ground-state", "--width", "3", "--height", "1"],
+                "905d41f4488e420737fff3b6059d9753a027fb4f8f592f2cff26af3269112420",
+            ),
+            (
+                ["move-stats", "--anyon", "C", "--rounds", "2", "--trials", "100"],
+                "845c67491d7433db50e799dbfdd62d06164bf33894abdcd23f616cd74e94865b",
+            ),
+            (
+                ["move-stats", "--anyon", "D", "--rounds", "2", "--trials", "100"],
+                "64f51f06fec37cd381b56ab3bbf71d56e853c51a050a1402dc6fe93e45c3f814",
+            ),
+            (
+                ["ribbon-demo", "--anyon", "D", "--trials", "20"],
+                "110e41302c66d49db27855fcd153ada5b6554f0a352909f792b6a095c81b67b2",
+            ),
+            (
+                ["qec-cycle", "--microscopic", "--width", "3", "--height", "1", "--p", "0.05",
+                 "--rounds", "2"],
+                "b8132f09b8bbc04072780b333a47fb944143dce432065ba6808464cb1b7b5122",
+            ),
+            (
+                ["qec-cycle", "--microscopic", "--width", "2", "--height", "2", "--p", "0"],
+                "0ad78b42d32dd5d05e3773a19b0a7837840f92adfc766faaa34bbb0b5dc85ba1",
+            ),
+            (
+                ["circuit-equivalence"],
+                "e4cc637342f2622db5a7aedc10ff13ca51e9c72d2b6dff18291bc10fc12f7d94",
+            ),
+            (
+                ["orthonormality"],
+                "27be44fc00dc16e6f852161b2f070b9401672b88fa07693b55b063d4531e7a1f",
+            ),
+            (
+                ["concat-cc", "--blocks", "9", "--error-site", "4"],
+                "6bb31a94770da967e855401f1bfb40bfdbc6bde976c60d7417138c345a09c01a",
+            ),
+        ],
+        ids=[
+            "ground-state", "move-stats-C", "move-stats-D", "ribbon-demo-D",
+            "qec-microscopic-3x1", "qec-microscopic-2x2", "circuit-equivalence",
+            "orthonormality", "concat-cc",
+        ],
+    )
+    def test_lattice_circuit_and_code_records_are_byte_identical(self, argv, digest, capsys):
+        # SHA-256 of the stdout printed while the lattice, the circuit register
+        # and the code register each kept their own sparse type and key
+        code, out, _ = run(argv + ["--seed", "3"], capsys)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_merge_split_record(self, capsys):
         code, out, _ = run(["merge-split", "--trials", "125", "--seed", "3"], capsys)
         (rec,) = records(out)
