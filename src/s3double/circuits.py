@@ -6,8 +6,8 @@ sigma exponent), so every edge operator becomes a small circuit over dimension
 
 * one interpreter for adaptive circuits (classically controlled gates,
   mid-circuit measurement, ancilla allocation and trace-out) on a sparse
-  register, a digit matrix (one row per stored basis state, one column per
-  wire) with its amplitudes: `_step` returns every branch of one op,
+  register, a `digits` vector (one int8 row per stored basis state, one
+  column per wire, and its amplitude): `_step` returns every branch of one op,
   `simulate` follows one sampled trajectory through it and `channel_kraus`
   enumerates every branch,
 * builders for the single-edge group multiplication / projection circuits,
@@ -16,8 +16,8 @@ sigma exponent), so every edge operator becomes a small circuit over dimension
 * channel extraction by branch enumeration and Choi-matrix equivalence
   checking against operator-level oracles,
 * exact conversion between a lattice state's stored terms and the register
-  (edge e's group index g = k + 3l on qutrit wire 2e = k and qubit wire
-  2e+1 = l), so the charge-measurement circuit runs on the sparse state.
+  (edge e's group index g = k + 3l splits into qutrit wire 2e = k and qubit
+  wire 2e+1 = l), so the charge-measurement circuit runs on the sparse state.
 
 Every gate kind is a monomial, so a gate is a lookup on the digits of its
 wires plus a phase.  The charge-conjugation gate CC (qubit-controlled qutrit
@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import digits as dg
 from . import lattice as lat
 from .algebra import (
     ELEMENTS,
@@ -53,20 +54,22 @@ class CircuitError(RuntimeError):
 # Gate inventory
 
 
+def _c_order(digits, dims) -> np.ndarray:
+    """Index of each row in the C-order basis of `dims` (wire 0 slowest),
+    which dense matrices (gate unitaries, Kraus operators) use: the key of
+    the row read backwards."""
+    return dg.pack(digits[:, ::-1], tuple(dims)[::-1])
+
+
 def _monomial_powers(dims, period, action):
     """Powers U^0 .. U^(period-1) of the monomial gate on wires of `dims`
     with U^p |x> = phase |y> for (y, phase) = action(p, *x).  Each power is a
-    read-only (target, phase) pair of arrays over the local basis (C order,
-    first wire slowest): U^p |x> = phase[x] |target[x]>."""
-    size = int(np.prod(dims))
+    read-only (target, phase) pair over the local basis in key order: x the
+    i-th row of basis_rows(dims) goes to phase[i] |target[i]>."""
     powers = []
     for p in range(period):
-        target = np.zeros(size, dtype=np.int64)
-        phase = np.zeros(size, dtype=complex)
-        for x in np.ndindex(*dims):
-            y, ph = action(p, *x)
-            i = np.ravel_multi_index(x, dims)
-            target[i], phase[i] = np.ravel_multi_index(y, dims), ph
+        target, phase = zip(*(action(p, *x) for x in dg.basis_rows(dims).tolist()))
+        target, phase = np.array(target, dtype=np.int8), np.array(phase, dtype=complex)
         target.setflags(write=False)
         phase.setflags(write=False)
         powers.append((target, phase))
@@ -102,10 +105,10 @@ def _gate_entry(kind):
 def gate_unitary(kind: str, power: int = 1) -> np.ndarray:
     """U^power of a gate kind as a read-only dense matrix, built from its
     (target, phase) table entry."""
-    powers = _gate_entry(kind)[1]
+    dims, powers = _gate_entry(kind)
     target, phase = powers[power % len(powers)]
     u = np.zeros((len(target), len(target)), dtype=complex)
-    u[target, np.arange(len(target))] = phase
+    u[_c_order(target, dims), _c_order(dg.basis_rows(dims), dims)] = phase
     u.setflags(write=False)
     return u
 
@@ -269,9 +272,10 @@ def from_text(text: str) -> AdaptiveCircuit:
 
 
 class QuditRegister:
-    """Ordered wires of dimension 2 or 3 with a sparse state: row i of
-    `digits` (terms x wires) is a basis state and `amps[i]` its amplitude.
-    Equal rows are added up.  Without digits the register holds |0...0>."""
+    """Ordered wires of dimension 2 or 3 with a sparse state: row i of the
+    int8 `digits` (terms x wires) is a basis state and `amps[i]` its
+    amplitude, merged by `digits.merged` (exact zeros dropped).  Without
+    digits the register holds |0...0>."""
 
     def __init__(self, dims, digits=None, amps=None):
         self.dims = list(dims)
@@ -284,7 +288,7 @@ class QuditRegister:
             raise CircuitError("a register needs one digit column per wire, one amplitude per row")
         if digits.dtype.kind not in "iu" or ((digits < 0) | (digits >= self.dims)).any():
             raise CircuitError("register digits must be integers below their wire dimension")
-        self.digits, self.amps = _merged_rows(digits.astype(np.int8), amps, self.dims)
+        ((self.digits, self.amps),) = dg.merged(digits.astype(np.int8), self.dims, amps[:, None], 0)
         self.record = {}
 
     @classmethod
@@ -299,34 +303,23 @@ class QuditRegister:
         return float(np.linalg.norm(self.amps))
 
 
-def _merged_rows(digits, amps, radices):
-    """Distinct rows of `digits`, the amplitudes of equal rows added and exact
-    zeros dropped.  Rows are keyed by one int64 mixed-radix key."""
-    size = math.prod(radices)
-    if size > np.iinfo(np.int64).max:
-        raise lat.ResourceError(f"{size} register basis states overflow an int64 key", len(amps))
-    keys = np.ravel_multi_index(digits.T, radices)
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    summed = np.zeros(len(uniq), dtype=complex)
-    np.add.at(summed, inverse, amps)
-    keep = summed != 0
-    return digits[first[keep]], summed[keep]
-
-
 def _step(op, dims, names, digits, amps, record, tail=()):
     """Every branch of one op as a list of (weight, dims, names, digits, amps,
-    record).  Row i of `digits` (one column per wire of `dims`, then one per
-    radix of `tail`, which no op reads) is a basis state and `amps[i]` its
-    amplitude; `names` maps ancilla names to wires.  No input is modified.
+    record).  Row i of the int8 `digits` (one column per wire of `dims`, then
+    one per radix of `tail`, which no op reads) is a basis state and
+    `amps[i]` its amplitude; `names` maps ancilla names to wires.  No input
+    is modified.
 
     A failed condition or a gate power of 0 returns the input; a gate looks
-    up its wires' digits in its (target, phase) table.  An alloc adds a
-    column: `plus` tiles the rows over its values with amplitude/sqrt(dim),
-    `mixed` gives one branch per value, of weight 1/dim, recorded under the
-    ancilla's name.  A measurement gives one unnormalised branch per outcome
-    (zero-norm ones included): each row goes through the nonzero entries of
-    the projector's column, then equal rows merge.  A free gives one branch
-    per value: the rows with that value, the column dropped."""
+    up the key of its wires' digits in its (target, phase) table.  An alloc
+    adds a column: `plus` tiles the rows over its values with
+    amplitude/sqrt(dim), `mixed` gives one branch per value, of weight 1/dim,
+    recorded under the ancilla's name.  A measurement gives one unnormalised
+    branch per outcome (zero-norm ones included): each row goes through the
+    nonzero entries of the projector's column, then equal rows merge
+    (`digits.merged`: exact zeros dropped, ResourceError once a row no longer
+    fits one key).  A free gives one branch per value: the rows with that
+    value, the column dropped."""
     if any(record.get(l) != v for l, v in op.cond):
         return [(1.0, dims, names, digits, amps, record)]
 
@@ -348,10 +341,9 @@ def _step(op, dims, names, digits, amps, record, tail=()):
         if not p:
             return [(1.0, dims, names, digits, amps, record)]
         target, phase = powers[p]
-        local = np.ravel_multi_index(digits[:, axes].T, want)
+        local = dg.pack(digits[:, axes], want)
         out = digits.copy()
-        for a, moved in zip(axes, np.unravel_index(target, want)):
-            out[:, a] = moved[local]
+        out[:, axes] = target[local]
         return [(1.0, dims, names, out, amps * phase[local], record)]
     if op.kind == "alloc":
         if op.label in names:
@@ -390,7 +382,7 @@ def _step(op, dims, names, digits, amps, record, tail=()):
             projected[:, a] = y
             part = (projected, amps[t] * coef[y, t])
             if op.basis != "comp":
-                part = _merged_rows(*part, dims + list(tail))
+                (part,) = dg.merged(projected, dims + list(tail), part[1][:, None], 0)
             out.append((1.0, dims, names, *part, {**record, op.label: o}))
         return out
     if op.kind == "free":
@@ -450,12 +442,13 @@ def channel_kraus(circuit: AdaptiveCircuit):
     """All (weight, Kraus) branches of the circuit channel on its system
     wires, depth first; a split drops its branches of norm below PRUNE.
     Ancillas must be freed before the end of the circuit.  The walk starts
-    from the sys_dim basis states, each term's input state in a last digit
-    column, and scatters each leaf into a sys_dim x sys_dim matrix."""
+    from the sys_dim basis states in C order, each term's input state
+    repeated in tail columns, and scatters each leaf into a sys_dim x
+    sys_dim matrix."""
     sys_dims = list(circuit.system_dims)
     sys_dim = math.prod(sys_dims)
-    basis = np.arange(sys_dim)
-    digits = np.column_stack(np.unravel_index(basis, sys_dims) + (basis,))
+    basis = dg.basis_rows(sys_dims[::-1])[:, ::-1]
+    digits = np.hstack([basis, basis])
     out = []
     stack = [(1.0, sys_dims, {}, digits, np.ones(sys_dim, dtype=complex), {}, 0)]
     while stack:
@@ -465,10 +458,11 @@ def channel_kraus(circuit: AdaptiveCircuit):
                 raise CircuitError(f"ancillas never freed: {sorted(names)}")
             if all(record.get(l) == v for l, v in circuit.accept):
                 kraus = np.zeros((sys_dim, sys_dim), dtype=complex)
-                kraus[np.ravel_multi_index(digits[:, :-1].T, sys_dims), digits[:, -1]] = amps
+                rows, cols = digits[:, : len(sys_dims)], digits[:, -len(sys_dims) :]
+                kraus[_c_order(rows, sys_dims), _c_order(cols, sys_dims)] = amps
                 out.append((weight, kraus))
             continue
-        branches = _step(circuit.ops[i], dims, names, digits, amps, record, (sys_dim,))
+        branches = _step(circuit.ops[i], dims, names, digits, amps, record, sys_dims)
         for w, new_dims, new_names, new_digits, new_amps, rec in branches:
             if len(branches) == 1 or np.linalg.norm(new_amps) >= PRUNE:
                 stack.append((weight * w, new_dims, new_names, new_digits, new_amps, rec, i + 1))
@@ -518,18 +512,16 @@ def check_equivalence(circuit: AdaptiveCircuit, operator_kraus) -> float:
 # Basis conversion between group digits and qutrit/qubit pairs
 
 
-def _pair_digits(keys, n_edges):
-    """Wire digits (keys x 2 n_edges) of lattice keys: edge e's group index
-    g = k + 3l goes to its qutrit wire 2e as k and its qubit wire 2e+1 as l."""
-    g = np.column_stack([lat._digit(keys, e) for e in range(n_edges)])
-    return np.stack([g % 3, g // 3], axis=2).reshape(len(keys), 2 * n_edges)
+def _wire_digits(g):
+    """Wire digits (terms x 2 edges) of group digits (terms x edges): edge e's
+    g = k + 3l goes to its qutrit wire 2e as k, its qubit wire 2e+1 as l."""
+    return np.stack([g % 3, g // 3], axis=2).reshape(len(g), -1)
 
 
 def group_to_pair_perm(n_edges: int) -> np.ndarray:
     """perm[group_index] = circuit_index for n_edges edges: a group index is a
     lattice key, a circuit index packs the wires in C order (wire 0 slowest)."""
-    digits = _pair_digits(np.arange(ORDER ** n_edges, dtype=np.int64), n_edges)
-    return np.ravel_multi_index(digits.T, (3, 2) * n_edges)
+    return _c_order(_wire_digits(dg.basis_rows((ORDER,) * n_edges)), (3, 2) * n_edges)
 
 
 def group_matrix_to_circuit(mat: np.ndarray, n_edges: int) -> np.ndarray:
@@ -899,22 +891,17 @@ def classify_K_transcript(record) -> str:
 
 def register_from_lattice(state) -> QuditRegister:
     """Register of a lattice state's stored terms (orbit representatives
-    under its uniform set), edge e on wires 2e and 2e+1 (see _pair_digits)."""
-    n = state.lattice.n_edges
-    return QuditRegister((3, 2) * n, _pair_digits(state.keys, n), state.amps)
+    under its uniform set), edge e on wires 2e and 2e+1 (see _wire_digits)."""
+    return QuditRegister((3, 2) * state.lattice.n_edges, _wire_digits(state.digits), state.amps)
 
 
 def lattice_from_register(reg: QuditRegister, lattice, uniform=frozenset()):
     """Inverse of register_from_lattice, for a state with the given uniform
     set."""
-    n = lattice.n_edges
-    if len(reg.dims) != 2 * n:
+    if len(reg.dims) != 2 * lattice.n_edges:
         raise CircuitError("register still holds ancilla wires")
-    g = reg.digits.reshape(-1, n, 2).astype(np.int64) @ np.array([1, 3])
-    keys = lat._identity_keys(len(g))
-    for e in range(n):
-        keys = lat._set_digit(keys, e, 0, g[:, e])
-    return lat._merged(lattice, [(keys, reg.amps)], frozenset(uniform))
+    g = reg.digits[:, 0::2] + 3 * reg.digits[:, 1::2]
+    return lat._states(lattice, g, reg.amps[:, None], frozenset(uniform))[0]
 
 
 def measure_site_circuit(state, site, rng):

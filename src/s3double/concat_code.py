@@ -12,8 +12,9 @@ single physical faults from propagating.
 Every qutrit register vector on the schedule is a codeword moved by
 monomials (conjugation and single-qutrit Paulis), so its support is one
 coset x + rowspan(H_X): 9 of the 3^9 basis states for the [[9, 1, 3]]
-code.  Registers are held as that support (`SupportVector`), and each
-operator and stabilizer expectation acts on its digit rows.
+code.  Registers are held as that support (`SupportVector`, a `digits`
+vector), and each operator and stabilizer expectation acts on its digit
+rows.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circuits as cir
+from . import digits as dg
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -84,13 +86,9 @@ def in_rowspan(matrix, vector, p) -> bool:
 def span_vectors(matrix, p):
     """All p^rank vectors in the row span (small ranks only)."""
     basis, _ = rref(matrix, p)
-    m = basis.shape[0]
-    if p**m > 4096:
+    if p ** len(basis) > 4096:
         raise CodeError("row span too large to enumerate")
-    out = []
-    for coeff in itertools.product(range(p), repeat=m):
-        out.append(tuple((np.array(coeff) @ basis) % p) if m else tuple([0] * matrix.shape[1]))
-    return sorted(set(out))
+    return sorted(set(map(tuple, dg.basis_rows((p,) * len(basis)) @ basis % p)))
 
 
 def kernel_basis(matrix, p):
@@ -276,32 +274,30 @@ def qutrit_shor_code() -> QuditCSSCode:
 # Codeword supports
 
 
-def _weights(p, n):
-    """Place values of the n digits of a basis index (qudit 0 most significant)."""
-    return p ** np.arange(n - 1, -1, -1)
-
-
 @dataclass(frozen=True, eq=False)
 class SupportVector:
-    """Register vector held on its support: one row of p-ary digits per
-    basis state (qudit 0 most significant) and its amplitude.  Rows are
-    stored in ascending order of their basis index, `keys`."""
+    """Register vector held on its support: one int8 row of p-ary digits per
+    basis state (one column per qudit) and its amplitude, the rows distinct,
+    nonzero and in key order (`digits.merged`)."""
 
     p: int
     digits: np.ndarray
     amps: np.ndarray
-    keys: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        keys = self.digits @ _weights(self.p, self.digits.shape[1])
-        order = np.argsort(keys)
-        object.__setattr__(self, "digits", self.digits[order])
-        object.__setattr__(self, "amps", self.amps[order])
-        object.__setattr__(self, "keys", keys[order])
+        digits = np.asarray(self.digits, dtype=np.int8)
+        ((digits, amps),) = dg.merged(digits, self.radices, self.amps[:, None], 0)
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "amps", amps)
+
+    @property
+    def radices(self):
+        return (self.p,) * self.digits.shape[1]
 
     def dense(self) -> np.ndarray:
+        """The p^n vector, qudit 0 the most significant digit of its index."""
         vec = np.zeros(self.p ** self.digits.shape[1], dtype=complex)
-        vec[self.keys] = self.amps
+        vec[dg.pack(self.digits[:, ::-1], self.radices)] = self.amps
         return vec
 
 
@@ -312,9 +308,7 @@ def _codeword_support(code: QuditCSSCode, logical) -> SupportVector:
     logical = tuple(int(v) % code.p for v in logical)
     if len(logical) != code.k:
         raise CodeError(f"logical value must have {code.k} digits")
-    x = np.zeros(code.n, dtype=np.int64)
-    for v, rep in zip(logical, code.logical_x_reps):
-        x = (x + v * rep) % code.p
+    x = np.array(logical) @ code.logical_x_reps % code.p
     amps = np.ones(len(code.x_span), dtype=complex)
     return SupportVector(code.p, (x + code.x_span) % code.p, amps / np.linalg.norm(amps))
 
@@ -351,10 +345,8 @@ def stabilizer_expectations(code: QuditCSSCode, vec: SupportVector) -> np.ndarra
     basis state with its shift, and a shift off the support adds zero."""
     omega = np.exp(2j * np.pi / code.p)
     z = np.abs(vec.amps) ** 2 @ omega ** (vec.digits @ code.H_Z.T % code.p)
-    shifted = (vec.digits + code.H_X[:, None, :]) % code.p @ _weights(code.p, code.n)
-    pos = np.minimum(np.searchsorted(vec.keys, shifted), len(vec.keys) - 1)
-    hits = vec.keys[pos] == shifted
-    x = np.where(hits, np.conj(vec.amps[pos]) * vec.amps, 0).sum(axis=1)
+    pos = dg.find(vec.digits, vec.radices, (vec.digits + code.H_X[:, None, :]) % code.p)
+    x = np.where(pos >= 0, np.conj(vec.amps[pos]) * vec.amps, 0).sum(axis=1)
     return np.concatenate([z, x])
 
 
@@ -438,12 +430,6 @@ def combine(s1: ConcatState, s2: ConcatState, c1, c2) -> ConcatState:
     return ConcatState(s1.n, s1.qutrit_code, branches, pool)
 
 
-def _overlap(v1: SupportVector, v2: SupportVector) -> complex:
-    """<v1|v2> over the basis states the two supports share."""
-    _, j1, j2 = np.intersect1d(v1.keys, v2.keys, assume_unique=True, return_indices=True)
-    return np.vdot(v1.amps[j1], v2.amps[j2])
-
-
 def concat_inner(s1: ConcatState, s2: ConcatState) -> complex:
     total = 0.0
     overlaps = {}  # (pool index, pool index) -> register overlap
@@ -451,7 +437,8 @@ def concat_inner(s1: ConcatState, s2: ConcatState) -> complex:
         if bits in s2.branches:
             a2, i2 = s2.branches[bits]
             if (i1, i2) not in overlaps:
-                overlaps[(i1, i2)] = _overlap(s1.pool[i1], s2.pool[i2])
+                v1, v2 = s1.pool[i1], s2.pool[i2]
+                overlaps[(i1, i2)] = dg.overlap(v1.digits, v1.amps, v2.digits, v2.amps, v1.radices)
             total += np.conj(a1) * a2 * overlaps[(i1, i2)]
     return complex(total)
 
@@ -698,16 +685,6 @@ def schur_obstruction_check(code: QuditCSSCode, a=None):
     }
 
 
-@functools.lru_cache(maxsize=None)
-def _digit_table(p, n):
-    idx = np.arange(p**n)
-    digits = np.zeros((p**n, n), dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        digits[:, j] = idx % p
-        idx = idx // p
-    return digits
-
-
 def naive_transversal_check(qubit_code: QuditCSSCode, qutrit_code: QuditCSSCode):
     """Apply plain transversal controlled conjugation between two equal
     length codes and measure the leakage out of the joint code space."""
@@ -721,23 +698,22 @@ def naive_transversal_check(qubit_code: QuditCSSCode, qutrit_code: QuditCSSCode)
         for al in range(2)
         for be in range(3)
     ]
-    bits = _digit_table(2, n)
-    digits = _digit_table(3, n)
+    # column c of both tables is qudit n-1-c, so a row's key is its index in
+    # the dense codewords (qudit 0 most significant)
+    bits = dg.basis_rows((2,) * n)
+    digits = dg.basis_rows((3,) * n)
     dim3 = 3**n
     worst = 0.0
-    for al in range(2):
-        for be in range(3):
-            vec = np.kron(codewords(qubit_code, al), codewords(qutrit_code, be))
-            out = np.zeros_like(vec)
-            for s in range(2**n):
-                block = vec[s * dim3 : (s + 1) * dim3]
-                if not block.any():
-                    continue
-                signs = np.where(bits[s] == 1, -1, 1)
-                perm = ((digits * signs) % 3) @ _weights(3, n)
-                out[s * dim3 + perm] = block
-            proj = sum(v * np.vdot(v, out) for v in logical)
-            worst = max(worst, float(np.linalg.norm(out - proj)))
+    for vec in logical:
+        out = np.zeros_like(vec)
+        for s in range(2**n):
+            block = vec[s * dim3 : (s + 1) * dim3]
+            if not block.any():
+                continue
+            signs = np.where(bits[s] == 1, -1, 1)
+            out[s * dim3 + dg.pack((digits * signs) % 3, (3,) * n)] = block
+        proj = sum(v * np.vdot(v, out) for v in logical)
+        worst = max(worst, float(np.linalg.norm(out - proj)))
     return {"leakage": worst}
 
 

@@ -7,29 +7,22 @@ is labelled by its northwest vertex, and a site s = (v, p) pairs a plaquette
 with its northwest vertex; sites are indexed (x, y) with 0 <= x < W,
 0 <= y < H.
 
-States are sparse maps from edge configurations (one group element per edge,
-packed base-6 into an int64 key) to complex amplitudes.  In addition, a
-state carries a set of "uniform" vertices: the physical state is the
-normalized image of the stored terms under the product of vertex projectors
-A_v over that set.  Stored terms are kept in a canonical gauge (the
-spanning-tree edge into each uniform vertex is fixed to the identity), which
-makes the orbit basis orthonormal and keeps protocol states tiny: the ground
-state is a single term.  Operators that do not commute with A_v at some
-uniform vertex require de-uniformizing that vertex first (term count x6 per
-vertex).
+States are sparse maps from edge configurations (one group element per edge)
+to complex amplitudes.  In addition, a state carries a set of "uniform"
+vertices: the physical state is the normalized image of the stored terms
+under the product of vertex projectors A_v over that set.  Stored terms are
+kept in a canonical gauge (the spanning-tree edge into each uniform vertex is
+fixed to the identity), which makes the orbit basis orthonormal and keeps
+protocol states tiny: the ground state is a single term.  Operators that do
+not commute with A_v at some uniform vertex require de-uniformizing that
+vertex first (term count x6 per vertex).
 
-Key format: only _identity_keys (makes keys), _digit (reads one edge's group
-index) and _set_digit (writes it) know how a configuration is packed.  Four
-other places rely on it.  In the dense oracle (dense_vector, from_dense) a
-key is its own index into the 6^n_edges vector; circuits.group_to_pair_perm
-reads those indices' digits through _digit.  The circuit register
-conversion (circuits.register_from_lattice, lattice_from_register) reads
-each stored key's edge digits through _digit and writes them back through
-_identity_keys and _set_digit, uniform set unchanged.
-ribbon_operator_matrices tags each basis column in the base-6 digits above
-the last edge (_tagged_identity_keys, _untagged); no lattice operation reads
-or writes those digits, so tagged columns evolve independently through one
-call.  An int64 key holds KEY_DIGITS base-6 digits in all.
+Key format: a state stores one int8 row of group indices per term, one
+column per edge (`LatticeState.digits`), and operators write columns.  The
+`digits` module packs rows into keys (base 6, edge 0 least significant,
+KEY_DIGITS digits per int64) for every merge, overlap and dense index.
+ribbon_operator_matrices tags each basis column in radix-6 columns after the
+last edge, which no lattice operation touches.
 
 Operator conventions: L^g_+|m> = |gm>, L^g_-|m> = |m gbar>, T^h_+ = delta_{h,m},
 T^h_- = delta_{hbar,m}.  A^g_v acts with L^g_+ on edges starting at v and
@@ -55,6 +48,7 @@ from itertools import groupby
 
 import numpy as np
 
+from . import digits as dg
 from .algebra import (
     ANYON_TABLE,
     ANYONS,
@@ -67,18 +61,11 @@ from .algebra import (
     QUANTUM_DIMS,
     ribbon_terms,
 )
+from .digits import ResourceError
 
 PRUNE_TOL = 1e-14
 MAX_VERTICES = 10
 KEY_DIGITS = 24  # base-6 digits of an int64 key: 6^24 < 2^63 < 6^25
-
-
-class ResourceError(RuntimeError):
-    """Lattice too large for exact simulation."""
-
-    def __init__(self, message: str, estimated_terms: int):
-        super().__init__(f"{message} (estimated term count {estimated_terms})")
-        self.estimated_terms = estimated_terms
 
 
 class AnnihilationError(RuntimeError):
@@ -186,16 +173,21 @@ class Lattice:
 @dataclass
 class LatticeState:
     lattice: Lattice
-    keys: np.ndarray  # int64, packed base-6 edge configuration
+    digits: np.ndarray  # int8 (term, edge) group indices, then any tag columns
     amps: np.ndarray  # complex128
     uniform: frozenset = field(default_factory=frozenset)  # vertices
 
     def copy(self) -> "LatticeState":
-        return LatticeState(self.lattice, self.keys.copy(), self.amps.copy(), self.uniform)
+        return LatticeState(self.lattice, self.digits.copy(), self.amps.copy(), self.uniform)
 
     @property
     def n_terms(self) -> int:
-        return len(self.keys)
+        return len(self.amps)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """int64 key of each term: its index into the dense 6^n_edges vector."""
+        return dg.pack(self.digits, (ORDER,) * self.digits.shape[1])
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
@@ -211,70 +203,24 @@ class LatticeState:
         lat = self.lattice
         lines = [f"lattice {lat.W}x{lat.H} edges {lat.n_edges}"]
         lines.append("uniform " + " ".join(f"{x},{y}" for x, y in sorted(self.uniform)))
-        digits = [_digit(self.keys, e) for e in range(lat.n_edges)]
         for i in np.argsort(self.keys):
-            digs = "".join(str(d[i]) for d in digits)
             a = self.amps[i]
-            lines.append(f"{digs} {a.real!r} {a.imag!r}")
+            lines.append(f"{''.join(map(str, self.digits[i]))} {a.real!r} {a.imag!r}")
         return "\n".join(lines)
 
 
-def _identity_keys(n: int) -> np.ndarray:
-    """n keys with the identity on every edge."""
-    return np.zeros(n, dtype=np.int64)
+def _states(lattice, digits, amps, uniform) -> list:
+    """One state per column of the (term, column) amps: equal rows of
+    `digits` added, amplitudes of modulus <= PRUNE_TOL dropped."""
+    merged = dg.merged(digits, (ORDER,) * digits.shape[1], amps, PRUNE_TOL)
+    return [LatticeState(lattice, d, a, uniform) for d, a in merged]
 
 
-def _tagged_identity_keys(n_edges, tags) -> np.ndarray:
-    """Keys with the identity on every edge and `tags` written in the digits
-    above the n_edges edge digits."""
-    return _identity_keys(len(tags)) + np.asarray(tags, dtype=np.int64) * ORDER ** n_edges
-
-
-def _untagged(keys, n_edges):
-    """(tags, edge part) of tagged keys."""
-    return np.divmod(keys, ORDER ** n_edges)
-
-
-def _digit(keys, edge):
-    """Group index on `edge` of each key."""
-    return (keys // (6 ** edge)) % 6
-
-
-def _set_digit(keys, edge, old, new):
-    """Keys with the group index on `edge` changed from `old` to `new`."""
-    return keys + (new - old) * (6 ** edge)
-
-
-def _merged(lattice, pieces, uniform) -> LatticeState:
-    """Sum of (keys, amps) pieces: equal keys are added and negligible
-    amplitudes dropped.  No pieces give the zero state."""
-    if not pieces:
-        return LatticeState(lattice, _identity_keys(0), np.zeros(0, dtype=complex), uniform)
-    keys, amps = pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces))
-    return _merged_columns(lattice, keys, amps[:, None], uniform)[0]
-
-
-def _merged_columns(lattice, keys, amps, uniform) -> list:
-    """[_merged of (keys, column) for each column of the (term, column) amps],
-    with one np.unique for all columns."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    out = np.zeros((amps.shape[1], len(uniq)), dtype=complex)
-    for col, a in zip(out, amps.T):
-        np.add.at(col, inverse, a)
-    keep = np.abs(out) > PRUNE_TOL
-    return [LatticeState(lattice, uniq[m], col[m], uniform) for col, m in zip(out, keep)]
-
-
-def _left_mult(keys, edge, g_arr):
-    """L^g_+ with a per-term group element array (or scalar index)."""
-    old = _digit(keys, edge)
-    return _set_digit(keys, edge, old, MUL_TABLE[g_arr, old])
-
-
-def _right_mult_inv(keys, edge, g_arr):
-    """L^g_- with a per-term group element array (or scalar index)."""
-    old = _digit(keys, edge)
-    return _set_digit(keys, edge, old, MUL_TABLE[old, INV_TABLE[g_arr]])
+def _mult(digits, edge, g, left):
+    """L^g_+ (left) or L^g_- on `edge`, in place, with a per-term group
+    element array (or scalar index)."""
+    old = digits[:, edge]
+    digits[:, edge] = MUL_TABLE[g, old] if left else MUL_TABLE[old, INV_TABLE[g]]
 
 
 @lru_cache(maxsize=None)
@@ -284,39 +230,35 @@ def _star_cache(lattice):
 
 @lru_cache(maxsize=None)
 def _tree_cache(lattice):
-    return tuple(
-        (v, lattice.tree_parent_edge(v), tuple(lattice.star(v)))
-        for v in lattice.tree_order()
-    )
+    return tuple((v, lattice.tree_parent_edge(v)) for v in lattice.tree_order())
 
 
-def _gauge_at_vertex(lattice, keys, v, g_arr, star=None):
-    """A^g_v with per-term group indices g_arr."""
-    for edge, starts in star if star is not None else _star_cache(lattice)[v]:
-        if starts:
-            keys = _left_mult(keys, edge, g_arr)
-        else:
-            keys = _right_mult_inv(keys, edge, g_arr)
-    return keys
+def _gauge_at_vertex(lattice, digits, v, g_arr):
+    """A^g_v in place on `digits`, g_arr per term (not a view of `digits`)."""
+    for edge, starts in _star_cache(lattice)[v]:
+        _mult(digits, edge, g_arr, starts)
 
 
-def _gauge_orbit(lattice, keys, v):
-    """A^g_v of every key for every g, g-major: entry g * len(keys) + i is
-    A^g_v of keys[i]."""
-    g_arr = np.repeat(np.arange(ORDER, dtype=np.int64), len(keys))
-    return _gauge_at_vertex(lattice, np.tile(keys, ORDER), v, g_arr)
+def _gauge_orbit(lattice, digits, v):
+    """A^g_v of every row for every g, g-major: row g * len(digits) + i is
+    A^g_v of digits[i]."""
+    orbit = np.tile(digits, (ORDER, 1))
+    _gauge_at_vertex(lattice, orbit, v, np.repeat(np.arange(ORDER), len(digits)))
+    return orbit
 
 
-def canonicalize_keys(lattice, keys, uniform):
-    """Gauge-fix each uniform vertex's tree edge to the identity."""
-    keys = keys.copy()
-    for v, t, star in _tree_cache(lattice):
-        if v not in uniform:
-            continue
-        m = _digit(keys, t)  # tree edge ends at v; A^m_v sets it to e
-        if m.any():
-            keys = _gauge_at_vertex(lattice, keys, v, m, star)
-    return keys
+def canonicalize_keys(lattice, digits, uniform):
+    """Rows of `digits` with each uniform vertex's tree edge gauge-fixed to
+    the identity; the input itself when no row moves, a new matrix
+    otherwise."""
+    out = digits
+    for v, t in _tree_cache(lattice):
+        if v in uniform and out[:, t].any():
+            if out is digits:
+                out = digits.copy()
+            # tree edge ends at v; A^m_v sets it to e
+            _gauge_at_vertex(lattice, out, v, out[:, t].copy())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +269,15 @@ def apply_vertex(state: LatticeState, v, g: GroupElement) -> LatticeState:
     """A^g_v.  Requires v not uniform (it acts trivially there otherwise)."""
     if v in state.uniform:
         return state.copy()
-    g_arr = np.full(state.n_terms, g.index, dtype=np.int64)
-    keys = _gauge_at_vertex(state.lattice, state.keys, v, g_arr)
-    keys = canonicalize_keys(state.lattice, keys, state.uniform)
-    return _merged(state.lattice, [(keys, state.amps)], state.uniform)
+    digits = state.digits.copy()
+    _gauge_at_vertex(state.lattice, digits, v, g.index)
+    digits = canonicalize_keys(state.lattice, digits, state.uniform)
+    return _states(state.lattice, digits, state.amps[:, None], state.uniform)[0]
 
 
 def _flux(state: LatticeState, p) -> np.ndarray:
     """Counterclockwise flux of plaquette p in every stored term."""
-    le, be, re, te = (_digit(state.keys, e) for e in state.lattice.plaquette_edges(p))
+    le, be, re, te = (state.digits[:, e] for e in state.lattice.plaquette_edges(p))
     return MUL_TABLE[MUL_TABLE[MUL_TABLE[le, be], INV_TABLE[re]], INV_TABLE[te]]
 
 
@@ -349,7 +291,7 @@ def apply_plaquette(state: LatticeState, p, h: GroupElement) -> LatticeState:
     if h.index != 0 and p in state.uniform:
         state = deuniformize(state, p)
     mask = _flux(state, p) == h.index
-    return LatticeState(state.lattice, state.keys[mask], state.amps[mask], state.uniform)
+    return LatticeState(state.lattice, state.digits[mask], state.amps[mask], state.uniform)
 
 
 def apply_edge_monomial(state: LatticeState, edge: int, elements, phases) -> LatticeState:
@@ -358,10 +300,11 @@ def apply_edge_monomial(state: LatticeState, edge: int, elements, phases) -> Lat
     made explicit first, since such an operator need not commute with A_v
     there."""
     state = _deuniformized(state, state.lattice.edge_endpoints(edge))
-    old = _digit(state.keys, edge)
-    keys = _set_digit(state.keys, edge, old, elements[old])
-    keys = canonicalize_keys(state.lattice, keys, state.uniform)
-    return _merged(state.lattice, [(keys, state.amps * phases[old])], state.uniform)
+    old = state.digits[:, edge]
+    digits = state.digits.copy()
+    digits[:, edge] = elements[old]
+    digits = canonicalize_keys(state.lattice, digits, state.uniform)
+    return _states(state.lattice, digits, (state.amps * phases[old])[:, None], state.uniform)[0]
 
 
 def uniformize(state: LatticeState, v) -> LatticeState:
@@ -377,15 +320,15 @@ def uniformize(state: LatticeState, v) -> LatticeState:
         # while the root is explicit
         raise ValueError("the tree root vertex cannot join the uniform set")
     uniform = state.uniform | {v}
-    keys = canonicalize_keys(state.lattice, state.keys, uniform)
-    return _merged(state.lattice, [(keys, state.amps / np.sqrt(ORDER))], uniform)
+    digits = canonicalize_keys(state.lattice, state.digits, uniform)
+    return _states(state.lattice, digits, (state.amps / np.sqrt(ORDER))[:, None], uniform)[0]
 
 
 def _gauge_average(state: LatticeState, v, uniform, divisor) -> LatticeState:
     """sum_g A^g_v / divisor applied to the stored terms, canonicalized for
     the given uniform set."""
-    keys = canonicalize_keys(state.lattice, _gauge_orbit(state.lattice, state.keys, v), uniform)
-    return _merged(state.lattice, [(keys, np.tile(state.amps / divisor, ORDER))], uniform)
+    digits = canonicalize_keys(state.lattice, _gauge_orbit(state.lattice, state.digits, v), uniform)
+    return _states(state.lattice, digits, np.tile(state.amps / divisor, ORDER)[:, None], uniform)[0]
 
 
 def deuniformize(state: LatticeState, v) -> LatticeState:
@@ -416,8 +359,7 @@ def inner(a: LatticeState, b: LatticeState) -> complex:
     orthonormal)."""
     if a.uniform != b.uniform:
         raise ValueError("states must share the same uniform set")
-    common, ia, ib = np.intersect1d(a.keys, b.keys, return_indices=True)
-    return complex(np.sum(np.conj(a.amps[ia]) * b.amps[ib]))
+    return dg.overlap(a.digits, a.amps, b.digits, b.amps, (ORDER,) * a.digits.shape[1])
 
 
 def vertex_projector(state: LatticeState, v) -> LatticeState:
@@ -451,7 +393,8 @@ def ground_state(lattice: Lattice) -> LatticeState:
             f"{lattice.W}x{lattice.H} lattice exceeds the desk-scale bound",
             ORDER ** (lattice.n_vertices - 1),
         )
-    state = LatticeState(lattice, _identity_keys(1), np.ones(1, dtype=complex), frozenset())
+    identity = np.zeros((1, lattice.n_edges), dtype=np.int8)
+    state = LatticeState(lattice, identity, np.ones(1, dtype=complex), frozenset())
     for v in lattice.vertices:
         if v != (0, 0):
             state = uniformize(state, v)
@@ -536,23 +479,20 @@ def _ribbon_sum(state: LatticeState, ribbon: Ribbon, h: GroupElement, rows) -> l
     each term's g.  All rows share the walk's keys, so they are canonicalized
     and merged once."""
     state = _deuniformized(state, ribbon.vertices)
-    keys = state.keys
-    prefix = np.zeros(len(keys), dtype=np.int64)  # product of elements read
+    digits = state.digits.copy()
+    prefix = np.zeros(state.n_terms, dtype=np.int64)  # product of elements read
     for tri in ribbon.triangles:
         if tri.kind == "direct":
-            d = _digit(keys, tri.edge)
+            d = digits[:, tri.edge]
             read = d if tri.positive else INV_TABLE[d]
             prefix = MUL_TABLE[prefix, read]
         else:
             conj = MUL_TABLE[MUL_TABLE[INV_TABLE[prefix], h.index], prefix]
-            if tri.positive:
-                keys = _left_mult(keys, tri.edge, conj)
-            else:
-                keys = _right_mult_inv(keys, tri.edge, conj)
-    keys = canonicalize_keys(state.lattice, keys, state.uniform)
+            _mult(digits, tri.edge, conj, tri.positive)
+    digits = canonicalize_keys(state.lattice, digits, state.uniform)
     coeffs = np.asarray(rows).T[prefix]  # (term, row)
     # amplitudes stay the left operand: a * c and c * a can round differently
-    return _merged_columns(state.lattice, keys, state.amps[:, None] * coeffs, state.uniform)
+    return _states(state.lattice, digits, state.amps[:, None] * coeffs, state.uniform)
 
 
 def apply_ribbon(
@@ -659,13 +599,14 @@ def _charge_projections(state: LatticeState, site, flux, table) -> list:
     # (h, g, term) order: keys that collide are summed as a loop over h, then g would
     pair, term = np.nonzero(hs[:, None] == flux)
     if not len(term):  # no term carries a flux of this class
-        return [(a, _merged(state.lattice, [], state.uniform)) for a in anyons]
-    keys = _gauge_at_vertex(state.lattice, state.keys[term], site, gs[pair])
-    keys = canonicalize_keys(state.lattice, keys, state.uniform)
+        return [(a, replace(state, digits=state.digits[:0], amps=state.amps[:0])) for a in anyons]
+    digits = state.digits[term]
+    _gauge_at_vertex(state.lattice, digits, site, gs[pair])
+    digits = canonicalize_keys(state.lattice, digits, state.uniform)
     amps = coeffs[pair]
     # amplitudes stay the left operand: a * c and c * a can round differently
     np.multiply(state.amps[term, None], amps, out=amps)
-    return list(zip(anyons, _merged_columns(state.lattice, keys, amps, state.uniform)))
+    return list(zip(anyons, _states(state.lattice, digits, amps, state.uniform)))
 
 
 def apply_K(state: LatticeState, site, anyon: str) -> LatticeState:
@@ -687,7 +628,7 @@ def measure_site(state: LatticeState, site, rng):
         probs = np.array([np.sum(np.abs(state.amps[m]) ** 2) for m in masks])
         pick = rng.choice(len(masks), p=probs / probs.sum())
         m = masks[pick]
-        post = LatticeState(state.lattice, state.keys[m], state.amps[m], state.uniform)
+        post = LatticeState(state.lattice, state.digits[m], state.amps[m], state.uniform)
         return _FLUX_CLASSES[pick][0], post.normalized()
     # K projectors resolve the identity on the normalized state, so outcomes
     # can be sampled with an early exit; classes are projected lazily, in
@@ -739,8 +680,9 @@ def dense_vector(state: LatticeState) -> np.ndarray:
 
 
 def from_dense(lattice: Lattice, vec: np.ndarray) -> LatticeState:
-    keys = np.nonzero(np.abs(vec) > PRUNE_TOL)[0].astype(np.int64)
-    return LatticeState(lattice, keys, vec[keys].astype(complex), frozenset())
+    keys = np.nonzero(np.abs(vec) > PRUNE_TOL)[0]
+    digits = dg.unpack(keys, (ORDER,) * lattice.n_edges)
+    return LatticeState(lattice, digits, vec[keys].astype(complex), frozenset())
 
 
 def ground_space_rank(lattice: Lattice, rng, probes: int = 4, tol: float = 1e-8):
@@ -770,38 +712,33 @@ def ribbon_operator_matrices(lattice: Lattice, support, builder) -> np.ndarray:
     """Dense (6^k, 6^k) matrices, k = len(support), of the states that
     builder(state) returns, restricted to the given support edges.
 
-    Matrix index i has the element on support[0] as its last base-6 digit.
-    All 6^k basis columns go through `builder` in one state: column i
-    carries i in the key digits above the lattice's edges, which no lattice
-    operation touches.  builder must therefore be linear and act trivially
-    outside the support; an output term with a non-identity element off the
-    support, or a tag that is no column, raises ValueError.  The tags take k
-    key digits, so n_edges + k may not exceed KEY_DIGITS (ResourceError).
+    Matrix index i is the key of the support edges' digits, support[0]
+    least significant.  All 6^k basis columns go through `builder` in one
+    state: column i carries its digits in k tag columns after the lattice's
+    edges, which no lattice operation touches.  builder must therefore be
+    linear and act trivially outside the support; an output term with a
+    non-identity element off the support, or output tags that are not the
+    k columns, raises ValueError.  Edges and tags together must fit one key
+    (ResourceError, raised before any state is built).
     """
     support = list(support)
-    if lattice.n_edges + len(support) > KEY_DIGITS:
-        raise ResourceError(
-            f"{lattice.n_edges} edges plus {len(support)} column-tag digits "
-            f"exceed the {KEY_DIGITS} digits of an int64 key",
-            ORDER ** len(support),
-        )
-    shape = (ORDER,) * len(support)
+    n, radices = lattice.n_edges, (ORDER,) * len(support)
     dim = ORDER ** len(support)
-    keys = _tagged_identity_keys(lattice.n_edges, np.arange(dim))
-    for e, d in zip(support, np.unravel_index(np.arange(dim), shape)[::-1]):
-        keys = _set_digit(keys, e, E.index, d)
-    outs = builder(LatticeState(lattice, keys, np.ones(dim, dtype=complex)))
+    dg.place_values((ORDER,) * n + radices, dim)
+    columns = dg.basis_rows(radices)
+    digits = np.zeros((dim, n + len(support)), dtype=np.int8)
+    digits[:, support] = digits[:, n:] = columns
+    outs = builder(LatticeState(lattice, digits, np.ones(dim, dtype=complex)))
     mats = np.zeros((len(outs), dim, dim), dtype=complex)
     for mat, out in zip(mats, outs):
-        cols, rest = _untagged(out.keys, lattice.n_edges)
-        digits = [_digit(rest, e) for e in reversed(support)]
-        for e, d in zip(reversed(support), digits):
-            rest = _set_digit(rest, e, d, E.index)
+        rest = out.digits[:, :n].copy()
+        rest[:, support] = E.index
         if rest.any():
             raise ValueError("builder acts outside the support edges")
-        if np.any((cols < 0) | (cols >= dim)):
+        if out.digits.shape[1] != digits.shape[1]:
             raise ValueError("builder changed a column tag")
-        mat[np.ravel_multi_index(digits, shape), cols] = out.amps
+        rows = dg.pack(out.digits[:, support], radices)
+        mat[rows, dg.pack(out.digits[:, n:], radices)] = out.amps
     return mats
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from s3double import circuits as cir
+from s3double import digits as dg
 from s3double import lattice as lat
 from s3double.algebra import E, ELEMENTS, GroupElement, OMEGA, SIGMA
 
@@ -629,7 +630,8 @@ class TestStabilizerMaps:
         expo = (kd(le) + (-1) ** ld(le) * kd(be) - (-1) ** ld(te) * kd(re) - kd(te)) % 3
         for k, g in ((0, E), (1, GroupElement(1, 0)), (2, GroupElement(2, 0))):
             predicted = (expo == k) & (parity == 0)
-            st = lat.LatticeState(lattice, idx, np.ones(6**n, complex), frozenset())
+            all_configs = dg.basis_rows((6,) * n)
+            st = lat.LatticeState(lattice, all_configs, np.ones(6**n, complex), frozenset())
             out = lat.apply_plaquette(st, (0, 0), g)
             oracle = np.zeros(6**n, dtype=bool)
             oracle[out.keys] = True

@@ -9,6 +9,7 @@ import pytest
 
 from s3double import circuits as cir
 from s3double import concat_code as cc
+from s3double import digits as dg
 
 
 # Dense reference: the register as a 3^n vector, operators as index tables.
@@ -209,7 +210,8 @@ class TestSupportRegister:
         states = self._states(code)
         assert len(states) == 147
         for vec, ref in states:
-            assert len(vec.keys) == 9 and np.all(np.diff(vec.keys) > 0)
+            keys = dg.pack(vec.digits, vec.radices)
+            assert len(keys) == 9 and np.all(np.diff(keys) > 0)
             assert np.allclose(vec.dense(), ref, rtol=0, atol=1e-15)
             got = cc.stabilizer_expectations(code, vec)
             assert np.allclose(got, _dense_expectations(code, ref), rtol=0, atol=1e-12)
@@ -281,7 +283,7 @@ class TestLogicalCC:
         # 3-qutrit application of the per-block transversal layers
         shor3, rep = cc.shor_code(3), cc.qutrit_repetition_code()
         digits, weights = _dense_tables(3)
-        bits = cc._digit_table(2, 9)
+        bits = dg.basis_rows((2,) * 9)[:, ::-1]  # qubit 0 most significant
         for alpha in range(2):
             for beta in range(3):
                 dense = np.kron(cc.codewords(shor3, alpha), cc.codewords(rep, beta))

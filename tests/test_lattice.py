@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from s3double import digits as dg
 from s3double import lattice as lat
 from s3double.algebra import (
     ANYON_TABLE,
@@ -24,6 +25,16 @@ from s3double.algebra import (
 )
 
 elements = st.sampled_from(ELEMENTS)
+
+
+def _merged(lattice, pieces, uniform):
+    """Sum of (digits, amps) pieces as one state: equal rows are added and
+    negligible amplitudes dropped.  No pieces give the zero state."""
+    if not pieces:
+        empty = np.zeros((0, lattice.n_edges), dtype=np.int8)
+        return lat.LatticeState(lattice, empty, np.zeros(0, dtype=complex), uniform)
+    digits, amps = map(np.concatenate, zip(*pieces))
+    return lat._states(lattice, digits, amps[:, None], uniform)[0]
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +79,7 @@ class TestDrinfeldAlgebra:
         v = (1, 1)
         dim = 6 ** lattice.n_edges
         amps = np.arange(1, dim + 1, dtype=complex)
-        st_all = lat.LatticeState(lattice, np.arange(dim, dtype=np.int64), amps)
+        st_all = lat.LatticeState(lattice, dg.basis_rows((6,) * lattice.n_edges), amps)
         images = {g: lat.apply_vertex(st_all, v, g) for g in ELEMENTS}
         for g, out in images.items():
             # a bijection on keys that moves some key unless g = e
@@ -202,7 +213,7 @@ class TestRibbons:
             np.int64
         )
         amps = rng.normal(size=40) + 1j * rng.normal(size=40)
-        st0 = lat.LatticeState(lattice, keys, amps, frozenset())
+        st0 = lat.LatticeState(lattice, dg.unpack(keys, (6,) * lattice.n_edges), amps, frozenset())
         for h in (MU, SIGMA):
             for g in (E, MU):
                 direct = lat.apply_ribbon(st0, rib, h, g)
@@ -216,8 +227,8 @@ class TestRibbons:
                         out = lat.apply_ribbon(out, pieces[1], h2, m2)
                         out = lat.apply_ribbon(out, pieces[2], h3, g3)
                         if out.n_terms:
-                            parts.append((out.keys, out.amps))
-                glued = lat._merged(lattice, parts, frozenset())
+                            parts.append((out.digits, out.amps))
+                glued = _merged(lattice, parts, frozenset())
                 assert direct.n_terms == glued.n_terms
                 assert np.array_equal(direct.keys, glued.keys)
                 assert np.allclose(direct.amps, glued.amps, atol=1e-12)
@@ -293,11 +304,11 @@ def _column_loop_matrix(lattice, support, builder):
     dim = 6 ** len(support)
     mat = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
-        key = lat._identity_keys(1)
+        digits = np.full((1, lattice.n_edges), E.index, dtype=np.int8)
         for e, d in zip(support, reversed(np.unravel_index(col, shape))):
-            key = lat._set_digit(key, e, E.index, d)
-        out = builder(lat.LatticeState(lattice, key, np.ones(1, dtype=complex)))
-        rows = np.ravel_multi_index([lat._digit(out.keys, e) for e in reversed(support)], shape)
+            digits[0, e] = d
+        out = builder(lat.LatticeState(lattice, digits, np.ones(1, dtype=complex)))
+        rows = np.ravel_multi_index([out.digits[:, e] for e in reversed(support)], shape)
         mat[rows, col] = out.amps
     return mat
 
@@ -365,7 +376,8 @@ class TestRibbonOperatorMatrix:
         support = [t.edge for t in rib.triangles]
 
         def builder(st):
-            shifted = st.keys + 6 ** (lattice.n_edges + len(support))
+            # a digit 1 above the tag columns
+            shifted = np.column_stack([st.digits, np.ones(st.n_terms, dtype=np.int8)])
             return lat.LatticeState(st.lattice, shifted, st.amps)
 
         with pytest.raises(ValueError, match="column tag"):
@@ -397,8 +409,8 @@ def _ribbon_branch_by_centralizer(state, ribbon, anyon, u, v):
         if abs(coeff) < 1e-15:
             continue
         part = lat.apply_ribbon(base, ribbon, c, tau_c * n * tau_cp.inverse())
-        pieces.append((part.keys, part.amps * coeff))
-    return lat._merged(state.lattice, pieces, base.uniform)
+        pieces.append((part.digits, part.amps * coeff))
+    return _merged(state.lattice, pieces, base.uniform)
 
 
 def _K_by_centralizer(state, site, anyon):
@@ -414,11 +426,12 @@ def _K_by_centralizer(state, site, anyon):
         for n in irrep.C.centralizer:
             g = tau_c * n * tau_c.inverse()
             g_arr = np.full(flux_part.n_terms, g.index, dtype=np.int64)
-            keys = lat._gauge_at_vertex(state.lattice, flux_part.keys, site, g_arr)
-            keys = lat.canonicalize_keys(state.lattice, keys, state.uniform)
+            digits = flux_part.digits.copy()
+            lat._gauge_at_vertex(state.lattice, digits, site, g_arr)
+            digits = lat.canonicalize_keys(state.lattice, digits, state.uniform)
             coeff = scale * np.conj(irrep.R.character(n))
-            pieces.append((keys, flux_part.amps * coeff))
-    return lat._merged(state.lattice, pieces, state.uniform)
+            pieces.append((digits, flux_part.amps * coeff))
+    return _merged(state.lattice, pieces, state.uniform)
 
 
 def _K_per_anyon(state, site, anyon):
@@ -434,13 +447,14 @@ def _K_per_anyon(state, site, anyon):
             continue
         for g in np.flatnonzero(chars[h]):
             g_arr = np.full(flux_part.n_terms, g, dtype=np.int64)
-            keys = lat._gauge_at_vertex(state.lattice, flux_part.keys, site, g_arr)
-            pieces.append((keys, flux_part.amps * (scale * np.conj(chars[h, g]))))
+            digits = flux_part.digits.copy()
+            lat._gauge_at_vertex(state.lattice, digits, site, g_arr)
+            pieces.append((digits, flux_part.amps * (scale * np.conj(chars[h, g]))))
     if not pieces:
-        return lat._merged(state.lattice, [], state.uniform)
-    keys, amps = map(np.concatenate, zip(*pieces))
-    keys = lat.canonicalize_keys(state.lattice, keys, state.uniform)
-    return lat._merged(state.lattice, [(keys, amps)], state.uniform)
+        return _merged(state.lattice, [], state.uniform)
+    digits, amps = map(np.concatenate, zip(*pieces))
+    digits = lat.canonicalize_keys(state.lattice, digits, state.uniform)
+    return _merged(state.lattice, [(digits, amps)], state.uniform)
 
 
 def _measure_site_per_anyon(state, site, rng):
@@ -452,7 +466,7 @@ def _measure_site_per_anyon(state, site, rng):
         probs = np.array([np.sum(np.abs(state.amps[m]) ** 2) for m in masks])
         pick = rng.choice(len(masks), p=probs / probs.sum())
         m = masks[pick]
-        post = lat.LatticeState(state.lattice, state.keys[m], state.amps[m], state.uniform)
+        post = lat.LatticeState(state.lattice, state.digits[m], state.amps[m], state.uniform)
         return lat._FLUX_CLASSES[pick][0], post.normalized()
     u = rng.random() * state.norm() ** 2
     acc = 0.0
@@ -475,28 +489,28 @@ def _measure_site_per_anyon(state, site, rng):
 def _branches_per_row(state, ribbon, anyon):
     """anyon_ribbon_branches with one _merged per (u, v) row of each flux
     walk, over the terms where that row's coefficient is nonzero; also
-    whether canonicalization moved any key of a walk."""
+    whether canonicalization moved any row of a walk."""
     basis = ANYON_TABLE[anyon].basis
     state = lat._deuniformized(state, ribbon.vertices)
     out, moved = [], False
     for h, us in groupby(basis, key=lambda u: u[0]):
-        keys, prefix = state.keys, np.zeros(state.n_terms, dtype=np.int64)
+        digits, prefix = state.digits.copy(), np.zeros(state.n_terms, dtype=np.int64)
         for tri in ribbon.triangles:
             if tri.kind == "direct":
-                d = lat._digit(keys, tri.edge)
+                d = digits[:, tri.edge]
                 prefix = MUL_TABLE[prefix, d if tri.positive else INV_TABLE[d]]
             else:
                 conj = MUL_TABLE[MUL_TABLE[INV_TABLE[prefix], h.index], prefix]
-                step = lat._left_mult if tri.positive else lat._right_mult_inv
-                keys = step(keys, tri.edge, conj)
-        canonical = lat.canonicalize_keys(state.lattice, keys, state.uniform)
-        moved |= not np.array_equal(canonical, keys)
-        keys = canonical
+                lat._mult(digits, tri.edge, conj, tri.positive)
+        canonical = lat.canonicalize_keys(state.lattice, digits, state.uniform)
+        moved |= not np.array_equal(canonical, digits)
+        digits = canonical
         for u in us:
             for v in basis:
                 c = ribbon_terms(anyon, u, v)[1][prefix]
                 m = c != 0
-                out.append(lat._merged(state.lattice, [(keys[m], state.amps[m] * c[m])], state.uniform))
+                piece = (digits[m], state.amps[m] * c[m])
+                out.append(_merged(state.lattice, [piece], state.uniform))
     return out, moved
 
 
@@ -507,13 +521,13 @@ def _random_state(lattice, n_terms, seed, uniform=(), explicit=()):
     rng = np.random.default_rng(seed)
     keys = np.unique(rng.integers(0, 6 ** lattice.n_edges, size=n_terms))
     amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
-    state = lat.LatticeState(lattice, keys, amps)
+    state = lat.LatticeState(lattice, dg.unpack(keys, (6,) * lattice.n_edges), amps)
     for v in uniform:
         state = lat.uniformize(state, v)
     if explicit:
         state = lat._deuniformized(state, explicit)
         amps = rng.normal(size=state.n_terms) + 1j * rng.normal(size=state.n_terms)
-        state = lat.LatticeState(lattice, state.keys, amps, state.uniform)
+        state = lat.LatticeState(lattice, state.digits, amps, state.uniform)
     return state
 
 

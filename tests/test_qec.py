@@ -368,8 +368,9 @@ def _with_ground(state, weight):
     """weight |gs> + |state>, written on the state's uniform set."""
     gs = lat.ground_state(state.lattice)
     gs = lat._deuniformized(gs, sorted(gs.uniform - state.uniform))
-    pieces = [(gs.keys, weight * gs.amps), (state.keys, state.amps)]
-    return lat._merged(state.lattice, pieces, state.uniform)
+    digits = np.concatenate([gs.digits, state.digits])
+    amps = np.concatenate([weight * gs.amps, state.amps])
+    return lat._states(state.lattice, digits, amps[:, None], state.uniform)[0]
 
 
 class TestFidelity:
