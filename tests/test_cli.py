@@ -3,7 +3,11 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -369,3 +373,39 @@ class TestReproducibility:
         assert code == 0 and not out
         assert "orthonormality" in err and "PASS" in err
         assert records(path.read_text())[0]["pass"]
+
+
+class TestDependencies:
+    def test_package_runs_without_scipy(self):
+        # a meta-path finder that refuses scipy stands in for an install
+        # without it; every module is imported and one subcommand runs
+        script = textwrap.dedent(
+            """
+            import importlib, pkgutil, sys
+
+            class NoScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(f"{name} is not installed")
+
+            sys.meta_path.insert(0, NoScipy())
+            try:
+                import scipy
+            except ImportError:
+                pass
+            else:
+                sys.exit("the finder did not block scipy")
+            import s3double
+            for mod in pkgutil.iter_modules(s3double.__path__):
+                importlib.import_module("s3double." + mod.name)
+            from s3double import cli
+            sys.exit(cli.run(["verify-category"]))
+            """
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert [json.loads(line)["pass"] for line in proc.stdout.splitlines()] == [True, True]
