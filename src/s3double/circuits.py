@@ -55,9 +55,8 @@ class CircuitError(RuntimeError):
 
 
 def _c_order(digits, dims) -> np.ndarray:
-    """Index of each row in the C-order basis of `dims` (wire 0 slowest),
-    which dense matrices (gate unitaries, Kraus operators) use: the key of
-    the row read backwards."""
+    """Index of each row in the C-order basis of `dims` (wire 0 slowest) that
+    gate unitaries and Kraus operators use: the key of the reversed row."""
     return dg.pack(digits[:, ::-1], tuple(dims)[::-1])
 
 
@@ -911,7 +910,8 @@ def measure_site_circuit(state, site, rng):
     Every endpoint of an edge that the circuit touches is made explicit
     first.  Other uniform vertices stay uniform: no touched edge meets them,
     so the circuit commutes with their A_v and leaves their canonical tree
-    edges alone."""
+    edges alone.  The terms enter the register by a column split, so the
+    int64 key of the `digits` module is the circuit's only size bound."""
     lattice = state.lattice
     circuit = build_K_circuit(lattice, site)
     edges = {w // 2 for op in circuit.ops for w in op.wires if isinstance(w, int)}
