@@ -277,18 +277,15 @@ def qutrit_shor_code() -> QuditCSSCode:
 @dataclass(frozen=True, eq=False)
 class SupportVector:
     """Register vector held on its support: one int8 row of p-ary digits per
-    basis state (one column per qudit) and its amplitude, the rows distinct,
-    nonzero and in key order (`digits.merged`)."""
+    basis state (one column per qudit, rows distinct) and its amplitude.
+    Lookups go through the `digits` module, so rows keep any order."""
 
     p: int
     digits: np.ndarray
     amps: np.ndarray
 
     def __post_init__(self):
-        digits = np.asarray(self.digits, dtype=np.int8)
-        ((digits, amps),) = dg.merged(digits, self.radices, self.amps[:, None], 0)
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "digits", np.asarray(self.digits, dtype=np.int8))
 
     @property
     def radices(self):

@@ -49,6 +49,8 @@ def pack(digits, radices) -> np.ndarray:
     """int64 key of each row; the digits are promoted to int64 before the
     multiply, a bounded block of rows at a time."""
     values = place_values(radices, len(digits))
+    if len(digits) <= _CHUNK:
+        return digits @ values
     keys = np.empty(len(digits), dtype=np.int64)
     for i in range(0, len(digits), _CHUNK):
         np.matmul(digits[i : i + _CHUNK], values, out=keys[i : i + _CHUNK])

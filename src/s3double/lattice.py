@@ -475,9 +475,9 @@ def staircase_ribbon(lattice: Lattice, site, moves: str) -> Ribbon:
 
 def _ribbon_sum(state: LatticeState, ribbon: Ribbon, h: GroupElement, rows) -> list:
     """[sum_g row[g] F^{h,g}_rho for row in rows] from one triangle walk: the
-    walk moves keys by h alone, and the product of the elements read picks
-    each term's g.  All rows share the walk's keys, so they are canonicalized
-    and merged once."""
+    walk moves terms by h alone, and the product of the elements read picks
+    each term's g.  All rows share the walk's terms, so they are
+    canonicalized and merged once."""
     state = _deuniformized(state, ribbon.vertices)
     digits = state.digits.copy()
     prefix = np.zeros(state.n_terms, dtype=np.int64)  # product of elements read
@@ -722,8 +722,7 @@ def ribbon_operator_matrices(lattice: Lattice, support, builder) -> np.ndarray:
     (ResourceError, raised before any state is built).
     """
     support = list(support)
-    n, radices = lattice.n_edges, (ORDER,) * len(support)
-    dim = ORDER ** len(support)
+    n, radices, dim = lattice.n_edges, (ORDER,) * len(support), ORDER ** len(support)
     dg.place_values((ORDER,) * n + radices, dim)
     columns = dg.basis_rows(radices)
     digits = np.zeros((dim, n + len(support)), dtype=np.int8)
