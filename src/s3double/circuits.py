@@ -158,19 +158,6 @@ class Expr:
             s %= self.inner_mod
         return self.const + self.scale * s
 
-    def encode(self) -> str:
-        terms = ",".join(f"{lab}*{c}" for lab, c in self.terms)
-        return f"{self.const};{self.scale};{self.inner_mod};{terms}"
-
-    @staticmethod
-    def decode(text: str) -> "Expr":
-        const, scale, mod, terms = text.split(";")
-        parsed = tuple(
-            (lab, int(c))
-            for lab, c in (t.split("*") for t in terms.split(",") if t)
-        )
-        return Expr(int(const), parsed, int(mod), int(scale))
-
 
 E1 = Expr(1)
 
@@ -186,17 +173,6 @@ class Op:
     label: str = ""
     dim: int = 0
     init: str = ""
-
-
-def _fmt_wires(wires):
-    return ",".join(str(w) for w in wires)
-
-
-def _parse_wire(tok):
-    try:
-        return int(tok)
-    except ValueError:
-        return tok
 
 
 @dataclass(frozen=True)
@@ -216,54 +192,6 @@ class AdaptiveCircuit:
 
     def non_clifford_kinds(self):
         return sorted(set(self.gate_kinds()) & NON_CLIFFORD_KINDS)
-
-    def to_text(self) -> str:
-        lines = [
-            "dims " + ",".join(str(d) for d in self.system_dims),
-            "accept " + ",".join(f"{l}={v}" for l, v in self.accept),
-        ]
-        for op in self.ops:
-            toks = [op.kind]
-            if op.kind == "gate":
-                toks += [op.gate, "w=" + _fmt_wires(op.wires), "pow=" + op.power.encode()]
-            elif op.kind == "measure":
-                toks += ["w=" + _fmt_wires(op.wires), f"basis={op.basis}", f"label={op.label}"]
-            elif op.kind == "alloc":
-                toks += [f"name={op.label}", f"dim={op.dim}", f"init={op.init}"]
-            elif op.kind == "free":
-                toks += [f"name={op.label}"]
-            if op.cond:
-                toks.append("cond=" + ",".join(f"{l}={v}" for l, v in op.cond))
-            lines.append(" ".join(toks))
-        return "\n".join(lines) + "\n"
-
-
-def _parse_pairs(text):
-    """((label, value), ...) of "label=value,..." text."""
-    return tuple((l, int(v)) for l, v in (p.split("=") for p in text.split(",") if p))
-
-
-def from_text(text: str) -> AdaptiveCircuit:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    dims = tuple(int(d) for d in lines[0].split()[1].split(","))
-    accept = _parse_pairs("".join(lines[1].split()[1:]))
-    ops = []
-    for ln in lines[2:]:
-        toks = ln.split()
-        kv = dict(t.split("=", 1) for t in toks[1:] if "=" in t)
-        if toks[0] == "gate":
-            wires = tuple(_parse_wire(w) for w in kv["w"].split(","))
-            op = Op("gate", gate=toks[1], wires=wires, power=Expr.decode(kv["pow"]))
-        elif toks[0] == "measure":
-            op = Op("measure", wires=(_parse_wire(kv["w"]),), basis=kv["basis"], label=kv["label"])
-        elif toks[0] == "alloc":
-            op = Op("alloc", label=kv["name"], dim=int(kv["dim"]), init=kv["init"])
-        elif toks[0] == "free":
-            op = Op("free", label=kv["name"])
-        else:
-            raise CircuitError(f"bad line {ln!r}")
-        ops.append(replace(op, cond=_parse_pairs(kv.get("cond", ""))))
-    return AdaptiveCircuit(dims, tuple(ops), accept)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +427,9 @@ def check_equivalence(circuit: AdaptiveCircuit, operator_kraus) -> float:
     operator side's weights negated, so neither Choi matrix is built."""
     sys_dim = int(np.prod(circuit.system_dims))
     if sys_dim > 36:
-        raise lat.ResourceError("equivalence support exceeds two edges", sys_dim)
+        raise CircuitError(
+            f"equivalence support exceeds two edges (system dimension {sys_dim}, limit 36)"
+        )
     w_circ, v_circ = _choi_rows(channel_kraus(circuit))
     w_op, v_op = _choi_rows([(1.0, k) for k in operator_kraus])
     w = np.concatenate([w_circ, -w_op])
@@ -870,9 +800,6 @@ def build_K_circuit(lattice, site) -> AdaptiveCircuit:
     return AdaptiveCircuit((3, 2) * lattice.n_edges, tuple(ops))
 
 
-_FGH_BY_PHASE = {0: "F", 1: "G", 2: "H"}
-
-
 def classify_K_transcript(record) -> str:
     l, k = record["l"], record["k"]
     if l == 0 and k == 0:
@@ -881,7 +808,7 @@ def classify_K_transcript(record) -> str:
         return "A" if record["s"] == 0 else "B"
     if l == 1:
         return "D" if record["s"] == 0 else "E"
-    return _FGH_BY_PHASE[record["a2"]]
+    return "FGH"[record["a2"]]
 
 
 # ---------------------------------------------------------------------------

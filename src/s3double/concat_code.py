@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import circuits as cir
 from . import digits as dg
 
 OMEGA3 = np.exp(2j * np.pi / 3)
@@ -105,16 +104,6 @@ def kernel_basis(matrix, p):
             v[c] = (-row[f]) % p
         basis.append(v)
     return np.array(basis, dtype=np.int64).reshape(len(basis), n)
-
-
-def schur_product(u, v, p=3):
-    """Component-wise product over F_p."""
-    return tuple((np.array(u) * np.array(v)) % p)
-
-
-def pow2_mod3(q: int) -> int:
-    """2^q mod 3: 1 for even q, 2 for odd q."""
-    return pow(2, q, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -207,26 +196,6 @@ class QuditCSSCode:
                         continue
                     table[syn] = (site, a, b)
         return table
-
-
-def parse_parity_matrix(text: str, p: int) -> np.ndarray:
-    """One row per line, space-separated F_p digits."""
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        digits = [int(t) for t in line.split()]
-        if any(d < 0 or d >= p for d in digits):
-            raise CodeError(f"digit out of range for F_{p}")
-        rows.append(digits)
-    if rows and len({len(r) for r in rows}) != 1:
-        raise CodeError("ragged parity matrix")
-    return np.array(rows, dtype=np.int64)
-
-
-def format_parity_matrix(matrix) -> str:
-    return "\n".join(" ".join(str(int(d)) for d in row) for row in matrix) + "\n"
 
 
 def shor_code(n: int) -> QuditCSSCode:
@@ -656,11 +625,11 @@ def schur_obstruction_check(code: QuditCSSCode, a=None):
         return not np.any(code.H_Z @ np.array(vec) % code.p) if code.H_Z.size else True
 
     def preserved(vec):
-        return all(in_space(schur_product(vec, h, code.p)) for h in basis)
+        return all(in_space(tuple(np.array(vec) * h % code.p)) for h in basis)
 
     def witness(vec):
         for h in basis:
-            w = schur_product(vec, h, code.p)
+            w = tuple(np.array(vec) * h % code.p)
             if not in_space(w):
                 return {"a": tuple(int(d) for d in vec), "h": tuple(int(d) for d in h), "wedge": w}
         return None
@@ -712,27 +681,3 @@ def naive_transversal_check(qubit_code: QuditCSSCode, qutrit_code: QuditCSSCode)
         proj = sum(v * np.vdot(v, out) for v in logical)
         worst = max(worst, float(np.linalg.norm(out - proj)))
     return {"leakage": worst}
-
-
-# ---------------------------------------------------------------------------
-# Serialization to the circuit text format
-
-
-def schedule_to_circuit(schedule: GateSchedule) -> cir.AdaptiveCircuit:
-    """Transversal gate layers of the schedule as an explicit circuit
-    (n^2 qubit wires followed by n qutrit wires; recovery steps are
-    measurement-and-feedback procedures and are not gate-serialized)."""
-    n = schedule.n
-    if n * n + n > 16:
-        raise CodeError("circuit serialization limited to the n=3 instance")
-    dims = (2,) * (n * n) + (3,) * n
-    ops = []
-    for step in schedule.steps:
-        if step[0] != "CC":
-            continue
-        block = step[1]
-        for j in range(n):
-            ops.append(
-                cir.Op("gate", gate="CC", wires=(block * n + j, n * n + j))
-            )
-    return cir.AdaptiveCircuit(dims, tuple(ops))

@@ -318,15 +318,6 @@ class ProtocolOutcome:
     rounds: int
     timed_out: bool = False
 
-    def record(self) -> str:
-        lines = [f"tag {self.tag}", f"rounds {self.rounds}",
-                 f"timed_out {self.timed_out}",
-                 "transcript " + " ".join(map(str, self.transcript))]
-        for key in sorted(self.state.amps):
-            v = self.state.amps[key]
-            lines.append(f"{'/'.join(key)} {v.real!r} {v.imag!r}")
-        return "\n".join(lines)
-
 
 def _sample(rng, labels, weights):
     w = np.array(weights, dtype=float)

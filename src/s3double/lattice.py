@@ -19,8 +19,8 @@ vertex first (term count x6 per vertex).
 
 Key format: a state stores one int8 row of group indices per term, one
 column per edge (`LatticeState.digits`), and operators write columns.  The
-`digits` module packs rows into keys (base 6, edge 0 least significant,
-KEY_DIGITS digits per int64) for every merge, overlap and dense index.
+`digits` module packs rows into keys (base 6, edge 0 least significant, at
+most 24 digits per int64) for every merge, overlap and dense index.
 ribbon_operator_matrices tags each basis column in radix-6 columns after the
 last edge, which no lattice operation touches.
 
@@ -65,7 +65,6 @@ from .digits import ResourceError
 
 PRUNE_TOL = 1e-14
 MAX_VERTICES = 10
-KEY_DIGITS = 24  # base-6 digits of an int64 key: 6^24 < 2^63 < 6^25
 
 
 class AnnihilationError(RuntimeError):
@@ -197,16 +196,6 @@ class LatticeState:
         if n == 0:
             raise ValueError("cannot normalize the zero state")
         return replace(self, amps=self.amps / n)
-
-    def dump(self) -> str:
-        """Structured text snapshot (edge order, configurations, amplitudes)."""
-        lat = self.lattice
-        lines = [f"lattice {lat.W}x{lat.H} edges {lat.n_edges}"]
-        lines.append("uniform " + " ".join(f"{x},{y}" for x, y in sorted(self.uniform)))
-        for i in np.argsort(self.keys):
-            a = self.amps[i]
-            lines.append(f"{''.join(map(str, self.digits[i]))} {a.real!r} {a.imag!r}")
-        return "\n".join(lines)
 
 
 def _states(lattice, digits, amps, uniform) -> list:
@@ -460,17 +449,6 @@ def shortest_v(lattice: Lattice, site) -> Ribbon:
         (x, y - 1),
         ((x, y), (x, y - 1)),
     )
-
-
-def staircase_ribbon(lattice: Lattice, site, moves: str) -> Ribbon:
-    """Concatenate shortest ribbons along a path of 'R' (right) / 'U' (up)."""
-    rib = None
-    cur = tuple(site)
-    for m in moves:
-        piece = shortest_h(lattice, cur) if m == "R" else shortest_v(lattice, cur)
-        rib = piece if rib is None else rib + piece
-        cur = piece.s1
-    return rib
 
 
 def _ribbon_sum(state: LatticeState, ribbon: Ribbon, h: GroupElement, rows) -> list:

@@ -146,19 +146,6 @@ def syndrome_sites(lattice: lat.Lattice, edge: int):
     )
 
 
-def pauli_to_anyons(lattice: lat.Lattice, edge: int, kind: str) -> dict:
-    """Expected charge-measurement pattern {site: letter} of a single Pauli
-    error (dominant outcome at the lone-vertex site, see S3_MIX)."""
-    if kind not in PAULI_KINDS:
-        raise QECError(f"unknown Pauli kind {kind!r}")
-    table = SYNDROME_H if lattice.is_horizontal(edge) else SYNDROME_V
-    pattern = {}
-    for site, letter in zip(syndrome_sites(lattice, edge), table[kind]):
-        if site is not None and letter != "A":
-            pattern[site] = letter
-    return pattern
-
-
 # ---------------------------------------------------------------------------
 # Decoder
 

@@ -389,9 +389,12 @@ class TestRibbonCircuits:
             cir.choi_matrix([])
 
     def test_support_too_large_raises(self):
+        # the guard names the system dimension it met, not a term count
         circ = cir.AdaptiveCircuit((3, 2) * 3, ())
-        with pytest.raises(lat.ResourceError):
+        with pytest.raises(cir.CircuitError) as err:
             cir.check_equivalence(circ, [np.eye(216)])
+        assert "system dimension 216" in str(err.value) and "limit 36" in str(err.value)
+        assert "term count" not in str(err.value)
 
     def test_measured_sign_variant_heralds_charge(self, strip):
         # the variant that measures the paired-charge sign dephases it: the
@@ -639,19 +642,6 @@ class TestStabilizerMaps:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize(
-        "circ",
-        [
-            cir.build_ribbon_circuit("D", "h"),
-            cir.build_ribbon_circuit("G", "v"),
-            cir.build_LT_circuit("T", SIGMA, "-"),
-            cir.build_K_circuit(lat.Lattice(1, 1), (0, 0)),
-        ],
-        ids=["ribbon-D", "ribbon-G", "projector", "charge-measure"],
-    )
-    def test_text_round_trip(self, circ):
-        assert cir.from_text(circ.to_text()) == circ
-
     def test_register_round_trip(self, strip):
         lattice, gs = strip
         rng = np.random.default_rng(9)

@@ -81,10 +81,6 @@ class TestLinearAlgebra:
         assert cc.in_rowspan(m, (1, 0, 1), 2)
         assert not cc.in_rowspan(m, (1, 0, 0), 2)
 
-    def test_pow2_mod3(self):
-        for q in range(10):
-            assert cc.pow2_mod3(q) == (1 if q % 2 == 0 else 2)
-
 
 class TestCodes:
     def test_shor_code_parameters(self):
@@ -119,14 +115,6 @@ class TestCodes:
     def test_no_logical_rejected(self):
         with pytest.raises(cc.CodeError):
             cc.QuditCSSCode(2, 2, [[1, 1]], [[1, 0], [0, 1]])
-
-    def test_parity_matrix_round_trip(self):
-        m = cc.qutrit_shor_code().H_Z
-        assert np.array_equal(cc.parse_parity_matrix(cc.format_parity_matrix(m), 3), m)
-        with pytest.raises(cc.CodeError):
-            cc.parse_parity_matrix("0 1 2\n0 1", 3)
-        with pytest.raises(cc.CodeError):
-            cc.parse_parity_matrix("0 3", 3)
 
 
 class TestCodewords:
@@ -437,15 +425,3 @@ class TestObstruction:
         qb = cc.QuditCSSCode(2, 3, [[1, 1, 0], [0, 1, 1]], np.zeros((0, 3), dtype=np.int64))
         qt = cc.QuditCSSCode(3, 3, [[1, 2, 0], [0, 1, 2]], np.zeros((0, 3), dtype=np.int64))
         assert cc.naive_transversal_check(qb, qt)["leakage"] > 0.5
-
-
-class TestSerialization:
-    def test_schedule_circuit_round_trip(self):
-        circ = cc.schedule_to_circuit(cc.logical_CC(3))
-        assert circ.gate_kinds() == ["CC"]
-        assert len(circ.ops) == 9
-        assert cir.from_text(circ.to_text()).to_text() == circ.to_text()
-
-    def test_large_schedule_not_serialized(self):
-        with pytest.raises(cc.CodeError):
-            cc.schedule_to_circuit(cc.logical_CC(9))

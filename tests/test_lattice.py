@@ -200,14 +200,14 @@ class TestRibbons:
         # recursion equals the gluing-sum of its three shortest pieces on
         # random sparse states
         lattice = lat.Lattice(3, 2)
-        rib = lat.staircase_ribbon(lattice, (0, 1), "RRU")
-        assert len(rib.triangles) == 6
-        assert rib.s0 == (0, 1) and rib.s1 == (2, 0)
         pieces = [
             lat.shortest_h(lattice, (0, 1)),
             lat.shortest_h(lattice, (1, 1)),
             lat.shortest_v(lattice, (2, 1)),
         ]
+        rib = pieces[0] + pieces[1] + pieces[2]
+        assert len(rib.triangles) == 6
+        assert rib.s0 == (0, 1) and rib.s1 == (2, 0)
         rng = np.random.default_rng(3)
         keys = rng.choice(6 ** lattice.n_edges, size=40, replace=False).astype(
             np.int64
@@ -237,13 +237,21 @@ class TestRibbons:
         # one right step then one up step on a 2x2 lattice moves the charge
         # from (0, 1) to (1, 0)
         lattice = lat.Lattice(2, 2)
-        rib = lat.staircase_ribbon(lattice, (0, 1), "RU")
+        rib = lat.shortest_h(lattice, (0, 1)) + lat.shortest_v(lattice, (1, 1))
         assert rib.s0 == (0, 1) and rib.s1 == (1, 0)
         gs = lat.ground_state(lattice)
         rng = np.random.default_rng(3)
         st = lat.apply_anyon_ribbon(gs, rib, "G", mixed=True, rng=rng)
         cfg, _ = lat.measure_MK(st, rng)
         assert cfg.nontrivial() == {(0, 1): "G", (1, 0): "G"}
+
+    def test_gluing_needs_a_shared_site(self):
+        # rho_h from (0, 1) ends at (1, 1); a ribbon must start there to follow it
+        lattice = lat.Lattice(2, 2)
+        with pytest.raises(ValueError, match="share an intermediate site"):
+            lat.shortest_h(lattice, (0, 1)) + lat.shortest_v(lattice, (0, 1))
+        with pytest.raises(ValueError):
+            lat.shortest_v(lattice, (1, 1)) + lat.shortest_h(lattice, (0, 1))
 
     @pytest.mark.parametrize("anyon", ANYONS)
     def test_pair_creation_and_detection(self, anyon, gs21):
@@ -347,11 +355,15 @@ class TestRibbonOperatorMatrix:
                 assert np.array_equal(batched, _column_loop_matrix(lattice, support, builder))
 
     def test_all_key_digits_in_use(self):
-        # 22 edges plus 2 tag digits fill the int64 key exactly
+        # 22 edges plus 2 tag digits fill the int64 key exactly: 24 base-6
+        # digits fit one int64 key and 25 overflow it
         lattice = lat.Lattice(4, 2)
         rib = lat.shortest_h(lattice, (3, 1))
         support = [t.edge for t in rib.triangles]
-        assert lattice.n_edges + len(support) == lat.KEY_DIGITS
+        assert lattice.n_edges + len(support) == 24
+        assert len(dg.place_values((6,) * 24, 1)) == 24
+        with pytest.raises(dg.ResourceError):
+            dg.place_values((6,) * 25, 1)
         assert max(support) == lattice.n_edges - 1
 
         def builder(st):
@@ -715,7 +727,7 @@ class TestOrthonormality:
 
 class TestSerialization:
     def test_dump_roundtrip_stability(self, gs21):
-        a = gs21.dump()
-        b = lat.ground_state(lat.Lattice(2, 1)).dump()
-        assert a == b
-        assert "lattice 2x1" in a
+        a, b = gs21, lat.ground_state(lat.Lattice(2, 1))
+        assert np.array_equal(a.digits, b.digits)
+        assert np.array_equal(a.amps, b.amps)
+        assert a.uniform == b.uniform

@@ -146,22 +146,6 @@ class TestSyndromeTables:
             if site not in (s1, s2, s3):
                 assert _site_marginals(st, site)["A"] == pytest.approx(1.0, abs=TOL)
 
-    def test_pauli_to_anyons_drops_trivial_and_off_grid(self):
-        lattice = lat.Lattice(2, 2)
-        # Z on a horizontal edge excites only the paired site and the lone
-        # vertex; the A entry never appears in the pattern
-        pat = qec.pauli_to_anyons(lattice, lattice.h_edge(0, 1), "Z")
-        assert pat == {(0, 1): "B", (1, 1): "B"}
-        # top-row edge: the off-grid plaquette entry is dropped
-        pat = qec.pauli_to_anyons(lattice, lattice.h_edge(0, 0), "Xh")
-        assert pat == {(0, 0): "F"}
-
-    def test_vertical_chirality_flip(self):
-        lattice = lat.Lattice(2, 2)
-        h = qec.pauli_to_anyons(lattice, lattice.h_edge(0, 1), "XhZh")
-        v = qec.pauli_to_anyons(lattice, lattice.v_edge(1, 0), "XhZh")
-        assert h[(0, 1)] == "G" and v[(1, 0)] == "H"
-
 
 class TestInjectPauli:
     def test_involutions_and_order(self, square):
