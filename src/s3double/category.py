@@ -172,9 +172,9 @@ class ConsistencyReport:
     def max_residual(self) -> float:
         return max(self.pentagon, self.hexagon, self.unitarity, self.vacuum)
 
-    def passes(self, tol: float = 1e-9) -> bool:
+    def passes(self) -> bool:
         counts = (self.pentagon_equations, self.hexagon_equations, self.blocks)
-        return self.max_residual < tol and min(counts) > 0
+        return self.max_residual < 1e-9 and min(counts) > 0
 
 
 def _dense(table: dict, index: dict, rank: int):
@@ -505,8 +505,8 @@ class OracleReport:
         residuals = (self.dim_residual, self.magnitude_residual, self.monodromy_residual)
         return max(residuals + (self.twist_residual,))
 
-    def passes(self, tol: float = 1e-9) -> bool:
-        return self.max_residual < tol and min(self.f_entries, self.r_entries) > 0
+    def passes(self) -> bool:
+        return self.max_residual < 1e-9 and min(self.f_entries, self.r_entries) > 0
 
 
 def derive_gauge_invariants(data: CategoryData = None) -> OracleReport:

@@ -62,6 +62,15 @@ class _Emitter:
             )
 
 
+def _positive_int(text):
+    """argparse type of every count and size: a count or size <= 0 would run
+    nothing and emit a vacuous pass, so it is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _trial_rng(seed, trial):
     return np.random.default_rng([seed, trial])
 
@@ -88,7 +97,7 @@ def _cmd_verify_category(args, emit):
             "hexagon_equations": report.hexagon_equations,
             "blocks": report.blocks,
         },
-        report.passes(1e-9),
+        report.passes(),
     )
     oracle = category.derive_gauge_invariants()
     emit(
@@ -101,7 +110,7 @@ def _cmd_verify_category(args, emit):
             "f_entries": oracle.f_entries,
             "r_entries": oracle.r_entries,
         },
-        oracle.passes(1e-9),
+        oracle.passes(),
     )
 
 
@@ -317,7 +326,7 @@ def _cmd_orthonormality(args, emit):
             "operators_per_ribbon": report.operators_per_ribbon,
             "pairs_checked": report.pairs_checked,
         },
-        report.passes(1e-9),
+        report.passes(),
     )
 
 
@@ -353,28 +362,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("verify-category")
     p = add("ground-state")
-    p.add_argument("--width", type=int, default=2)
-    p.add_argument("--height", type=int, default=1)
+    p.add_argument("--width", type=_positive_int, default=2)
+    p.add_argument("--height", type=_positive_int, default=1)
     p = add("move-stats")
     p.add_argument("--anyon", required=True, choices=ANYONS)
-    p.add_argument("--rounds", type=int, default=5)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--rounds", type=_positive_int, default=5)
+    p.add_argument("--trials", type=_positive_int, default=10000)
     p = add("ribbon-demo")
     p.add_argument("--anyon", required=True, choices=ANYONS)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     add("circuit-equivalence")
     p = add("measure-ma")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p = add("measure-mu")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p = add("merge-split")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     add("syndrome-table")
     p = add("qec-cycle")
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--height", type=int, default=8)
+    p.add_argument("--width", type=_positive_int, default=8)
+    p.add_argument("--height", type=_positive_int, default=8)
     p.add_argument("--p", type=float, default=1e-3)
-    p.add_argument("--rounds", type=int, default=3)
+    p.add_argument("--rounds", type=_positive_int, default=3)
     p.add_argument("--microscopic", action="store_true")
     p = add("concat-cc")
     p.add_argument("--blocks", type=int, default=3)

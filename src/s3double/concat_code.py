@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -122,8 +123,9 @@ class QuditCSSCode:
     def __post_init__(self):
         if self.p not in (2, 3):
             raise CodeError("only qubit (p=2) and qutrit (p=3) codes supported")
-        object.__setattr__(self, "H_X", _as_matrix(self.H_X, self.n) % self.p)
-        object.__setattr__(self, "H_Z", _as_matrix(self.H_Z, self.n) % self.p)
+        # read-only, like the cached tables: default codes are shared per process
+        object.__setattr__(self, "H_X", _read_only(_as_matrix(self.H_X, self.n) % self.p))
+        object.__setattr__(self, "H_Z", _read_only(_as_matrix(self.H_Z, self.n) % self.p))
         if self.H_X.shape[1] != self.n or self.H_Z.shape[1] != self.n:
             raise CodeError("parity-check width does not match the length")
         if self.H_X.shape[0] and self.H_Z.shape[0]:
@@ -132,7 +134,7 @@ class QuditCSSCode:
         if self.k < 1:
             raise CodeError("code encodes no logical qudit")
 
-    @property
+    @functools.cached_property
     def k(self) -> int:
         return self.n - rank(self.H_X, self.p) - rank(self.H_Z, self.p)
 
@@ -180,8 +182,8 @@ class QuditCSSCode:
 
     @functools.cached_property
     def correction_table(self):
-        """syndrome tuple -> (site, a, b) of a weight<=1 error; defined when
-        errors sharing a syndrome differ only by a stabilizer."""
+        """Read-only map: syndrome tuple -> (site, a, b) of a weight<=1 error;
+        defined when errors sharing a syndrome differ only by a stabilizer."""
         base = _codeword_support(self, 0)
         table = {_syndrome(self, base): (0, 0, 0)}
         for site in range(self.n):
@@ -195,7 +197,7 @@ class QuditCSSCode:
                             raise CodeError("inequivalent errors share a syndrome")
                         continue
                     table[syn] = (site, a, b)
-        return table
+        return MappingProxyType(table)
 
 
 def shor_code(n: int) -> QuditCSSCode:
@@ -368,12 +370,10 @@ class ConcatState:
         )
 
 
-def concat_state(n: int, alpha: int, beta: int, qutrit_code=None) -> ConcatState:
+def concat_state(n: int, alpha: int, beta: int) -> ConcatState:
     """|alpha>_L |beta>_L in the block basis: the Shor codewords are exactly
     the uniform-block strings whose block pattern has parity alpha."""
-    qutrit_code = qutrit_code or default_qutrit_code(n)
-    if qutrit_code.n != n:
-        raise CodeError("qutrit code length must equal the block count")
+    qutrit_code = default_qutrit_code(n)
     amp = 1.0 / np.sqrt(2 ** (n - 1))
     vec = _codeword_support(qutrit_code, beta % 3)
     branches = {
@@ -468,12 +468,14 @@ def error_correct(state: ConcatState):
 @dataclass(frozen=True, eq=False)
 class GateSchedule:
     n: int
-    qubit_code: QuditCSSCode
     qutrit_code: QuditCSSCode
     steps: tuple  # ("CC", block) | ("R",)
 
 
+@functools.cache
 def default_qutrit_code(n: int) -> QuditCSSCode:
+    """The reference qutrit code of length n, one object per length, so its
+    cached tables are built once per process."""
     if n == 3:
         return qutrit_repetition_code()
     if n == 9:
@@ -481,27 +483,23 @@ def default_qutrit_code(n: int) -> QuditCSSCode:
     raise CodeError(f"no reference qutrit code of length {n}")
 
 
-def logical_CC(n: int, qubit_code=None, qutrit_code=None) -> GateSchedule:
+def logical_CC(n: int) -> GateSchedule:
     """Schedule of n transversal controlled-conjugation layers (one per
-    qubit block) interleaved with qutrit error correction."""
+    qubit block) interleaved with qutrit error correction.  The qubit side
+    is the [[n^2, 1, n]] Shor code, held as one bit per uniform block, so no
+    qubit code is built."""
     if n % 2 == 0:
         raise CodeError(
             "even block count is rejected: 2^q mod 3 alternates with the "
             "parity of q, so only an odd number of blocks reproduces the "
             "logical conjugation"
         )
-    qubit_code = qubit_code or shor_code(n)
-    qutrit_code = qutrit_code or default_qutrit_code(n)
-    if qubit_code.p != 2 or qubit_code.n != n * n or qubit_code.k != 1:
-        raise CodeError("qubit side must be an [[n^2, 1, n]] code")
-    if qutrit_code.p != 3 or qutrit_code.n != n or qutrit_code.k != 1:
-        raise CodeError("qutrit side must be an [[n, 1, d]] code")
     steps = []
     for block in range(n):
         if block:
             steps.append(("R",))
         steps.append(("CC", block))
-    return GateSchedule(n, qubit_code, qutrit_code, tuple(steps))
+    return GateSchedule(n, default_qutrit_code(n), tuple(steps))
 
 
 def _check_errors(n, errors):
@@ -544,26 +542,14 @@ def verify_logical_action(schedule: GateSchedule, errors=(), correct=True):
     report = None
     for alpha in (0, 1):
         for beta in (0, 1, 2):
-            inp = concat_state(schedule.n, alpha, beta, schedule.qutrit_code)
+            inp = concat_state(schedule.n, alpha, beta)
             out, report = apply_schedule(schedule, inp, errors, correct)
-            want = concat_state(
-                schedule.n, alpha, (1 + alpha) * beta % 3, schedule.qutrit_code
-            )
+            want = concat_state(schedule.n, alpha, (1 + alpha) * beta % 3)
             worst = max(worst, abs(1 - abs(concat_inner(want, out))))
     c = 1 / np.sqrt(2)
-    inp = combine(
-        concat_state(schedule.n, 0, 1, schedule.qutrit_code),
-        concat_state(schedule.n, 1, 1, schedule.qutrit_code),
-        c,
-        c,
-    )
+    inp = combine(concat_state(schedule.n, 0, 1), concat_state(schedule.n, 1, 1), c, c)
     out, _ = apply_schedule(schedule, inp, errors, correct)
-    want = combine(
-        concat_state(schedule.n, 0, 1, schedule.qutrit_code),
-        concat_state(schedule.n, 1, 2, schedule.qutrit_code),
-        c,
-        c,
-    )
+    want = combine(concat_state(schedule.n, 0, 1), concat_state(schedule.n, 1, 2), c, c)
     worst = max(worst, abs(1 - abs(concat_inner(want, out))))
     return worst, report
 
@@ -572,16 +558,11 @@ _PAULI_NAMES = {"Xh": (1, 0), "Zh": (0, 1), "XhZh": (1, 1)}
 
 
 def fault_tolerance_demo(
-    n: int,
-    error_site=None,
-    error_kind=None,
-    after_block: int = 1,
-    qutrit_code=None,
-    extra_errors=(),
+    n: int, error_site=None, error_kind=None, after_block: int = 1, extra_errors=()
 ):
     """Inject one physical qutrit Pauli between two transversal layers and
     report whether recovery restores the exact logical action."""
-    schedule = logical_CC(n, qutrit_code=qutrit_code)
+    schedule = logical_CC(n)
     d = schedule.qutrit_code.distance()
     if d is None or d < 3:
         raise CodeError(

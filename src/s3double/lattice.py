@@ -378,9 +378,11 @@ def stabilizer_expectations(state: LatticeState):
 def ground_state(lattice: Lattice) -> LatticeState:
     """Normalized product of all A_v projectors on the all-identity state."""
     if lattice.n_vertices > MAX_VERTICES:
+        # the refused state would be one term: every vertex but the root uniform
         raise ResourceError(
-            f"{lattice.W}x{lattice.H} lattice exceeds the desk-scale bound",
-            ORDER ** (lattice.n_vertices - 1),
+            f"{lattice.W}x{lattice.H} lattice has {lattice.n_vertices} vertices, "
+            f"over the desk-scale bound of {MAX_VERTICES}",
+            1,
         )
     identity = np.zeros((1, lattice.n_edges), dtype=np.int8)
     state = LatticeState(lattice, identity, np.ones(1, dtype=complex), frozenset())
@@ -663,17 +665,18 @@ def from_dense(lattice: Lattice, vec: np.ndarray) -> LatticeState:
     return LatticeState(lattice, digits, vec[keys].astype(complex), frozenset())
 
 
-def ground_space_rank(lattice: Lattice, rng, probes: int = 4, tol: float = 1e-8):
+def ground_space_rank(lattice: Lattice, rng):
     """Rank of the full ground-space projector P = prod_v A_v prod_p B^e_p,
-    revealed by applying P to a random block and counting singular values.
+    revealed by applying P to four random vectors and counting the singular
+    values above 1e-8 times the largest.
 
     Requires <= 7 edges.  Returns (rank, singular_values).
     """
     if lattice.n_edges > 7:
         raise ResourceError("dense oracle too large", ORDER ** lattice.n_edges)
     dim = ORDER ** lattice.n_edges
-    block = np.zeros((dim, probes), dtype=complex)
-    for i in range(probes):
+    block = np.zeros((dim, 4), dtype=complex)
+    for i in range(4):
         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         st = from_dense(lattice, vec)
         for p in lattice.sites:
@@ -682,7 +685,7 @@ def ground_space_rank(lattice: Lattice, rng, probes: int = 4, tol: float = 1e-8)
             st = vertex_projector(st, v)
         block[:, i] = dense_vector(st)
     s = np.linalg.svd(block, compute_uv=False)
-    rank = int(np.sum(s > tol * max(s[0], 1e-300)))
+    rank = int(np.sum(s > 1e-8 * max(s[0], 1e-300)))
     return rank, s
 
 
@@ -734,8 +737,8 @@ class OrthonormalityReport:
     operators_per_ribbon: int
     pairs_checked: int
 
-    def passes(self, tol: float = 1e-9) -> bool:
-        return self.max_residual < tol and self.operators_per_ribbon == ORDER ** 2
+    def passes(self) -> bool:
+        return self.max_residual < 1e-9 and self.operators_per_ribbon == ORDER ** 2
 
 
 def _ribbon_matrices(lattice, ribbon, support):
@@ -770,8 +773,9 @@ def _orthonormality_residual(lattice, r1, r2) -> tuple:
     return float(np.max(np.abs(gram - expect))), built
 
 
-def verify_orthonormality(lattice: Lattice = None) -> OrthonormalityReport:
-    """Check the trace orthogonality of shortest-ribbon operators:
+def verify_orthonormality() -> OrthonormalityReport:
+    """Check, on the 2x2 lattice, the trace orthogonality of shortest-ribbon
+    operators:
 
         Tr(F1^dagger F2) / Tr(1) = delta_{rho1,rho2} delta_{labels}
                                    * |R| / (|Z(C)| |G|)
@@ -782,10 +786,7 @@ def verify_orthonormality(lattice: Lattice = None) -> OrthonormalityReport:
     pattern II shares the horizontal ribbon's dual edge with the vertical
     ribbon's direct edge.
     """
-    if lattice is None:
-        lattice = Lattice(2, 2)
-    if lattice.W < 2 or lattice.H < 2:
-        raise ValueError("orthonormality check needs at least a 2x2 lattice")
+    lattice = Lattice(2, 2)
     rh1 = shortest_h(lattice, (0, 1))
     rv1 = shortest_v(lattice, (0, 1))  # pattern I partner: shares h_edge(0, 1)
     rh2 = shortest_h(lattice, (0, 0))

@@ -211,12 +211,16 @@ def _inject_noise(state, noise, rng):
     return state, errors
 
 
-def _recover_pair(state, a, b, path, letters, rng, budget):
+# Round budget of each adaptive anyon move in a microscopic recovery.
+MOVE_BUDGET = 16
+
+
+def _recover_pair(state, a, b, path, letters, rng):
     """Move the anyon at a next to b and attempt one fusion; returns the new
     state and whether both sites read trivial afterwards."""
     alpha = letters[a]
     if len(path) > 2:
-        res = pro.move_path(state, alpha, path[:-1], rng, max_rounds=budget)
+        res = pro.move_path(state, alpha, path[:-1], rng, max_rounds=MOVE_BUDGET)
         state = res.state
         if not res.success:
             return state, False
@@ -243,7 +247,7 @@ def _fidelity_to_ground(state) -> float:
     return float(abs(lat.inner(gs, psi)) ** 2)
 
 
-def _microscopic_cycle(state, noise, rounds, rng, budget):
+def _microscopic_cycle(state, noise, rounds, rng):
     reports = []
     for r in range(rounds):
         state, errors = _inject_noise(state, noise, rng)
@@ -252,7 +256,7 @@ def _microscopic_cycle(state, noise, rounds, rng, budget):
         actions = []
         letters = dict(config.charges)
         for a, b, path in decode_greedy(config):
-            state, resolved = _recover_pair(state, a, b, path, letters, rng, budget)
+            state, resolved = _recover_pair(state, a, b, path, letters, rng)
             actions.append((a, b, resolved))
         check, state = lat.measure_MK(state, rng)
         residual = len(check.nontrivial())
@@ -335,7 +339,7 @@ def _phenomenological_cycle(shape, noise, rounds, rng):
     return reports, charges
 
 
-def qec_cycle(target, noise: NoiseModel, rounds: int, rng, budget: int = 16):
+def qec_cycle(target, noise: NoiseModel, rounds: int, rng):
     """Active error-correction loop: inject noise, measure charges, decode,
     recover; repeated `rounds` times.
 
@@ -345,5 +349,5 @@ def qec_cycle(target, noise: NoiseModel, rounds: int, rng, budget: int = 16):
     final state or final charge grid).
     """
     if isinstance(target, lat.LatticeState):
-        return _microscopic_cycle(target, noise, rounds, rng, budget)
+        return _microscopic_cycle(target, noise, rounds, rng)
     return _phenomenological_cycle(tuple(target), noise, rounds, rng)

@@ -458,7 +458,7 @@ class TestReferenceFEntries:
 class TestOracle:
     def test_gauge_invariants(self, data):
         report = category.derive_gauge_invariants(data)
-        assert report.passes(1e-9), report
+        assert report.passes(), report
 
     def test_raw_data_is_consistent(self):
         rawF, rawR = category.raw_symbols()
@@ -470,7 +470,7 @@ class TestOracle:
             rawF,
         )
         report = category.verify_consistency(raw)
-        assert report.passes(1e-9), report
+        assert report.passes(), report
 
     def test_raw_symbols_match_reference(self, reference):
         ref_F, ref_R, _ = reference

@@ -50,6 +50,29 @@ class TestUsage:
             code, _, _ = run(argv, capsys)
             assert code == 2, argv
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure-ma", "--trials", "0"],
+            ["measure-mu", "--trials", "0"],
+            ["measure-mu", "--trials", "-3"],
+            ["merge-split", "--trials", "0"],
+            ["ribbon-demo", "--anyon", "D", "--trials", "0"],
+            ["move-stats", "--anyon", "C", "--trials", "0"],
+            ["move-stats", "--anyon", "C", "--rounds", "0"],
+            ["ground-state", "--width", "0"],
+            ["ground-state", "--height", "-1"],
+            ["qec-cycle", "--width", "0"],
+            ["qec-cycle", "--height", "0", "--microscopic"],
+            ["qec-cycle", "--rounds", "0"],
+        ],
+    )
+    def test_counts_and_sizes_must_be_positive(self, argv, capsys):
+        # zero trials or rounds would emit a vacuous pass or no record at all
+        code, out, err = run(argv + ["--seed", "1"], capsys)
+        assert code == 2 and not out
+        assert "positive integer" in err
+
 
 class TestRecords:
     def test_verify_category_passes(self, capsys):

@@ -174,6 +174,17 @@ class TestCorrectionTable:
         zero = tuple([0] * 8)
         assert table[zero] == (0, 0, 0)
 
+    def test_table_is_read_only(self):
+        # the default codes are shared per process, and so are their tables
+        code = cc.default_qutrit_code(9)
+        table = cc.correction_table(code)
+        with pytest.raises(TypeError):
+            table[tuple([0] * 8)] = (1, 1, 0)
+        assert table[tuple([0] * 8)] == (0, 0, 0)
+        for checks in (code.H_X, code.H_Z):
+            with pytest.raises(ValueError):
+                checks[0, 0] = 0
+
 
 class TestSupportRegister:
     def _states(self, code):
@@ -216,7 +227,7 @@ class TestSupportRegister:
             for a, b in itertools.product(range(3), repeat=2):
                 if (a, b) == (0, 0):
                     continue
-                state = cc.concat_state(9, 0, 1, code)
+                state = cc.concat_state(9, 0, 1)
                 cc.apply_qutrit_pauli(state, site, a, b)
                 erred = state.pool[-1].dense()
                 (rec,) = cc.error_correct(state)
@@ -295,6 +306,15 @@ class TestLogicalCC:
         assert dev < 1e-12
         assert report["uncorrectable"] == 0
 
+    def test_no_qubit_code_is_built(self, monkeypatch):
+        # the Shor side is one bit per uniform block, never an 81-qubit code
+        def refuse(n):
+            raise AssertionError("logical_CC built a qubit code")
+
+        monkeypatch.setattr(cc, "shor_code", refuse)
+        dev, report = cc.verify_logical_action(cc.logical_CC(9))
+        assert dev < 1e-12 and report["uncorrectable"] == 0
+
     def test_superposition_coherence(self):
         # verify_logical_action includes a two-branch superposition, so a
         # relative logical phase would show up as a deviation; double-check
@@ -302,15 +322,15 @@ class TestLogicalCC:
         sch = cc.logical_CC(3)
         c = 1 / np.sqrt(2)
         inp = cc.combine(
-            cc.concat_state(3, 0, 2, sch.qutrit_code),
-            cc.concat_state(3, 1, 2, sch.qutrit_code),
+            cc.concat_state(3, 0, 2),
+            cc.concat_state(3, 1, 2),
             c,
             c,
         )
         out, _ = cc.apply_schedule(sch, inp, correct=False)
         want = cc.combine(
-            cc.concat_state(3, 0, 2, sch.qutrit_code),
-            cc.concat_state(3, 1, 1, sch.qutrit_code),
+            cc.concat_state(3, 0, 2),
+            cc.concat_state(3, 1, 1),
             c,
             c,
         )
@@ -357,10 +377,27 @@ class TestFaultTolerance:
         added = 0
         for alpha in (0, 1):
             for beta in (0, 1, 2):
-                inp = cc.concat_state(9, alpha, beta, sch.qutrit_code)
+                inp = cc.concat_state(9, alpha, beta)
                 out, _ = cc.apply_schedule(sch, inp, ((1, 4, 1, 0),))
                 added += len(out.pool) - len(inp.pool)
         assert added == 165
+
+    def test_demos_share_one_code_and_table(self, monkeypatch):
+        builds = []
+        table = cc.QuditCSSCode.__dict__["correction_table"]
+
+        def counted(code):
+            builds.append(code)
+            return table.func(code)
+
+        spy = functools.cached_property(counted)
+        spy.__set_name__(cc.QuditCSSCode, "correction_table")
+        monkeypatch.setattr(cc.QuditCSSCode, "correction_table", spy)
+        cc.default_qutrit_code.cache_clear()
+        first = cc.fault_tolerance_demo(9, 4, "Xh")
+        assert first["ok"] and cc.fault_tolerance_demo(9, 4, "Xh") == first
+        # one code object for both demos, and its table built once
+        assert builds == [cc.default_qutrit_code(9)]
 
     def test_schedule_holds_no_dense_register(self):
         tracemalloc.start()
@@ -400,7 +437,7 @@ class TestFaultTolerance:
 
     def test_schedule_rejects_unplaceable_errors(self):
         sch = cc.logical_CC(9)
-        inp = cc.concat_state(9, 0, 1, sch.qutrit_code)
+        inp = cc.concat_state(9, 0, 1)
         for fault in ((9, 0, 1, 0), (0, 9, 1, 0), (0, 0, 0, 3), (0, 0.5, 1, 0)):
             with pytest.raises(cc.CodeError):
                 cc.apply_schedule(sch, inp, (fault,))

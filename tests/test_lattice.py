@@ -167,6 +167,12 @@ class TestGroundState:
         with pytest.raises(lat.ResourceError):
             lat.ground_state(lat.Lattice(5, 2))
 
+    def test_resource_bound_reports_vertices_and_one_term(self):
+        # the refused ground state would hold one term, not 6^(V-1)
+        with pytest.raises(lat.ResourceError, match="12 vertices.* bound of 10") as info:
+            lat.ground_state(lat.Lattice(3, 2))
+        assert info.value.estimated_terms == 1
+
 
 class TestRibbons:
     def test_gluing(self):
