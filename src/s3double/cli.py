@@ -138,14 +138,14 @@ def _cmd_move_stats(args, emit):
 
 def _cmd_ribbon_demo(args, emit):
     lattice = lat.Lattice(3, 1)
-    gs = lat.ground_state(lattice)
+    # every trial applies the same ribbon to the same ground state
     rib = lat.shortest_h(lattice, (0, 0))
+    pair = lat.anyon_ribbon_law(lat.ground_state(lattice), rib, args.anyon)
     expected = {} if args.anyon == "A" else {(0, 0): args.anyon, (1, 0): args.anyon}
     deviations = 0
     for trial in range(args.trials):
         rng = _trial_rng(args.seed, trial)
-        st = lat.apply_anyon_ribbon(gs, rib, args.anyon, mixed=True, rng=rng)
-        cfg, _ = lat.measure_MK(st, rng)
+        cfg, _ = lat.measure_MK(pair.draw(rng), rng)
         if cfg.nontrivial() != expected:
             deviations += 1
     emit(
@@ -305,7 +305,7 @@ def _cmd_concat_cc(args, emit):
         schedule = cc.logical_CC(args.blocks)
         # recovery steps need a distance-3 qutrit code; the toy instance is
         # verified as a bare gate schedule
-        d = schedule.qutrit_code.distance()
+        d = schedule.qutrit_code.distance
         dev, _ = cc.verify_logical_action(schedule, correct=bool(d and d >= 3))
         emit(
             {
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=_positive_int, default=3)
     p.add_argument("--microscopic", action="store_true")
     p = add("concat-cc")
-    p.add_argument("--blocks", type=int, default=3)
+    p.add_argument("--blocks", type=int, choices=cc.QUTRIT_CODES, default=3)
     p.add_argument("--error-site", type=int, default=None)
     p.add_argument("--error-kind", type=str, default="Xh")
     p.add_argument("--after-block", type=int, default=1)

@@ -167,9 +167,10 @@ class QuditCSSCode:
         span = np.array(span_vectors(self.H_X, self.p), dtype=np.int64)
         return _read_only(span.reshape(-1, self.n))
 
+    @functools.cached_property
     def distance(self):
         """Minimum weight over both logical-operator cosets (n <= 9 only;
-        returns None for longer codes)."""
+        None for longer codes)."""
         if self.n > 9:
             return None
         best = self.n
@@ -472,15 +473,17 @@ class GateSchedule:
     steps: tuple  # ("CC", block) | ("R",)
 
 
+# length -> builder of the reference qutrit code of that length
+QUTRIT_CODES = MappingProxyType({3: qutrit_repetition_code, 9: qutrit_shor_code})
+
+
 @functools.cache
 def default_qutrit_code(n: int) -> QuditCSSCode:
     """The reference qutrit code of length n, one object per length, so its
     cached tables are built once per process."""
-    if n == 3:
-        return qutrit_repetition_code()
-    if n == 9:
-        return qutrit_shor_code()
-    raise CodeError(f"no reference qutrit code of length {n}")
+    if n not in QUTRIT_CODES:
+        raise CodeError(f"no reference qutrit code of length {n}")
+    return QUTRIT_CODES[n]()
 
 
 def logical_CC(n: int) -> GateSchedule:
@@ -563,7 +566,7 @@ def fault_tolerance_demo(
     """Inject one physical qutrit Pauli between two transversal layers and
     report whether recovery restores the exact logical action."""
     schedule = logical_CC(n)
-    d = schedule.qutrit_code.distance()
+    d = schedule.qutrit_code.distance
     if d is None or d < 3:
         raise CodeError(
             f"qutrit code distance {d} < 3: a single physical error is not "

@@ -36,8 +36,11 @@ charge projectors K^{R,C}_s are fixed linear combinations of these, F^{R,C;u,v}
 A^g_v B^h_p, with coefficients read from algebra's tables (ribbon_terms,
 CHARACTERS); this module does no representation theory of its own.  Every
 (u, v) Kraus branch of a mixed anyon ribbon comes from anyon_ribbon_branches,
-with one triangle walk and one merge per flux h = c; the K^a of one flux
-class come from one A^g_v orbit and one merge (_charge_projections).
+with one triangle walk and one merge over the terms stacked once per flux
+h = c; anyon_ribbon_law keeps the branches and their probabilities, so a
+ribbon applied to the same state many times is walked once and only drawn
+from after that.  The K^a of one flux class come from one A^g_v orbit and
+one merge (_charge_projections).
 """
 
 from __future__ import annotations
@@ -453,33 +456,38 @@ def shortest_v(lattice: Lattice, site) -> Ribbon:
     )
 
 
-def _ribbon_sum(state: LatticeState, ribbon: Ribbon, h: GroupElement, rows) -> list:
-    """[sum_g row[g] F^{h,g}_rho for row in rows] from one triangle walk: the
-    walk moves terms by h alone, and the product of the elements read picks
-    each term's g.  All rows share the walk's terms, so they are
-    canonicalized and merged once."""
+def _ribbon_sum(state: LatticeState, ribbon: Ribbon, fluxes, table) -> list:
+    """[sum_{b,g} table[b, g, r] F^{fluxes[b],g}_rho for each row r] from
+    one triangle walk.  The terms are stacked once per flux block b,
+    block-major like _gauge_orbit; each copy moves by its block's h alone,
+    and the product of the elements read picks its g.  A row is zero outside
+    its own block (those exact zeros leave its sums unchanged), so all rows
+    share one canonicalization and one merge."""
     state = _deuniformized(state, ribbon.vertices)
-    digits = state.digits.copy()
-    prefix = np.zeros(state.n_terms, dtype=np.int64)  # product of elements read
+    block = np.repeat(np.arange(len(fluxes)), state.n_terms)
+    h = np.asarray(fluxes)[block]
+    digits = np.tile(state.digits, (len(fluxes), 1))
+    prefix = np.zeros(len(block), dtype=np.int64)  # product of elements read
     for tri in ribbon.triangles:
         if tri.kind == "direct":
             d = digits[:, tri.edge]
             read = d if tri.positive else INV_TABLE[d]
             prefix = MUL_TABLE[prefix, read]
         else:
-            conj = MUL_TABLE[MUL_TABLE[INV_TABLE[prefix], h.index], prefix]
+            conj = MUL_TABLE[MUL_TABLE[INV_TABLE[prefix], h], prefix]
             _mult(digits, tri.edge, conj, tri.positive)
     digits = canonicalize_keys(state.lattice, digits, state.uniform)
-    coeffs = np.asarray(rows).T[prefix]  # (term, row)
+    coeffs = table[block, prefix]  # (term, row)
     # amplitudes stay the left operand: a * c and c * a can round differently
-    return _states(state.lattice, digits, state.amps[:, None] * coeffs, state.uniform)
+    amps = np.tile(state.amps, len(fluxes))[:, None] * coeffs
+    return _states(state.lattice, digits, amps, state.uniform)
 
 
 def apply_ribbon(
     state: LatticeState, ribbon: Ribbon, h: GroupElement, g: GroupElement
 ) -> LatticeState:
     """F^{h,g}_rho: monomial action by triangle recursion."""
-    return _ribbon_sum(state, ribbon, h, [np.eye(ORDER)[g.index]])[0]
+    return _ribbon_sum(state, ribbon, [h.index], np.eye(ORDER)[None, :, g.index, None])[0]
 
 
 def anyon_ribbon_branch(
@@ -487,19 +495,64 @@ def anyon_ribbon_branch(
 ) -> LatticeState:
     """F^{R,C;u,v}_rho (unnormalized image)."""
     h, coeffs = ribbon_terms(anyon, u, v)
-    return _ribbon_sum(state, ribbon, h, [coeffs])[0]
+    return _ribbon_sum(state, ribbon, [h.index], coeffs[None, :, None])[0]
+
+
+@lru_cache(maxsize=None)
+def _branch_table(anyon: str):
+    """(fluxes, table) of every F^{R,C;u,v}, u outer and v inner in the
+    anyon's basis order: one flux block per h = c, and table[b, g, row] the
+    row's coefficient of F^{h,g} in its own block b, zero in the others."""
+    basis = ANYON_TABLE[anyon].basis
+    fluxes = [h.index for h, _ in groupby(u[0] for u in basis)]
+    table = np.zeros((len(fluxes), ORDER, len(basis) ** 2), dtype=complex)
+    for row, (u, v) in enumerate((u, v) for u in basis for v in basis):
+        h, coeffs = ribbon_terms(anyon, u, v)
+        table[fluxes.index(h.index), :, row] = coeffs
+    table.setflags(write=False)
+    return tuple(fluxes), table
 
 
 def anyon_ribbon_branches(state: LatticeState, ribbon: Ribbon, anyon: str) -> list:
     """F^{R,C;u,v}_rho (unnormalized images) for every (u, v), u outer and v
-    inner in the anyon's basis order, with one triangle walk per flux h = c."""
-    basis = ANYON_TABLE[anyon].basis
-    state = _deuniformized(state, ribbon.vertices)
-    out = []
-    for h, us in groupby(basis, key=lambda u: u[0]):
-        rows = [ribbon_terms(anyon, u, v)[1] for u in us for v in basis]
-        out += _ribbon_sum(state, ribbon, h, rows)
-    return out
+    inner in the anyon's basis order, from one triangle walk over the terms
+    stacked once per flux h = c."""
+    return _ribbon_sum(state, ribbon, *_branch_table(anyon))
+
+
+@dataclass(frozen=True, eq=False)
+class BranchLaw:
+    """The Kraus branches (u, v) of a mixed anyon ribbon on one state that
+    survive the PRUNE_TOL cut, unnormalized, with their norms and the
+    probabilities, proportional to the squared norms, that draw samples.
+    Its arrays are read-only, since every draw shares them."""
+
+    branches: tuple
+    norms: tuple
+    p: np.ndarray
+
+    def draw(self, rng) -> LatticeState:
+        """One branch sampled by a single rng.choice, normalized."""
+        i = rng.choice(len(self.branches), p=self.p)
+        b = self.branches[i]
+        return replace(b, amps=b.amps / self.norms[i])
+
+
+def anyon_ribbon_law(state: LatticeState, ribbon: Ribbon, anyon: str) -> BranchLaw:
+    """The law of the mixed application of the anyon's ribbon to `state`
+    (trajectory unraveling of the maximally-mixed-internal-state channel),
+    built from anyon_ribbon_branches' one walk."""
+    kept = [(b, b.norm()) for b in anyon_ribbon_branches(state, ribbon, anyon)]
+    kept = [(b, n) for b, n in kept if n ** 2 > PRUNE_TOL]
+    if not kept:
+        raise AnnihilationError(f"all (u, v) branches of {anyon} have zero norm")
+    weights = [n ** 2 for _, n in kept]
+    p = np.array(weights) / sum(weights)
+    for b, _ in kept:
+        b.digits.setflags(write=False)
+        b.amps.setflags(write=False)
+    p.setflags(write=False)
+    return BranchLaw(tuple(b for b, _ in kept), tuple(n for _, n in kept), p)
 
 
 def apply_anyon_ribbon(
@@ -512,9 +565,9 @@ def apply_anyon_ribbon(
     rng=None,
 ) -> LatticeState:
     """Anyon-pair ribbon.  mixed=True samples a Kraus branch (u, v) with
-    probability proportional to the branch's squared norm (trajectory
-    unraveling of the maximally-mixed-internal-state channel); the branches
-    come from anyon_ribbon_branches, one triangle walk per flux."""
+    probability proportional to the branch's squared norm: one draw from
+    anyon_ribbon_law.  Callers that apply the same ribbon to the same state
+    many times build the law once and draw from it."""
     if not mixed:
         if u is None or v is None:
             raise ValueError("explicit (u, v) required when mixed=False")
@@ -524,13 +577,7 @@ def apply_anyon_ribbon(
         return out.normalized()
     if rng is None:
         raise ValueError("mixed application requires an rng")
-    kept = [(b, b.norm()) for b in anyon_ribbon_branches(state, ribbon, anyon)]
-    kept = [(b, n) for b, n in kept if n ** 2 > PRUNE_TOL]
-    if not kept:
-        raise AnnihilationError(f"all (u, v) branches of {anyon} have zero norm")
-    weights = [n ** 2 for _, n in kept]
-    b, n = kept[rng.choice(len(kept), p=np.array(weights) / sum(weights))]
-    return replace(b, amps=b.amps / n)
+    return anyon_ribbon_law(state, ribbon, anyon).draw(rng)
 
 
 # ---------------------------------------------------------------------------

@@ -194,24 +194,22 @@ def analytic_success(anyon: str, n: int) -> float:
 def success_statistics(anyon: str, max_n: int, trials: int, rng) -> list:
     """Empirical vs analytic move-success curves on the 3x1 demo strip.
 
-    Each trial creates a pair on (0,0)-(1,0) and moves the right anyon to
-    (2,0) with round budget n; returns one record per n with the empirical
-    rate, the closed-form rate, and the z-score.
+    Each trial creates a pair on (0,0)-(1,0), drawn from one law of the
+    mixed ribbon on the ground state built for all trials, and moves the
+    right anyon to (2,0) with round budget n; returns one record per n with
+    the empirical rate, the closed-form rate, and the z-score.
     """
     if trials < 100:
         raise ProtocolError("need at least 100 trials for statistics")
     lattice = lat.Lattice(3, 1)
-    gs = lat.ground_state(lattice)
+    pair = lat.anyon_ribbon_law(lat.ground_state(lattice), lat.shortest_h(lattice, (0, 0)), anyon)
     # the adaptive protocol truncated at budget n is a prefix of the full
     # run, so one full run per trial yields the whole curve via the
     # rounds-to-success distribution
     plan = MovePlan(anyon, (1, 0), (2, 0), max_rounds=max_n)
     rounds_used = []
     for _ in range(trials):
-        st = lat.apply_anyon_ribbon(
-            gs, lat.shortest_h(lattice, (0, 0)), anyon, mixed=True, rng=rng
-        )
-        result = move_step(st, plan, rng)
+        result = move_step(pair.draw(rng), plan, rng)
         rounds_used.append(result.rounds if result.success else None)
     records = []
     for n in range(1, max_n + 1):

@@ -73,6 +73,22 @@ class TestUsage:
         assert code == 2 and not out
         assert "positive integer" in err
 
+    @pytest.mark.parametrize("blocks", ["1", "4", "5"])
+    def test_blocks_without_a_reference_code(self, blocks, capsys):
+        # only the lengths of the reference qutrit codes can run
+        code, out, err = run(["concat-cc", "--blocks", blocks], capsys)
+        assert code == 2 and not out
+        assert "invalid choice" in err
+
+    @pytest.mark.parametrize("blocks", ["3", "9"])
+    def test_blocks_with_a_reference_code(self, blocks, capsys):
+        code, out, _ = run(["concat-cc", "--blocks", blocks], capsys)
+        assert code == 0
+        assert out == (
+            f'{{"blocks": {blocks}, "check": "logical-conjugation", '
+            '"deviation": 1.1102230246251565e-16, "pass": true, "seed": 0}\n'
+        )
+
 
 class TestRecords:
     def test_verify_category_passes(self, capsys):
@@ -246,8 +262,19 @@ class TestPinnedProtocolOutput:
                     '"seed": 3, "trials": 20}',
                 ],
             ),
+            (
+                # printed when every trial still built its own mixed D ribbon
+                ["ribbon-demo", "--anyon", "D", "--trials", "100"],
+                [
+                    '{"anyon": "D", "check": "pair-creation", "deviations": 0, "pass": true, '
+                    '"seed": 3, "trials": 100}',
+                ],
+            ),
         ],
-        ids=["move-stats", "ribbon-demo", "qec-cycle", "move-stats-C", "ribbon-demo-E"],
+        ids=[
+            "move-stats", "ribbon-demo", "qec-cycle", "move-stats-C", "ribbon-demo-E",
+            "ribbon-demo-D-100",
+        ],
     )
     def test_lattice_records_are_byte_identical(self, argv, lines, capsys):
         code, out, _ = run(argv + ["--seed", "3"], capsys)

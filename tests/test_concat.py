@@ -85,11 +85,11 @@ class TestLinearAlgebra:
 class TestCodes:
     def test_shor_code_parameters(self):
         code = cc.shor_code(3)
-        assert (code.p, code.n, code.k, code.distance()) == (2, 9, 1, 3)
+        assert (code.p, code.n, code.k, code.distance) == (2, 9, 1, 3)
 
     def test_qutrit_shor_parameters(self):
         code = cc.qutrit_shor_code()
-        assert (code.p, code.n, code.k, code.distance()) == (3, 9, 1, 3)
+        assert (code.p, code.n, code.k, code.distance) == (3, 9, 1, 3)
 
     def test_coset_tables_are_cached_and_read_only(self):
         code = cc.qutrit_shor_code()
@@ -106,7 +106,7 @@ class TestCodes:
 
     def test_repetition_distance_one(self):
         code = cc.qutrit_repetition_code()
-        assert (code.k, code.distance()) == (1, 1)
+        assert (code.k, code.distance) == (1, 1)
 
     def test_css_orthogonality_enforced(self):
         with pytest.raises(cc.CodeError):
@@ -398,6 +398,23 @@ class TestFaultTolerance:
         assert first["ok"] and cc.fault_tolerance_demo(9, 4, "Xh") == first
         # one code object for both demos, and its table built once
         assert builds == [cc.default_qutrit_code(9)]
+
+    def test_distance_is_computed_once_per_code(self, monkeypatch):
+        computed = []
+        distance = cc.QuditCSSCode.__dict__["distance"]
+
+        def counted(code):
+            computed.append(code)
+            return distance.func(code)
+
+        spy = functools.cached_property(counted)
+        spy.__set_name__(cc.QuditCSSCode, "distance")
+        monkeypatch.setattr(cc.QuditCSSCode, "distance", spy)
+        cc.default_qutrit_code.cache_clear()
+        first = cc.fault_tolerance_demo(9, 4, "Xh")
+        assert computed == [cc.default_qutrit_code(9)]
+        assert cc.fault_tolerance_demo(9, 4, "Xh") == first
+        assert computed == [cc.default_qutrit_code(9)]
 
     def test_schedule_holds_no_dense_register(self):
         tracemalloc.start()

@@ -294,21 +294,63 @@ class TestRibbons:
         total = sum(lat.apply_K(st, (0, 0), a).norm() ** 2 for a in ANYONS)
         assert abs(total - 1) < 1e-10
 
-    @pytest.mark.parametrize("anyon,walks", zip(ANYONS, [1, 1, 1, 3, 3, 2, 2, 2]))
-    def test_mixed_application_walks_once_per_flux(self, anyon, walks, gs21, monkeypatch):
-        # one walk for each flux class member c, carrying d_a^2 / |C| rows
-        rows = []
+    @pytest.mark.parametrize("anyon,blocks", zip(ANYONS, [1, 1, 1, 3, 3, 2, 2, 2]))
+    def test_mixed_application_walks_once_per_flux(self, anyon, blocks, gs21, monkeypatch):
+        # one walk for all d_a^2 rows, over the terms stacked once per flux
+        # class member c
+        walks = []
         walk = lat._ribbon_sum
 
-        def spy(state, ribbon, h, coeff_rows):
-            rows.append(len(coeff_rows))
-            return walk(state, ribbon, h, coeff_rows)
+        def spy(state, ribbon, fluxes, table):
+            walks.append((len(fluxes), table.shape[-1]))
+            return walk(state, ribbon, fluxes, table)
 
         monkeypatch.setattr(lat, "_ribbon_sum", spy)
         rib = lat.shortest_h(gs21.lattice, (0, 0))
         lat.apply_anyon_ribbon(gs21, rib, anyon, mixed=True, rng=np.random.default_rng(0))
-        assert len(rows) == walks
-        assert sum(rows) == QUANTUM_DIMS[anyon] ** 2
+        assert len({u[0] for u in ANYON_TABLE[anyon].basis}) == blocks
+        assert walks == [(blocks, QUANTUM_DIMS[anyon] ** 2)]
+
+    @pytest.mark.parametrize("anyon", ANYONS)
+    def test_law_and_draw_equal_mixed_application(self, anyon, gs21):
+        # one shared law, a fresh mixed application and a draw over the
+        # per-label branches all pick the same branch with the same draws
+        rib = lat.shortest_h(gs21.lattice, (0, 0))
+        law = lat.anyon_ribbon_law(gs21, rib, anyon)
+        for seed in range(6):
+            rngs = [np.random.default_rng(seed) for _ in range(3)]
+            got = law.draw(rngs[0])
+            mixed = lat.apply_anyon_ribbon(gs21, rib, anyon, mixed=True, rng=rngs[1])
+            want = _mixed_by_label(gs21, rib, anyon, rngs[2])
+            for out in (got, mixed):
+                assert out.uniform == want.uniform
+                assert np.array_equal(out.keys, want.keys), seed
+                assert np.array_equal(out.amps, want.amps), seed
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+
+    def test_law_arrays_are_read_only(self, gs21):
+        rib = lat.shortest_h(gs21.lattice, (0, 0))
+        law = lat.anyon_ribbon_law(gs21, rib, "D")
+        branch = law.branches[0]
+        for array in (branch.digits, branch.amps, law.p):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        # a draw shares the branch's rows and owns its amplitudes
+        drawn = law.draw(np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            drawn.digits[0, 0] = 1
+
+
+def _mixed_by_label(state, ribbon, anyon, rng):
+    """Reference mixed application: one walk per (u, v) branch, the branches
+    of squared norm <= PRUNE_TOL dropped, one rng.choice by squared norm."""
+    basis = ANYON_TABLE[anyon].basis
+    branches = [lat.anyon_ribbon_branch(state, ribbon, anyon, u, v) for u in basis for v in basis]
+    kept = [(b, b.norm()) for b in branches if b.norm() ** 2 > lat.PRUNE_TOL]
+    weights = [n ** 2 for _, n in kept]
+    b, n = kept[rng.choice(len(kept), p=np.array(weights) / sum(weights))]
+    return lat.LatticeState(b.lattice, b.digits, b.amps / n, b.uniform)
 
 
 def _column_loop_matrix(lattice, support, builder):
