@@ -24,7 +24,7 @@ wires plus a phase.  The charge-conjugation gate CC (qubit-controlled qutrit
 inversion) is the only non-Clifford gate kind; every other kind is a
 qubit/qutrit Pauli or a controlled Pauli.  Maximally mixed ancillas are
 realized as uniformly sampled computational basis states (trajectory
-unraveling of the trace-out channel).
+unraveling of the trace-out channel); outcomes are drawn with `sampling`.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 
 from . import digits as dg
 from . import lattice as lat
+from . import sampling
 from .algebra import (
     ELEMENTS,
     GroupElement,
@@ -331,8 +332,9 @@ def simulate(circuit: AdaptiveCircuit, register: QuditRegister, rng):
     amplitudes; returns (final register, outcome transcript).
 
     A mixed ancilla draws its basis state with `rng.integers(dim)`; a
-    measurement or a free draws its outcome with one `rng.choice` over all
-    outcomes by the Born rule and renormalises.  As in `channel_kraus`,
+    measurement or a free draws its outcome by the Born rule, one
+    `sampling.draw` from the law of every outcome's squared norm, and
+    renormalises.  As in `channel_kraus`,
     ancillas must be freed before the end of the circuit; a trajectory that
     misses a non-empty `accept` raises `CircuitError` naming the label."""
     if tuple(register.dims[: len(circuit.system_dims)]) != tuple(circuit.system_dims):
@@ -347,7 +349,7 @@ def simulate(circuit: AdaptiveCircuit, register: QuditRegister, rng):
             _, dims, names, digits, amps, record = branches[int(rng.integers(len(branches)))]
         else:
             probs = [float(np.vdot(b[4], b[4]).real) for b in branches]
-            o = int(rng.choice(len(probs), p=np.array(probs) / sum(probs)))
+            o = sampling.draw(sampling.law(probs), rng)
             _, dims, names, digits, amps, record = branches[o]
             amps = amps / np.sqrt(probs[o])
     if names:

@@ -26,6 +26,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import sampling
 from .category import (
     ALL_PAIRS,
     FUSE_OUTCOMES,
@@ -320,13 +321,12 @@ class ProtocolOutcome:
 
 
 def _sample(rng, labels, weights):
-    w = np.array(weights, dtype=float)
-    w = w / w.sum()
-    return labels[rng.choice(len(labels), p=w)]
+    return labels[sampling.draw(sampling.law(weights), rng)]
 
 
 def _branch(rng, labels, table, vec):
-    """Draw one outcome of a diagonal Kraus table by the Born rule; returns
+    """Draw one outcome of a diagonal Kraus table by the Born rule, one
+    `sampling.draw` from the law of its branches' squared norms; returns
     (label, unnormalised post-measurement vector)."""
     branches = table * vec
     w = _sample(rng, labels, (np.abs(branches) ** 2).sum(axis=1))

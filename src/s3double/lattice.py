@@ -37,10 +37,12 @@ A^g_v B^h_p, with coefficients read from algebra's tables (ribbon_terms,
 CHARACTERS); this module does no representation theory of its own.  Every
 (u, v) Kraus branch of a mixed anyon ribbon comes from anyon_ribbon_branches,
 with one triangle walk and one merge over the terms stacked once per flux
-h = c; anyon_ribbon_law keeps the branches and their probabilities, so a
-ribbon applied to the same state many times is walked once and only drawn
-from after that.  The K^a of one flux class come from one A^g_v orbit and
-one merge (_charge_projections).
+h = c; anyon_ribbon_law keeps the branches and the cumulative law of their
+squared norms, so a ribbon applied to the same state many times is walked
+once and only drawn from after that.  The K^a of one flux class come from one
+A^g_v orbit and one merge (_charge_projections).  Outcomes are drawn with
+`sampling`, but for measure_site's lazy walk at an explicit site, which
+projects no flux class after the outcome's.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from itertools import groupby
 import numpy as np
 
 from . import digits as dg
+from . import sampling
 from .algebra import (
     ANYON_TABLE,
     ANYONS,
@@ -340,10 +343,7 @@ def _deuniformized(state: LatticeState, vertices) -> LatticeState:
 
 def expanded(state: LatticeState) -> LatticeState:
     """Fully expand all uniform vertices (term count x 6 per vertex)."""
-    out = state
-    for v in sorted(state.uniform):
-        out = deuniformize(out, v)
-    return out
+    return _deuniformized(state, sorted(state.uniform))
 
 
 def inner(a: LatticeState, b: LatticeState) -> complex:
@@ -523,17 +523,17 @@ def anyon_ribbon_branches(state: LatticeState, ribbon: Ribbon, anyon: str) -> li
 @dataclass(frozen=True, eq=False)
 class BranchLaw:
     """The Kraus branches (u, v) of a mixed anyon ribbon on one state that
-    survive the PRUNE_TOL cut, unnormalized, with their norms and the
-    probabilities, proportional to the squared norms, that draw samples.
+    survive the PRUNE_TOL cut, unnormalized, with their norms and cdf, the
+    `sampling.law` of their squared norms, from which draw samples.
     Its arrays are read-only, since every draw shares them."""
 
     branches: tuple
     norms: tuple
-    p: np.ndarray
+    cdf: np.ndarray
 
     def draw(self, rng) -> LatticeState:
-        """One branch sampled by a single rng.choice, normalized."""
-        i = rng.choice(len(self.branches), p=self.p)
+        """One branch sampled by one `sampling.draw` from cdf, normalized."""
+        i = sampling.draw(self.cdf, rng)
         b = self.branches[i]
         return replace(b, amps=b.amps / self.norms[i])
 
@@ -546,37 +546,19 @@ def anyon_ribbon_law(state: LatticeState, ribbon: Ribbon, anyon: str) -> BranchL
     kept = [(b, n) for b, n in kept if n ** 2 > PRUNE_TOL]
     if not kept:
         raise AnnihilationError(f"all (u, v) branches of {anyon} have zero norm")
-    weights = [n ** 2 for _, n in kept]
-    p = np.array(weights) / sum(weights)
-    for b, _ in kept:
+    branches, norms = zip(*kept)
+    for b in branches:
         b.digits.setflags(write=False)
         b.amps.setflags(write=False)
-    p.setflags(write=False)
-    return BranchLaw(tuple(b for b, _ in kept), tuple(n for _, n in kept), p)
+    return BranchLaw(branches, norms, sampling.law([n ** 2 for n in norms]))
 
 
-def apply_anyon_ribbon(
-    state: LatticeState,
-    ribbon: Ribbon,
-    anyon: str,
-    u=None,
-    v=None,
-    mixed: bool = False,
-    rng=None,
-) -> LatticeState:
-    """Anyon-pair ribbon.  mixed=True samples a Kraus branch (u, v) with
-    probability proportional to the branch's squared norm: one draw from
-    anyon_ribbon_law.  Callers that apply the same ribbon to the same state
-    many times build the law once and draw from it."""
-    if not mixed:
-        if u is None or v is None:
-            raise ValueError("explicit (u, v) required when mixed=False")
-        out = anyon_ribbon_branch(state, ribbon, anyon, u, v)
-        if out.norm() == 0:
-            raise AnnihilationError("selected (u, v) branch has zero norm")
-        return out.normalized()
-    if rng is None:
-        raise ValueError("mixed application requires an rng")
+def apply_anyon_ribbon(state: LatticeState, ribbon: Ribbon, anyon: str, rng) -> LatticeState:
+    """Mixed anyon-pair ribbon: a Kraus branch (u, v) sampled with probability
+    proportional to its squared norm, by one draw from anyon_ribbon_law.
+    Callers that apply the same ribbon to the same state many times build the
+    law once and draw from it; one explicit branch is
+    anyon_ribbon_branch(...).normalized(), which draws nothing."""
     return anyon_ribbon_law(state, ribbon, anyon).draw(rng)
 
 
@@ -652,8 +634,8 @@ def measure_site(state: LatticeState, site, rng):
         # reduces to a flux-class projector — no expansion needed
         f = _CLASS_OF_FLUX[_flux(state, site)]
         masks = [f == i for i in range(len(_FLUX_CLASSES))]
-        probs = np.array([np.sum(np.abs(state.amps[m]) ** 2) for m in masks])
-        pick = rng.choice(len(masks), p=probs / probs.sum())
+        probs = [np.sum(np.abs(state.amps[m]) ** 2) for m in masks]
+        pick = sampling.draw(sampling.law(probs), rng)
         m = masks[pick]
         post = LatticeState(state.lattice, state.digits[m], state.amps[m], state.uniform)
         return _FLUX_CLASSES[pick][0], post.normalized()

@@ -82,7 +82,7 @@ def step_support(lattice: lat.Lattice, source, target):
 def _abelian_fixup(state, rib, s, t, rng, transcript):
     """Apply the shortest B ribbon and fuse both ends (deterministic)."""
     irr = ANYON_TABLE["B"]
-    state = lat.apply_anyon_ribbon(state, rib, "B", u=irr.basis[0], v=irr.basis[0])
+    state = lat.anyon_ribbon_branch(state, rib, "B", irr.basis[0], irr.basis[0]).normalized()
     out_s, state = lat.measure_site(state, s, rng)
     transcript.append((s, out_s))
     out_t, state = lat.measure_site(state, t, rng)
@@ -125,7 +125,7 @@ def move_step(state: lat.LatticeState, plan: MovePlan, rng) -> MoveResult:
     rounds = 0
     y = None  # subroutine 1 while None, else the ribbon label of subroutine 2
     while rounds < plan.max_rounds:
-        state = lat.apply_anyon_ribbon(state, rib, y or alpha, mixed=True, rng=rng)
+        state = lat.apply_anyon_ribbon(state, rib, y or alpha, rng=rng)
         out, state = lat.measure_site(state, s, rng)
         transcript.append((s, out))
         rounds += 1

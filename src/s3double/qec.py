@@ -9,9 +9,9 @@ phenomenologically (tracking only anyon letters on a site grid, with fusion
 outcomes sampled from the quantum-dimension probability law).
 
 Cost of a phenomenological round: one uniform draw per edge (the floor); a
-bounds check per error edge; one draw per sampled letter from a constant
-cumulative law (the Pauli alphabet's is built once per NoiseModel, the
-lone-vertex mixtures' once per module, each fusion pair's once per
+bounds check per error edge; one `sampling.draw` per sampled letter from a
+constant `sampling.law` (the Pauli alphabet's is built once per NoiseModel,
+the lone-vertex mixtures' once per module, each fusion pair's once per
 CategoryData); and one vectorised sort of the n(n-1)/2 pair distances of the
 n non-trivial sites in the decoder, O(n^2 log n) at most.
 """
@@ -25,6 +25,7 @@ import numpy as np
 from . import category
 from . import lattice as lat
 from . import protocols as pro
+from . import sampling
 from .algebra import ANYONS, ELEMENTS, MU, OMEGA, SIGMA
 
 
@@ -57,25 +58,10 @@ S3_MIX = {
 }
 
 
-def _cdf(weights) -> np.ndarray:
-    """Cumulative law of the weights, as Generator.choice builds it from
-    p = weights / weights.sum()."""
-    weights = np.asarray(weights, dtype=float)
-    cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
-def _draw(cdf: np.ndarray, rng) -> int:
-    """Index drawn from a cumulative law.  It consumes the single double
-    that rng.choice(len(p), p=p) consumes and returns the same index as
-    that call, p being the law's probability vector."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
-
-
 # kind -> (letters, cumulative law) of the S3_MIX rows
 _S3_MIX_LAWS = {
-    kind: (tuple(a for a, _ in row), _cdf([w for _, w in row])) for kind, row in S3_MIX.items()
+    kind: (tuple(a for a, _ in row), sampling.law([w for _, w in row]))
+    for kind, row in S3_MIX.items()
 }
 
 
@@ -98,11 +84,11 @@ class NoiseModel:
             raise QECError("alphabet weights must be finite and non-negative")
         if abs(sum(w for _, w in self.weights) - 1) > 1e-12:
             raise QECError("alphabet weights must sum to 1")
-        object.__setattr__(self, "_law", (tuple(kinds), _cdf(probs)))
+        object.__setattr__(self, "_law", (tuple(kinds), sampling.law(probs)))
 
     def sample_kind(self, rng) -> str:
         kinds, cdf = self._law
-        return kinds[_draw(cdf, rng)]
+        return kinds[sampling.draw(cdf, rng)]
 
 
 # Pauli errors as monomials on the edge's group element g = mu^k sigma^l
@@ -226,7 +212,7 @@ def _recover_pair(state, a, b, path, letters, rng):
             return state, False
     adj = path[-2]
     rib = pro.connecting_ribbon(state.lattice, adj, b)
-    state = lat.apply_anyon_ribbon(state, rib, alpha, mixed=True, rng=rng)
+    state = lat.apply_anyon_ribbon(state, rib, alpha, rng=rng)
     out_a, state = lat.measure_site(state, adj, rng)
     out_b, state = lat.measure_site(state, b, rng)
     return state, out_a == "A" and out_b == "A"
@@ -285,15 +271,15 @@ def sample_fusion(a: str, b: str, rng, data=None) -> str:
     if law is None:
         outs = data.outcomes(a, b)
         probs = np.array([category.fusion_probability(a, b, c, data) for c in outs])
-        law = laws[a, b] = (outs, _cdf(probs))
+        law = laws[a, b] = (outs, sampling.law(probs))
     outs, cdf = law
-    return outs[_draw(cdf, rng)]
+    return outs[sampling.draw(cdf, rng)]
 
 
 def _sample_syndrome_letter(kind, slot, table, rng):
     if slot == 2 and kind in _S3_MIX_LAWS:
         letters, cdf = _S3_MIX_LAWS[kind]
-        return letters[_draw(cdf, rng)]
+        return letters[sampling.draw(cdf, rng)]
     return table[kind][slot]
 
 

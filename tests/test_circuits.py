@@ -446,7 +446,7 @@ class TestChargeMeasurementCircuit:
         rng = np.random.default_rng(ord(anyon))
         rib = lat.shortest_h(lattice, (0, 0))
         for _ in range(4):
-            st = lat.apply_anyon_ribbon(gs, rib, anyon, mixed=True, rng=rng)
+            st = lat.apply_anyon_ribbon(gs, rib, anyon, rng)
             letter, post = cir.measure_site_circuit(st, (1, 0), rng)
             assert letter == anyon
             check, _ = lat.measure_site(post, (1, 0), rng)
@@ -490,7 +490,7 @@ class TestChargeMeasurementCircuit:
         }
         rng = np.random.default_rng(sum(shape))
         for anyon in "ABCDEFGH":
-            st = lat.apply_anyon_ribbon(gs, rib, anyon, mixed=True, rng=rng)
+            st = lat.apply_anyon_ribbon(gs, rib, anyon, rng)
             letter, post = cir.measure_site_circuit(st, site, rng)
             assert letter == anyon
             assert post.uniform == st.uniform - touched
@@ -504,7 +504,7 @@ class TestChargeMeasurementCircuit:
         lattice, gs = strip
         site = (1, 0)
         rib = lat.shortest_h(lattice, (0, 0))
-        st = lat.apply_anyon_ribbon(gs, rib, anyon, mixed=True, rng=np.random.default_rng(3))
+        st = lat.apply_anyon_ribbon(gs, rib, anyon, np.random.default_rng(3))
         letter, post = cir.measure_site_circuit(st, site, np.random.default_rng(8))
         assert post.uniform == {(0, 1)}
         ref_letter, ref = cir.measure_site_circuit(lat.expanded(st), site, np.random.default_rng(8))
@@ -645,9 +645,7 @@ class TestSerialization:
     def test_register_round_trip(self, strip):
         lattice, gs = strip
         rng = np.random.default_rng(9)
-        st = lat.apply_anyon_ribbon(
-            gs, lat.shortest_h(lattice, (0, 0)), "C", mixed=True, rng=rng
-        )
+        st = lat.apply_anyon_ribbon(gs, lat.shortest_h(lattice, (0, 0)), "C", rng)
         back = cir.lattice_from_register(cir.register_from_lattice(st), lattice, st.uniform)
         assert back.uniform == st.uniform and abs(lat.inner(st, back) - 1) < 1e-12
         st = lat.expanded(st)

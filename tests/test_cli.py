@@ -383,6 +383,30 @@ class TestPinnedProtocolOutput:
         code, out, _ = run(argv + ["--seed", "3"], capsys)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["measure-ma", "--trials", "200"],
+                "f9c6b668eb64d556ae671b57431e6e50b8b72e21213ee0fff89731002ebed827",
+            ),
+            (
+                ["measure-mu", "--trials", "50"],
+                "ed79625300418c4a1a4720584095cf33db459a295979e88a3123cb015bf2a72d",
+            ),
+            (
+                ["merge-split", "--trials", "125"],
+                "05bc5ca60d316d7c0fe593118cb243da9a029dff3b55a4f45179266291c841f9",
+            ),
+        ],
+        ids=["measure-ma", "measure-mu", "merge-split"],
+    )
+    def test_fusion_tree_records_are_byte_identical(self, argv, digest, capsys):
+        # SHA-256 of the stdout printed while fusion_sim drew every outcome
+        # with Generator.choice
+        code, out, _ = run(argv + ["--seed", "3"], capsys)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_merge_split_record(self, capsys):
         code, out, _ = run(["merge-split", "--trials", "125", "--seed", "3"], capsys)
         (rec,) = records(out)

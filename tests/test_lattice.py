@@ -247,7 +247,7 @@ class TestRibbons:
         assert rib.s0 == (0, 1) and rib.s1 == (1, 0)
         gs = lat.ground_state(lattice)
         rng = np.random.default_rng(3)
-        st = lat.apply_anyon_ribbon(gs, rib, "G", mixed=True, rng=rng)
+        st = lat.apply_anyon_ribbon(gs, rib, "G", rng)
         cfg, _ = lat.measure_MK(st, rng)
         assert cfg.nontrivial() == {(0, 1): "G", (1, 0): "G"}
 
@@ -263,7 +263,7 @@ class TestRibbons:
     def test_pair_creation_and_detection(self, anyon, gs21):
         rng = np.random.default_rng(11)
         rib = lat.shortest_h(gs21.lattice, (0, 0))
-        st = lat.apply_anyon_ribbon(gs21, rib, anyon, mixed=True, rng=rng)
+        st = lat.apply_anyon_ribbon(gs21, rib, anyon, rng)
         assert abs(st.norm() - 1) < 1e-12
         cfg, post = lat.measure_MK(st, rng)
         assert cfg[(0, 0)] == anyon and cfg[(1, 0)] == anyon
@@ -274,22 +274,20 @@ class TestRibbons:
         gs = lat.ground_state(lattice)
         rng = np.random.default_rng(12)
         rib = lat.shortest_v(lattice, (0, 1))
-        st = lat.apply_anyon_ribbon(gs, rib, "D", mixed=True, rng=rng)
+        st = lat.apply_anyon_ribbon(gs, rib, "D", rng)
         cfg, _ = lat.measure_MK(st, rng)
         assert cfg.nontrivial() == {(0, 1): "D", (0, 0): "D"}
 
     def test_pure_branch_application(self, gs21):
         rib = lat.shortest_h(gs21.lattice, (0, 0))
         irr = ANYON_TABLE["D"]
-        st = lat.apply_anyon_ribbon(
-            gs21, rib, "D", u=irr.basis[0], v=irr.basis[0]
-        )
+        st = lat.anyon_ribbon_branch(gs21, rib, "D", irr.basis[0], irr.basis[0]).normalized()
         assert abs(st.norm() - 1) < 1e-12
 
     def test_charge_projectors_resolve_identity(self, gs21):
         rng = np.random.default_rng(13)
         rib = lat.shortest_h(gs21.lattice, (0, 0))
-        st = lat.apply_anyon_ribbon(gs21, rib, "G", mixed=True, rng=rng)
+        st = lat.apply_anyon_ribbon(gs21, rib, "G", rng)
         st = lat.deuniformize(st, (0, 0))
         total = sum(lat.apply_K(st, (0, 0), a).norm() ** 2 for a in ANYONS)
         assert abs(total - 1) < 1e-10
@@ -307,33 +305,37 @@ class TestRibbons:
 
         monkeypatch.setattr(lat, "_ribbon_sum", spy)
         rib = lat.shortest_h(gs21.lattice, (0, 0))
-        lat.apply_anyon_ribbon(gs21, rib, anyon, mixed=True, rng=np.random.default_rng(0))
+        lat.apply_anyon_ribbon(gs21, rib, anyon, np.random.default_rng(0))
         assert len({u[0] for u in ANYON_TABLE[anyon].basis}) == blocks
         assert walks == [(blocks, QUANTUM_DIMS[anyon] ** 2)]
 
     @pytest.mark.parametrize("anyon", ANYONS)
     def test_law_and_draw_equal_mixed_application(self, anyon, gs21):
         # one shared law, a fresh mixed application and a draw over the
-        # per-label branches all pick the same branch with the same draws
-        rib = lat.shortest_h(gs21.lattice, (0, 0))
-        law = lat.anyon_ribbon_law(gs21, rib, anyon)
-        for seed in range(6):
-            rngs = [np.random.default_rng(seed) for _ in range(3)]
-            got = law.draw(rngs[0])
-            mixed = lat.apply_anyon_ribbon(gs21, rib, anyon, mixed=True, rng=rngs[1])
-            want = _mixed_by_label(gs21, rib, anyon, rngs[2])
-            for out in (got, mixed):
-                assert out.uniform == want.uniform
-                assert np.array_equal(out.keys, want.keys), seed
-                assert np.array_equal(out.amps, want.amps), seed
-            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-            assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+        # per-label branches all pick the same branch with the same draws;
+        # the branches of the 8-term random state differ in norm, so a law
+        # of the norms instead of their squares would pick others
+        explicit = _random_state(lat.Lattice(2, 2), 8, 4)
+        for state, start in ((gs21, (0, 0)), (explicit, (0, 1))):
+            rib = lat.shortest_h(state.lattice, start)
+            law = lat.anyon_ribbon_law(state, rib, anyon)
+            for seed in range(6):
+                rngs = [np.random.default_rng(seed) for _ in range(3)]
+                got = law.draw(rngs[0])
+                mixed = lat.apply_anyon_ribbon(state, rib, anyon, rngs[1])
+                want = _mixed_by_label(state, rib, anyon, rngs[2])
+                for out in (got, mixed):
+                    assert out.uniform == want.uniform
+                    assert np.array_equal(out.keys, want.keys), seed
+                    assert np.array_equal(out.amps, want.amps), seed
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+                assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
 
     def test_law_arrays_are_read_only(self, gs21):
         rib = lat.shortest_h(gs21.lattice, (0, 0))
         law = lat.anyon_ribbon_law(gs21, rib, "D")
         branch = law.branches[0]
-        for array in (branch.digits, branch.amps, law.p):
+        for array in (branch.digits, branch.amps, law.cdf):
             with pytest.raises(ValueError):
                 array[0] = 0
         # a draw shares the branch's rows and owns its amplitudes
@@ -709,7 +711,7 @@ class TestChargeMeasurementOracles:
         # once above 150 MiB
         gs = lat.ground_state(lat.Lattice(3, 1))
         rib = lat.shortest_h(gs.lattice, (0, 0))
-        state = lat.apply_anyon_ribbon(gs, rib, "D", mixed=True, rng=np.random.default_rng(0))
+        state = lat.apply_anyon_ribbon(gs, rib, "D", np.random.default_rng(0))
         state = lat.expanded(state)
         assert state.n_terms == 93312
         tracemalloc.start()

@@ -159,3 +159,17 @@ class TestReachability:
         traced = {f"{m}.{fn.name}" for m, fns in layers.LAYERS.items() for fn in fns}
         wrapped = {name for name, reason in UNREACHED.items() if reason == BENCH_WRAPPED}
         assert sorted(wrapped - traced) == []
+
+
+class TestSampling:
+    def test_no_module_calls_choice(self):
+        # every categorical draw goes through sampling.law and sampling.draw
+        calls = [
+            f"{path.stem}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "choice"
+        ]
+        assert calls == []

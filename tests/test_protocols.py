@@ -45,9 +45,7 @@ class TestMoveStep:
         lattice, gs = strip
         rng = np.random.default_rng(hash(anyon) % 2**32)
         for _ in range(5):
-            st = lat.apply_anyon_ribbon(
-                gs, lat.shortest_h(lattice, (0, 0)), anyon, mixed=True, rng=rng
-            )
+            st = lat.apply_anyon_ribbon(gs, lat.shortest_h(lattice, (0, 0)), anyon, rng)
             res = pro.move_step(st, pro.MovePlan(anyon, (1, 0), (2, 0)), rng)
             assert res.success
             cfg, _ = lat.measure_MK(res.state, rng)
@@ -56,9 +54,7 @@ class TestMoveStep:
     def test_abelian_one_round(self, strip):
         lattice, gs = strip
         rng = np.random.default_rng(0)
-        st = lat.apply_anyon_ribbon(
-            gs, lat.shortest_h(lattice, (0, 0)), "B", mixed=True, rng=rng
-        )
+        st = lat.apply_anyon_ribbon(gs, lat.shortest_h(lattice, (0, 0)), "B", rng)
         res = pro.move_step(st, pro.MovePlan("B", (1, 0), (2, 0)), rng)
         assert res.success and res.rounds == 1
 
@@ -72,9 +68,7 @@ class TestMoveStep:
         failed = False
         for seed in range(60):
             rng = np.random.default_rng(seed)
-            st = lat.apply_anyon_ribbon(
-                gs, lat.shortest_h(lattice, (0, 0)), "C", mixed=True, rng=rng
-            )
+            st = lat.apply_anyon_ribbon(gs, lat.shortest_h(lattice, (0, 0)), "C", rng)
             res = pro.move_step(st, pro.MovePlan("C", (1, 0), (2, 0), max_rounds=1), rng)
             if not res.success:
                 assert res.rounds == 1
@@ -103,9 +97,7 @@ class TestMoveStep:
         rng = np.random.default_rng(77)
         for anyon in ANYON_SAMPLE:
             for _ in range(30):
-                st = lat.apply_anyon_ribbon(
-                    gs, lat.shortest_h(lattice, (0, 0)), anyon, mixed=True, rng=rng
-                )
+                st = lat.apply_anyon_ribbon(gs, lat.shortest_h(lattice, (0, 0)), anyon, rng)
                 res = pro.move_step(st, pro.MovePlan(anyon, (1, 0), (2, 0)), rng)
                 for site, out in res.transcript:
                     assert site in ((1, 0), (2, 0))
@@ -116,9 +108,7 @@ class TestMoveStep:
         # alpha x alpha holds neither outcome, so no move may go on from it
         lattice, gs = strip
         rng = np.random.default_rng(5)
-        st = lat.apply_anyon_ribbon(
-            gs, lat.shortest_h(lattice, (0, 0)), anyon, mixed=True, rng=rng
-        )
+        st = lat.apply_anyon_ribbon(gs, lat.shortest_h(lattice, (0, 0)), anyon, rng)
         measure = lat.measure_site
         calls = []
 
@@ -148,9 +138,7 @@ class TestMoveStep:
         raised = 0
         for seed in range(12):
             rng = np.random.default_rng(seed)
-            st = lat.apply_anyon_ribbon(
-                gs, lat.shortest_h(lattice, (0, 0)), "D", mixed=True, rng=rng
-            )
+            st = lat.apply_anyon_ribbon(gs, lat.shortest_h(lattice, (0, 0)), "D", rng)
             try:
                 res = pro.move_step(st, pro.MovePlan("D", (1, 0), target), rng)
             except pro.ProtocolError as err:
@@ -170,9 +158,7 @@ class TestMovePath:
     def test_c_across_strip(self, strip):
         lattice, gs = strip
         rng = np.random.default_rng(21)
-        st = lat.apply_anyon_ribbon(
-            gs, lat.shortest_h(lattice, (0, 0)), "C", mixed=True, rng=rng
-        )
+        st = lat.apply_anyon_ribbon(gs, lat.shortest_h(lattice, (0, 0)), "C", rng)
         res = pro.move_path(st, "C", [(1, 0), (2, 0)], rng)
         assert res.success
         cfg, _ = lat.measure_MK(res.state, rng)
@@ -185,14 +171,14 @@ class TestMovePath:
         rng = np.random.default_rng(22)
         rib = lat.shortest_h(lattice, (0, 0))
         for _ in range(5):
-            st = lat.apply_anyon_ribbon(gs, rib, "G", mixed=True, rng=rng)
+            st = lat.apply_anyon_ribbon(gs, rib, "G", rng)
             res = pro.move_step(st, pro.MovePlan("G", (1, 0), (2, 0)), rng)
             assert res.success
             res = pro.move_step(res.state, pro.MovePlan("G", (2, 0), (1, 0)), rng)
             assert res.success
             st = res.state
             for _attempt in range(40):
-                st = lat.apply_anyon_ribbon(st, rib, "G", mixed=True, rng=rng)
+                st = lat.apply_anyon_ribbon(st, rib, "G", rng)
                 cfg, st = lat.measure_MK(st, rng)
                 if not cfg.nontrivial():
                     break

@@ -310,13 +310,17 @@ class TestMicroscopicCycle:
         gs = lat.ground_state(lattice)
         st = qec.inject_pauli(gs, lattice.h_edge(0, 0), "Zh").normalized()
         lengths = []
-        original = lat.apply_anyon_ribbon
 
-        def spy(state, ribbon, anyon, **kwargs):
-            lengths.append(len(ribbon.triangles))
-            return original(state, ribbon, anyon, **kwargs)
+        def spying(original):
+            def spy(state, ribbon, anyon, *args, **kwargs):
+                lengths.append(len(ribbon.triangles))
+                return original(state, ribbon, anyon, *args, **kwargs)
 
-        monkeypatch.setattr(lat, "apply_anyon_ribbon", spy)
+            return spy
+
+        # mixed ribbons and the explicit B branch of an abelian fix-up
+        for name in ("apply_anyon_ribbon", "anyon_ribbon_branch"):
+            monkeypatch.setattr(lat, name, spying(getattr(lat, name)))
         qec.qec_cycle(st, qec.NoiseModel(0.0), 2, np.random.default_rng(3))
         assert lengths and all(n == 2 for n in lengths)
 
@@ -441,22 +445,6 @@ class TestFusionSampling:
         rng = np.random.default_rng(0)
         assert qec.sample_fusion("B", "B", rng) == "A"
         assert qec.sample_fusion("B", "D", rng) == "E"
-
-
-class TestDraw:
-    def test_matches_generator_choice(self):
-        # the draw helper must take the same double and return the same
-        # index as Generator.choice with a 1-D p, for any law
-        laws = np.random.default_rng(3)
-        for seed in range(1000):
-            w = laws.random(int(laws.integers(1, 9)))
-            w[laws.random(len(w)) < 0.2] = 0.0
-            if not w.any():
-                w[0] = 1.0
-            p = w / w.sum()
-            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert qec._draw(qec._cdf(w), rng_a) == int(rng_b.choice(len(p), p=p))
-            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestPhenomenologicalCycle:
