@@ -71,6 +71,22 @@ def _positive_int(text):
     return value
 
 
+def _probability(text):
+    """argparse type of an error rate: NaN or a value outside [0, 1] is a usage error."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"expected a probability in [0, 1], got {text!r}")
+    return value
+
+
+def _check_fault_blocks(parser, args):
+    """Usage error for a concat-cc fault outside the --blocks blocks, checked
+    after parsing, since it depends on two flags."""
+    for flag, value in (("--error-site", args.error_site), ("--after-block", args.after_block)):
+        if value is not None and not 0 <= value < args.blocks:
+            parser.error(f"{flag} must lie in 0..{args.blocks - 1}, got {value}")
+
+
 def _trial_rng(seed, trial):
     return np.random.default_rng([seed, trial])
 
@@ -145,7 +161,7 @@ def _cmd_ribbon_demo(args, emit):
     deviations = 0
     for trial in range(args.trials):
         rng = _trial_rng(args.seed, trial)
-        cfg, _ = lat.measure_MK(pair.draw(rng), rng)
+        cfg, _ = lat.measure_MK(pair.draw(rng)[1], rng)
         if cfg.nontrivial() != expected:
             deviations += 1
     emit(
@@ -382,13 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("qec-cycle")
     p.add_argument("--width", type=_positive_int, default=8)
     p.add_argument("--height", type=_positive_int, default=8)
-    p.add_argument("--p", type=float, default=1e-3)
+    p.add_argument("--p", type=_probability, default=1e-3)
     p.add_argument("--rounds", type=_positive_int, default=3)
     p.add_argument("--microscopic", action="store_true")
     p = add("concat-cc")
     p.add_argument("--blocks", type=int, choices=cc.QUTRIT_CODES, default=3)
     p.add_argument("--error-site", type=int, default=None)
-    p.add_argument("--error-kind", type=str, default="Xh")
+    p.add_argument("--error-kind", choices=cc.ERROR_KINDS, default="Xh")
     p.add_argument("--after-block", type=int, default=1)
     add("orthonormality")
     return parser
@@ -398,6 +414,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "concat-cc":
+            _check_fault_blocks(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     if not args.command:

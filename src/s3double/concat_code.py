@@ -557,7 +557,8 @@ def verify_logical_action(schedule: GateSchedule, errors=(), correct=True):
     return worst, report
 
 
-_PAULI_NAMES = {"Xh": (1, 0), "Zh": (0, 1), "XhZh": (1, 1)}
+# (a, b) of each named single-qutrit fault Xh^a Zh^b (_pauli)
+ERROR_KINDS = MappingProxyType({"Xh": (1, 0), "Zh": (0, 1), "XhZh": (1, 1)})
 
 
 def fault_tolerance_demo(
@@ -575,11 +576,11 @@ def fault_tolerance_demo(
     errors = tuple(extra_errors)
     if error_site is not None:
         if isinstance(error_kind, str):
-            if error_kind not in _PAULI_NAMES:
+            if error_kind not in ERROR_KINDS:
                 raise CodeError(
-                    f"unknown error kind {error_kind!r}; expected one of {sorted(_PAULI_NAMES)}"
+                    f"unknown error kind {error_kind!r}; expected one of {sorted(ERROR_KINDS)}"
                 )
-            error_kind = _PAULI_NAMES[error_kind]
+            error_kind = ERROR_KINDS[error_kind]
         a, b = error_kind
         errors = ((after_block, int(error_site), a, b),) + errors
     deviation, report = verify_logical_action(schedule, errors)

@@ -37,16 +37,17 @@ A^g_v B^h_p, with coefficients read from algebra's tables (ribbon_terms,
 CHARACTERS); this module does no representation theory of its own.  Every
 (u, v) Kraus branch of a mixed anyon ribbon comes from anyon_ribbon_branches,
 with one triangle walk and one merge over the terms stacked once per flux
-h = c; anyon_ribbon_law keeps the branches and the cumulative law of their
-squared norms, so a ribbon applied to the same state many times is walked
-once and only drawn from after that.  The K^a of one flux class come from one
-A^g_v orbit and one merge (_charge_projections).  Outcomes are drawn with
-`sampling`, but for measure_site's lazy walk at an explicit site, which
-projects no flux class after the outcome's.
+h = c.  The K^a of one flux class come from one A^g_v orbit and one merge
+(_charge_projections).  Both measurements are a BranchLaw: anyon_ribbon_law
+keeps the (u, v) branches and charge_law the K^a of the flux classes present
+at a site, each with the cumulative law of their squared norms, and every
+outcome is one `sampling` draw from it, so a ribbon applied to the same state
+many times is walked once and only drawn from after that.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import groupby
@@ -74,7 +75,7 @@ MAX_VERTICES = 10
 
 
 class AnnihilationError(RuntimeError):
-    """Every Kraus branch of a mixed ribbon application has zero norm."""
+    """Every branch of a measurement law (BranchLaw) has zero norm."""
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,8 @@ class LatticeState:
         return dg.pack(self.digits, (ORDER,) * self.digits.shape[1])
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
+        # the bits of float(np.sqrt(np.sum(...))), without np.sum's per-call cost
+        return math.sqrt(np.add.reduce(np.abs(self.amps) ** 2))
 
     def normalized(self) -> "LatticeState":
         n = self.norm()
@@ -522,35 +524,42 @@ def anyon_ribbon_branches(state: LatticeState, ribbon: Ribbon, anyon: str) -> li
 
 @dataclass(frozen=True, eq=False)
 class BranchLaw:
-    """The Kraus branches (u, v) of a mixed anyon ribbon on one state that
-    survive the PRUNE_TOL cut, unnormalized, with their norms and cdf, the
-    `sampling.law` of their squared norms, from which draw samples.
-    Its arrays are read-only, since every draw shares them."""
+    """One measurement on one state: the labels whose unnormalized branches
+    survive the PRUNE_TOL cut, the branches, their norms, and cdf, the
+    `sampling.law` of their squared norms; read-only, as every draw shares them."""
 
+    labels: tuple
     branches: tuple
     norms: tuple
     cdf: np.ndarray
 
-    def draw(self, rng) -> LatticeState:
-        """One branch sampled by one `sampling.draw` from cdf, normalized."""
+    def draw(self, rng) -> tuple:
+        """(label, normalized branch) of one `sampling.draw` from cdf."""
         i = sampling.draw(self.cdf, rng)
         b = self.branches[i]
-        return replace(b, amps=b.amps / self.norms[i])
+        return self.labels[i], replace(b, amps=b.amps / self.norms[i])
+
+
+def _branch_law(outcomes, message: str) -> BranchLaw:
+    """BranchLaw of (label, branch) pairs; AnnihilationError(message) if none survives."""
+    kept = [(label, b, n) for label, b in outcomes if (n := b.norm()) ** 2 > PRUNE_TOL]
+    if not kept:
+        raise AnnihilationError(message)
+    labels, branches, norms = zip(*kept)
+    for b in branches:
+        b.digits.setflags(write=False)
+        b.amps.setflags(write=False)
+    return BranchLaw(labels, branches, norms, sampling.law([n ** 2 for n in norms]))
 
 
 def anyon_ribbon_law(state: LatticeState, ribbon: Ribbon, anyon: str) -> BranchLaw:
     """The law of the mixed application of the anyon's ribbon to `state`
     (trajectory unraveling of the maximally-mixed-internal-state channel),
-    built from anyon_ribbon_branches' one walk."""
-    kept = [(b, b.norm()) for b in anyon_ribbon_branches(state, ribbon, anyon)]
-    kept = [(b, n) for b, n in kept if n ** 2 > PRUNE_TOL]
-    if not kept:
-        raise AnnihilationError(f"all (u, v) branches of {anyon} have zero norm")
-    branches, norms = zip(*kept)
-    for b in branches:
-        b.digits.setflags(write=False)
-        b.amps.setflags(write=False)
-    return BranchLaw(branches, norms, sampling.law([n ** 2 for n in norms]))
+    labelled by (u, v) and built from anyon_ribbon_branches' one walk."""
+    basis = ANYON_TABLE[anyon].basis
+    rows = [(u, v) for u in basis for v in basis]
+    outcomes = zip(rows, anyon_ribbon_branches(state, ribbon, anyon))
+    return _branch_law(outcomes, f"all (u, v) branches of {anyon} have zero norm")
 
 
 def apply_anyon_ribbon(state: LatticeState, ribbon: Ribbon, anyon: str, rng) -> LatticeState:
@@ -559,7 +568,7 @@ def apply_anyon_ribbon(state: LatticeState, ribbon: Ribbon, anyon: str, rng) -> 
     Callers that apply the same ribbon to the same state many times build the
     law once and draw from it; one explicit branch is
     anyon_ribbon_branch(...).normalized(), which draws nothing."""
-    return anyon_ribbon_law(state, ribbon, anyon).draw(rng)
+    return anyon_ribbon_law(state, ribbon, anyon).draw(rng)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +616,6 @@ def _charge_projections(state: LatticeState, site, flux, table) -> list:
     anyons, hs, gs, coeffs = table
     # (h, g, term) order: keys that collide are summed as a loop over h, then g would
     pair, term = np.nonzero(hs[:, None] == flux)
-    if not len(term):  # no term carries a flux of this class
-        return [(a, replace(state, digits=state.digits[:0], amps=state.amps[:0])) for a in anyons]
     digits = state.digits[term]
     _gauge_at_vertex(state.lattice, digits, site, gs[pair])
     digits = canonicalize_keys(state.lattice, digits, state.uniform)
@@ -627,37 +634,29 @@ def apply_K(state: LatticeState, site, anyon: str) -> LatticeState:
     return dict(_charge_projections(state, site, _flux(state, site), table))[anyon]
 
 
-def measure_site(state: LatticeState, site, rng):
-    """Sample the anyon charge at one site; returns (letter, post-state)."""
-    if site in state.uniform:
-        # A_v-invariant sector: only the pure flux-class outcomes, and K
-        # reduces to a flux-class projector — no expansion needed
-        f = _CLASS_OF_FLUX[_flux(state, site)]
-        masks = [f == i for i in range(len(_FLUX_CLASSES))]
-        probs = [np.sum(np.abs(state.amps[m]) ** 2) for m in masks]
-        pick = sampling.draw(sampling.law(probs), rng)
-        m = masks[pick]
-        post = LatticeState(state.lattice, state.digits[m], state.amps[m], state.uniform)
-        return _FLUX_CLASSES[pick][0], post.normalized()
-    # K projectors resolve the identity on the normalized state, so outcomes
-    # can be sampled with an early exit; classes are projected lazily, in
-    # ANYONS order, so none after the outcome's class is built
-    u = rng.random() * state.norm() ** 2
-    acc = 0.0
-    letter, post = None, None
+def charge_law(state: LatticeState, site) -> BranchLaw:
+    """The law of M_K at one site over the anyons of the flux classes present
+    there, in ANYONS order: at a uniform site (A_v-invariant sector) only the
+    pure flux-class anyons occur and K is a flux-class mask, with no
+    expansion; at an explicit site each class gives its _charge_projections."""
     flux = _flux(state, site)
-    for a, proj in (p for t in _CHARGE_TABLES for p in _charge_projections(state, site, flux, t)):
-        w = proj.norm() ** 2
-        if w <= PRUNE_TOL:
-            continue
-        letter, post = a, proj
-        acc += w
-        if acc >= u:
-            break
-    if letter is None:
-        raise ValueError("charge measurement found no support")
-    post = post.normalized()
-    if letter == "A" and site != (0, 0):
+    classes = _CLASS_OF_FLUX[flux]
+    present = np.flatnonzero(np.bincount(classes))
+    if site in state.uniform:
+        masks = [(_FLUX_CLASSES[c][0], classes == c) for c in present]
+        outcomes = [
+            (a, replace(state, digits=state.digits[m], amps=state.amps[m])) for a, m in masks
+        ]
+    else:
+        tables = [_CHARGE_TABLES[c] for c in present]
+        outcomes = [o for t in tables for o in _charge_projections(state, site, flux, t)]
+    return _branch_law(outcomes, "charge measurement found no support")
+
+
+def measure_site(state: LatticeState, site, rng):
+    """(letter, post-state) of one draw from the site's charge_law."""
+    letter, post = charge_law(state, site).draw(rng)
+    if letter == "A" and site not in post.uniform and site != (0, 0):
         # lossless: the A-sector is A_v B_p-invariant (the tree-root vertex
         # stays explicit; the projected state is invariant there regardless)
         post = uniformize(post, site)

@@ -209,7 +209,7 @@ def success_statistics(anyon: str, max_n: int, trials: int, rng) -> list:
     plan = MovePlan(anyon, (1, 0), (2, 0), max_rounds=max_n)
     rounds_used = []
     for _ in range(trials):
-        result = move_step(pair.draw(rng), plan, rng)
+        result = move_step(pair.draw(rng)[1], plan, rng)
         rounds_used.append(result.rounds if result.success else None)
     records = []
     for n in range(1, max_n + 1):

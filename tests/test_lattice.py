@@ -321,7 +321,7 @@ class TestRibbons:
             law = lat.anyon_ribbon_law(state, rib, anyon)
             for seed in range(6):
                 rngs = [np.random.default_rng(seed) for _ in range(3)]
-                got = law.draw(rngs[0])
+                _, got = law.draw(rngs[0])
                 mixed = lat.apply_anyon_ribbon(state, rib, anyon, rngs[1])
                 want = _mixed_by_label(state, rib, anyon, rngs[2])
                 for out in (got, mixed):
@@ -339,7 +339,7 @@ class TestRibbons:
             with pytest.raises(ValueError):
                 array[0] = 0
         # a draw shares the branch's rows and owns its amplitudes
-        drawn = law.draw(np.random.default_rng(0))
+        _, drawn = law.draw(np.random.default_rng(0))
         with pytest.raises(ValueError):
             drawn.digits[0, 0] = 1
 
@@ -722,6 +722,57 @@ class TestChargeMeasurementOracles:
             tracemalloc.stop()
         assert letter in "DE" and post.n_terms == state.n_terms
         assert peak <= 32 * 2**20, peak / 2**20
+
+
+class TestLaws:
+    """charge_law and anyon_ribbon_law against apply_K and the per-row
+    branches."""
+
+    @pytest.mark.parametrize("kind", ["explicit", "uniform", "orbits"])
+    def test_charge_law_weights_are_K_weights(self, oracle_states, kind):
+        # each outcome's squared norm is its K^a weight, the weights resolve
+        # the norm, and an omitted letter carries no K weight (at a uniform
+        # site only the pure flux-class anyons A, D and F occur)
+        state = oracle_states[kind]
+        total = state.norm() ** 2
+        for site in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            law = lat.charge_law(state, site)
+            assert set(law.labels) <= (set("ADF") if site in state.uniform else set(ANYONS))
+            for letter, norm in zip(law.labels, law.norms):
+                want = lat.apply_K(state, site, letter).norm() ** 2
+                assert abs(norm ** 2 - want) <= 1e-12 * want, (site, letter)
+            assert abs(sum(n ** 2 for n in law.norms) - total) <= 1e-12 * total, site
+            for letter in set(ANYONS) - set(law.labels):
+                assert lat.apply_K(state, site, letter).norm() ** 2 <= lat.PRUNE_TOL
+
+    @pytest.mark.parametrize("site", [(0, 0), (0, 1)])
+    def test_charge_law_of_zero_state_raises(self, oracle_states, site):
+        state = oracle_states["uniform"]
+        zero = lat.LatticeState(state.lattice, state.digits, 0 * state.amps, state.uniform)
+        empty = lat.LatticeState(state.lattice, state.digits[:0], state.amps[:0], state.uniform)
+        for st in (zero, empty):
+            with pytest.raises(lat.AnnihilationError):
+                lat.charge_law(st, site)
+
+    @pytest.mark.parametrize("anyon", ANYONS)
+    def test_ribbon_law_labels_are_surviving_rows(self, anyon, gs21):
+        # the one-term identity configuration is not gauge-averaged, so the
+        # ribbon's direct triangle reads e there, and only one row per u
+        # survives; the ground state keeps every row
+        lattice = gs21.lattice
+        identity = np.zeros((1, lattice.n_edges), dtype=np.int8)
+        one = lat.LatticeState(lattice, identity, np.ones(1, dtype=complex))
+        basis = ANYON_TABLE[anyon].basis
+        rows = [(u, v) for u in basis for v in basis]
+        rib = lat.shortest_h(lattice, (0, 0))
+        cut = 0
+        for state in (gs21, one):
+            law = lat.anyon_ribbon_law(state, rib, anyon)
+            branches = lat.anyon_ribbon_branches(state, rib, anyon)
+            kept = [r for r, b in zip(rows, branches) if b.norm() ** 2 > lat.PRUNE_TOL]
+            assert law.labels == tuple(kept)
+            cut += len(rows) - len(kept)
+        assert cut == len(rows) - len(basis), cut
 
 
 class TestOrthonormality:

@@ -173,3 +173,29 @@ class TestSampling:
             and node.func.attr == "choice"
         ]
         assert calls == []
+
+    def test_only_fault_draws_call_random(self):
+        # a draw outside sampling is one of qec's per-edge Bernoulli faults,
+        # rng.random() compared with the error rate p
+        def is_random(node):
+            return (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "random"
+            )
+
+        calls, faults = [], []
+        for path in sorted(PACKAGE.glob("*.py")):
+            if path.stem == "sampling":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if is_random(node):
+                    calls.append(f"{path.stem}:{node.lineno}")
+                elif (
+                    path.stem == "qec"
+                    and isinstance(node, ast.Compare)
+                    and is_random(node.left)
+                    and getattr(node.comparators[0], "attr", None) == "p"
+                ):
+                    faults.append(f"{path.stem}:{node.lineno}")
+        assert len(faults) == 2 and sorted(calls) == sorted(faults), calls
