@@ -5,7 +5,7 @@ the eight anyons A..H, verifies their consistency (pentagon/hexagon/
 unitarity, each as array gathers over its admissible label tuples from dense
 tables that are rebuilt per call, never cached), evaluates the interferometry
 amplitudes used by the remote measurement protocols, and tabulates their
-constant per-round factors once per category (``CategoryData.qutrit_tables``).
+constant per-round factors once per process (:func:`qutrit_tables`).
 
 Conventions
 -----------
@@ -39,8 +39,8 @@ entry from one gathered contraction over its admissible label tuples
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cache, lru_cache
 from importlib import resources
 from types import MappingProxyType
 from typing import NamedTuple
@@ -72,10 +72,6 @@ class CategoryData:
     dims: dict  # a -> int
     R: dict  # (a, b, c) -> complex phase
     F: dict  # (a, b, c, d, e, f) -> complex
-    # Tables derived on first use.  A field set in __init__ rather than a
-    # cached_property: on CPython 3.11, writing a new key into the instance
-    # __dict__ makes every later attribute load (data.N, data.F) 3-5x slower.
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def outcomes(self, a: str, b: str) -> tuple:
         return tuple(c for c in self.anyons if self.N.get((a, b, c), 0))
@@ -94,14 +90,6 @@ class CategoryData:
 
     def r_symbol(self, a, b, c) -> complex:
         return self.R[a, b, c]
-
-    @property
-    def qutrit_tables(self) -> "QutritTables":
-        """Constant per-round factors of the logical-qutrit protocols, built
-        on first use."""
-        if "qutrit" not in self._derived:
-            self._derived["qutrit"] = _qutrit_tables(self)
-        return self._derived["qutrit"]
 
 
 def _parse_records(text: str):
@@ -269,9 +257,9 @@ def verify_consistency(data: CategoryData) -> ConsistencyReport:
 # Fusion and interferometry amplitudes
 
 
-def fusion_probability(a: str, b: str, c: str, data: CategoryData = None) -> float:
+def fusion_probability(a: str, b: str, c: str) -> float:
     """Probability of outcome c when fusing a x b with mixed local state."""
-    data = data or default_category()
+    data = default_category()
     return data.N.get((a, b, c), 0) * data.dims[c] / (data.dims[a] * data.dims[b])
 
 
@@ -291,16 +279,13 @@ def interferometry_amplitude(x: str, z: str, w: str, data: CategoryData = None) 
     return total
 
 
-def u_measurement_amplitude(
-    x: str, y: str, z: str, w: str, data: CategoryData = None
-) -> complex:
+def u_measurement_amplitude(x: str, y: str, z: str, w: str) -> complex:
     """Amplitude for the intermediate computational-subspace measurement on an
     internal pair (x, y): the probe-pair outcome w is fused into the tree's
     total-charge line."""
-    data = data or default_category()
     if (x, y) not in QUTRIT_PAIRS:
         raise CategoryError(f"({x},{y}) is not an internal pair of the qutrit space")
-    return interferometry_amplitude(x, z, w, data) * data.f_entry(
+    return interferometry_amplitude(x, z, w) * default_category().f_entry(
         w, x, y, "G", x, "G"
     )
 
@@ -344,15 +329,19 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
-def _qutrit_tables(data: CategoryData) -> QutritTables:
+@cache
+def qutrit_tables() -> QutritTables:
+    """The constant factors of the logical-qutrit protocols on the shipped
+    category, built once per process."""
+    data = default_category()
     mu = _read_only(
         [
-            [u_measurement_amplitude(x, y, "H", w, data) for x, y in ALL_PAIRS]
+            [u_measurement_amplitude(x, y, "H", w) for x, y in ALL_PAIRS]
             for w in MU_OUTCOMES
         ]
     )
     i_d = {
-        (x, w): interferometry_amplitude(x, "D", w, data)
+        (x, w): interferometry_amplitude(x, "D", w)
         for x, w in (("A", "A"), ("B", "A"), ("G", "G"))
     }
     # the probe projects x = w; measure_MA only sees x in {A, G}
@@ -364,7 +353,7 @@ def _qutrit_tables(data: CategoryData) -> QutritTables:
     e_correction = _read_only(
         [sign * data.f_entry("B", "G", y, "G", "G", "G") for _, y in ALL_PAIRS]
     )
-    root_fusion = tuple(fusion_probability("G", "G", c, data) for c in ROOT_OUTCOMES)
+    root_fusion = tuple(fusion_probability("G", "G", c) for c in ROOT_OUTCOMES)
     # the residual G pair of the X = A branch fuses back to G deterministically
     # when it equals the F-column of G
     col = np.array([np.conj(data.f_entry("G", "G", "G", "G", e, "G")) for e in ("A", "B")])

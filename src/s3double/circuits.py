@@ -470,25 +470,25 @@ def _edge_wires(edge_slot):
     return 2 * edge_slot, 2 * edge_slot + 1
 
 
-def _l_plus_ops(g: GroupElement, qt, qb, cond=()):
+def _l_plus_ops(g: GroupElement, qt, qb):
     ops = []
     for _ in range(g.l):
-        ops.append(Op("gate", gate="Ch", wires=(qt,), cond=cond))
-        ops.append(Op("gate", gate="X", wires=(qb,), cond=cond))
+        ops.append(Op("gate", gate="Ch", wires=(qt,)))
+        ops.append(Op("gate", gate="X", wires=(qb,)))
     if g.k:
-        ops.append(Op("gate", gate="Xh", wires=(qt,), power=Expr(g.k), cond=cond))
+        ops.append(Op("gate", gate="Xh", wires=(qt,), power=Expr(g.k)))
     return ops
 
 
-def _l_minus_ops(g: GroupElement, qt, qb, cond=()):
+def _l_minus_ops(g: GroupElement, qt, qb):
     ops = []
     for _ in range(g.l):
-        ops.append(Op("gate", gate="X", wires=(qb,), cond=cond))
+        ops.append(Op("gate", gate="X", wires=(qb,)))
     if g.k:
         # Xh^{-kZ} = CC Xh^{-k} CC
-        ops.append(Op("gate", gate="CC", wires=(qb, qt), cond=cond))
-        ops.append(Op("gate", gate="Xh", wires=(qt,), power=Expr(-g.k), cond=cond))
-        ops.append(Op("gate", gate="CC", wires=(qb, qt), cond=cond))
+        ops.append(Op("gate", gate="CC", wires=(qb, qt)))
+        ops.append(Op("gate", gate="Xh", wires=(qt,), power=Expr(-g.k)))
+        ops.append(Op("gate", gate="CC", wires=(qb, qt)))
     return ops
 
 

@@ -2,8 +2,11 @@
 subcommand with machine-readable JSON-lines output.
 
 Identical (subcommand, flags, seed) invocations produce byte-identical
-output; stochastic commands require an explicit --seed and derive per-trial
-generators from (seed, trial index).  Exit code 0 means every emitted check
+output; stochastic commands require an explicit --seed.  ribbon-demo,
+measure-ma, measure-mu and merge-split derive one generator per trial from
+(seed, trial index); move-stats and qec-cycle draw everything from one
+generator seeded by --seed, as does ground-state's charge measurement
+(--seed defaults to 0 there).  Exit code 0 means every emitted check
 passed, 1 flags a failed check or an explained resource bound, and 2 is a
 usage error.
 """

@@ -10,9 +10,10 @@ The remote-measurement and merge/split protocols act on the four-D logical
 qutrit space (total charge G, internal pair labels (x, y)) and its two-qutrit
 extension.  They run on a plain amplitude vector with one entry per pair in
 ``ALL_PAIRS`` order (9 entries; the merged pair uses the 9 x 9 products of
-two such orders), multiplying it by the constant per-category tables of
-``CategoryData.qutrit_tables``.  The state is checked once on the way in and
-built as a validated ``FusionState`` once on the way out.
+two such orders), multiplying it by the constant tables of
+``category.qutrit_tables()``, built once per process from the shipped
+category that every operation here reads.  The state is checked once on the
+way in and built as a validated ``FusionState`` once on the way out.
 
 Global phases are tracked explicitly: normalization only divides by the
 positive norm, so protocol sign bookkeeping stays observable in tests.
@@ -36,6 +37,7 @@ from .category import (
     ROOT_OUTCOMES,
     U_PAIRS,
     default_category,
+    qutrit_tables,
 )
 
 QUTRIT_SHAPE = ((0, 1), (2, 3))
@@ -119,8 +121,8 @@ class FusionState:
             return self.leaves[node]
         return labeling[self.node_index(node)]
 
-    def validate(self, data=None):
-        data = data or default_category()
+    def validate(self):
+        N = default_category().N
         slots = _vertex_slots(self.shape)
         for labeling in self.amps:
             if labeling[-1] != self.root:
@@ -128,12 +130,12 @@ class FusionState:
             labels = self.leaves + labeling
             for i, j, k in slots:
                 a, b, c = labels[i], labels[j], labels[k]
-                if not data.N.get((a, b, c), 0):
+                if not N.get((a, b, c), 0):
                     raise FusionError(f"inadmissible vertex {a} x {b} -> {c}")
         return self
 
 
-def qutrit_state(amps, data=None) -> FusionState:
+def qutrit_state(amps) -> FusionState:
     """Four-D fusion tree with total charge G from {(x, y): amplitude}."""
     for x, y in amps:
         if (x, y) not in QUTRIT_PAIRS:
@@ -144,7 +146,7 @@ def qutrit_state(amps, data=None) -> FusionState:
         "G",
         {(x, y, "G"): complex(v) for (x, y), v in amps.items()},
     )
-    return state.validate(data).normalized()
+    return state.validate().normalized()
 
 
 def qutrit_amplitudes(state: FusionState) -> dict:
@@ -168,22 +170,22 @@ def _pair_vector(amps) -> np.ndarray:
     return vec
 
 
-def _vector_state(vec, data) -> FusionState:
+def _vector_state(vec) -> FusionState:
     """The qutrit state over the nonzero entries of a pair vector."""
-    return qutrit_state({p: v for p, v in zip(ALL_PAIRS, vec.tolist()) if v}, data)
+    return qutrit_state({p: v for p, v in zip(ALL_PAIRS, vec.tolist()) if v})
 
 
 # ---------------------------------------------------------------------------
 # F-moves and braids
 
 
-def f_move(state: FusionState, node, data=None) -> FusionState:
+def f_move(state: FusionState, node) -> FusionState:
     """Re-associate one vertex: ((a b) c) <-> (a (b c)).
 
     The direction is read off the current shape of `node`; norm is preserved
     (F matrices are unitary).
     """
-    data = data or default_category()
+    data = default_category()
     if node not in state.nodes:
         raise FusionError(f"no internal node {node!r}")
     left, right = node
@@ -265,13 +267,12 @@ def left_comb_shape(n_leaves: int):
     return shape
 
 
-def to_left_comb(state: FusionState, data=None):
+def to_left_comb(state: FusionState):
     """Convert to the canonical left-comb shape.
 
     Returns (state, moves) where `moves` is the recorded f_move target list
     that reproduces the conversion.
     """
-    data = data or default_category()
     moves = []
     current = state
     while True:
@@ -286,12 +287,12 @@ def to_left_comb(state: FusionState, data=None):
         if target is None:
             return current, tuple(moves)
         moves.append(target)
-        current = f_move(current, target, data)
+        current = f_move(current, target)
 
 
-def braid(state: FusionState, i: int, over: bool = True, data=None) -> FusionState:
+def braid(state: FusionState, i: int, over: bool = True) -> FusionState:
     """Exchange sibling leaves i and i+1 (over- or under-crossing)."""
-    data = data or default_category()
+    data = default_category()
     node = (i, i + 1)
     if node not in state.nodes:
         raise FusionError(f"leaves {i},{i + 1} are not siblings; apply f_move first")
@@ -333,7 +334,7 @@ def _branch(rng, labels, table, vec):
     return w, branches[labels.index(w)]
 
 
-def measure_MA(state: FusionState, rng, max_rounds: int = 64, data=None) -> ProtocolOutcome:
+def measure_MA(state: FusionState, rng, max_rounds: int = 64) -> ProtocolOutcome:
     """Interferometric measurement {Pi_A, Pi_A'} on the computational qutrit.
 
     A D-pair probes the left internal label x; the pair's fusion outcome w
@@ -342,17 +343,16 @@ def measure_MA(state: FusionState, rng, max_rounds: int = 64, data=None) -> Prot
     a B-pair correction) and rounds continue until the E-count is even.
 
     Every round multiplies the pair vector by a constant table of
-    ``data.qutrit_tables`` (``ma`` and ``e_correction``).
+    ``category.qutrit_tables()`` (``ma`` and ``e_correction``).
     """
-    data = data or default_category()
-    tables = data.qutrit_tables
+    tables = qutrit_tables()
     amps = qutrit_amplitudes(state)
     if any(pair not in U_PAIRS for pair in amps):
         raise FusionError("measure_MA requires support on the computational subspace")
     w, vec = _branch(rng, MA_OUTCOMES, tables.ma, _pair_vector(amps))
     transcript = [("interfere", w)]
     if w == "A":
-        return ProtocolOutcome("A", tuple(transcript), _vector_state(vec, data), 1)
+        return ProtocolOutcome("A", tuple(transcript), _vector_state(vec), 1)
     i_g = tables.ma[MA_OUTCOMES.index("G")]
     # fuse the w = G probe with the leftmost D and correct E outcomes
     e_parity = 0
@@ -365,18 +365,18 @@ def measure_MA(state: FusionState, rng, max_rounds: int = 64, data=None) -> Prot
             e_parity ^= 1
         if e_parity == 0:
             return ProtocolOutcome(
-                "Aprime", tuple(transcript), _vector_state(vec, data), rounds
+                "Aprime", tuple(transcript), _vector_state(vec), rounds
             )
         # another interferometry round: support is x = G, outcome certain
         vec = vec * i_g
         transcript.append(("interfere", "G"))
         rounds += 1
     return ProtocolOutcome(
-        "Aprime", tuple(transcript), _vector_state(vec, data), rounds, timed_out=True
+        "Aprime", tuple(transcript), _vector_state(vec), rounds, timed_out=True
     )
 
 
-def measure_MU(state: FusionState, rng, max_rounds: int = 64, data=None) -> ProtocolOutcome:
+def measure_MU(state: FusionState, rng, max_rounds: int = 64) -> ProtocolOutcome:
     """Iterated intermediate measurement realizing {Pi_U, Pi_Uperp}.
 
     Each round an H-pair probes the internal pair (x, y); outcome w = A
@@ -386,10 +386,9 @@ def measure_MU(state: FusionState, rng, max_rounds: int = 64, data=None) -> Prot
     restores intra-U-perp coherence.
 
     Every round multiplies the pair vector by one row of the constant table
-    ``data.qutrit_tables.mu`` and drops entries below ``PRUNE_TOL``.
+    ``category.qutrit_tables().mu`` and drops entries below ``PRUNE_TOL``.
     """
-    data = data or default_category()
-    table = data.qutrit_tables.mu
+    table = qutrit_tables().mu
     vec = _pair_vector(qutrit_amplitudes(state))
     transcript = []
     b_count = 0
@@ -401,16 +400,16 @@ def measure_MU(state: FusionState, rng, max_rounds: int = 64, data=None) -> Prot
             b_count += 1
             if b_count == 2:
                 return ProtocolOutcome(
-                    "Uperp", tuple(transcript), _vector_state(vec, data), rounds
+                    "Uperp", tuple(transcript), _vector_state(vec), rounds
                 )
         if b_count == 0 and rounds == max_rounds:
             return ProtocolOutcome(
-                "U", tuple(transcript), _vector_state(vec, data), rounds
+                "U", tuple(transcript), _vector_state(vec), rounds
             )
     return ProtocolOutcome(
         "Uperp",
         tuple(transcript),
-        _vector_state(vec, data),
+        _vector_state(vec),
         max_rounds,
         timed_out=True,
     )
@@ -423,7 +422,7 @@ def measure_MU(state: FusionState, rng, max_rounds: int = 64, data=None) -> Prot
 TWO_QUTRIT_SHAPE = (((0, 1), (2, 3)), ((4, 5), (6, 7)))
 
 
-def two_qutrit_state(amps, data=None) -> FusionState:
+def two_qutrit_state(amps) -> FusionState:
     """Merged tree: two four-D qutrit subtrees with G roots fused to G."""
     state = FusionState(
         ("D",) * 8,
@@ -434,7 +433,7 @@ def two_qutrit_state(amps, data=None) -> FusionState:
             for (x1, y1, x2, y2), v in amps.items()
         },
     )
-    return state.validate(data).normalized()
+    return state.validate().normalized()
 
 
 def two_qutrit_amplitudes(state: FusionState) -> dict:
@@ -451,7 +450,7 @@ def _pair_matrix(amps) -> np.ndarray:
     return mat
 
 
-def _matrix_state(mat, data) -> FusionState:
+def _matrix_state(mat) -> FusionState:
     """The merged state over the nonzero entries of a pair matrix."""
     return two_qutrit_state(
         {
@@ -459,14 +458,11 @@ def _matrix_state(mat, data) -> FusionState:
             for left, row in zip(ALL_PAIRS, mat.tolist())
             for right, v in zip(ALL_PAIRS, row)
             if v
-        },
-        data,
+        }
     )
 
 
-def merge_qutrits(
-    stateL: FusionState, stateR: FusionState, rng, data=None
-) -> ProtocolOutcome:
+def merge_qutrits(stateL: FusionState, stateR: FusionState, rng) -> ProtocolOutcome:
     """Fuse the G roots of two logical qutrits into a single G root.
 
     Subroutine 1 fuses the roots (outcomes A: 1/4, B: 1/4, G: 1/2).  On A/B,
@@ -474,10 +470,9 @@ def merge_qutrits(
     one with a D-pair (X in {A, G}), and fuses the residual pair(s) down to a
     single G; the internal labels of both qutrits are untouched throughout,
     and the merged amplitudes are the products of the two pair vectors times
-    the branch's constant phase from ``data.qutrit_tables.merge``.
+    the branch's constant phase from ``category.qutrit_tables().merge``.
     """
-    data = data or default_category()
-    tables = data.qutrit_tables
+    tables = qutrit_tables()
     vec_l = _pair_vector(qutrit_amplitudes(stateL))
     vec_r = _pair_vector(qutrit_amplitudes(stateR))
     transcript = []
@@ -501,12 +496,10 @@ def merge_qutrits(
             transcript.append(("left-fusion", ab))
             transcript.append(("abelian-fusion", "G"))
     merged = np.outer(phase * vec_l, vec_r)
-    return ProtocolOutcome("merged", tuple(transcript), _matrix_state(merged, data), 1)
+    return ProtocolOutcome("merged", tuple(transcript), _matrix_state(merged), 1)
 
 
-def split_qutrit(
-    state: FusionState, rng, max_rounds: int = 64, data=None
-) -> ProtocolOutcome:
+def split_qutrit(state: FusionState, rng, max_rounds: int = 64) -> ProtocolOutcome:
     """Split the G root of a merged two-qutrit tree back into two G roots.
 
     Each round applies a shortest-G-ribbon + measurement attempt that
@@ -515,9 +508,8 @@ def split_qutrit(
     harmless.  Returns the pair of single-qutrit states in the transcript
     order (left, right) encoded as a product state.
     """
-    data = data or default_category()
     mat = _pair_matrix(two_qutrit_amplitudes(state))
-    p_succ = data.qutrit_tables.root_fusion[ROOT_OUTCOMES.index("G")]
+    p_succ = qutrit_tables().root_fusion[ROOT_OUTCOMES.index("G")]
     transcript = []
     for rounds in range(1, max_rounds + 1):
         outcome = _sample(rng, ["G", "AB"], [p_succ, 1 - p_succ])
@@ -528,7 +520,7 @@ def split_qutrit(
             # the split leaves the internal labels untouched; re-expressing
             # the pair of G roots keeps the joint amplitudes exact
             return ProtocolOutcome(
-                f"split-{internal}", tuple(transcript), _matrix_state(mat, data), rounds
+                f"split-{internal}", tuple(transcript), _matrix_state(mat), rounds
             )
     return ProtocolOutcome(
         "timeout", tuple(transcript), state, max_rounds, timed_out=True
@@ -542,6 +534,6 @@ def factor_halves(state: FusionState):
         raise FusionError("state is entangled across the two qutrits")
     scale = np.sqrt(s[0])
     return tuple(
-        _vector_state(np.where(np.abs(vec) > PRUNE_TOL, vec * scale, 0), None)
+        _vector_state(np.where(np.abs(vec) > PRUNE_TOL, vec * scale, 0))
         for vec in (u[:, 0], vh[0])
     )

@@ -417,17 +417,11 @@ class Ribbon:
     triangles: tuple
     s0: tuple
     s1: tuple
-    vertices: tuple  # vertices at which F^{h,g} fails to commute with A_v
 
     def __add__(self, other: "Ribbon") -> "Ribbon":
         if self.s1 != other.s0:
             raise ValueError("ribbons do not share an intermediate site")
-        return Ribbon(
-            self.triangles + other.triangles,
-            self.s0,
-            other.s1,
-            (self.vertices[0], other.vertices[1]),
-        )
+        return Ribbon(self.triangles + other.triangles, self.s0, other.s1)
 
 
 def shortest_h(lattice: Lattice, site) -> Ribbon:
@@ -440,7 +434,6 @@ def shortest_h(lattice: Lattice, site) -> Ribbon:
         ),
         (x, y),
         (x + 1, y),
-        ((x, y), (x + 1, y)),
     )
 
 
@@ -454,7 +447,6 @@ def shortest_v(lattice: Lattice, site) -> Ribbon:
         ),
         (x, y),
         (x, y - 1),
-        ((x, y), (x, y - 1)),
     )
 
 
@@ -465,7 +457,9 @@ def _ribbon_sum(state: LatticeState, ribbon: Ribbon, fluxes, table) -> list:
     and the product of the elements read picks its g.  A row is zero outside
     its own block (those exact zeros leave its sums unchanged), so all rows
     share one canonicalization and one merge."""
-    state = _deuniformized(state, ribbon.vertices)
+    # a site is labelled by its northwest vertex, so F^{h,g} fails to commute
+    # with A_v exactly at the vertices of its two end sites
+    state = _deuniformized(state, (ribbon.s0, ribbon.s1))
     block = np.repeat(np.arange(len(fluxes)), state.n_terms)
     h = np.asarray(fluxes)[block]
     digits = np.tile(state.digits, (len(fluxes), 1))

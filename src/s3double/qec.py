@@ -12,13 +12,14 @@ Cost of a phenomenological round: one uniform draw per edge (the floor); a
 bounds check per error edge; one `sampling.draw` per sampled letter from a
 constant `sampling.law` (the Pauli alphabet's is built once per NoiseModel,
 the lone-vertex mixtures' once per module, each fusion pair's once per
-CategoryData); and one vectorised sort of the n(n-1)/2 pair distances of the
+process); and one vectorised sort of the n(n-1)/2 pair distances of the
 n non-trivial sites in the decoder, O(n^2 log n) at most.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -262,17 +263,17 @@ def _microscopic_cycle(state, noise, rounds, rng):
 # Phenomenological cycle
 
 
-def sample_fusion(a: str, b: str, rng, data=None) -> str:
+@cache
+def _fusion_law(a: str, b: str):
+    """(outcomes, cumulative law) of fusing a x b."""
+    outs = category.default_category().outcomes(a, b)
+    return outs, sampling.law([category.fusion_probability(a, b, c) for c in outs])
+
+
+def sample_fusion(a: str, b: str, rng) -> str:
     """Fusion outcome of a x b sampled with probability d_c N_ab^c/(d_a d_b).
-    The (outcomes, cumulative law) of each pair is built once per category."""
-    data = data or category.default_category()
-    laws = data._derived.setdefault("fusion_laws", {})
-    law = laws.get((a, b))
-    if law is None:
-        outs = data.outcomes(a, b)
-        probs = np.array([category.fusion_probability(a, b, c, data) for c in outs])
-        law = laws[a, b] = (outs, sampling.law(probs))
-    outs, cdf = law
+    The (outcomes, cumulative law) of each pair is built once per process."""
+    outs, cdf = _fusion_law(a, b)
     return outs[sampling.draw(cdf, rng)]
 
 
@@ -286,7 +287,6 @@ def _sample_syndrome_letter(kind, slot, table, rng):
 def _phenomenological_cycle(shape, noise, rounds, rng):
     geometry = lat.Lattice(*shape)
     charges = {s: "A" for s in geometry.sites}
-    data = category.default_category()
     reports = []
     for r in range(rounds):
         n_errors = 0
@@ -301,14 +301,14 @@ def _phenomenological_cycle(shape, noise, rounds, rng):
                     continue
                 letter = _sample_syndrome_letter(kind, slot, table, rng)
                 if letter != "A":
-                    charges[site] = sample_fusion(charges[site], letter, rng, data)
+                    charges[site] = sample_fusion(charges[site], letter, rng)
         config = lat.AnyonConfiguration(dict(charges))
         actions = []
         for a, b, _ in decode_greedy(config):
             # phenomenological recovery: transport is assumed perfect; the
             # pair fuses stochastically and any non-trivial outcome stays
             # enqueued at b for the next round
-            out = sample_fusion(charges[a], charges[b], rng, data)
+            out = sample_fusion(charges[a], charges[b], rng)
             charges[a] = "A"
             charges[b] = out
             actions.append((a, b, out == "A"))

@@ -360,14 +360,14 @@ class TestQutritTables:
     pair and outcome orders the protocols index it by."""
 
     def test_measurement_rows(self, data):
-        tables = data.qutrit_tables
+        tables = category.qutrit_tables()
         assert tables.mu.shape == tables.ma.shape == (2, len(category.ALL_PAIRS))
         for p, (x, y) in enumerate(category.ALL_PAIRS):
             for i, w in enumerate(category.MU_OUTCOMES):
-                want = u_measurement_amplitude(x, y, "H", w, data)
+                want = u_measurement_amplitude(x, y, "H", w)
                 assert abs(tables.mu[i, p] - want) < 1e-12, (x, y, w)
             for i, w in enumerate(category.MA_OUTCOMES):
-                want = interferometry_amplitude(x, "D", w, data) if x == w else 0
+                want = interferometry_amplitude(x, "D", w) if x == w else 0
                 assert abs(tables.ma[i, p] - want) < 1e-12, (x, y, w)
             want = data.f_entry("B", "D", "D", "G", "E", "G") * data.f_entry(
                 "B", "G", y, "G", "G", "G"
@@ -375,20 +375,20 @@ class TestQutritTables:
             assert abs(tables.e_correction[p] - want) < 1e-12, (x, y)
 
     def test_fusion_weights_and_merge_phases(self, data):
-        tables = data.qutrit_tables
+        tables = category.qutrit_tables()
         for prob, e in zip(tables.fuse, category.FUSE_OUTCOMES):
             assert abs(prob - abs(data.f_entry("G", "D", "D", "G", e, "G")) ** 2) < 1e-12
         for prob, c in zip(tables.root_fusion, category.ROOT_OUTCOMES):
-            assert prob == fusion_probability("G", "G", c, data)
+            assert prob == fusion_probability("G", "G", c)
         assert set(tables.merge) == {"A", "B"}
         for outcome, branch in tables.merge.items():
             coeff = {
                 X: np.conj(data.f_entry("G", "G", "G", "G", X, outcome))
                 for X in category.ROOT_OUTCOMES
             }
-            i_aa = interferometry_amplitude("A", "D", "A", data)
-            i_ba = interferometry_amplitude("B", "D", "A", data)
-            i_gg = interferometry_amplitude("G", "D", "G", data)
+            i_aa = interferometry_amplitude("A", "D", "A")
+            i_ba = interferometry_amplitude("B", "D", "A")
+            i_gg = interferometry_amplitude("G", "D", "G")
             w_a = abs(coeff["A"] * i_aa) ** 2 + abs(coeff["B"] * i_ba) ** 2
             w_g = abs(coeff["G"] * i_gg) ** 2
             assert np.allclose(branch.weights, (w_a, w_g), rtol=0, atol=1e-12)
@@ -396,9 +396,9 @@ class TestQutritTables:
             probe = coeff["G"] * i_gg
             assert abs(branch.probe_phase - probe / abs(probe)) < 1e-12
 
-    def test_tables_are_cached_and_read_only(self, data):
-        tables = data.qutrit_tables
-        assert data.qutrit_tables is tables
+    def test_tables_are_cached_and_read_only(self):
+        tables = category.qutrit_tables()
+        assert category.qutrit_tables() is tables
         with pytest.raises(ValueError):
             tables.mu[0, 0] = 0
 
@@ -420,20 +420,37 @@ class TestReferenceFEntries:
         assert abs(data.f_entry("G", "D", "D", "G", "E", "G") + rt2) < 1e-12
         assert abs(data.f_entry("B", "D", "D", "G", "E", "G") - 1) < 1e-12
 
-    def test_generator_targets_hold(self, data, monkeypatch):
-        # every value the table generator pins (F entries and interferometry
-        # amplitudes) must hold on the table it shipped
+    @pytest.fixture
+    def tool(self, monkeypatch):
+        """The table generator, loaded without running its fit."""
         spec = importlib.util.spec_from_file_location("generate_fr_table", TOOL)
         tool = importlib.util.module_from_spec(spec)
         # the tool prepends its checkout's src to the module search path
         monkeypatch.setattr(sys, "path", list(sys.path))
         spec.loader.exec_module(tool)
+        return tool
+
+    def test_generator_targets_hold(self, data, tool):
+        # every value the table generator pins (F entries and interferometry
+        # amplitudes) must hold on the table it shipped
         targets = tool.build_targets()
         assert len(targets) == 39
         for kind, labels, value in targets:
             got = data.F[labels] if kind == "F" else interferometry_amplitude(*labels, data=data)
             assert abs(got - value) < 1e-12, (kind, labels, got, value)
 
+    def test_generator_accepts_only_the_shipped_table(self, data, tool):
+        # the checks the generator runs before it writes a table
+        assert tool.check_table(data.F, data.R) == []
+        # one F phase off breaks the pentagon and hexagon identities
+        F = dict(data.F)
+        F["D", "D", "D", "D", "G", "G"] *= np.exp(0.1j)
+        failures = tool.check_table(F, data.R)
+        assert len(failures) == 1 and failures[0].startswith("consistency"), failures
+        # the mirror table is consistent but misses the pinned gauge
+        conj = {k: v.conjugate() for k, v in data.F.items()}
+        failures = tool.check_table(conj, {k: v.conjugate() for k, v in data.R.items()})
+        assert failures and all(f.startswith("target I") for f in failures), failures
 
     def test_generator_imports_its_own_checkout(self, tmp_path):
         # a decoy package in the working directory's src must not be imported

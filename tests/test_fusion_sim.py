@@ -1,7 +1,5 @@
 """Fusion-tree simulator tests: moves, braids, and the qutrit protocols."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,8 +327,8 @@ def _ref_sample(rng, labels, weights):
 def ref_measure_MA(state, rng, max_rounds=64):
     data = default_category()
     amps = fsim.qutrit_amplitudes(state)
-    i_aa = category.interferometry_amplitude("A", "D", "A", data)
-    i_gg = category.interferometry_amplitude("G", "D", "G", data)
+    i_aa = category.interferometry_amplitude("A", "D", "A")
+    i_gg = category.interferometry_amplitude("G", "D", "G")
     p_a = sum(abs(v) ** 2 for (x, y), v in amps.items() if x == "A") * abs(i_aa) ** 2
     p_g = sum(abs(v) ** 2 for (x, y), v in amps.items() if x == "G") * abs(i_gg) ** 2
     transcript = []
@@ -338,7 +336,7 @@ def ref_measure_MA(state, rng, max_rounds=64):
     transcript.append(("interfere", w))
     if w == "A":
         post = {k: v * i_aa for k, v in amps.items() if k[0] == "A"}
-        return fsim.ProtocolOutcome("A", tuple(transcript), fsim.qutrit_state(post, data), 1)
+        return fsim.ProtocolOutcome("A", tuple(transcript), fsim.qutrit_state(post), 1)
     amps = {k: v * i_gg for k, v in amps.items() if k[0] == "G"}
     e_parity = 0
     rounds = 1
@@ -356,18 +354,17 @@ def ref_measure_MA(state, rng, max_rounds=64):
             e_parity ^= 1
         if e_parity == 0:
             return fsim.ProtocolOutcome(
-                "Aprime", tuple(transcript), fsim.qutrit_state(amps, data), rounds
+                "Aprime", tuple(transcript), fsim.qutrit_state(amps), rounds
             )
         amps = {k: v * i_gg for k, v in amps.items()}
         transcript.append(("interfere", "G"))
         rounds += 1
     return fsim.ProtocolOutcome(
-        "Aprime", tuple(transcript), fsim.qutrit_state(amps, data), rounds, timed_out=True
+        "Aprime", tuple(transcript), fsim.qutrit_state(amps), rounds, timed_out=True
     )
 
 
 def ref_measure_MU(state, rng, max_rounds=64):
-    data = default_category()
     amps = fsim.qutrit_amplitudes(state)
     transcript = []
     b_count = 0
@@ -375,7 +372,7 @@ def ref_measure_MU(state, rng, max_rounds=64):
         branches = {}
         for w in ("A", "B"):
             branches[w] = {
-                k: v * category.u_measurement_amplitude(k[0], k[1], "H", w, data)
+                k: v * category.u_measurement_amplitude(k[0], k[1], "H", w)
                 for k, v in amps.items()
             }
         weights = [sum(abs(v) ** 2 for v in branches[w].values()) for w in ("A", "B")]
@@ -386,14 +383,14 @@ def ref_measure_MU(state, rng, max_rounds=64):
             b_count += 1
             if b_count == 2:
                 return fsim.ProtocolOutcome(
-                    "Uperp", tuple(transcript), fsim.qutrit_state(amps, data), rounds
+                    "Uperp", tuple(transcript), fsim.qutrit_state(amps), rounds
                 )
         if b_count == 0 and rounds == max_rounds:
             return fsim.ProtocolOutcome(
-                "U", tuple(transcript), fsim.qutrit_state(amps, data), rounds
+                "U", tuple(transcript), fsim.qutrit_state(amps), rounds
             )
     return fsim.ProtocolOutcome(
-        "Uperp", tuple(transcript), fsim.qutrit_state(amps, data), max_rounds, timed_out=True
+        "Uperp", tuple(transcript), fsim.qutrit_state(amps), max_rounds, timed_out=True
     )
 
 
@@ -406,7 +403,7 @@ def ref_merge_qutrits(stateL, stateR, rng):
     outcome = _ref_sample(
         rng,
         ["A", "B", "G"],
-        [category.fusion_probability("G", "G", c, data) for c in ("A", "B", "G")],
+        [category.fusion_probability("G", "G", c) for c in ("A", "B", "G")],
     )
     transcript.append(("root-fusion", outcome))
     if outcome != "G":
@@ -414,9 +411,9 @@ def ref_merge_qutrits(stateL, stateR, rng):
             X: np.conj(data.f_entry("G", "G", "G", "G", X, outcome))
             for X in ("A", "B", "G")
         }
-        i_aa = category.interferometry_amplitude("A", "D", "A", data)
-        i_ba = category.interferometry_amplitude("B", "D", "A", data)
-        i_gg = category.interferometry_amplitude("G", "D", "G", data)
+        i_aa = category.interferometry_amplitude("A", "D", "A")
+        i_ba = category.interferometry_amplitude("B", "D", "A")
+        i_gg = category.interferometry_amplitude("G", "D", "G")
         w_a = abs(coeff["A"] * i_aa) ** 2 + abs(coeff["B"] * i_ba) ** 2
         w_g = abs(coeff["G"] * i_gg) ** 2
         X = _ref_sample(rng, ["A", "G"], [w_a, w_g])
@@ -443,14 +440,13 @@ def ref_merge_qutrits(stateL, stateR, rng):
         for (x2, y2) in ampsR
     }
     return fsim.ProtocolOutcome(
-        "merged", tuple(transcript), fsim.two_qutrit_state(merged, data), 1
+        "merged", tuple(transcript), fsim.two_qutrit_state(merged), 1
     )
 
 
 def ref_split_qutrit(state, rng, max_rounds=64):
-    data = default_category()
     amps = fsim.two_qutrit_amplitudes(state)
-    p_succ = category.fusion_probability("G", "G", "G", data)
+    p_succ = category.fusion_probability("G", "G", "G")
     transcript = []
     for rounds in range(1, max_rounds + 1):
         outcome = _ref_sample(rng, ["G", "AB"], [p_succ, 1 - p_succ])
@@ -459,7 +455,7 @@ def ref_split_qutrit(state, rng, max_rounds=64):
             internal = _ref_sample(rng, ["A", "B"], [0.5, 0.5])
             transcript.append(("internal", internal))
             return fsim.ProtocolOutcome(
-                f"split-{internal}", tuple(transcript), fsim.two_qutrit_state(amps, data), rounds
+                f"split-{internal}", tuple(transcript), fsim.two_qutrit_state(amps), rounds
             )
     return fsim.ProtocolOutcome("timeout", tuple(transcript), state, max_rounds, timed_out=True)
 
@@ -513,10 +509,15 @@ class TestReferenceLoops:
         monkeypatch.setattr(
             category, "u_measurement_amplitude", lambda *a: calls.append(a) or original(*a)
         )
-        data = replace(default_category())
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            fsim.measure_MU(random_qutrit(rng), rng, data=data)
+        # built afresh here, and dropped again so no other test reads tables
+        # built through the counting wrapper
+        category.qutrit_tables.cache_clear()
+        try:
+            rng = np.random.default_rng(3)
+            for _ in range(20):
+                fsim.measure_MU(random_qutrit(rng), rng)
+        finally:
+            category.qutrit_tables.cache_clear()
         assert len(calls) == len(fsim.ALL_PAIRS) * len(category.MU_OUTCOMES)
 
 

@@ -464,7 +464,7 @@ def _ribbon_branch_by_centralizer(state, ribbon, anyon, u, v):
     (c, j), (cp, jp) = u, v
     tau_c, tau_cp = irrep.C.tau[c], irrep.C.tau[cp]
     scale = irrep.R.dim / len(irrep.C.centralizer)
-    base = lat._deuniformized(state, ribbon.vertices)
+    base = lat._deuniformized(state, (ribbon.s0, ribbon.s1))
     pieces = []
     for n in irrep.C.centralizer:
         coeff = scale * irrep.R.matrix(n)[j, jp]
@@ -553,7 +553,7 @@ def _branches_per_row(state, ribbon, anyon):
     walk, over the terms where that row's coefficient is nonzero; also
     whether canonicalization moved any row of a walk."""
     basis = ANYON_TABLE[anyon].basis
-    state = lat._deuniformized(state, ribbon.vertices)
+    state = lat._deuniformized(state, (ribbon.s0, ribbon.s1))
     out, moved = [], False
     for h, us in groupby(basis, key=lambda u: u[0]):
         digits, prefix = state.digits.copy(), np.zeros(state.n_terms, dtype=np.int64)

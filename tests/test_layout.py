@@ -199,3 +199,29 @@ class TestSampling:
                 ):
                     faults.append(f"{path.stem}:{node.lineno}")
         assert len(faults) == 2 and sorted(calls) == sorted(faults), calls
+
+
+class TestOneCategory:
+    """The label layer runs on the shipped category alone."""
+
+    def test_label_layer_takes_no_category(self):
+        # a function of fusion_sim or qec with a `data` parameter could be
+        # handed a second table
+        takers = [
+            f"{module}.{node.name}"
+            for module in ("fusion_sim", "qec")
+            for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+            if isinstance(node, ast.FunctionDef)
+            and any(arg.arg == "data" for arg in ast.walk(node.args) if isinstance(arg, ast.arg))
+        ]
+        assert takers == []
+
+    def test_no_table_cache_on_the_category(self):
+        uses = [
+            f"{path.stem}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Attribute) and node.attr == "_derived")
+            or (isinstance(node, ast.Name) and node.id == "_derived")
+        ]
+        assert uses == []

@@ -413,33 +413,36 @@ class TestFusionSampling:
         rng = np.random.default_rng(5)
         for a, b in (("C", "C"), ("D", "D"), ("H", "H")):
             outs = data.outcomes(a, b)
-            probs = np.array(
-                [category.fusion_probability(a, b, c, data) for c in outs]
-            )
+            probs = np.array([category.fusion_probability(a, b, c) for c in outs])
             n = 3000
             counts = {c: 0 for c in outs}
             for _ in range(n):
-                counts[qec.sample_fusion(a, b, rng, data)] += 1
+                counts[qec.sample_fusion(a, b, rng)] += 1
             for c, p in zip(outs, probs):
                 sigma = np.sqrt(p * (1 - p) / n)
                 assert abs(counts[c] / n - p) < 4 * sigma + 1e-9
 
-    def test_law_built_once_per_pair_and_category(self, monkeypatch):
+    def test_law_built_once_per_pair(self, monkeypatch):
         calls = []
         real = category.fusion_probability
 
-        def counted(a, b, c, data=None):
+        def counted(a, b, c):
             calls.append((a, b, c))
-            return real(a, b, c, data)
+            return real(a, b, c)
 
         monkeypatch.setattr(category, "fusion_probability", counted)
         rng = np.random.default_rng(1)
-        # two uncached copies of the default table: each builds its own law
-        for data in (category.default_category.__wrapped__() for _ in range(2)):
+        qec._fusion_law.cache_clear()
+        try:
             for _ in range(5):
-                qec.sample_fusion("D", "D", rng, data)
-        outs = category.default_category().outcomes("D", "D")
-        assert calls == [("D", "D", c) for c in outs] * 2
+                for a, b in (("D", "D"), ("C", "D")):
+                    qec.sample_fusion(a, b, rng)
+        finally:
+            qec._fusion_law.cache_clear()
+        data = category.default_category()
+        assert calls == [("D", "D", c) for c in data.outcomes("D", "D")] + [
+            ("C", "D", c) for c in data.outcomes("C", "D")
+        ]
 
     def test_abelian_deterministic(self):
         rng = np.random.default_rng(0)

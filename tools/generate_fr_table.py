@@ -155,6 +155,28 @@ def run_fit(rawF, rawR, seed):
     return apply_gauge(theta)
 
 
+def check_table(F, R):
+    """Failures of a finished table, empty when it may be written: the
+    consistency check must pass with every residual below 1e-10, and every
+    value of build_targets() must hold to 1e-12."""
+    data = category.CategoryData(
+        tuple(ANYONS), algebra.derive_fusion_rules(), dict(QUANTUM_DIMS), R, F
+    )
+    report = category.verify_consistency(data)
+    print(
+        f"pentagon {report.pentagon:.2e}  hexagon {report.hexagon:.2e}  "
+        f"unitarity {report.unitarity:.2e}  vacuum {report.vacuum:.2e}"
+    )
+    failures = []
+    if not (report.passes() and report.max_residual < 1e-10):
+        failures.append(f"consistency residual {report.max_residual:.2e}")
+    for kind, labels, value in build_targets():
+        got = F[labels] if kind == "F" else category.interferometry_amplitude(*labels, data=data)
+        if not abs(got - value) < 1e-12:
+            failures.append(f"target {kind} {' '.join(labels)} = {got:.6g}, want {value:.6g}")
+    return failures
+
+
 def main():
     rawF, rawR = category.raw_symbols()
     fitted = run_fit(rawF, rawR, seed=7)
@@ -167,17 +189,9 @@ def main():
     if fitted is None:
         raise SystemExit("gauge fit failed in both orientations")
     F, R = fitted
-
-    data = category.CategoryData(
-        tuple(ANYONS), algebra.derive_fusion_rules(), dict(QUANTUM_DIMS), R, F
-    )
-    report = category.verify_consistency(data)
-    print(
-        f"pentagon {report.pentagon:.2e}  hexagon {report.hexagon:.2e}  "
-        f"unitarity {report.unitarity:.2e}  vacuum {report.vacuum:.2e}"
-    )
-    if not report.passes(1e-10):
-        raise SystemExit("consistency check failed on fitted data")
+    failures = check_table(F, R)
+    if failures:
+        raise SystemExit("fitted table rejected:\n" + "\n".join(failures))
 
     def clean(z):
         z = complex(z)
