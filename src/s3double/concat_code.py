@@ -6,8 +6,10 @@ CSS code: each n-qubit block is uniformly 0 or 1 on every codeword, so a
 transversal controlled-conjugation layer per block conjugates the qutrit
 code zero or one times, and an odd number of blocks makes the net logical
 action exactly one conjugation per logical qubit value (2^q mod 3 is 1 for
-even q and 2 for odd q).  Qutrit error correction between the layers keeps
-single physical faults from propagating.
+even q and 2 for odd q).  The block count n fixes the gadget
+(`apply_schedule`): a loop over the n blocks, with qutrit error correction
+between consecutive layers iff the length-n qutrit code has distance >= 3,
+which keeps single physical faults from propagating.
 
 Every qutrit register vector on the schedule is a codeword moved by
 monomials (conjugation and single-qutrit Paulis), so its support is one
@@ -27,8 +29,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import digits as dg
-
-OMEGA3 = np.exp(2j * np.pi / 3)
+from .algebra import OMEGA
 
 
 class CodeError(RuntimeError):
@@ -131,35 +132,27 @@ class QuditCSSCode:
         if self.H_X.shape[0] and self.H_Z.shape[0]:
             if np.any((self.H_X @ self.H_Z.T) % self.p):
                 raise CodeError("H_X and H_Z rows are not orthogonal")
-        if self.k < 1:
-            raise CodeError("code encodes no logical qudit")
+        if self.k != 1:
+            raise CodeError(f"code encodes {self.k} logical qudits, not one")
 
     @functools.cached_property
     def k(self) -> int:
         return self.n - rank(self.H_X, self.p) - rank(self.H_Z, self.p)
 
     @functools.cached_property
-    def logical_x_reps(self) -> np.ndarray:
-        """Read-only rows: minimum-weight coset representatives of
-        ker(H_Z)/rowspan(H_X), one per logical qudit (length <= 9 only)."""
+    def logical_x(self) -> np.ndarray:
+        """Read-only row: the logical X, the first minimum-weight vector of
+        ker(H_Z) outside rowspan(H_X) (length <= 9 only)."""
         if self.n > 9:
-            raise CodeError("logical representatives enumerated for n <= 9 only")
+            raise CodeError("logical representative enumerated for n <= 9 only")
         ker = kernel_basis(self.H_Z, self.p)
         candidates = sorted(
             span_vectors(ker, self.p),
             key=lambda v: (sum(1 for d in v if d), v),
         )
-        reps, accepted = [], self.H_X
-        for v in candidates:
-            if not any(v):
-                continue
-            if in_rowspan(accepted, v, self.p):
-                continue
-            reps.append(v)
-            accepted = np.vstack([accepted, v])
-            if len(reps) == self.k:
-                return _read_only(np.array(reps, dtype=np.int64))
-        raise CodeError("failed to construct logical representatives")
+        # k = 1, so ker(H_Z) holds a vector outside rowspan(H_X)
+        x = next(v for v in candidates if any(v) and not in_rowspan(self.H_X, v, self.p))
+        return _read_only(np.array(x, dtype=np.int64))
 
     @functools.cached_property
     def x_span(self) -> np.ndarray:
@@ -270,20 +263,17 @@ class SupportVector:
         return vec
 
 
-def _codeword_support(code: QuditCSSCode, logical) -> SupportVector:
-    """Normalized equal superposition over the coset logical.x + rowspan(H_X)."""
-    if isinstance(logical, (int, np.integer)):
-        logical = (int(logical),)
-    logical = tuple(int(v) % code.p for v in logical)
-    if len(logical) != code.k:
-        raise CodeError(f"logical value must have {code.k} digits")
-    x = np.array(logical) @ code.logical_x_reps % code.p
+def _codeword_support(code: QuditCSSCode, logical: int) -> SupportVector:
+    """Normalized equal superposition over the coset logical*x + rowspan(H_X)."""
+    if not isinstance(logical, (int, np.integer)):
+        raise CodeError(f"logical value must be one integer, got {logical!r}")
+    x = int(logical) * code.logical_x % code.p
     amps = np.ones(len(code.x_span), dtype=complex)
     return SupportVector(code.p, (x + code.x_span) % code.p, amps / np.linalg.norm(amps))
 
 
 def codewords(code: QuditCSSCode, logical) -> np.ndarray:
-    """Normalized equal superposition over the coset logical.x + rowspan(H_X)
+    """Normalized equal superposition over the coset logical*x + rowspan(H_X)
     as a dense p^n vector (qudit 0 is the most significant digit)."""
     if code.p**code.n > 3**12:
         raise CodeError("code too long for dense codewords")
@@ -296,11 +286,11 @@ def _conjugated(vec: SupportVector) -> SupportVector:
 
 
 def _monomial(vec: SupportVector, site, shift, exponents) -> SupportVector:
-    """Multiply each basis state by OMEGA3**exponents, then shift the digit
+    """Multiply each basis state by OMEGA**exponents, then shift the digit
     of qutrit `site` by `shift`."""
     digits = vec.digits.copy()
     digits[:, site] = (digits[:, site] + shift) % 3
-    return SupportVector(3, digits, vec.amps * OMEGA3**exponents)
+    return SupportVector(3, digits, vec.amps * OMEGA**exponents)
 
 
 def _pauli(vec: SupportVector, site, a, b) -> SupportVector:
@@ -356,33 +346,29 @@ def correction_table(code: QuditCSSCode):
 @dataclass
 class ConcatState:
     """Joint state of an [[n^2,1,n]] Shor qubit code (compressed to one
-    binary symbol per uniform n-block) and an n-qutrit register held on its
-    codeword support."""
+    binary symbol per uniform n-block) and an n-qutrit register of
+    `default_qutrit_code(n)`, held on its codeword support."""
 
     n: int
-    qutrit_code: QuditCSSCode
     branches: dict  # block bit-string tuple -> (amplitude, pool index)
     pool: list = field(default_factory=list)  # unit-norm SupportVectors
     memo: dict = field(default_factory=dict)  # (pool index, op token) -> pool index
 
     def copy(self):
-        return ConcatState(
-            self.n, self.qutrit_code, dict(self.branches), list(self.pool), dict(self.memo)
-        )
+        return ConcatState(self.n, dict(self.branches), list(self.pool), dict(self.memo))
 
 
 def concat_state(n: int, alpha: int, beta: int) -> ConcatState:
     """|alpha>_L |beta>_L in the block basis: the Shor codewords are exactly
     the uniform-block strings whose block pattern has parity alpha."""
-    qutrit_code = default_qutrit_code(n)
     amp = 1.0 / np.sqrt(2 ** (n - 1))
-    vec = _codeword_support(qutrit_code, beta % 3)
+    vec = _codeword_support(default_qutrit_code(n), beta % 3)
     branches = {
         bits: (amp, 0)
         for bits in itertools.product((0, 1), repeat=n)
         if sum(bits) % 2 == alpha % 2
     }
-    return ConcatState(n, qutrit_code, branches, [vec])
+    return ConcatState(n, branches, [vec])
 
 
 def combine(s1: ConcatState, s2: ConcatState, c1, c2) -> ConcatState:
@@ -394,7 +380,7 @@ def combine(s1: ConcatState, s2: ConcatState, c1, c2) -> ConcatState:
     pool.extend(s2.pool)
     branches = {b: (c1 * a, i) for b, (a, i) in s1.branches.items()}
     branches.update({b: (c2 * a, i + offset) for b, (a, i) in s2.branches.items()})
-    return ConcatState(s1.n, s1.qutrit_code, branches, pool)
+    return ConcatState(s1.n, branches, pool)
 
 
 def concat_inner(s1: ConcatState, s2: ConcatState) -> complex:
@@ -422,12 +408,6 @@ def _transform_pool(state, selector, token, op):
         state.branches[bits] = (amp, state.memo[(vid, token)])
 
 
-def apply_cc_block(state: ConcatState, block: int):
-    """Transversal controlled-conjugation layer for one qubit block: every
-    branch whose block symbol is 1 conjugates all n qutrits."""
-    _transform_pool(state, lambda bits: bits[block] == 1, "conj", _conjugated)
-
-
 def apply_qutrit_pauli(state: ConcatState, site: int, a: int, b: int):
     """Physical Xh^a Zh^b error on one qutrit (acts on every branch)."""
     _transform_pool(
@@ -438,11 +418,12 @@ def apply_qutrit_pauli(state: ConcatState, site: int, a: int, b: int):
 def error_correct(state: ConcatState):
     """Qutrit recovery: read the stabilizer syndrome of each distinct
     register vector and undo the unique weight<=1 error it identifies."""
-    table = correction_table(state.qutrit_code)
+    code = default_qutrit_code(state.n)
+    table = correction_table(code)
     report = []
     corrections = {}
     for vid in sorted({vid for _, vid in state.branches.values()}):
-        syn = _syndrome(state.qutrit_code, state.pool[vid])
+        syn = _syndrome(code, state.pool[vid])
         if syn not in table:
             report.append({"syndrome": syn, "correction": None})
             continue
@@ -451,7 +432,7 @@ def error_correct(state: ConcatState):
         if (a, b) != (0, 0):
             corrections[vid] = (site, a, b)
     for vid, (site, a, b) in corrections.items():
-        # inverse of Xh^a Zh^b up to the global phase OMEGA3**(-a*b): unwind
+        # inverse of Xh^a Zh^b up to the global phase OMEGA**(-a*b): unwind
         # the phase on the digit before the shift back
         _transform_pool(
             state,
@@ -466,13 +447,6 @@ def error_correct(state: ConcatState):
 # Logical controlled conjugation
 
 
-@dataclass(frozen=True, eq=False)
-class GateSchedule:
-    n: int
-    qutrit_code: QuditCSSCode
-    steps: tuple  # ("CC", block) | ("R",)
-
-
 # length -> builder of the reference qutrit code of that length
 QUTRIT_CODES = MappingProxyType({3: qutrit_repetition_code, 9: qutrit_shor_code})
 
@@ -484,25 +458,6 @@ def default_qutrit_code(n: int) -> QuditCSSCode:
     if n not in QUTRIT_CODES:
         raise CodeError(f"no reference qutrit code of length {n}")
     return QUTRIT_CODES[n]()
-
-
-def logical_CC(n: int) -> GateSchedule:
-    """Schedule of n transversal controlled-conjugation layers (one per
-    qubit block) interleaved with qutrit error correction.  The qubit side
-    is the [[n^2, 1, n]] Shor code, held as one bit per uniform block, so no
-    qubit code is built."""
-    if n % 2 == 0:
-        raise CodeError(
-            "even block count is rejected: 2^q mod 3 alternates with the "
-            "parity of q, so only an odd number of blocks reproduces the "
-            "logical conjugation"
-        )
-    steps = []
-    for block in range(n):
-        if block:
-            steps.append(("R",))
-        steps.append(("CC", block))
-    return GateSchedule(n, default_qutrit_code(n), tuple(steps))
 
 
 def _check_errors(n, errors):
@@ -519,40 +474,48 @@ def _check_errors(n, errors):
             raise CodeError(f"fault {fault} is the identity: (a, b) = (0, 0) mod 3")
 
 
-def apply_schedule(schedule: GateSchedule, state: ConcatState, errors=(), correct=True):
-    """Run the schedule; `errors` lists (after_block, site, a, b) physical
-    qutrit faults injected right after the given transversal layer."""
-    _check_errors(schedule.n, errors)
+def apply_schedule(n: int, state: ConcatState, errors=()):
+    """Logical controlled conjugation over n qubit blocks, held as one bit
+    per uniform Shor block (no qubit code is built).  Layer `block`
+    conjugates every branch whose block bit is 1; `errors` lists
+    (after_block, site, a, b) qutrit faults injected right after a layer."""
+    if n % 2 == 0:
+        raise CodeError(
+            "even block count is rejected: 2^q mod 3 alternates with the "
+            "parity of q, so only an odd number of blocks reproduces the "
+            "logical conjugation"
+        )
+    _check_errors(n, errors)
+    recover = default_qutrit_code(n).distance >= 3
     state = state.copy()
     report = {"recoveries": [], "uncorrectable": 0}
-    for step in schedule.steps:
-        if step[0] == "CC":
-            apply_cc_block(state, step[1])
-            for after, site, a, b in errors:
-                if after == step[1]:
-                    apply_qutrit_pauli(state, site, a, b)
-        elif correct:
+    for block in range(n):
+        if block and recover:
             rec = error_correct(state)
             report["recoveries"].append(rec)
             report["uncorrectable"] += sum(1 for r in rec if r["correction"] is None)
+        _transform_pool(state, lambda bits: bits[block] == 1, "conj", _conjugated)
+        for after, site, a, b in errors:
+            if after == block:
+                apply_qutrit_pauli(state, site, a, b)
     return state, report
 
 
-def verify_logical_action(schedule: GateSchedule, errors=(), correct=True):
+def verify_logical_action(n: int, errors=()):
     """Largest deviation of |<expected|achieved>| from 1 over all logical
     basis pairs plus one two-branch superposition (phase coherence)."""
     worst = 0.0
     report = None
     for alpha in (0, 1):
         for beta in (0, 1, 2):
-            inp = concat_state(schedule.n, alpha, beta)
-            out, report = apply_schedule(schedule, inp, errors, correct)
-            want = concat_state(schedule.n, alpha, (1 + alpha) * beta % 3)
+            inp = concat_state(n, alpha, beta)
+            out, report = apply_schedule(n, inp, errors)
+            want = concat_state(n, alpha, (1 + alpha) * beta % 3)
             worst = max(worst, abs(1 - abs(concat_inner(want, out))))
     c = 1 / np.sqrt(2)
-    inp = combine(concat_state(schedule.n, 0, 1), concat_state(schedule.n, 1, 1), c, c)
-    out, _ = apply_schedule(schedule, inp, errors, correct)
-    want = combine(concat_state(schedule.n, 0, 1), concat_state(schedule.n, 1, 2), c, c)
+    inp = combine(concat_state(n, 0, 1), concat_state(n, 1, 1), c, c)
+    out, _ = apply_schedule(n, inp, errors)
+    want = combine(concat_state(n, 0, 1), concat_state(n, 1, 2), c, c)
     worst = max(worst, abs(1 - abs(concat_inner(want, out))))
     return worst, report
 
@@ -561,29 +524,22 @@ def verify_logical_action(schedule: GateSchedule, errors=(), correct=True):
 ERROR_KINDS = MappingProxyType({"Xh": (1, 0), "Zh": (0, 1), "XhZh": (1, 1)})
 
 
-def fault_tolerance_demo(
-    n: int, error_site=None, error_kind=None, after_block: int = 1, extra_errors=()
-):
-    """Inject one physical qutrit Pauli between two transversal layers and
-    report whether recovery restores the exact logical action."""
-    schedule = logical_CC(n)
-    d = schedule.qutrit_code.distance
-    if d is None or d < 3:
+def fault_tolerance_demo(n: int, error_site, error_kind, after_block: int = 1):
+    """Inject one physical qutrit Pauli, named in ERROR_KINDS, between two
+    transversal layers and report whether recovery restores the exact
+    logical action."""
+    d = default_qutrit_code(n).distance
+    if d < 3:
         raise CodeError(
             f"qutrit code distance {d} < 3: a single physical error is not "
             "guaranteed correctable, so the demonstration is rejected"
         )
-    errors = tuple(extra_errors)
-    if error_site is not None:
-        if isinstance(error_kind, str):
-            if error_kind not in ERROR_KINDS:
-                raise CodeError(
-                    f"unknown error kind {error_kind!r}; expected one of {sorted(ERROR_KINDS)}"
-                )
-            error_kind = ERROR_KINDS[error_kind]
-        a, b = error_kind
-        errors = ((after_block, int(error_site), a, b),) + errors
-    deviation, report = verify_logical_action(schedule, errors)
+    if error_kind not in ERROR_KINDS:
+        raise CodeError(
+            f"unknown error kind {error_kind!r}; expected one of {sorted(ERROR_KINDS)}"
+        )
+    errors = ((after_block, int(error_site)) + ERROR_KINDS[error_kind],)
+    deviation, report = verify_logical_action(n, errors)
     return {
         "n": n,
         "errors": errors,

@@ -183,9 +183,6 @@ class LatticeState:
     amps: np.ndarray  # complex128
     uniform: frozenset = field(default_factory=frozenset)  # vertices
 
-    def copy(self) -> "LatticeState":
-        return LatticeState(self.lattice, self.digits.copy(), self.amps.copy(), self.uniform)
-
     @property
     def n_terms(self) -> int:
         return len(self.amps)
@@ -265,7 +262,7 @@ def canonicalize_keys(lattice, digits, uniform):
 def apply_vertex(state: LatticeState, v, g: GroupElement) -> LatticeState:
     """A^g_v.  Requires v not uniform (it acts trivially there otherwise)."""
     if v in state.uniform:
-        return state.copy()
+        return state
     digits = state.digits.copy()
     _gauge_at_vertex(state.lattice, digits, v, g.index)
     digits = canonicalize_keys(state.lattice, digits, state.uniform)
@@ -310,7 +307,7 @@ def uniformize(state: LatticeState, v) -> LatticeState:
     Norm is preserved only if the state is already A_v-invariant.
     """
     if v in state.uniform:
-        return state.copy()
+        return state
     if v == (0, 0):
         # the spanning-tree root carries no tree edge, so its gauge orbit
         # cannot be canonicalized; the orbit basis stays well-defined only
@@ -331,7 +328,7 @@ def _gauge_average(state: LatticeState, v, uniform, divisor) -> LatticeState:
 def deuniformize(state: LatticeState, v) -> LatticeState:
     """Exactly rewrite the state with v removed from the uniform set."""
     if v not in state.uniform:
-        return state.copy()
+        return state
     return _gauge_average(state, v, state.uniform - {v}, np.sqrt(ORDER))
 
 
@@ -359,7 +356,7 @@ def inner(a: LatticeState, b: LatticeState) -> complex:
 def vertex_projector(state: LatticeState, v) -> LatticeState:
     """A_v without uniform-set bookkeeping (image may be unnormalized)."""
     if v in state.uniform:
-        return state.copy()
+        return state
     return _gauge_average(state, v, state.uniform, ORDER)
 
 

@@ -86,6 +86,13 @@ class TestUsage:
         assert code == 2 and not out
         assert "invalid choice" in err
 
+    def test_fault_demo_needs_distance_three(self, capsys):
+        # the length-3 code has distance 1, so no fault on it is correctable
+        for site in ("0", "2"):
+            code, out, err = run(["concat-cc", "--blocks", "3", "--error-site", site], capsys)
+            assert code == 2 and not out
+            assert "distance >= 3" in err
+
     @pytest.mark.parametrize("blocks", ["3", "9"])
     def test_blocks_with_a_reference_code(self, blocks, capsys):
         code, out, _ = run(["concat-cc", "--blocks", blocks], capsys)

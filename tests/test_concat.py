@@ -10,6 +10,7 @@ import pytest
 from s3double import circuits as cir
 from s3double import concat_code as cc
 from s3double import digits as dg
+from s3double.algebra import OMEGA
 
 
 # Dense reference: the register as a 3^n vector, operators as index tables.
@@ -33,7 +34,7 @@ def _dense_pauli(vec, n, site, a, b):
     digits, weights = _dense_tables(n)
     shifted = digits.copy()
     shifted[:, site] = (shifted[:, site] + a) % 3
-    return _dense_permute(vec, shifted @ weights, cc.OMEGA3 ** (b * digits[:, site]))
+    return _dense_permute(vec, shifted @ weights, OMEGA ** (b * digits[:, site]))
 
 
 def _dense_conjugate(vec, n):
@@ -46,7 +47,7 @@ def _dense_stabilizers(code):
     """Per Z-type row its phase over the 3^n basis states; per X-type row
     its permutation of them."""
     digits, weights = _dense_tables(code.n)
-    phases = [cc.OMEGA3 ** (digits @ h % 3) for h in code.H_Z]
+    phases = [OMEGA ** (digits @ h % 3) for h in code.H_Z]
     perms = [(digits + r) % 3 @ weights for r in code.H_X]
     return phases, perms
 
@@ -93,16 +94,17 @@ class TestCodes:
 
     def test_coset_tables_are_cached_and_read_only(self):
         code = cc.qutrit_shor_code()
-        reps, span = code.logical_x_reps, code.x_span
-        assert code.logical_x_reps is reps and code.x_span is span
-        assert reps.shape == (1, 9) and span.shape == (9, 9)
-        # each representative is a logical X: in ker(H_Z), outside rowspan(H_X)
-        assert not ((code.H_Z @ reps.T) % 3).any()
-        assert not cc.in_rowspan(code.H_X, reps[0], 3)
+        x, span = code.logical_x, code.x_span
+        assert code.logical_x is x and code.x_span is span
+        assert x.shape == (9,) and span.shape == (9, 9)
+        # the representative is a logical X: in ker(H_Z), outside rowspan(H_X)
+        assert not ((code.H_Z @ x) % 3).any()
+        assert not cc.in_rowspan(code.H_X, x, 3)
         assert sorted(map(tuple, span.tolist())) == cc.span_vectors(code.H_X, 3)
-        for table in (reps, span):
-            with pytest.raises(ValueError):
-                table[0, 0] = 1
+        with pytest.raises(ValueError):
+            x[0] = 1
+        with pytest.raises(ValueError):
+            span[0, 0] = 1
 
     def test_repetition_distance_one(self):
         code = cc.qutrit_repetition_code()
@@ -115,6 +117,11 @@ class TestCodes:
     def test_no_logical_rejected(self):
         with pytest.raises(cc.CodeError):
             cc.QuditCSSCode(2, 2, [[1, 1]], [[1, 0], [0, 1]])
+
+    def test_two_logicals_rejected(self):
+        # every code in use encodes one logical qudit
+        with pytest.raises(cc.CodeError, match="2 logical qudits"):
+            cc.QuditCSSCode(3, 3, np.zeros((0, 3), dtype=np.int64), [[1, 2, 0]])
 
 
 class TestCodewords:
@@ -217,7 +224,7 @@ class TestSupportRegister:
             assert cc._syndrome(code, vec) == _dense_syndrome(code, ref)
 
     def test_recovery_matches_dense_reference(self):
-        # the recovery multiplies by OMEGA3**(-b*d) on the pre-shift digit d,
+        # the recovery multiplies by OMEGA**(-b*d) on the pre-shift digit d,
         # then shifts back by a; numpy's vectorised complex product rounds a
         # 3^9 array differently from a 9-term one, hence the 1e-15
         code = cc.qutrit_shor_code()
@@ -234,7 +241,7 @@ class TestSupportRegister:
                 fs, fa, fb = rec["correction"]
                 shifted = digits.copy()
                 shifted[:, fs] = (shifted[:, fs] - fa) % 3
-                phase = cc.OMEGA3 ** (-fb * digits[:, fs] % 3)
+                phase = OMEGA ** (-fb * digits[:, fs] % 3)
                 want = _dense_permute(erred, shifted @ weights, phase)
                 (vid,) = {v for _, v in state.branches.values()}
                 assert np.allclose(state.pool[vid].dense(), want, rtol=0, atol=1e-15)
@@ -266,16 +273,23 @@ class TestSupportRegister:
 
 class TestLogicalCC:
     def test_even_n_rejected(self):
+        with pytest.raises(cc.CodeError, match="even block count"):
+            cc.apply_schedule(4, cc.concat_state(3, 0, 1))
         with pytest.raises(cc.CodeError):
-            cc.logical_CC(4)
+            cc.verify_logical_action(4)
 
     def test_schedule_shape(self):
-        sch = cc.logical_CC(3)
-        assert sch.steps == (("CC", 0), ("R",), ("CC", 1), ("R",), ("CC", 2))
+        # the block count decides recovery: none between the layers of the
+        # distance-1 length-3 code, one between each pair of the 9 layers
+        for n, recoveries in ((3, 0), (9, 8)):
+            _, report = cc.apply_schedule(n, cc.concat_state(n, 0, 1))
+            assert len(report["recoveries"]) == recoveries
+            assert report["uncorrectable"] == 0
 
     def test_n3_block_action_exact(self):
-        dev, _ = cc.verify_logical_action(cc.logical_CC(3), correct=False)
+        dev, report = cc.verify_logical_action(3)
         assert dev < 1e-12
+        assert report["recoveries"] == []
 
     def test_n3_matches_dense_transversal(self):
         # the block-compressed simulation agrees with a dense 9-qubit x
@@ -302,24 +316,23 @@ class TestLogicalCC:
                 assert abs(np.vdot(want, out)) == pytest.approx(1.0, abs=1e-12)
 
     def test_n9_block_action_exact(self):
-        dev, report = cc.verify_logical_action(cc.logical_CC(9))
+        dev, report = cc.verify_logical_action(9)
         assert dev < 1e-12
         assert report["uncorrectable"] == 0
 
     def test_no_qubit_code_is_built(self, monkeypatch):
         # the Shor side is one bit per uniform block, never an 81-qubit code
         def refuse(n):
-            raise AssertionError("logical_CC built a qubit code")
+            raise AssertionError("the gadget built a qubit code")
 
         monkeypatch.setattr(cc, "shor_code", refuse)
-        dev, report = cc.verify_logical_action(cc.logical_CC(9))
+        dev, report = cc.verify_logical_action(9)
         assert dev < 1e-12 and report["uncorrectable"] == 0
 
     def test_superposition_coherence(self):
         # verify_logical_action includes a two-branch superposition, so a
         # relative logical phase would show up as a deviation; double-check
         # the inner helper on an explicit superposition here
-        sch = cc.logical_CC(3)
         c = 1 / np.sqrt(2)
         inp = cc.combine(
             cc.concat_state(3, 0, 2),
@@ -327,7 +340,7 @@ class TestLogicalCC:
             c,
             c,
         )
-        out, _ = cc.apply_schedule(sch, inp, correct=False)
+        out, _ = cc.apply_schedule(3, inp)
         want = cc.combine(
             cc.concat_state(3, 0, 2),
             cc.concat_state(3, 1, 1),
@@ -343,11 +356,14 @@ class TestFaultTolerance:
         assert report["ok"] and report["deviation"] < 1e-9
 
     def test_error_kind_variants(self):
-        for kind in ("Zh", "XhZh", (2, 1)):
+        for kind in ("Zh", "XhZh"):
             assert cc.fault_tolerance_demo(9, 7, kind, after_block=3)["ok"]
+        dev, report = cc.verify_logical_action(9, ((3, 7, 2, 1),))
+        assert dev < 1e-9 and report["uncorrectable"] == 0
 
     def test_no_error_identity(self):
-        assert cc.fault_tolerance_demo(9)["ok"]
+        dev, report = cc.verify_logical_action(9)
+        assert dev < 1e-9 and report["uncorrectable"] == 0
 
     def test_distance_below_three_rejected(self):
         with pytest.raises(cc.CodeError):
@@ -356,29 +372,28 @@ class TestFaultTolerance:
     def test_two_errors_in_one_window_fail(self):
         # two faults between consecutive recoveries exceed the distance-3
         # guarantee; the demo must report the logical failure
-        report = cc.fault_tolerance_demo(9, 0, "Xh", extra_errors=((1, 1, 1, 0),))
-        assert not report["ok"]
-        assert report["deviation"] > 0.5
+        dev, report = cc.verify_logical_action(9, ((1, 0, 1, 0), (1, 1, 1, 0)))
+        assert not (dev < 1e-9 and report["uncorrectable"] == 0)
+        assert dev > 0.5
 
     def test_second_fault_pool_sharing(self):
         # recovery acts once per distinct register vector; a second Xh in
         # the same window leaves 84 vectors without a table syndrome when
         # it sits on another 3-block, and a wrong but table-listed
         # correction when it shares one
-        report = cc.fault_tolerance_demo(9, 0, "Xh", extra_errors=((1, 4, 1, 0),))
-        assert report["deviation"] == pytest.approx(1.0, abs=1e-12)
+        dev, report = cc.verify_logical_action(9, ((1, 0, 1, 0), (1, 4, 1, 0)))
+        assert dev == pytest.approx(1.0, abs=1e-12)
         assert report["uncorrectable"] == 84
-        report = cc.fault_tolerance_demo(9, 0, "Xh", extra_errors=((1, 1, 1, 0),))
-        assert report["deviation"] == pytest.approx(1.0, abs=1e-12)
+        dev, report = cc.verify_logical_action(9, ((1, 0, 1, 0), (1, 1, 1, 0)))
+        assert dev == pytest.approx(1.0, abs=1e-12)
         assert report["uncorrectable"] == 0
 
     def test_pool_vectors_shared(self):
-        sch = cc.logical_CC(9)
         added = 0
         for alpha in (0, 1):
             for beta in (0, 1, 2):
                 inp = cc.concat_state(9, alpha, beta)
-                out, _ = cc.apply_schedule(sch, inp, ((1, 4, 1, 0),))
+                out, _ = cc.apply_schedule(9, inp, ((1, 4, 1, 0),))
                 added += len(out.pool) - len(inp.pool)
         assert added == 165
 
@@ -448,16 +463,17 @@ class TestFaultTolerance:
             cc.fault_tolerance_demo(9, 4, "foo")
 
     def test_identity_fault_rejected(self):
-        for kind in ((0, 0), (3, 0), (0, 3)):
+        for a, b in ((0, 0), (3, 0), (0, 3)):
             with pytest.raises(cc.CodeError, match="identity"):
-                cc.fault_tolerance_demo(9, 4, kind)
+                cc.verify_logical_action(9, ((1, 4, a, b),))
+            with pytest.raises(cc.CodeError, match="identity"):
+                cc.apply_schedule(9, cc.concat_state(9, 0, 1), ((1, 4, a, b),))
 
     def test_schedule_rejects_unplaceable_errors(self):
-        sch = cc.logical_CC(9)
         inp = cc.concat_state(9, 0, 1)
         for fault in ((9, 0, 1, 0), (0, 9, 1, 0), (0, 0, 0, 3), (0, 0.5, 1, 0)):
             with pytest.raises(cc.CodeError):
-                cc.apply_schedule(sch, inp, (fault,))
+                cc.apply_schedule(9, inp, (fault,))
 
 
 class TestObstruction:

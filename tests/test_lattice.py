@@ -160,7 +160,7 @@ class TestGroundState:
     def test_measure_all_A(self, gs21):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            cfg, _ = lat.measure_MK(gs21.copy(), rng)
+            cfg, _ = lat.measure_MK(gs21, rng)
             assert cfg.nontrivial() == {}
 
     def test_resource_bound(self):

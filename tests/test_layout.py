@@ -225,3 +225,25 @@ class TestOneCategory:
             or (isinstance(node, ast.Name) and node.id == "_derived")
         ]
         assert uses == []
+
+
+class TestOneGadget:
+    """The concatenated code's logical CC runs from its block count alone."""
+
+    def test_block_count_is_the_only_input(self):
+        # a schedule object, a recovery switch or a second fault list would
+        # restate what the block count already fixes
+        tree = ast.parse((PACKAGE / "concat_code.py").read_text())
+        retired = [
+            f"{node.name}({arg.arg})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            for arg in ast.walk(node.args)
+            if isinstance(arg, ast.arg) and arg.arg in ("correct", "schedule", "extra_errors")
+        ]
+        retired += [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "GateSchedule"
+        ]
+        assert retired == []
