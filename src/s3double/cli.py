@@ -99,7 +99,7 @@ def _trial_rng(seed, trial):
 
 def _random_state(rng, pairs):
     amps = {pair: complex(rng.standard_normal(), rng.standard_normal()) for pair in pairs}
-    return fsim.qutrit_state(amps)
+    return fsim.qutrit_vector(amps)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +247,7 @@ def _cmd_merge_split(args, emit):
             worst = 0.0
             continue
         l2, r2 = fsim.factor_halves(split.state)
-        for a, b in ((left, l2), (right, r2)):
-            aa, bb = fsim.qutrit_amplitudes(a), fsim.qutrit_amplitudes(b)
-            va = np.array([aa.get(k, 0) for k in fsim.ALL_PAIRS])
-            vb = np.array([bb.get(k, 0) for k in fsim.ALL_PAIRS])
+        for va, vb in ((left, l2), (right, r2)):
             fid = abs(np.vdot(va, vb)) / (np.linalg.norm(va) * np.linalg.norm(vb))
             worst = min(worst, float(fid))
     emit(

@@ -503,20 +503,28 @@ def apply_schedule(n: int, state: ConcatState, errors=()):
 
 def verify_logical_action(n: int, errors=()):
     """Largest deviation of |<expected|achieved>| from 1 over all logical
-    basis pairs plus one two-branch superposition (phase coherence)."""
-    worst = 0.0
-    report = None
-    for alpha in (0, 1):
-        for beta in (0, 1, 2):
-            inp = concat_state(n, alpha, beta)
-            out, report = apply_schedule(n, inp, errors)
-            want = concat_state(n, alpha, (1 + alpha) * beta % 3)
-            worst = max(worst, abs(1 - abs(concat_inner(want, out))))
+    basis pairs plus one two-branch superposition (phase coherence), and the
+    report of all seven runs: their recoveries in run order and their summed
+    uncorrectable count."""
     c = 1 / np.sqrt(2)
-    inp = combine(concat_state(n, 0, 1), concat_state(n, 1, 1), c, c)
-    out, _ = apply_schedule(n, inp, errors)
-    want = combine(concat_state(n, 0, 1), concat_state(n, 1, 2), c, c)
-    worst = max(worst, abs(1 - abs(concat_inner(want, out))))
+    runs = [
+        (concat_state(n, alpha, beta), concat_state(n, alpha, (1 + alpha) * beta % 3))
+        for alpha in (0, 1)
+        for beta in (0, 1, 2)
+    ]
+    runs.append(
+        (
+            combine(concat_state(n, 0, 1), concat_state(n, 1, 1), c, c),
+            combine(concat_state(n, 0, 1), concat_state(n, 1, 2), c, c),
+        )
+    )
+    worst = 0.0
+    report = {"recoveries": [], "uncorrectable": 0}
+    for inp, want in runs:
+        out, run = apply_schedule(n, inp, errors)
+        report["recoveries"] += run["recoveries"]
+        report["uncorrectable"] += run["uncorrectable"]
+        worst = max(worst, abs(1 - abs(concat_inner(want, out))))
     return worst, report
 
 

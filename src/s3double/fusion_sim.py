@@ -8,12 +8,14 @@ braids exchange adjacent sibling leaves.
 
 The remote-measurement and merge/split protocols act on the four-D logical
 qutrit space (total charge G, internal pair labels (x, y)) and its two-qutrit
-extension.  They run on a plain amplitude vector with one entry per pair in
-``ALL_PAIRS`` order (9 entries; the merged pair uses the 9 x 9 products of
-two such orders), multiplying it by the constant tables of
+extension.  Their state is a pair array: one amplitude per pair in
+``ALL_PAIRS`` order (a 9-entry vector; the merged pair is the 9 x 9 matrix
+over two such orders), and every index of it is an admissible labeling, so
+there is nothing to validate beyond its shape.  They take and return pair
+arrays, multiplying them by the constant tables of
 ``category.qutrit_tables()``, built once per process from the shipped
-category that every operation here reads.  The state is checked once on the
-way in and built as a validated ``FusionState`` once on the way out.
+category that every operation here reads.  ``FusionState`` is the state of
+the F-move and braid engine alone.
 
 Global phases are tracked explicitly: normalization only divides by the
 positive norm, so protocol sign bookkeeping stays observable in tests.
@@ -149,12 +151,6 @@ def qutrit_state(amps) -> FusionState:
     return state.validate().normalized()
 
 
-def qutrit_amplitudes(state: FusionState) -> dict:
-    if state.shape != QUTRIT_SHAPE or state.leaves != ("D",) * 4 or state.root != "G":
-        raise FusionError("state is not a four-D logical qutrit")
-    return {(k[0], k[1]): v for k, v in state.amps.items()}
-
-
 def _pair_index(pair) -> int:
     try:
         return _PAIR_INDEX[pair]
@@ -162,17 +158,35 @@ def _pair_index(pair) -> int:
         raise FusionError(f"{pair!r} not an internal pair of the qutrit space") from None
 
 
-def _pair_vector(amps) -> np.ndarray:
-    """{(x, y): amplitude} as a vector in ALL_PAIRS order."""
+def qutrit_vector(amps) -> np.ndarray:
+    """Normalised pair vector in ALL_PAIRS order from {(x, y): amplitude}."""
     vec = np.zeros(len(ALL_PAIRS), dtype=complex)
     for pair, v in amps.items():
         vec[_pair_index(pair)] = v
-    return vec
+    return _normalized(vec)
 
 
-def _vector_state(vec) -> FusionState:
-    """The qutrit state over the nonzero entries of a pair vector."""
-    return qutrit_state({p: v for p, v in zip(ALL_PAIRS, vec.tolist()) if v})
+def _normalized(arr) -> np.ndarray:
+    """A pair array over its norm, in the arithmetic of
+    ``FusionState.normalized``: the squared moduli summed left to right in
+    row-major order, then the real and imaginary parts divided by the norm
+    (Python's complex / float; NumPy's complex division multiplies by a
+    reciprocal).  Adding 0.0 turns every -0.0 part into +0.0, so an exactly
+    zero entry is +0 whatever product made it, and the SVD of
+    `factor_halves` sees the same bits for the same amplitudes."""
+    n = float(np.sqrt(sum(abs(v) ** 2 for v in arr.ravel().tolist())))
+    if n == 0:
+        raise FusionError("cannot normalize the zero state")
+    return (np.ascontiguousarray(arr, dtype=complex).view(float) / n + 0.0).view(complex)
+
+
+def _pair_array(arr, shape) -> np.ndarray:
+    """A protocol's input as a complex array, refused unless it has the pair
+    shape the protocol takes."""
+    arr = np.asarray(arr, dtype=complex)
+    if arr.shape != shape:
+        raise FusionError(f"expected a pair array of shape {shape}, got {arr.shape}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +326,23 @@ def braid(state: FusionState, i: int, over: bool = True) -> FusionState:
 # Remote measurements on the logical qutrit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolOutcome:
+    """One protocol run.  `state` is the normalised pair array it leaves: a
+    9-entry vector in ALL_PAIRS order, or the 9 x 9 merged pair matrix of
+    `merge_qutrits` and `split_qutrit` (a timed-out split returns its input
+    as it came)."""
+
     tag: str
     transcript: tuple
-    state: FusionState
+    state: np.ndarray
     rounds: int
     timed_out: bool = False
+
+
+_VECTOR = (len(ALL_PAIRS),)
+_MATRIX = (len(ALL_PAIRS), len(ALL_PAIRS))
+_OUTSIDE_U = np.array([pair not in U_PAIRS for pair in ALL_PAIRS])
 
 
 def _sample(rng, labels, weights):
@@ -334,7 +358,7 @@ def _branch(rng, labels, table, vec):
     return w, branches[labels.index(w)]
 
 
-def measure_MA(state: FusionState, rng, max_rounds: int = 64) -> ProtocolOutcome:
+def measure_MA(vec, rng, max_rounds: int = 64) -> ProtocolOutcome:
     """Interferometric measurement {Pi_A, Pi_A'} on the computational qutrit.
 
     A D-pair probes the left internal label x; the pair's fusion outcome w
@@ -346,13 +370,13 @@ def measure_MA(state: FusionState, rng, max_rounds: int = 64) -> ProtocolOutcome
     ``category.qutrit_tables()`` (``ma`` and ``e_correction``).
     """
     tables = qutrit_tables()
-    amps = qutrit_amplitudes(state)
-    if any(pair not in U_PAIRS for pair in amps):
+    vec = _pair_array(vec, _VECTOR)
+    if vec[_OUTSIDE_U].any():
         raise FusionError("measure_MA requires support on the computational subspace")
-    w, vec = _branch(rng, MA_OUTCOMES, tables.ma, _pair_vector(amps))
+    w, vec = _branch(rng, MA_OUTCOMES, tables.ma, vec)
     transcript = [("interfere", w)]
     if w == "A":
-        return ProtocolOutcome("A", tuple(transcript), _vector_state(vec), 1)
+        return ProtocolOutcome("A", tuple(transcript), _normalized(vec), 1)
     i_g = tables.ma[MA_OUTCOMES.index("G")]
     # fuse the w = G probe with the leftmost D and correct E outcomes
     e_parity = 0
@@ -364,19 +388,17 @@ def measure_MA(state: FusionState, rng, max_rounds: int = 64) -> ProtocolOutcome
             vec = vec * tables.e_correction
             e_parity ^= 1
         if e_parity == 0:
-            return ProtocolOutcome(
-                "Aprime", tuple(transcript), _vector_state(vec), rounds
-            )
+            return ProtocolOutcome("Aprime", tuple(transcript), _normalized(vec), rounds)
         # another interferometry round: support is x = G, outcome certain
         vec = vec * i_g
         transcript.append(("interfere", "G"))
         rounds += 1
     return ProtocolOutcome(
-        "Aprime", tuple(transcript), _vector_state(vec), rounds, timed_out=True
+        "Aprime", tuple(transcript), _normalized(vec), rounds, timed_out=True
     )
 
 
-def measure_MU(state: FusionState, rng, max_rounds: int = 64) -> ProtocolOutcome:
+def measure_MU(vec, rng, max_rounds: int = 64) -> ProtocolOutcome:
     """Iterated intermediate measurement realizing {Pi_U, Pi_Uperp}.
 
     Each round an H-pair probes the internal pair (x, y); outcome w = A
@@ -389,7 +411,7 @@ def measure_MU(state: FusionState, rng, max_rounds: int = 64) -> ProtocolOutcome
     ``category.qutrit_tables().mu`` and drops entries below ``PRUNE_TOL``.
     """
     table = qutrit_tables().mu
-    vec = _pair_vector(qutrit_amplitudes(state))
+    vec = _pair_array(vec, _VECTOR)
     transcript = []
     b_count = 0
     for rounds in range(1, max_rounds + 1):
@@ -399,19 +421,11 @@ def measure_MU(state: FusionState, rng, max_rounds: int = 64) -> ProtocolOutcome
         if w == "B":
             b_count += 1
             if b_count == 2:
-                return ProtocolOutcome(
-                    "Uperp", tuple(transcript), _vector_state(vec), rounds
-                )
+                return ProtocolOutcome("Uperp", tuple(transcript), _normalized(vec), rounds)
         if b_count == 0 and rounds == max_rounds:
-            return ProtocolOutcome(
-                "U", tuple(transcript), _vector_state(vec), rounds
-            )
+            return ProtocolOutcome("U", tuple(transcript), _normalized(vec), rounds)
     return ProtocolOutcome(
-        "Uperp",
-        tuple(transcript),
-        _vector_state(vec),
-        max_rounds,
-        timed_out=True,
+        "Uperp", tuple(transcript), _normalized(vec), max_rounds, timed_out=True
     )
 
 
@@ -422,59 +436,18 @@ def measure_MU(state: FusionState, rng, max_rounds: int = 64) -> ProtocolOutcome
 TWO_QUTRIT_SHAPE = (((0, 1), (2, 3)), ((4, 5), (6, 7)))
 
 
-def two_qutrit_state(amps) -> FusionState:
-    """Merged tree: two four-D qutrit subtrees with G roots fused to G."""
-    state = FusionState(
-        ("D",) * 8,
-        TWO_QUTRIT_SHAPE,
-        "G",
-        {
-            (x1, y1, "G", x2, y2, "G", "G"): complex(v)
-            for (x1, y1, x2, y2), v in amps.items()
-        },
-    )
-    return state.validate().normalized()
-
-
-def two_qutrit_amplitudes(state: FusionState) -> dict:
-    if state.shape != TWO_QUTRIT_SHAPE or state.root != "G":
-        raise FusionError("state is not a merged two-qutrit tree")
-    return {(k[0], k[1], k[3], k[4]): v for k, v in state.amps.items()}
-
-
-def _pair_matrix(amps) -> np.ndarray:
-    """{(x1, y1, x2, y2): amplitude} as a matrix over ALL_PAIRS x ALL_PAIRS."""
-    mat = np.zeros((len(ALL_PAIRS), len(ALL_PAIRS)), dtype=complex)
-    for (x1, y1, x2, y2), v in amps.items():
-        mat[_pair_index((x1, y1)), _pair_index((x2, y2))] = v
-    return mat
-
-
-def _matrix_state(mat) -> FusionState:
-    """The merged state over the nonzero entries of a pair matrix."""
-    return two_qutrit_state(
-        {
-            left + right: v
-            for left, row in zip(ALL_PAIRS, mat.tolist())
-            for right, v in zip(ALL_PAIRS, row)
-            if v
-        }
-    )
-
-
-def merge_qutrits(stateL: FusionState, stateR: FusionState, rng) -> ProtocolOutcome:
+def merge_qutrits(vec_l, vec_r, rng) -> ProtocolOutcome:
     """Fuse the G roots of two logical qutrits into a single G root.
 
     Subroutine 1 fuses the roots (outcomes A: 1/4, B: 1/4, G: 1/2).  On A/B,
     subroutine 2 splits the Abelian outcome back into two G, probes the left
     one with a D-pair (X in {A, G}), and fuses the residual pair(s) down to a
     single G; the internal labels of both qutrits are untouched throughout,
-    and the merged amplitudes are the products of the two pair vectors times
-    the branch's constant phase from ``category.qutrit_tables().merge``.
+    and the merged pair matrix is the outer product of the two pair vectors
+    times the branch's constant phase from ``category.qutrit_tables().merge``.
     """
     tables = qutrit_tables()
-    vec_l = _pair_vector(qutrit_amplitudes(stateL))
-    vec_r = _pair_vector(qutrit_amplitudes(stateR))
+    vec_l, vec_r = _pair_array(vec_l, _VECTOR), _pair_array(vec_r, _VECTOR)
     transcript = []
     phase = 1.0 + 0j
     outcome = _sample(rng, ROOT_OUTCOMES, tables.root_fusion)
@@ -496,19 +469,21 @@ def merge_qutrits(stateL: FusionState, stateR: FusionState, rng) -> ProtocolOutc
             transcript.append(("left-fusion", ab))
             transcript.append(("abelian-fusion", "G"))
     merged = np.outer(phase * vec_l, vec_r)
-    return ProtocolOutcome("merged", tuple(transcript), _matrix_state(merged), 1)
+    return ProtocolOutcome("merged", tuple(transcript), _normalized(merged), 1)
 
 
-def split_qutrit(state: FusionState, rng, max_rounds: int = 64) -> ProtocolOutcome:
-    """Split the G root of a merged two-qutrit tree back into two G roots.
+def split_qutrit(mat, rng, max_rounds: int = 64) -> ProtocolOutcome:
+    """Split the G root of a merged two-qutrit pair matrix back into two G
+    roots.
 
     Each round applies a shortest-G-ribbon + measurement attempt that
     succeeds (fusion outcome G) with probability 1/2; the exposed internal
     label is A or B with equal amplitude, and the B branch is recorded but
-    harmless.  Returns the pair of single-qutrit states in the transcript
-    order (left, right) encoded as a product state.
+    harmless.  The split leaves the internal labels untouched, so the joint
+    amplitudes come back as the product state of the two halves (left,
+    right) in the same pair matrix.
     """
-    mat = _pair_matrix(two_qutrit_amplitudes(state))
+    mat = _pair_array(mat, _MATRIX)
     p_succ = qutrit_tables().root_fusion[ROOT_OUTCOMES.index("G")]
     transcript = []
     for rounds in range(1, max_rounds + 1):
@@ -517,23 +492,20 @@ def split_qutrit(state: FusionState, rng, max_rounds: int = 64) -> ProtocolOutco
         if outcome == "G":
             internal = _sample(rng, ["A", "B"], [0.5, 0.5])
             transcript.append(("internal", internal))
-            # the split leaves the internal labels untouched; re-expressing
-            # the pair of G roots keeps the joint amplitudes exact
             return ProtocolOutcome(
-                f"split-{internal}", tuple(transcript), _matrix_state(mat), rounds
+                f"split-{internal}", tuple(transcript), _normalized(mat), rounds
             )
-    return ProtocolOutcome(
-        "timeout", tuple(transcript), state, max_rounds, timed_out=True
-    )
+    return ProtocolOutcome("timeout", tuple(transcript), mat, max_rounds, timed_out=True)
 
 
-def factor_halves(state: FusionState):
-    """Factor a product two-qutrit state into its single-qutrit halves."""
-    u, s, vh = np.linalg.svd(_pair_matrix(two_qutrit_amplitudes(state)))
+def factor_halves(mat):
+    """Factor a product two-qutrit pair matrix into its normalised
+    single-qutrit pair vectors (left, right)."""
+    u, s, vh = np.linalg.svd(_pair_array(mat, _MATRIX))
     if len(s) > 1 and s[1] > 1e-9:
         raise FusionError("state is entangled across the two qutrits")
     scale = np.sqrt(s[0])
     return tuple(
-        _vector_state(np.where(np.abs(vec) > PRUNE_TOL, vec * scale, 0))
+        _normalized(np.where(np.abs(vec) > PRUNE_TOL, vec * scale, 0))
         for vec in (u[:, 0], vh[0])
     )

@@ -45,9 +45,14 @@ UNREACHED = {
     "concat_code.naive_transversal_check": PAPER,
     "concat_code.schur_obstruction_check": PAPER,
     "concat_code.shor_code": ORACLE,
+    "fusion_sim.FusionState": ENGINE,
+    "fusion_sim._node_indices": ENGINE,
+    "fusion_sim._subtrees": ENGINE,
+    "fusion_sim._vertex_slots": ENGINE,
     "fusion_sim.braid": ENGINE,
     "fusion_sim.f_move": ENGINE,
     "fusion_sim.left_comb_shape": ENGINE,
+    "fusion_sim.qutrit_state": BENCH_WRAPPED,
     "fusion_sim.to_left_comb": ENGINE,
     "lattice.apply_plaquette": BENCH_WRAPPED,
     "lattice.apply_ribbon": BENCH_WRAPPED,
@@ -247,3 +252,38 @@ class TestOneGadget:
             if isinstance(node, ast.ClassDef) and node.name == "GateSchedule"
         ]
         assert retired == []
+
+
+class TestOneQutritState:
+    """The logical-qutrit protocols run on pair arrays alone."""
+
+    PROTOCOLS = ("measure_MA", "measure_MU", "merge_qutrits", "split_qutrit", "factor_halves")
+    TREE_NAMES = {"FusionState", "qutrit_state", "validate"}
+
+    @staticmethod
+    def _names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+            n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+        }
+
+    def test_no_protocol_path_names_a_fusion_tree(self):
+        # a fusion tree built, or validated, on the way into or out of a
+        # protocol, directly or through a fusion_sim helper, or by the CLI
+        tree = ast.parse((PACKAGE / "fusion_sim.py").read_text())
+        defs = {
+            node.name: node
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        found, seen, todo = [], set(), list(self.PROTOCOLS)
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            names = self._names(defs[name])
+            found += [f"fusion_sim.{name}: {n}" for n in sorted(names & self.TREE_NAMES)]
+            todo += sorted(names & set(defs))
+        cli_names = self._names(ast.parse((PACKAGE / "cli.py").read_text()))
+        found += [f"cli: {n}" for n in sorted(cli_names & self.TREE_NAMES)]
+        assert found == []
