@@ -14,6 +14,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -93,13 +94,16 @@ def _check_fault_blocks(parser, args):
         parser.error(f"--error-site needs distance >= 3, which --blocks {args.blocks} lacks")
 
 
-def _trial_rng(seed, trial):
-    return np.random.default_rng([seed, trial])
+def _trial_rngs(args):
+    """One generator per trial, seeded by (--seed, trial index)."""
+    return [np.random.default_rng([args.seed, trial]) for trial in range(args.trials)]
 
 
-def _random_state(rng, pairs):
-    amps = {pair: complex(rng.standard_normal(), rng.standard_normal()) for pair in pairs}
-    return fsim.qutrit_vector(amps)
+def _random_states(rngs, pairs):
+    """A stack of random states over `pairs`, one per generator: each draws
+    the real and imaginary parts of every pair in turn."""
+    amps = np.array([rng.standard_normal(2 * len(pairs)) for rng in rngs]).view(complex)
+    return fsim.qutrit_vector(dict(zip(pairs, amps.T)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +169,7 @@ def _cmd_ribbon_demo(args, emit):
     pair = lat.anyon_ribbon_law(lat.ground_state(lattice), rib, args.anyon)
     expected = {} if args.anyon == "A" else {(0, 0): args.anyon, (1, 0): args.anyon}
     deviations = 0
-    for trial in range(args.trials):
-        rng = _trial_rng(args.seed, trial)
+    for rng in _trial_rngs(args):
         cfg, _ = lat.measure_MK(pair.draw(rng)[1], rng)
         if cfg.nontrivial() != expected:
             deviations += 1
@@ -207,21 +210,17 @@ def _cmd_circuit_equivalence(args, emit):
 
 
 def _measurement_tags(args, emit, measure, pairs, check):
-    """Run `measure` on a random state over `pairs` per trial and emit the
-    tag counts."""
-    tags, rounds, timeouts = {}, 0, 0
-    for trial in range(args.trials):
-        rng = _trial_rng(args.seed, trial)
-        out = measure(_random_state(rng, pairs), rng)
-        tags[out.tag] = tags.get(out.tag, 0) + 1
-        rounds += out.rounds
-        timeouts += out.timed_out
+    """Run `measure` on a random state over `pairs` per trial, all trials as
+    one batch, and emit the tag counts."""
+    rngs = _trial_rngs(args)
+    out = measure(_random_states(rngs, pairs), rngs)
+    timeouts = sum(out.timeouts)
     emit(
         {
             "check": check,
             "trials": args.trials,
-            "tags": dict(sorted(tags.items())),
-            "mean_rounds": rounds / args.trials,
+            "tags": {tag: out.tags.count(tag) for tag in sorted(set(out.tags))},
+            "mean_rounds": out.rounds / args.trials,
             "timeouts": timeouts,
         },
         timeouts == 0,
@@ -237,19 +236,18 @@ def _cmd_measure_mu(args, emit):
 
 
 def _cmd_merge_split(args, emit):
-    worst = 1.0
-    for trial in range(args.trials):
-        rng = _trial_rng(args.seed, trial)
-        left, right = _random_state(rng, U_PAIRS), _random_state(rng, U_PAIRS)
-        merged = fsim.merge_qutrits(left, right, rng)
-        split = fsim.split_qutrit(merged.state, rng)
-        if split.timed_out:
-            worst = 0.0
-            continue
-        l2, r2 = fsim.factor_halves(split.state)
-        for va, vb in ((left, l2), (right, r2)):
-            fid = abs(np.vdot(va, vb)) / (np.linalg.norm(va) * np.linalg.norm(vb))
-            worst = min(worst, float(fid))
+    rngs = _trial_rngs(args)
+    left, right = _random_states(rngs, U_PAIRS), _random_states(rngs, U_PAIRS)
+    split = fsim.split_qutrit(fsim.merge_qutrits(left, right, rngs).states, rngs)
+    ran = ~np.array(split.timeouts)
+    # per row: np.vdot and np.linalg.norm call BLAS, whose sums a batched
+    # product would round differently, and the record prints these bits
+    fidelities = [
+        float(abs(np.vdot(va, vb)) / (np.linalg.norm(va) * np.linalg.norm(vb)))
+        for before, after in zip((left[ran], right[ran]), fsim.factor_halves(split.states[ran]))
+        for va, vb in zip(before, after)
+    ]
+    worst = 0.0 if any(split.timeouts) else min([1.0, *fidelities])
     emit(
         {
             "check": "merge-split-round-trip",
@@ -361,7 +359,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="s3double",
         description="Seeded batch runner for the S3 quantum double simulator",

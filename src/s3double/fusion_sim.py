@@ -8,14 +8,17 @@ braids exchange adjacent sibling leaves.
 
 The remote-measurement and merge/split protocols act on the four-D logical
 qutrit space (total charge G, internal pair labels (x, y)) and its two-qutrit
-extension.  Their state is a pair array: one amplitude per pair in
-``ALL_PAIRS`` order (a 9-entry vector; the merged pair is the 9 x 9 matrix
-over two such orders), and every index of it is an admissible labeling, so
-there is nothing to validate beyond its shape.  They take and return pair
-arrays, multiplying them by the constant tables of
-``category.qutrit_tables()``, built once per process from the shipped
-category that every operation here reads.  ``FusionState`` is the state of
-the F-move and braid engine alone.
+extension.  A state is a pair array: one amplitude per pair in ``ALL_PAIRS``
+order (a 9-entry vector; the merged pair is the 9 x 9 matrix over two such
+orders), and every index of it is an admissible labeling, so there is
+nothing to validate beyond its shape.  Each protocol runs a batch of trials:
+it takes a stack of B pair arrays and a sequence of B generators, trial i
+drawing its outcomes from generator i alone and in the order a lone trial
+would, and each round is one array program over the trials still running.
+A single state is a batch of one.  The rounds multiply by the constant
+tables of ``category.qutrit_tables()``, built once per process from the
+shipped category that every operation here reads.  ``FusionState`` is the
+state of the F-move and braid engine alone.
 
 Global phases are tracked explicitly: normalization only divides by the
 positive norm, so protocol sign bookkeeping stays observable in tests.
@@ -23,6 +26,7 @@ positive norm, so protocol sign bookkeeping stays observable in tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
@@ -43,7 +47,6 @@ from .category import (
 )
 
 QUTRIT_SHAPE = ((0, 1), (2, 3))
-_PAIR_INDEX = {pair: i for i, pair in enumerate(ALL_PAIRS)}
 PRUNE_TOL = 1e-14
 
 
@@ -54,16 +57,9 @@ class FusionError(ValueError):
 @lru_cache(maxsize=1024)
 def _subtrees(shape):
     """Internal nodes of a nested-tuple shape in postorder (root last)."""
-    out = []
-
-    def walk(node):
-        if isinstance(node, tuple):
-            walk(node[0])
-            walk(node[1])
-            out.append(node)
-
-    walk(shape)
-    return tuple(out)
+    if not isinstance(shape, tuple):
+        return ()
+    return _subtrees(shape[0]) + _subtrees(shape[1]) + (shape,)
 
 
 @lru_cache(maxsize=1024)
@@ -114,9 +110,7 @@ class FusionState:
         return replace(self, amps={k: v / n for k, v in self.amps.items()})
 
     def pruned(self) -> "FusionState":
-        return replace(
-            self, amps={k: v for k, v in self.amps.items() if abs(v) > PRUNE_TOL}
-        )
+        return replace(self, amps={k: v for k, v in self.amps.items() if abs(v) > PRUNE_TOL})
 
     def label_of(self, labeling, node):
         if isinstance(node, int):
@@ -143,49 +137,51 @@ def qutrit_state(amps) -> FusionState:
         if (x, y) not in QUTRIT_PAIRS:
             raise FusionError(f"({x},{y}) not an internal pair of the qutrit space")
     state = FusionState(
-        ("D",) * 4,
-        QUTRIT_SHAPE,
-        "G",
-        {(x, y, "G"): complex(v) for (x, y), v in amps.items()},
+        ("D",) * 4, QUTRIT_SHAPE, "G", {(x, y, "G"): complex(v) for (x, y), v in amps.items()}
     )
     return state.validate().normalized()
 
 
-def _pair_index(pair) -> int:
-    try:
-        return _PAIR_INDEX[pair]
-    except KeyError:
-        raise FusionError(f"{pair!r} not an internal pair of the qutrit space") from None
-
-
 def qutrit_vector(amps) -> np.ndarray:
-    """Normalised pair vector in ALL_PAIRS order from {(x, y): amplitude}."""
-    vec = np.zeros(len(ALL_PAIRS), dtype=complex)
-    for pair, v in amps.items():
-        vec[_pair_index(pair)] = v
-    return _normalized(vec)
+    """Stack of normalised pair vectors in ALL_PAIRS order from {(x, y):
+    amplitudes}: row i takes entry i of every pair's amplitude column, and
+    scalar amplitudes give a batch of one."""
+    if not QUTRIT_PAIRS.issuperset(amps):
+        raise FusionError(f"{set(amps) - QUTRIT_PAIRS} not an internal pair of the qutrit space")
+    rows = np.atleast_2d(np.transpose(list(amps.values())))
+    vecs = np.zeros((len(rows), len(ALL_PAIRS)), dtype=complex)
+    vecs[:, [ALL_PAIRS.index(pair) for pair in amps]] = rows
+    return _normalized(vecs)
 
 
 def _normalized(arr) -> np.ndarray:
-    """A pair array over its norm, in the arithmetic of
-    ``FusionState.normalized``: the squared moduli summed left to right in
-    row-major order, then the real and imaginary parts divided by the norm
-    (Python's complex / float; NumPy's complex division multiplies by a
-    reciprocal).  Adding 0.0 turns every -0.0 part into +0.0, so an exactly
-    zero entry is +0 whatever product made it, and the SVD of
-    `factor_halves` sees the same bits for the same amplitudes."""
-    n = float(np.sqrt(sum(abs(v) ** 2 for v in arr.ravel().tolist())))
-    if n == 0:
+    """A stack of pair arrays, each over its own norm, in the arithmetic of
+    ``FusionState.normalized``: a row's squared moduli summed by Python's
+    `sum` in row-major order, then its real and imaginary parts divided by
+    the norm (Python's complex / float; NumPy's complex division multiplies
+    by a reciprocal).  The squares stay Python's `abs(v) ** 2`: NumPy's
+    `abs`, square and vectorised `power` each round apart from it in some
+    entries, and `merge-split` prints a fidelity that reads these bits.
+    Adding 0.0 makes an exactly zero entry +0 whatever product made it, so
+    `factor_halves`' SVD sees the same bits for the same amplitudes."""
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    size = math.prod(arr.shape[1:])
+    squares = [abs(v) ** 2 for v in arr.ravel().tolist()]
+    norms = np.sqrt([sum(squares[i : i + size]) for i in range(0, len(squares), size)])
+    if not norms.all():
         raise FusionError("cannot normalize the zero state")
-    return (np.ascontiguousarray(arr, dtype=complex).view(float) / n + 0.0).view(complex)
+    norms = norms.reshape((-1,) + (1,) * (arr.ndim - 1))
+    return (arr.view(float) / norms + 0.0).view(complex)
 
 
-def _pair_array(arr, shape) -> np.ndarray:
-    """A protocol's input as a complex array, refused unless it has the pair
-    shape the protocol takes."""
+def _pair_stack(arr, shape, rngs=None) -> np.ndarray:
+    """A protocol's input as a complex stack of pair arrays of the shape it
+    takes, refused otherwise or where its trials lack one generator each."""
     arr = np.asarray(arr, dtype=complex)
-    if arr.shape != shape:
-        raise FusionError(f"expected a pair array of shape {shape}, got {arr.shape}")
+    if arr.ndim != len(shape) + 1 or arr.shape[1:] != shape:
+        raise FusionError(f"expected a stack of pair arrays of shape {shape}, got {arr.shape}")
+    if rngs is not None and len(rngs) != len(arr):
+        raise FusionError(f"{len(arr)} trials need {len(arr)} generators, got {len(rngs)}")
     return arr
 
 
@@ -212,21 +208,14 @@ def f_move(state: FusionState, node) -> FusionState:
     else:
         raise FusionError("vertex joins two leaves; nothing to re-associate")
 
-    def swap_node(tree):
-        if tree == node:
-            return new_node
+    def swapped(tree, old, new):
+        if tree == old:
+            return new
         if isinstance(tree, int):
             return tree
-        return (swap_node(tree[0]), swap_node(tree[1]))
+        return (swapped(tree[0], old, new), swapped(tree[1], old, new))
 
-    def unswap_node(tree):
-        if tree == new_node:
-            return node
-        if isinstance(tree, int):
-            return tree
-        return (unswap_node(tree[0]), unswap_node(tree[1]))
-
-    new_shape = swap_node(state.shape)
+    new_shape = swapped(state.shape, node, new_node)
     new_nodes = _subtrees(new_shape)
     # the only internal node whose label changes is the inner child of the
     # re-associated vertex; everything else (including the vertex itself)
@@ -237,6 +226,7 @@ def f_move(state: FusionState, node) -> FusionState:
     else:
         (a_t, b_t), c_t = new_node
         old_inner, new_inner = (b_t, c_t), (a_t, b_t)
+    old_nodes = {n: swapped(n, new_node, node) for n in new_nodes if n != new_inner}
     out = {}
     for labeling, amp in state.amps.items():
         a = state.label_of(labeling, a_t)
@@ -256,17 +246,11 @@ def f_move(state: FusionState, node) -> FusionState:
                 for e in data.outcomes(a, b)
                 if data.N.get((e, c, d), 0)
             ]
-        carried = {
-            n: state.label_of(labeling, unswap_node(n))
-            for n in new_nodes
-            if n != new_inner
-        }
+        carried = {n: state.label_of(labeling, old) for n, old in old_nodes.items()}
         for lab, coeff in branch:
             if abs(coeff) < PRUNE_TOL:
                 continue
-            new_lab = tuple(
-                lab if n == new_inner else carried[n] for n in new_nodes
-            )
+            new_lab = tuple(lab if n == new_inner else carried[n] for n in new_nodes)
             out[new_lab] = out.get(new_lab, 0) + coeff * amp
     result = FusionState(state.leaves, new_shape, state.root, out).pruned()
     if abs(result.norm() - state.norm()) > 1e-12:
@@ -290,14 +274,7 @@ def to_left_comb(state: FusionState):
     moves = []
     current = state
     while True:
-        target = next(
-            (
-                node
-                for node in current.nodes
-                if isinstance(node[1], tuple)
-            ),
-            None,
-        )
+        target = next((node for node in current.nodes if isinstance(node[1], tuple)), None)
         if target is None:
             return current, tuple(moves)
         moves.append(target)
@@ -328,37 +305,55 @@ def braid(state: FusionState, i: int, over: bool = True) -> FusionState:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolOutcome:
-    """One protocol run.  `state` is the normalised pair array it leaves: a
-    9-entry vector in ALL_PAIRS order, or the 9 x 9 merged pair matrix of
-    `merge_qutrits` and `split_qutrit` (a timed-out split returns its input
-    as it came)."""
+    """A batch of B protocol runs, trial i drawing from generator i of the
+    sequence handed in.  `states` stacks the normalised pair arrays the
+    trials leave: (B, 9) vectors, or (B, 9, 9) merged pair matrices (a
+    timed-out split trial leaves its input as it came).  `tags`,
+    `transcripts`, `trial_rounds` and `timeouts` hold one entry per trial;
+    `rounds` is the batch total, which a mean over trials divides."""
 
-    tag: str
-    transcript: tuple
-    state: np.ndarray
-    rounds: int
-    timed_out: bool = False
+    tags: tuple
+    transcripts: tuple
+    states: np.ndarray
+    trial_rounds: tuple
+    timeouts: tuple
+
+    @property
+    def rounds(self) -> int:
+        return sum(self.trial_rounds)
+
+
+def _outcome(tags, transcripts, states, rounds, live) -> ProtocolOutcome:
+    """The batch outcome; a trial still `live` when its rounds ran out timed out."""
+    timeouts = np.isin(np.arange(len(tags)), live).tolist()
+    return ProtocolOutcome(
+        tuple(tags), tuple(map(tuple, transcripts)), states, tuple(rounds.tolist()), tuple(timeouts)
+    )
+
+
+def _note(transcripts, rows, steps):
+    """Append one step to the transcript of each trial in `rows`."""
+    for i, step in zip(rows.tolist(), steps):
+        transcripts[i].append(step)
 
 
 _VECTOR = (len(ALL_PAIRS),)
 _MATRIX = (len(ALL_PAIRS), len(ALL_PAIRS))
 _OUTSIDE_U = np.array([pair not in U_PAIRS for pair in ALL_PAIRS])
+_HALVES = sampling.law([0.5, 0.5])  # an A or B outcome of equal weight
 
 
-def _sample(rng, labels, weights):
-    return labels[sampling.draw(sampling.law(weights), rng)]
+def _branch(rngs, table, vecs):
+    """Draw one outcome per trial of a diagonal Kraus table by the Born rule,
+    one `sampling.draws` double per trial from the law of its branches'
+    squared norms; returns (outcome indices, unnormalised post-measurement
+    stack)."""
+    branches = table * vecs[:, None]
+    w = sampling.draws(sampling.law((np.abs(branches) ** 2).sum(axis=-1)), rngs)
+    return w, branches[np.arange(len(w)), w]
 
 
-def _branch(rng, labels, table, vec):
-    """Draw one outcome of a diagonal Kraus table by the Born rule, one
-    `sampling.draw` from the law of its branches' squared norms; returns
-    (label, unnormalised post-measurement vector)."""
-    branches = table * vec
-    w = _sample(rng, labels, (np.abs(branches) ** 2).sum(axis=1))
-    return w, branches[labels.index(w)]
-
-
-def measure_MA(vec, rng, max_rounds: int = 64) -> ProtocolOutcome:
+def measure_MA(vecs, rngs, max_rounds: int = 64) -> ProtocolOutcome:
     """Interferometric measurement {Pi_A, Pi_A'} on the computational qutrit.
 
     A D-pair probes the left internal label x; the pair's fusion outcome w
@@ -366,39 +361,35 @@ def measure_MA(vec, rng, max_rounds: int = 64) -> ProtocolOutcome:
     D returns directly, outcome E flips the sign of |GG> relative to |GA> via
     a B-pair correction) and rounds continue until the E-count is even.
 
-    Every round multiplies the pair vector by a constant table of
+    Every round multiplies the trials still running by a constant table of
     ``category.qutrit_tables()`` (``ma`` and ``e_correction``).
     """
     tables = qutrit_tables()
-    vec = _pair_array(vec, _VECTOR)
-    if vec[_OUTSIDE_U].any():
+    vecs = _pair_stack(vecs, _VECTOR, rngs)
+    if vecs[:, _OUTSIDE_U].any():
         raise FusionError("measure_MA requires support on the computational subspace")
-    w, vec = _branch(rng, MA_OUTCOMES, tables.ma, vec)
-    transcript = [("interfere", w)]
-    if w == "A":
-        return ProtocolOutcome("A", tuple(transcript), _normalized(vec), 1)
-    i_g = tables.ma[MA_OUTCOMES.index("G")]
-    # fuse the w = G probe with the leftmost D and correct E outcomes
-    e_parity = 0
-    rounds = 1
-    while rounds < max_rounds:
-        fuse = _sample(rng, FUSE_OUTCOMES, tables.fuse)
-        transcript.append(("fuse", fuse))
-        if fuse == "E":
-            vec = vec * tables.e_correction
-            e_parity ^= 1
-        if e_parity == 0:
-            return ProtocolOutcome("Aprime", tuple(transcript), _normalized(vec), rounds)
-        # another interferometry round: support is x = G, outcome certain
-        vec = vec * i_g
-        transcript.append(("interfere", "G"))
-        rounds += 1
-    return ProtocolOutcome(
-        "Aprime", tuple(transcript), _normalized(vec), rounds, timed_out=True
-    )
+    w, vecs = _branch(rngs, tables.ma, vecs)
+    g, e, fuse_law = MA_OUTCOMES.index("G"), FUSE_OUTCOMES.index("E"), sampling.law(tables.fuse)
+    transcripts = [[("interfere", MA_OUTCOMES[k])] for k in w.tolist()]
+    # fuse each w = G probe with the leftmost D and correct E outcomes
+    live, odd, rounds = np.flatnonzero(w == g), np.zeros(len(w), bool), np.ones(len(w), int)
+    for _ in range(1, max_rounds):
+        if not live.size:
+            break
+        fuse = sampling.draws(fuse_law, [rngs[i] for i in live])
+        _note(transcripts, live, [("fuse", FUSE_OUTCOMES[k]) for k in fuse.tolist()])
+        vecs[live[fuse == e]] *= tables.e_correction
+        odd[live[fuse == e]] ^= True
+        # an odd E-count: another interferometry round, certain as x = G
+        live = live[odd[live]]
+        vecs[live] *= tables.ma[g]
+        _note(transcripts, live, [("interfere", "G")] * live.size)
+        rounds[live] += 1
+    tags = ["Aprime" if k == g else "A" for k in w.tolist()]
+    return _outcome(tags, transcripts, _normalized(vecs), rounds, live)
 
 
-def measure_MU(vec, rng, max_rounds: int = 64) -> ProtocolOutcome:
+def measure_MU(vecs, rngs, max_rounds: int = 64) -> ProtocolOutcome:
     """Iterated intermediate measurement realizing {Pi_U, Pi_Uperp}.
 
     Each round an H-pair probes the internal pair (x, y); outcome w = A
@@ -407,26 +398,29 @@ def measure_MU(vec, rng, max_rounds: int = 64) -> ProtocolOutcome:
     converge to Pi_U; after a first B the rounds continue until a second B
     restores intra-U-perp coherence.
 
-    Every round multiplies the pair vector by one row of the constant table
-    ``category.qutrit_tables().mu`` and drops entries below ``PRUNE_TOL``.
+    Every round multiplies each trial still running by one row of the
+    constant table ``category.qutrit_tables().mu``, pruned at ``PRUNE_TOL``.
     """
     table = qutrit_tables().mu
-    vec = _pair_array(vec, _VECTOR)
-    transcript = []
-    b_count = 0
-    for rounds in range(1, max_rounds + 1):
-        w, vec = _branch(rng, MU_OUTCOMES, table, vec)
-        transcript.append(w)
-        vec[np.abs(vec) <= PRUNE_TOL] = 0
-        if w == "B":
-            b_count += 1
-            if b_count == 2:
-                return ProtocolOutcome("Uperp", tuple(transcript), _normalized(vec), rounds)
-        if b_count == 0 and rounds == max_rounds:
-            return ProtocolOutcome("U", tuple(transcript), _normalized(vec), rounds)
-    return ProtocolOutcome(
-        "Uperp", tuple(transcript), _normalized(vec), max_rounds, timed_out=True
-    )
+    vecs = _pair_stack(vecs, _VECTOR, rngs)
+    n, b = len(vecs), MU_OUTCOMES.index("B")
+    states, transcripts = np.empty_like(vecs), [[] for _ in range(n)]
+    b_count, rounds, live = np.zeros(n, int), np.full(n, max_rounds), np.arange(n)
+    for r in range(1, max_rounds + 1):
+        if not live.size:
+            break
+        w, vecs = _branch([rngs[i] for i in live], table, vecs)
+        vecs[np.abs(vecs) <= PRUNE_TOL] = 0
+        _note(transcripts, live, [MU_OUTCOMES[k] for k in w.tolist()])
+        b_count[live] += w == b
+        # a second B ends a trial, and so does the last round of an all-A one
+        done = (b_count[live] == 2) | ((b_count[live] == 0) & (r == max_rounds))
+        states[live[done]], rounds[live[done]] = vecs[done], r
+        live, vecs = live[~done], vecs[~done]
+    states[live] = vecs
+    # an all-A trial ends as U, unless no round ran and it timed out
+    tags = ["U" if c == 0 and max_rounds > 0 else "Uperp" for c in b_count.tolist()]
+    return _outcome(tags, transcripts, _normalized(states), rounds, live)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +430,7 @@ def measure_MU(vec, rng, max_rounds: int = 64) -> ProtocolOutcome:
 TWO_QUTRIT_SHAPE = (((0, 1), (2, 3)), ((4, 5), (6, 7)))
 
 
-def merge_qutrits(vec_l, vec_r, rng) -> ProtocolOutcome:
+def merge_qutrits(vecs_l, vecs_r, rngs) -> ProtocolOutcome:
     """Fuse the G roots of two logical qutrits into a single G root.
 
     Subroutine 1 fuses the roots (outcomes A: 1/4, B: 1/4, G: 1/2).  On A/B,
@@ -447,34 +441,34 @@ def merge_qutrits(vec_l, vec_r, rng) -> ProtocolOutcome:
     times the branch's constant phase from ``category.qutrit_tables().merge``.
     """
     tables = qutrit_tables()
-    vec_l, vec_r = _pair_array(vec_l, _VECTOR), _pair_array(vec_r, _VECTOR)
-    transcript = []
-    phase = 1.0 + 0j
-    outcome = _sample(rng, ROOT_OUTCOMES, tables.root_fusion)
-    transcript.append(("root-fusion", outcome))
-    if outcome != "G":
-        # split A/B into two G, then D-pair interferometry on the left G
-        branch = tables.merge[outcome]
-        X = _sample(rng, MA_OUTCOMES, branch.weights)
-        transcript.append(("interferometer", X))
-        if X == "A":
-            if abs(abs(branch.pair_phase) - 1) > 1e-12:
-                raise FusionError("residual G-pair fusion is not deterministic")
-            phase = branch.pair_phase
-            transcript.append(("pair-fusion", "G"))
-        else:
-            phase = branch.probe_phase
-            # fuse the left two G: Abelian outcome A or B, then Abelian x G -> G
-            ab = _sample(rng, ["A", "B"], [0.5, 0.5])
-            transcript.append(("left-fusion", ab))
-            transcript.append(("abelian-fusion", "G"))
-    merged = np.outer(phase * vec_l, vec_r)
-    return ProtocolOutcome("merged", tuple(transcript), _normalized(merged), 1)
+    vecs_l, vecs_r = _pair_stack(vecs_l, _VECTOR, rngs), _pair_stack(vecs_r, _VECTOR, rngs)
+    branches = [tables.merge[c] for c in ROOT_OUTCOMES[:2]]  # the A and B outcomes
+    if any(abs(abs(branch.pair_phase) - 1) > 1e-12 for branch in branches):
+        raise FusionError("residual G-pair fusion is not deterministic")
+    root = sampling.draws(sampling.law(tables.root_fusion), rngs)
+    transcripts = [[("root-fusion", ROOT_OUTCOMES[c])] for c in root.tolist()]
+    # split A/B into two G, then D-pair interferometry on the left G
+    split = np.flatnonzero(root != ROOT_OUTCOMES.index("G"))
+    laws = sampling.law([branch.weights for branch in branches])
+    X = sampling.draws(laws[root[split]], [rngs[i] for i in split])
+    _note(transcripts, split, [("interferometer", MA_OUTCOMES[x]) for x in X.tolist()])
+    phases = np.ones(len(root), dtype=complex)
+    phases[split] = np.array([[b.pair_phase, b.probe_phase] for b in branches])[root[split], X]
+    # X = A: the residual G pair fuses to G; X = G: the left two G fuse to
+    # an Abelian A or B, then Abelian x G -> G
+    direct, probed = split[X == MA_OUTCOMES.index("A")], split[X == MA_OUTCOMES.index("G")]
+    _note(transcripts, direct, [("pair-fusion", "G")] * direct.size)
+    ab = sampling.draws(_HALVES, [rngs[i] for i in probed])
+    for i, k in zip(probed.tolist(), ab.tolist()):
+        transcripts[i] += [("left-fusion", "AB"[k]), ("abelian-fusion", "G")]
+    merged = (phases[:, None] * vecs_l)[:, :, None] * vecs_r[:, None]
+    n = len(root)
+    return _outcome(["merged"] * n, transcripts, _normalized(merged), np.ones(n, int), [])
 
 
-def split_qutrit(mat, rng, max_rounds: int = 64) -> ProtocolOutcome:
-    """Split the G root of a merged two-qutrit pair matrix back into two G
-    roots.
+def split_qutrit(mats, rngs, max_rounds: int = 64) -> ProtocolOutcome:
+    """Split the G root of every merged two-qutrit pair matrix of a stack
+    back into two G roots.
 
     Each round applies a shortest-G-ribbon + measurement attempt that
     succeeds (fusion outcome G) with probability 1/2; the exposed internal
@@ -483,29 +477,34 @@ def split_qutrit(mat, rng, max_rounds: int = 64) -> ProtocolOutcome:
     amplitudes come back as the product state of the two halves (left,
     right) in the same pair matrix.
     """
-    mat = _pair_array(mat, _MATRIX)
+    mats = _pair_stack(mats, _MATRIX, rngs)
     p_succ = qutrit_tables().root_fusion[ROOT_OUTCOMES.index("G")]
-    transcript = []
-    for rounds in range(1, max_rounds + 1):
-        outcome = _sample(rng, ["G", "AB"], [p_succ, 1 - p_succ])
-        transcript.append(("split-attempt", outcome))
-        if outcome == "G":
-            internal = _sample(rng, ["A", "B"], [0.5, 0.5])
-            transcript.append(("internal", internal))
-            return ProtocolOutcome(
-                f"split-{internal}", tuple(transcript), _normalized(mat), rounds
-            )
-    return ProtocolOutcome("timeout", tuple(transcript), mat, max_rounds, timed_out=True)
+    attempt, n = sampling.law([p_succ, 1 - p_succ]), len(mats)
+    tags, transcripts = ["timeout"] * n, [[] for _ in range(n)]
+    rounds, live = np.full(n, max_rounds), np.arange(n)
+    for r in range(1, max_rounds + 1):
+        if not live.size:
+            break
+        ok = sampling.draws(attempt, [rngs[i] for i in live]) == 0
+        _note(transcripts, live, [("split-attempt", "G" if s else "AB") for s in ok.tolist()])
+        done = live[ok]
+        for i, k in zip(done.tolist(), sampling.draws(_HALVES, [rngs[i] for i in done]).tolist()):
+            transcripts[i].append(("internal", "AB"[k]))
+            tags[i] = "split-" + "AB"[k]
+        rounds[done], live = r, live[~ok]
+    states, ran = mats.copy(), np.isin(np.arange(n), live, invert=True)
+    states[ran] = _normalized(mats[ran])
+    return _outcome(tags, transcripts, states, rounds, live)
 
 
-def factor_halves(mat):
-    """Factor a product two-qutrit pair matrix into its normalised
-    single-qutrit pair vectors (left, right)."""
-    u, s, vh = np.linalg.svd(_pair_array(mat, _MATRIX))
-    if len(s) > 1 and s[1] > 1e-9:
+def factor_halves(mats):
+    """Factor a stack of product two-qutrit pair matrices into the stacks of
+    their normalised single-qutrit pair vectors (left, right)."""
+    u, s, vh = np.linalg.svd(_pair_stack(mats, _MATRIX))
+    if (s[:, 1] > 1e-9).any():
         raise FusionError("state is entangled across the two qutrits")
-    scale = np.sqrt(s[0])
+    scale = np.sqrt(s[:, :1])
     return tuple(
         _normalized(np.where(np.abs(vec) > PRUNE_TOL, vec * scale, 0))
-        for vec in (u[:, 0], vh[0])
+        for vec in (u[:, :, 0], vh[:, 0])
     )

@@ -418,6 +418,30 @@ class TestPinnedProtocolOutput:
         code, out, _ = run(argv + ["--seed", "3"], capsys)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["measure-ma", "--trials", "750"],
+                "ebb724ab2cfc544dc9b39e241dd346934e44e597251373c48c05f84b7218ff6f",
+            ),
+            (
+                ["measure-mu", "--trials", "50"],
+                "36b89329d0bdaadd1e2f4ef5ddcd9216f7cdfbed40ce42f2d53ea3fe24a35926",
+            ),
+            (
+                ["merge-split", "--trials", "125"],
+                "0db62acae2d38774a3576e98e2a7ae065a3422bc4cda86b2d20ae87693c3dd06",
+            ),
+        ],
+        ids=["measure-ma", "measure-mu", "merge-split"],
+    )
+    def test_fusion_tree_records_at_a_second_seed(self, argv, digest, capsys):
+        # SHA-256 of the stdout printed at --seed 11 while every trial ran
+        # as its own protocol call
+        code, out, _ = run(argv + ["--seed", "11"], capsys)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_merge_split_record(self, capsys):
         code, out, _ = run(["merge-split", "--trials", "125", "--seed", "3"], capsys)
         (rec,) = records(out)
@@ -458,6 +482,18 @@ class TestReproducibility:
         assert code == 0 and not out
         assert "orthonormality" in err and "PASS" in err
         assert records(path.read_text())[0]["pass"]
+
+
+class TestParser:
+    def test_parser_is_built_once(self, capsys):
+        # a usage error between two runs leaves the cached parser as it was
+        cli.build_parser.cache_clear()
+        argv = ["measure-mu", "--trials", "5", "--seed", "2"]
+        first = run(argv, capsys)
+        assert first[0] == 0 and first[1]
+        assert run(["measure-mu", "--trials", "0", "--seed", "2"], capsys)[0] == 2
+        assert run(argv, capsys) == first
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestDependencies:

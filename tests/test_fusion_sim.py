@@ -1,11 +1,13 @@
 """Fusion-tree simulator tests: moves, braids, and the qutrit protocols."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s3double import category
+from s3double import category, sampling
 from s3double import fusion_sim as fsim
 from s3double.category import ALL_PAIRS, U_PAIRS, U_PERP1_PAIRS, U_PERP2_PAIRS, default_category
 
@@ -17,7 +19,8 @@ def random_amps(rng, pairs):
 
 
 def random_qutrit(rng, pairs=ALL_PAIRS):
-    """A random normalised pair vector, the state the protocols take."""
+    """A random normalised pair vector as a batch of one, the stack the
+    protocols take."""
     return fsim.qutrit_vector(random_amps(rng, pairs))
 
 
@@ -27,13 +30,23 @@ def random_tree(rng, pairs=ALL_PAIRS):
 
 
 def amplitudes(arr):
-    """{pairs: amplitude} over the nonzero entries of a pair vector ((x, y)
-    keys) or a merged pair matrix ((x1, y1, x2, y2) keys)."""
+    """{pairs: amplitude} over the nonzero entries of one pair vector ((x, y)
+    keys) or one merged pair matrix ((x1, y1, x2, y2) keys)."""
     return {
         sum((ALL_PAIRS[i] for i in index), ()): v
         for index, v in np.ndenumerate(arr)
         if v
     }
+
+
+def rngs(n, *key):
+    """One generator per trial, seeded by (trial, *key)."""
+    return [np.random.default_rng([i, *key]) for i in range(n)]
+
+
+def batch(arr, n):
+    """n copies of a batch of one."""
+    return np.repeat(arr, n, axis=0)
 
 
 def pair_matrix(amps):
@@ -90,34 +103,34 @@ class TestStates:
 
 
 U_VEC = fsim.qutrit_vector({("A", "G"): 1.0, ("G", "A"): 1.0j})
-MERGED = np.outer(U_VEC, U_VEC)
+MERGED = np.outer(U_VEC, U_VEC)[None]
 
-# protocol: (a call on one pair array, a well-shaped argument, a wrongly
-# shaped one)
+# protocol: (a call on one stack of pair arrays, a well-shaped argument, a
+# wrongly shaped one)
 PROTOCOL_CALLS = {
-    "measure_MA": (lambda a: fsim.measure_MA(a, np.random.default_rng(0)), U_VEC, U_VEC[:8]),
-    "measure_MU": (lambda a: fsim.measure_MU(a, np.random.default_rng(0)), U_VEC, U_VEC[:8]),
-    "merge_left": (
-        lambda a: fsim.merge_qutrits(a, U_VEC, np.random.default_rng(0)), U_VEC, U_VEC[:8]
-    ),
-    "merge_right": (
-        lambda a: fsim.merge_qutrits(U_VEC, a, np.random.default_rng(0)), U_VEC, MERGED
-    ),
-    "split_qutrit": (lambda a: fsim.split_qutrit(a, np.random.default_rng(0)), MERGED, U_VEC),
-    "factor_halves": (fsim.factor_halves, MERGED, U_VEC),
+    "measure_MA": (lambda a: fsim.measure_MA(a, rngs(len(a))), U_VEC, U_VEC[:, :8]),
+    "measure_MU": (lambda a: fsim.measure_MU(a, rngs(len(a))), U_VEC, U_VEC[0]),
+    "merge_left": (lambda a: fsim.merge_qutrits(a, U_VEC, rngs(1)), U_VEC, U_VEC[:, :8]),
+    "merge_right": (lambda a: fsim.merge_qutrits(U_VEC, a, rngs(1)), U_VEC, MERGED),
+    "split_qutrit": (lambda a: fsim.split_qutrit(a, rngs(len(a))), MERGED, U_VEC),
+    "factor_halves": (fsim.factor_halves, MERGED, MERGED[0]),
 }
 
 
 class TestPairArrays:
-    """The protocols take and return pair arrays in ALL_PAIRS order."""
+    """The protocols take and return stacks of pair arrays in ALL_PAIRS order."""
 
     def test_vector_normalises_as_the_tree_does(self):
         # bit for bit: NumPy's complex division would differ in the last bit
-        for seed in range(20):
-            amps = random_amps(np.random.default_rng(seed), ALL_PAIRS)
-            tree = fsim.qutrit_state(amps)
-            want = [tree.amps[pair + ("G",)] for pair in ALL_PAIRS]
-            assert fsim.qutrit_vector(amps).tolist() == want
+        amps = [random_amps(np.random.default_rng(seed), ALL_PAIRS) for seed in range(20)]
+        rows = []
+        for one in amps:
+            tree = fsim.qutrit_state(one)
+            rows.append([tree.amps[pair + ("G",)] for pair in ALL_PAIRS])
+            assert fsim.qutrit_vector(one).tolist() == rows[-1:]
+        # a stack from amplitude columns normalises each row as it would alone
+        columns = {pair: [one[pair] for one in amps] for pair in ALL_PAIRS}
+        assert fsim.qutrit_vector(columns).tolist() == rows
 
     def test_vector_rejects_pair_outside_the_qutrit_space(self):
         with pytest.raises(fsim.FusionError, match="not an internal pair"):
@@ -132,15 +145,21 @@ class TestPairArrays:
         with pytest.raises(fsim.FusionError, match="shape"):
             call(bad)
 
+    def test_one_generator_per_trial(self):
+        with pytest.raises(fsim.FusionError, match="generators"):
+            fsim.measure_MU(batch(U_VEC, 3), rngs(2))
+        with pytest.raises(fsim.FusionError, match="generators"):
+            fsim.merge_qutrits(U_VEC, U_VEC, rngs(2))
+
     def test_outputs_are_normalised_pair_arrays(self):
         before = U_VEC.copy()
-        rng = np.random.default_rng(1)
+        rng = [np.random.default_rng(1)]
         merged = fsim.merge_qutrits(U_VEC, U_VEC, rng)
-        split = fsim.split_qutrit(merged.state, rng)
-        outs = [fsim.measure_MA(U_VEC, rng).state, fsim.measure_MU(U_VEC, rng).state]
-        outs += [merged.state, split.state, *fsim.factor_halves(split.state)]
+        split = fsim.split_qutrit(merged.states, rng)
+        outs = [fsim.measure_MA(U_VEC, rng).states, fsim.measure_MU(U_VEC, rng).states]
+        outs += [merged.states, split.states, *fsim.factor_halves(split.states)]
         for out, shape in zip(outs, [(9,), (9,), (9, 9), (9, 9), (9,), (9,)]):
-            assert out.shape == shape
+            assert out.shape == (1,) + shape
             assert abs(np.linalg.norm(out) - 1) < 1e-12
         # no protocol writes into its input
         assert np.array_equal(U_VEC, before)
@@ -228,55 +247,51 @@ class TestBraid:
 class TestMeasureMA:
     def test_pure_AG_always_A(self):
         st0 = fsim.qutrit_vector({("A", "G"): 1.0})
-        for seed in range(25):
-            out = fsim.measure_MA(st0, np.random.default_rng(seed))
-            assert out.tag == "A"
-            assert abs(abs(np.vdot(st0, out.state)) - 1) < 1e-12
+        out = fsim.measure_MA(batch(st0, 25), rngs(25))
+        assert out.tags == ("A",) * 25
+        for state in out.states:
+            assert abs(abs(np.vdot(st0, state)) - 1) < 1e-12
 
     def test_superposition_statistics(self):
         st0 = fsim.qutrit_vector({("A", "G"): 1.0, ("G", "G"): 1.0})
-        rng = np.random.default_rng(100)
         n = 4000
-        hits = sum(fsim.measure_MA(st0, rng).tag == "A" for _ in range(n))
+        hits = fsim.measure_MA(batch(st0, n), rngs(n, 100)).tags.count("A")
         sigma = np.sqrt(n * 0.25)
         assert abs(hits - n / 2) < 3 * sigma
 
     def test_GG_projects_with_phase(self):
         st0 = fsim.qutrit_vector({("G", "G"): 1.0})
-        for seed in range(25):
-            out = fsim.measure_MA(st0, np.random.default_rng(seed))
-            assert out.tag == "Aprime"
-            ov = np.vdot(st0, out.state)
-            assert abs(abs(ov) - 1) < 1e-9
-            assert not out.timed_out
+        out = fsim.measure_MA(batch(st0, 25), rngs(25))
+        assert out.tags == ("Aprime",) * 25 and not any(out.timeouts)
+        for state in out.states:
+            assert abs(abs(np.vdot(st0, state)) - 1) < 1e-9
 
     def test_aprime_preserves_internal_superposition(self):
         st0 = fsim.qutrit_vector({("G", "G"): 1.0, ("G", "A"): 1.0j})
-        for seed in range(25):
-            out = fsim.measure_MA(st0, np.random.default_rng(seed))
-            assert abs(abs(np.vdot(st0, out.state)) - 1) < 1e-9
+        for state in fsim.measure_MA(batch(st0, 25), rngs(25)).states:
+            assert abs(abs(np.vdot(st0, state)) - 1) < 1e-9
 
     def test_requires_computational_support(self):
-        st0 = fsim.qutrit_vector({("C", "F"): 1.0})
+        # one trial outside the computational subspace refuses the batch
+        st0 = np.concatenate([U_VEC, fsim.qutrit_vector({("C", "F"): 1.0})])
         with pytest.raises(fsim.FusionError):
-            fsim.measure_MA(st0, np.random.default_rng(0))
+            fsim.measure_MA(st0, rngs(2))
 
 
 class TestMeasureMU:
     def test_pure_U_invariant(self):
         rng = np.random.default_rng(0)
         st0 = random_qutrit(rng, U_PAIRS)
-        out = fsim.measure_MU(st0, rng, max_rounds=8)
-        assert out.tag == "U"
-        assert out.transcript == ("A",) * 8
-        assert np.max(np.abs(out.state - st0)) < 1e-12
+        out = fsim.measure_MU(st0, [rng], max_rounds=8)
+        assert out.tags == ("U",)
+        assert out.transcripts == (("A",) * 8,)
+        assert np.max(np.abs(out.states - st0)) < 1e-12
 
     def test_perp_round_statistics(self):
         st0 = fsim.qutrit_vector({("F", "C"): 1.0})
-        rng = np.random.default_rng(5)
         n = 4000
-        first = [fsim.measure_MU(st0, rng, max_rounds=1).transcript[0] for _ in range(n)]
-        hits = first.count("B")
+        out = fsim.measure_MU(batch(st0, n), rngs(n, 5), max_rounds=1)
+        hits = [transcript[0] for transcript in out.transcripts].count("B")
         sigma = np.sqrt(n * 0.75 * 0.25)
         assert abs(hits - 0.75 * n) < 3 * sigma
 
@@ -286,115 +301,181 @@ class TestMeasureMU:
         amps = {("A", "G"): 1.0, ("C", "F"): 1.0, ("H", "F"): 1.0}
         st0 = fsim.qutrit_vector(amps)
         for n in (1, 3, 6):
-            for seed in range(50):
-                out = fsim.measure_MU(st0, np.random.default_rng(seed), max_rounds=n)
-                if out.tag != "U":
-                    continue
-                ratio_u = out.state[ALL_PAIRS.index(("A", "G"))]
-                for key in (("C", "F"), ("H", "F")):
-                    ratio = out.state[ALL_PAIRS.index(key)] / ratio_u
-                    assert abs(ratio - (-0.5) ** n) < 1e-12
-                break
-            else:
+            out = fsim.measure_MU(batch(st0, 50), rngs(50), max_rounds=n)
+            if "U" not in out.tags:
                 pytest.fail(f"no all-A transcript found for n={n}")
+            state = out.states[out.tags.index("U")]
+            ratio_u = state[ALL_PAIRS.index(("A", "G"))]
+            for key in (("C", "F"), ("H", "F")):
+                ratio = state[ALL_PAIRS.index(key)] / ratio_u
+                assert abs(ratio - (-0.5) ** n) < 1e-12
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)
     def test_two_B_restores_perp_projection(self, seed):
         rng = np.random.default_rng(seed)
         st0 = random_qutrit(rng)
-        out = fsim.measure_MU(st0, rng)
-        if out.tag != "Uperp":
+        out = fsim.measure_MU(st0, [rng])
+        if out.tags != ("Uperp",):
             return
-        assert out.transcript.count("B") == 2
+        assert out.transcripts[0].count("B") == 2
         perp = {
             k: v
-            for k, v in amplitudes(st0).items()
+            for k, v in amplitudes(st0[0]).items()
             if k in U_PERP1_PAIRS + U_PERP2_PAIRS
         }
         target = fsim.qutrit_vector(perp)
-        assert abs(abs(np.vdot(target, out.state)) - 1) < 1e-9
+        assert abs(abs(np.vdot(target, out.states)) - 1) < 1e-9
 
 
 class TestMergeSplit:
     def test_merge_direct_G_probability(self):
         u = fsim.qutrit_vector({("A", "G"): 1.0})
-        rng = np.random.default_rng(9)
         n = 4000
-        direct = sum(
-            fsim.merge_qutrits(u, u, rng).transcript[0] == ("root-fusion", "G")
-            for _ in range(n)
-        )
+        out = fsim.merge_qutrits(batch(u, n), batch(u, n), rngs(n, 9))
+        direct = sum(t[0] == ("root-fusion", "G") for t in out.transcripts)
         sigma = np.sqrt(n * 0.25)
         assert abs(direct - n / 2) < 3 * sigma
 
     def test_merge_preserves_logical_content(self):
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            L = random_qutrit(rng, U_PAIRS)
-            R = random_qutrit(rng, U_PAIRS)
-            out = fsim.merge_qutrits(L, R, rng)
-            assert out.tag == "merged"
-            assert out.state.shape == (len(ALL_PAIRS), len(ALL_PAIRS))
-            merged = amplitudes(out.state)
-            for (x1, y1), a in amplitudes(L).items():
-                for (x2, y2), b in amplitudes(R).items():
+        init = np.random.default_rng(10)
+        L = np.concatenate([random_qutrit(init, U_PAIRS) for _ in range(50)])
+        R = np.concatenate([random_qutrit(init, U_PAIRS) for _ in range(50)])
+        out = fsim.merge_qutrits(L, R, rngs(50, 10))
+        assert out.tags == ("merged",) * 50
+        assert out.states.shape == (50, len(ALL_PAIRS), len(ALL_PAIRS))
+        for left, right, state in zip(L, R, out.states):
+            merged = amplitudes(state)
+            for (x1, y1), a in amplitudes(left).items():
+                for (x2, y2), b in amplitudes(right).items():
                     ratio = merged[x1, y1, x2, y2] / (a * b)
                     assert abs(abs(ratio) - 1) < 1e-9
 
     def test_split_success_statistics(self):
-        rng = np.random.default_rng(11)
         u = fsim.qutrit_vector({("A", "G"): 1.0})
-        merged = fsim.merge_qutrits(u, u, rng).state
+        merged = fsim.merge_qutrits(u, u, rngs(1, 11)).states
         n = 4000
-        rounds = [fsim.split_qutrit(merged, rng).rounds for _ in range(n)]
+        rounds = fsim.split_qutrit(batch(merged, n), rngs(n, 11)).trial_rounds
         # success within one round happens with probability 1/2
-        hits = sum(r == 1 for r in rounds)
+        hits = rounds.count(1)
         sigma = np.sqrt(n * 0.25)
         assert abs(hits - n / 2) < 3 * sigma
 
     def test_split_timeout_outcome(self):
-        rng = np.random.default_rng(0)
         u = fsim.qutrit_vector({("A", "G"): 1.0})
-        merged = fsim.merge_qutrits(u, u, rng).state
-        seen = False
-        for seed in range(200):
-            out = fsim.split_qutrit(merged, np.random.default_rng(seed), max_rounds=1)
-            if out.timed_out:
-                assert out.tag == "timeout"
-                seen = True
-                break
-        assert seen
+        merged = fsim.merge_qutrits(u, u, rngs(1)).states
+        out = fsim.split_qutrit(batch(merged, 200), rngs(200), max_rounds=1)
+        assert any(out.timeouts)
+        for tag, timed_out, state in zip(out.tags, out.timeouts, out.states):
+            assert (tag == "timeout") == timed_out
+            # a timed-out trial leaves its input as it came
+            assert not timed_out or np.array_equal(state, merged[0])
 
     def test_round_trip_and_internal_B_harmless(self):
-        rng = np.random.default_rng(12)
-        tags = set()
-        for _ in range(200):
-            L = random_qutrit(rng, U_PAIRS)
-            R = random_qutrit(rng, U_PAIRS)
-            merged = fsim.merge_qutrits(L, R, rng)
-            split = fsim.split_qutrit(merged.state, rng)
-            assert not split.timed_out
-            tags.add(split.tag)
-            l2, r2 = fsim.factor_halves(split.state)
-            assert abs(abs(np.vdot(L, l2)) - 1) < 1e-9
-            assert abs(abs(np.vdot(R, r2)) - 1) < 1e-9
-        assert tags == {"split-A", "split-B"}
+        init = np.random.default_rng(12)
+        L = np.concatenate([random_qutrit(init, U_PAIRS) for _ in range(200)])
+        R = np.concatenate([random_qutrit(init, U_PAIRS) for _ in range(200)])
+        trial = rngs(200, 12)
+        split = fsim.split_qutrit(fsim.merge_qutrits(L, R, trial).states, trial)
+        assert not any(split.timeouts)
+        assert set(split.tags) == {"split-A", "split-B"}
+        for before, after in zip((L, R), fsim.factor_halves(split.states)):
+            for va, vb in zip(before, after):
+                assert abs(abs(np.vdot(va, vb)) - 1) < 1e-9
 
     def test_merge_then_MA_on_each_half(self):
-        rng = np.random.default_rng(13)
         L = fsim.qutrit_vector({("A", "G"): 1.0})
         R = fsim.qutrit_vector({("G", "A"): 1.0})
-        for _ in range(20):
-            merged = fsim.merge_qutrits(L, R, rng)
-            split = fsim.split_qutrit(merged.state, rng)
-            l2, r2 = fsim.factor_halves(split.state)
-            assert fsim.measure_MA(l2, rng).tag == "A"
-            assert fsim.measure_MA(r2, rng).tag == "Aprime"
+        trial = rngs(20, 13)
+        merged = fsim.merge_qutrits(batch(L, 20), batch(R, 20), trial)
+        l2, r2 = fsim.factor_halves(fsim.split_qutrit(merged.states, trial).states)
+        assert fsim.measure_MA(l2, trial).tags == ("A",) * 20
+        assert fsim.measure_MA(r2, trial).tags == ("Aprime",) * 20
+
+
+def batch_inputs(n):
+    """Stacked inputs of n trials, trial i's drawn from its own generator."""
+    init = rngs(n, 3)
+    u, u2, full = (
+        np.concatenate([random_qutrit(rng, pairs) for rng in init])
+        for pairs in (U_PAIRS, U_PAIRS, ALL_PAIRS)
+    )
+    merged = fsim.merge_qutrits(u, u2, rngs(n, 4)).states
+    return {"u": u, "u2": u2, "full": full, "merged": merged}
+
+
+# protocol: its run on stacked inputs, generators and max_rounds
+BATCH_RUNS = {
+    "measure_MA": lambda x, trial, m: fsim.measure_MA(x["u"], trial, m),
+    "measure_MU": lambda x, trial, m: fsim.measure_MU(x["full"], trial, m),
+    "merge_qutrits": lambda x, trial, m: fsim.merge_qutrits(x["u"], x["u2"], trial),
+    "split_qutrit": lambda x, trial, m: fsim.split_qutrit(x["merged"], trial, m),
+    "factor_halves": lambda x, trial, m: fsim.factor_halves(x["merged"]),
+}
+BATCH_CASES = [
+    (name, m)
+    for name in sorted(BATCH_RUNS)
+    for m in ((1, 2, 64) if name in ("measure_MA", "measure_MU", "split_qutrit") else (64,))
+]
+
+
+def per_trial(out):
+    """One comparable record per trial of a batch: tag, transcript, rounds,
+    timeout and the state's bytes (both halves' bytes for factor_halves)."""
+    if isinstance(out, tuple):
+        return [tuple(half.tobytes() for half in halves) for halves in zip(*out)]
+    states = [state.tobytes() for state in out.states]
+    return list(zip(out.tags, out.transcripts, out.trial_rounds, out.timeouts, states))
+
+
+def batch_mismatches(name, max_rounds, n=200):
+    """Trials whose record or final generator state differs between one
+    batch of n and n batches of one."""
+    x, together, alone = batch_inputs(n), rngs(n), rngs(n)
+    run = BATCH_RUNS[name]
+    batched = per_trial(run(x, together, max_rounds))
+    singles = [
+        per_trial(run({k: v[i : i + 1] for k, v in x.items()}, [rng], max_rounds))[0]
+        for i, rng in enumerate(alone)
+    ]
+    return [
+        i
+        for i in range(n)
+        if batched[i] != singles[i]
+        or together[i].bit_generator.state != alone[i].bit_generator.state
+    ]
+
+
+class TestBatchEqualsSingles:
+    """A batch of trials is those trials run one at a time, bit for bit."""
+
+    @pytest.mark.parametrize("name,max_rounds", BATCH_CASES)
+    def test_batch_equals_batches_of_one(self, name, max_rounds):
+        assert batch_mismatches(name, max_rounds) == []
+
+    @pytest.mark.parametrize("name", ["measure_MA", "measure_MU", "merge_qutrits", "split_qutrit"])
+    def test_rotated_generators_are_caught(self, name, monkeypatch):
+        # the mutant: every trial draws its double from the next trial's
+        # generator (a batch of one is left as it was)
+        draws = sampling.draws
+        monkeypatch.setattr(sampling, "draws", lambda cdf, gens: draws(cdf, gens[1:] + gens[:1]))
+        assert batch_mismatches(name, 64, n=20)
+
+    def test_rounds_is_the_batch_total(self):
+        x, m = batch_inputs(50), 64
+        for name in ("measure_MA", "measure_MU", "merge_qutrits", "split_qutrit"):
+            out = BATCH_RUNS[name](x, rngs(50), m)
+            assert all(type(r) is int for r in out.trial_rounds)
+            assert type(out.rounds) is int and out.rounds == sum(out.trial_rounds)
 
 
 # ---------------------------------------------------------------------------
-# Reference: the per-round dict loops the Kraus tables replaced
+# Reference: the per-round dict loops the Kraus tables replaced, one trial
+# per call; the protocols run each as a batch of one
+
+
+# the one-trial record the loops return
+RefOutcome = namedtuple("RefOutcome", "tag transcript state rounds timed_out", defaults=(False,))
 
 
 def _ref_sample(rng, labels, weights):
@@ -415,7 +496,7 @@ def ref_measure_MA(state, rng, max_rounds=64):
     transcript.append(("interfere", w))
     if w == "A":
         post = {k: v * i_aa for k, v in amps.items() if k[0] == "A"}
-        return fsim.ProtocolOutcome("A", tuple(transcript), fsim.qutrit_vector(post), 1)
+        return RefOutcome("A", tuple(transcript), fsim.qutrit_vector(post), 1)
     amps = {k: v * i_gg for k, v in amps.items() if k[0] == "G"}
     e_parity = 0
     rounds = 1
@@ -432,13 +513,13 @@ def ref_measure_MA(state, rng, max_rounds=64):
             }
             e_parity ^= 1
         if e_parity == 0:
-            return fsim.ProtocolOutcome(
+            return RefOutcome(
                 "Aprime", tuple(transcript), fsim.qutrit_vector(amps), rounds
             )
         amps = {k: v * i_gg for k, v in amps.items()}
         transcript.append(("interfere", "G"))
         rounds += 1
-    return fsim.ProtocolOutcome(
+    return RefOutcome(
         "Aprime", tuple(transcript), fsim.qutrit_vector(amps), rounds, timed_out=True
     )
 
@@ -461,14 +542,14 @@ def ref_measure_MU(state, rng, max_rounds=64):
         if w == "B":
             b_count += 1
             if b_count == 2:
-                return fsim.ProtocolOutcome(
+                return RefOutcome(
                     "Uperp", tuple(transcript), fsim.qutrit_vector(amps), rounds
                 )
         if b_count == 0 and rounds == max_rounds:
-            return fsim.ProtocolOutcome(
+            return RefOutcome(
                 "U", tuple(transcript), fsim.qutrit_vector(amps), rounds
             )
-    return fsim.ProtocolOutcome(
+    return RefOutcome(
         "Uperp", tuple(transcript), fsim.qutrit_vector(amps), max_rounds, timed_out=True
     )
 
@@ -518,7 +599,7 @@ def ref_merge_qutrits(stateL, stateR, rng):
         for (x1, y1) in ampsL
         for (x2, y2) in ampsR
     }
-    return fsim.ProtocolOutcome(
+    return RefOutcome(
         "merged", tuple(transcript), pair_matrix(merged), 1
     )
 
@@ -533,18 +614,21 @@ def ref_split_qutrit(state, rng, max_rounds=64):
         if outcome == "G":
             internal = _ref_sample(rng, ["A", "B"], [0.5, 0.5])
             transcript.append(("internal", internal))
-            return fsim.ProtocolOutcome(
+            return RefOutcome(
                 f"split-{internal}", tuple(transcript), pair_matrix(amps), rounds
             )
-    return fsim.ProtocolOutcome("timeout", tuple(transcript), state, max_rounds, timed_out=True)
+    return RefOutcome("timeout", tuple(transcript), state, max_rounds, timed_out=True)
 
 
 def assert_same_outcome(out, ref, rng, ref_rng):
-    assert (out.tag, out.transcript, out.rounds, out.timed_out) == (
-        ref.tag, ref.transcript, ref.rounds, ref.timed_out
+    """A batch of one against the one-trial record of a reference loop."""
+    assert (out.tags, out.transcripts, out.trial_rounds, out.timeouts) == (
+        (ref.tag,), (ref.transcript,), (ref.rounds,), (ref.timed_out,)
     )
-    assert out.state.shape == ref.state.shape
-    assert np.max(np.abs(out.state - ref.state)) < 1e-12
+    # the loops' vectors come from qutrit_vector, a batch of one already
+    ref_states = ref.state if ref.state.ndim == out.states.ndim else ref.state[None]
+    assert out.states.shape == ref_states.shape
+    assert np.max(np.abs(out.states - ref_states)) < 1e-12
     # the same draws in the same order
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -557,8 +641,8 @@ class TestReferenceLoops:
         for seed in range(200):
             st0 = random_qutrit(np.random.default_rng([seed, 0]), U_PAIRS)
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            out = fsim.measure_MA(st0, rng, max_rounds)
-            ref = ref_measure_MA(st0, ref_rng, max_rounds)
+            out = fsim.measure_MA(st0, [rng], max_rounds)
+            ref = ref_measure_MA(st0[0], ref_rng, max_rounds)
             assert_same_outcome(out, ref, rng, ref_rng)
 
     @pytest.mark.parametrize("max_rounds", [1, 8, 64])
@@ -566,8 +650,8 @@ class TestReferenceLoops:
         for seed in range(200):
             st0 = random_qutrit(np.random.default_rng([seed, 1]))
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            out = fsim.measure_MU(st0, rng, max_rounds)
-            ref = ref_measure_MU(st0, ref_rng, max_rounds)
+            out = fsim.measure_MU(st0, [rng], max_rounds)
+            ref = ref_measure_MU(st0[0], ref_rng, max_rounds)
             assert_same_outcome(out, ref, rng, ref_rng)
 
     def test_merge_and_split(self):
@@ -575,11 +659,11 @@ class TestReferenceLoops:
             init = np.random.default_rng([seed, 2])
             L, R = random_qutrit(init, U_PAIRS), random_qutrit(init, U_PAIRS)
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            merged = fsim.merge_qutrits(L, R, rng)
-            assert_same_outcome(merged, ref_merge_qutrits(L, R, ref_rng), rng, ref_rng)
+            merged = fsim.merge_qutrits(L, R, [rng])
+            assert_same_outcome(merged, ref_merge_qutrits(L[0], R[0], ref_rng), rng, ref_rng)
             max_rounds = (1, 2, 64)[seed % 3]
-            out = fsim.split_qutrit(merged.state, rng, max_rounds)
-            ref = ref_split_qutrit(merged.state, ref_rng, max_rounds)
+            out = fsim.split_qutrit(merged.states, [rng], max_rounds)
+            ref = ref_split_qutrit(merged.states[0], ref_rng, max_rounds)
             assert_same_outcome(out, ref, rng, ref_rng)
 
     def test_tables_are_built_once(self, monkeypatch):
@@ -594,7 +678,7 @@ class TestReferenceLoops:
         try:
             rng = np.random.default_rng(3)
             for _ in range(20):
-                fsim.measure_MU(random_qutrit(rng), rng)
+                fsim.measure_MU(random_qutrit(rng), [rng])
         finally:
             category.qutrit_tables.cache_clear()
         assert len(calls) == len(fsim.ALL_PAIRS) * len(category.MU_OUTCOMES)
@@ -603,9 +687,9 @@ class TestReferenceLoops:
 class TestSerialization:
     def test_record_is_deterministic(self):
         u = fsim.qutrit_vector({("A", "G"): 1.0, ("G", "G"): 1.0})
-        a = fsim.measure_MA(u, np.random.default_rng(4))
-        b = fsim.measure_MA(u, np.random.default_rng(4))
-        assert (a.tag, a.transcript, a.rounds, a.timed_out) == (
-            b.tag, b.transcript, b.rounds, b.timed_out
+        a = fsim.measure_MA(u, [np.random.default_rng(4)])
+        b = fsim.measure_MA(u, [np.random.default_rng(4)])
+        assert (a.tags, a.transcripts, a.trial_rounds, a.timeouts) == (
+            b.tags, b.transcripts, b.trial_rounds, b.timeouts
         )
-        assert np.array_equal(a.state, b.state)
+        assert np.array_equal(a.states, b.states)

@@ -67,3 +67,47 @@ class TestDraw:
         # Generator.choice raised on the NaN p of an all-zero law too
         with pytest.raises(ValueError):
             sampling.law([0.0, 0.0])
+
+
+class TestStackedLaws:
+    def test_rows_equal_single_laws(self):
+        # bit for bit, for every row length up to the 64 of a wide law
+        gen = np.random.default_rng(17)
+        for k in range(2, 65):
+            w = gen.random((50, k))
+            w[gen.random((50, k)) < 0.3] = 0.0
+            w[:, 0] += w.sum(axis=1) == 0
+            stack = sampling.law(w)
+            for row, cdf in zip(w, stack):
+                assert cdf.tobytes() == sampling.law(row).tobytes()
+
+    def test_a_zero_row_refuses_the_stack(self):
+        with pytest.raises(ValueError):
+            sampling.law([[0.2, 0.8], [0.0, 0.0]])
+
+    def test_draws_match_searchsorted_on_cdf_values(self):
+        # a double placed exactly on a cdf value, or on either side of it,
+        # draws the index searchsorted(side="right") finds in that row
+        gen = np.random.default_rng(19)
+        w = gen.random((200, 7))
+        w[gen.random((200, 7)) < 0.3] = 0.0
+        w[:, 0] += w.sum(axis=1) == 0
+        stack = sampling.law(w)
+        for shift in (-1, 0, 1):
+            picks = zip(stack, gen.integers(0, 7, 200))
+            u = [np.nextafter(cdf[j], cdf[j] + shift) for cdf, j in picks]
+            got = sampling.draws(stack, [_Double(x) for x in u])
+            want = [cdf.searchsorted(x, side="right") for cdf, x in zip(stack, u)]
+            assert got.tolist() == want
+
+    def test_each_row_takes_one_double_of_its_own_generator(self):
+        # the same index and the same generator state as `draw` row by row,
+        # for a stack of laws and for one law shared by every row
+        w = np.random.default_rng(23).random((100, 5))
+        for cdf in (sampling.law(w), sampling.law(w[0])):
+            gens = [np.random.default_rng([1, i]) for i in range(100)]
+            refs = [np.random.default_rng([1, i]) for i in range(100)]
+            got = sampling.draws(cdf, gens)
+            rows = cdf if cdf.ndim == 2 else [cdf] * 100
+            assert got.tolist() == [sampling.draw(row, ref) for row, ref in zip(rows, refs)]
+            assert [g.bit_generator.state for g in gens] == [r.bit_generator.state for r in refs]
