@@ -301,8 +301,6 @@ def _cmd_qec_cycle(args, emit):
     reports, _ = qec.qec_cycle(target, noise, args.rounds, rng)
     for rec in reports:
         rec = dict(rec)
-        rec["syndrome"] = [[list(site), letter] for site, letter in rec["syndrome"]]
-        rec["actions"] = [[list(a), list(b), ok] for a, b, ok in rec["actions"]]
         rec["check"] = "qec-round"
         # the greedy decoder pairs each syndrome site at most once
         emit(rec, len(rec["actions"]) <= len(rec["syndrome"]) // 2)
@@ -314,7 +312,6 @@ def _cmd_concat_cc(args, emit):
             args.blocks, args.error_site, args.error_kind, args.after_block
         )
         report = dict(report)
-        report["errors"] = [list(e) for e in report["errors"]]
         ok = report.pop("ok")
         report["check"] = "fault-tolerant-logical-conjugation"
         emit(report, ok)

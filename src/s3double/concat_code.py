@@ -16,7 +16,9 @@ monomials (conjugation and single-qutrit Paulis), so its support is one
 coset x + rowspan(H_X): 9 of the 3^9 basis states for the [[9, 1, 3]]
 code.  Registers are held as that support (`SupportVector`, a `digits`
 vector), and each operator and stabilizer expectation acts on its digit
-rows.
+rows.  The Shor side is rows too (`ConcatState`): one block-bit row per
+branch, pointing into a pool of distinct registers, so a layer picks its
+branches by a row mask and transforms each distinct register once.
 """
 
 from __future__ import annotations
@@ -194,45 +196,17 @@ class QuditCSSCode:
         return MappingProxyType(table)
 
 
-def shor_code(n: int) -> QuditCSSCode:
-    """[[n^2, 1, n]] qubit Shor code: X checks join adjacent n-blocks,
-    Z checks join adjacent qubits within each block."""
-    if n < 2:
-        raise CodeError("block size must be at least 2")
-    nn = n * n
-    hx = np.zeros((n - 1, nn), dtype=np.int64)
-    for i in range(n - 1):
-        hx[i, i * n : (i + 2) * n] = 1
-    hz = np.zeros((n * (n - 1), nn), dtype=np.int64)
-    r = 0
-    for b in range(n):
-        for j in range(n - 1):
-            hz[r, b * n + j] = 1
-            hz[r, b * n + j + 1] = 1
-            r += 1
-    return QuditCSSCode(2, nn, hx, hz)
-
-
-def qutrit_repetition_code() -> QuditCSSCode:
-    """[[3, 1, 1]] qutrit phase-repetition code (Z checks only)."""
-    return QuditCSSCode(3, 3, np.zeros((0, 3), dtype=np.int64), [[1, 2, 0], [0, 1, 2]])
-
-
-def qutrit_shor_code() -> QuditCSSCode:
-    """[[9, 1, 3]] qutrit analogue of the Shor code: Z checks are the
-    difference pairs (1,-1,0), (0,1,-1) per 3-block; X checks are two rows
-    of six 1's joining adjacent blocks."""
-    hz = np.zeros((6, 9), dtype=np.int64)
-    r = 0
-    for b in range(3):
-        for j in range(2):
-            hz[r, 3 * b + j] = 1
-            hz[r, 3 * b + j + 1] = 2
-            r += 1
-    hx = np.zeros((2, 9), dtype=np.int64)
-    hx[0, 0:6] = 1
-    hx[1, 3:9] = 1
-    return QuditCSSCode(3, 9, hx, hz)
+def shor_code(p: int, blocks: int, size: int) -> QuditCSSCode:
+    """Shor-type CSS code over F_p on `blocks` blocks of `size` qudits: Z checks
+    join adjacent qudits of each block as (1, p-1), X checks join adjacent
+    blocks with rows of 2*size ones.  (2, n, n) is the [[n^2, 1, n]] qubit
+    Shor code, (3, 1, 3) the [[3, 1, 1]] qutrit phase-repetition code and
+    (3, 3, 3) the [[9, 1, 3]] qutrit Shor code."""
+    n = blocks * size
+    eye = np.eye(n, dtype=np.int64)
+    hz = [eye[q] + (p - 1) * eye[q + 1] for q in range(n - 1) if (q + 1) % size]
+    hx = [eye[i * size : (i + 2) * size].sum(axis=0) for i in range(blocks - 1)]
+    return QuditCSSCode(p, n, hx, hz)
 
 
 # ---------------------------------------------------------------------------
@@ -345,84 +319,91 @@ def correction_table(code: QuditCSSCode):
 
 @dataclass
 class ConcatState:
-    """Joint state of an [[n^2,1,n]] Shor qubit code (compressed to one
-    binary symbol per uniform n-block) and an n-qutrit register of
-    `default_qutrit_code(n)`, held on its codeword support."""
+    """Joint state of an [[n^2,1,n]] Shor qubit code, compressed to one bit
+    per uniform n-block, and an n-qutrit register of `default_qutrit_code(n)`
+    held on its codeword support.  Branch i is the block pattern `bits[i]`
+    (read-only int8, one column per block) with amplitude `amps[i]` and
+    register `pool[vids[i]]`."""
 
-    n: int
-    branches: dict  # block bit-string tuple -> (amplitude, pool index)
+    bits: np.ndarray
+    amps: np.ndarray
+    vids: np.ndarray  # pool index per branch
     pool: list = field(default_factory=list)  # unit-norm SupportVectors
-    memo: dict = field(default_factory=dict)  # (pool index, op token) -> pool index
+    memo: dict = field(default_factory=dict)  # (pool index, op key) -> pool index
+
+    def __post_init__(self):
+        _read_only(self.bits)
+        _read_only(self.amps)
 
     def copy(self):
-        return ConcatState(self.n, dict(self.branches), list(self.pool), dict(self.memo))
+        return ConcatState(self.bits, self.amps, self.vids.copy(), list(self.pool), dict(self.memo))
 
 
 def concat_state(n: int, alpha: int, beta: int) -> ConcatState:
     """|alpha>_L |beta>_L in the block basis: the Shor codewords are exactly
-    the uniform-block strings whose block pattern has parity alpha."""
-    amp = 1.0 / np.sqrt(2 ** (n - 1))
+    the uniform-block strings whose block pattern has parity alpha, in
+    itertools.product order (concat_inner sums in this order)."""
+    rows = dg.basis_rows((2,) * n)[:, ::-1]
+    bits = rows[rows.sum(axis=1) % 2 == alpha % 2]
     vec = _codeword_support(default_qutrit_code(n), beta % 3)
-    branches = {
-        bits: (amp, 0)
-        for bits in itertools.product((0, 1), repeat=n)
-        if sum(bits) % 2 == alpha % 2
-    }
-    return ConcatState(n, branches, [vec])
+    amps = np.full(len(bits), 1.0 / np.sqrt(2 ** (n - 1)))
+    return ConcatState(bits, amps, np.zeros(len(bits), dtype=np.intp), [vec])
 
 
 def combine(s1: ConcatState, s2: ConcatState, c1, c2) -> ConcatState:
     """c1*s1 + c2*s2 for states with disjoint block patterns."""
-    if set(s1.branches) & set(s2.branches):
+    if np.any(dg.find(s1.bits, (2,) * s1.bits.shape[1], s2.bits) >= 0):
         raise CodeError("block patterns overlap")
-    pool = list(s1.pool)
-    offset = len(pool)
-    pool.extend(s2.pool)
-    branches = {b: (c1 * a, i) for b, (a, i) in s1.branches.items()}
-    branches.update({b: (c2 * a, i + offset) for b, (a, i) in s2.branches.items()})
-    return ConcatState(s1.n, branches, pool)
+    return ConcatState(
+        np.vstack([s1.bits, s2.bits]),
+        np.concatenate([c1 * s1.amps, c2 * s2.amps]),
+        np.concatenate([s1.vids, s2.vids + len(s1.pool)]),
+        s1.pool + s2.pool,
+    )
 
 
 def concat_inner(s1: ConcatState, s2: ConcatState) -> complex:
     total = 0.0
     overlaps = {}  # (pool index, pool index) -> register overlap
-    for bits, (a1, i1) in s1.branches.items():
-        if bits in s2.branches:
-            a2, i2 = s2.branches[bits]
-            if (i1, i2) not in overlaps:
-                v1, v2 = s1.pool[i1], s2.pool[i2]
-                overlaps[(i1, i2)] = dg.overlap(v1.digits, v1.amps, v2.digits, v2.amps, v1.radices)
-            total += np.conj(a1) * a2 * overlaps[(i1, i2)]
+    match = dg.find(s2.bits, (2,) * s2.bits.shape[1], s1.bits)
+    for a1, i1, j in zip(s1.amps, s1.vids.tolist(), match.tolist()):
+        if j < 0:
+            continue
+        i2 = int(s2.vids[j])
+        if (i1, i2) not in overlaps:
+            v1, v2 = s1.pool[i1], s2.pool[i2]
+            overlaps[(i1, i2)] = dg.overlap(v1.digits, v1.amps, v2.digits, v2.amps, v1.radices)
+        # a running sum in s1's row order: printed deviations read its last bits
+        total += np.conj(a1) * s2.amps[j] * overlaps[(i1, i2)]
     return complex(total)
 
 
-def _transform_pool(state, selector, token, op):
-    """Apply `op` (vector -> vector) to the branches chosen by `selector`,
-    sharing transformed vectors across branches and across layers."""
-    for bits, (amp, vid) in state.branches.items():
-        if not selector(bits):
-            continue
-        if (vid, token) not in state.memo:
+def _transform_pool(state, rows, key, op):
+    """Apply `op` (vector -> vector) to the branches of the boolean mask
+    `rows`, sharing transformed vectors across branches and across layers;
+    new vectors join the pool in first-seen branch order."""
+    chosen = state.vids[rows].tolist()
+    for vid in dict.fromkeys(chosen):
+        if (vid, key) not in state.memo:
             state.pool.append(op(state.pool[vid]))
-            state.memo[(vid, token)] = len(state.pool) - 1
-        state.branches[bits] = (amp, state.memo[(vid, token)])
+            state.memo[(vid, key)] = len(state.pool) - 1
+    state.vids[rows] = [state.memo[(vid, key)] for vid in chosen]
 
 
 def apply_qutrit_pauli(state: ConcatState, site: int, a: int, b: int):
     """Physical Xh^a Zh^b error on one qutrit (acts on every branch)."""
-    _transform_pool(
-        state, lambda bits: True, f"pauli{site},{a},{b}", lambda v: _pauli(v, site, a, b)
-    )
+    everywhere = np.ones(len(state.vids), dtype=bool)
+    _transform_pool(state, everywhere, ("pauli", site, a, b), lambda v: _pauli(v, site, a, b))
 
 
 def error_correct(state: ConcatState):
     """Qutrit recovery: read the stabilizer syndrome of each distinct
     register vector and undo the unique weight<=1 error it identifies."""
-    code = default_qutrit_code(state.n)
+    code = default_qutrit_code(state.bits.shape[1])
     table = correction_table(code)
     report = []
     corrections = {}
-    for vid in sorted({vid for _, vid in state.branches.values()}):
+    for vid in sorted(set(state.vids.tolist())):
         syn = _syndrome(code, state.pool[vid])
         if syn not in table:
             report.append({"syndrome": syn, "correction": None})
@@ -436,8 +417,8 @@ def error_correct(state: ConcatState):
         # the phase on the digit before the shift back
         _transform_pool(
             state,
-            lambda bits, v=vid: state.branches[bits][1] == v,
-            f"fix{site},{a},{b}",
+            state.vids == vid,
+            ("fix", site, a, b),
             lambda vec: _monomial(vec, site, -a, -b * vec.digits[:, site] % 3),
         )
     return report
@@ -447,8 +428,8 @@ def error_correct(state: ConcatState):
 # Logical controlled conjugation
 
 
-# length -> builder of the reference qutrit code of that length
-QUTRIT_CODES = MappingProxyType({3: qutrit_repetition_code, 9: qutrit_shor_code})
+# length -> (blocks, size) of the reference qutrit Shor-type code of that length
+QUTRIT_CODES = MappingProxyType({3: (1, 3), 9: (3, 3)})
 
 
 @functools.cache
@@ -457,7 +438,7 @@ def default_qutrit_code(n: int) -> QuditCSSCode:
     cached tables are built once per process."""
     if n not in QUTRIT_CODES:
         raise CodeError(f"no reference qutrit code of length {n}")
-    return QUTRIT_CODES[n]()
+    return shor_code(3, *QUTRIT_CODES[n])
 
 
 def _check_errors(n, errors):
@@ -494,7 +475,7 @@ def apply_schedule(n: int, state: ConcatState, errors=()):
             rec = error_correct(state)
             report["recoveries"].append(rec)
             report["uncorrectable"] += sum(1 for r in rec if r["correction"] is None)
-        _transform_pool(state, lambda bits: bits[block] == 1, "conj", _conjugated)
+        _transform_pool(state, state.bits[:, block] == 1, ("conj",), _conjugated)
         for after, site, a, b in errors:
             if after == block:
                 apply_qutrit_pauli(state, site, a, b)
@@ -569,29 +550,21 @@ def schur_obstruction_check(code: QuditCSSCode, a=None):
         raise CodeError("obstruction scan enumerated for n <= 9 only")
     basis = kernel_basis(code.H_Z, code.p)
 
-    def in_space(vec):
-        # the support space is exactly ker(H_Z)
-        return not np.any(code.H_Z @ np.array(vec) % code.p) if code.H_Z.size else True
-
-    def preserved(vec):
-        return all(in_space(tuple(np.array(vec) * h % code.p)) for h in basis)
-
     def witness(vec):
+        # the support space is exactly ker(H_Z); None when `vec` preserves it
         for h in basis:
             w = tuple(np.array(vec) * h % code.p)
-            if not in_space(w):
+            if np.any(code.H_Z @ np.array(w) % code.p):
                 return {"a": tuple(int(d) for d in vec), "h": tuple(int(d) for d in h), "wedge": w}
         return None
 
     if a is not None:
         a = tuple(int(d) % code.p for d in a)
-        return {"a": a, "preserved": preserved(a), "witness": witness(a)}
-    preserving, first_witness = [], None
-    for vec in itertools.product(range(code.p), repeat=code.n):
-        if preserved(vec):
-            preserving.append(vec)
-        elif first_witness is None:
-            first_witness = witness(vec)
+        found = witness(a)
+        return {"a": a, "preserved": found is None, "witness": found}
+    witnesses = {vec: witness(vec) for vec in itertools.product(range(code.p), repeat=code.n)}
+    preserving = [vec for vec, w in witnesses.items() if w is None]
+    first_witness = next((w for w in witnesses.values() if w is not None), None)
     scalars = {tuple([c] * code.n) for c in range(code.p)}
     return {
         "preserving": tuple(preserving),

@@ -381,11 +381,26 @@ class TestPinnedProtocolOutput:
                 ["concat-cc", "--blocks", "9", "--error-site", "4"],
                 "6bb31a94770da967e855401f1bfb40bfdbc6bde976c60d7417138c345a09c01a",
             ),
+            # the next three print deviations that depend on the order in
+            # which concat_inner sums the branches
+            (
+                ["concat-cc", "--blocks", "3"],
+                "b1e0e536ba5e56956a9da49a2943ca4c679177d2d66ac4a3a1bc817fe13193a9",
+            ),
+            (
+                ["concat-cc", "--blocks", "9", "--error-site", "2", "--error-kind", "Zh"],
+                "7c698d370ed91fab6efc346e0200a74ec5a0efa992feb5a69abb0122f110d726",
+            ),
+            (
+                ["concat-cc", "--blocks", "9", "--error-site", "5", "--error-kind", "XhZh",
+                 "--after-block", "6"],
+                "25c4bb940d1d27c01a89953b00294a4afacc244785ade8c5fe91cd8e387cbf40",
+            ),
         ],
         ids=[
             "ground-state", "move-stats-C", "move-stats-D", "ribbon-demo-D",
             "qec-microscopic-3x1", "qec-microscopic-2x2", "circuit-equivalence",
-            "orthonormality", "concat-cc",
+            "orthonormality", "concat-cc", "concat-cc-3", "concat-cc-Zh", "concat-cc-XhZh-6",
         ],
     )
     def test_lattice_circuit_and_code_records_are_byte_identical(self, argv, digest, capsys):

@@ -85,15 +85,15 @@ class TestLinearAlgebra:
 
 class TestCodes:
     def test_shor_code_parameters(self):
-        code = cc.shor_code(3)
+        code = cc.shor_code(2, 3, 3)
         assert (code.p, code.n, code.k, code.distance) == (2, 9, 1, 3)
 
     def test_qutrit_shor_parameters(self):
-        code = cc.qutrit_shor_code()
+        code = cc.shor_code(3, 3, 3)
         assert (code.p, code.n, code.k, code.distance) == (3, 9, 1, 3)
 
     def test_coset_tables_are_cached_and_read_only(self):
-        code = cc.qutrit_shor_code()
+        code = cc.shor_code(3, 3, 3)
         x, span = code.logical_x, code.x_span
         assert code.logical_x is x and code.x_span is span
         assert x.shape == (9,) and span.shape == (9, 9)
@@ -107,8 +107,38 @@ class TestCodes:
             span[0, 0] = 1
 
     def test_repetition_distance_one(self):
-        code = cc.qutrit_repetition_code()
+        code = cc.shor_code(3, 1, 3)
         assert (code.k, code.distance) == (1, 1)
+
+    def test_builder_matches_explicit_check_rows(self):
+        # the rows the hand-written qubit Shor, qutrit repetition and
+        # [[9, 1, 3]] qutrit builders wrote out
+        blocks = [
+            [1, 1, 1, 1, 1, 1, 0, 0, 0],
+            [0, 0, 0, 1, 1, 1, 1, 1, 1],
+        ]
+        pairs = [
+            [1, 1, 0, 0, 0, 0, 0, 0, 0],
+            [0, 1, 1, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 1, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 1, 1, 0],
+            [0, 0, 0, 0, 0, 0, 0, 1, 1],
+        ]
+        qubit = cc.shor_code(2, 3, 3)
+        assert qubit.H_X.tolist() == blocks and qubit.H_Z.tolist() == pairs
+        rep = cc.shor_code(3, 1, 3)
+        assert rep.H_X.shape == (0, 3) and rep.H_Z.tolist() == [[1, 2, 0], [0, 1, 2]]
+        nine = cc.shor_code(3, 3, 3)
+        assert nine.H_X.tolist() == blocks
+        assert nine.H_Z.tolist() == [
+            [1, 2, 0, 0, 0, 0, 0, 0, 0],
+            [0, 1, 2, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 1, 2, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1, 2, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 1, 2, 0],
+            [0, 0, 0, 0, 0, 0, 0, 1, 2],
+        ]
 
     def test_css_orthogonality_enforced(self):
         with pytest.raises(cc.CodeError):
@@ -126,7 +156,7 @@ class TestCodes:
 
 class TestCodewords:
     def test_shor_logical_states(self):
-        code = cc.shor_code(3)
+        code = cc.shor_code(2, 3, 3)
         blocks = lambda t: int("".join(str(b) * 3 for b in t), 2)
         for logical, patterns in (
             (0, [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]),
@@ -138,7 +168,7 @@ class TestCodewords:
             assert np.allclose(vec[sorted(support)], 0.5)
 
     def test_repetition_codewords(self):
-        code = cc.qutrit_repetition_code()
+        code = cc.shor_code(3, 1, 3)
         for beta in range(3):
             vec = cc.codewords(code, beta)
             idx = beta * 9 + beta * 3 + beta
@@ -151,7 +181,7 @@ class TestCodewords:
         assert np.allclose(cc.codewords(code, 2), [0, 0, 1])
 
     def test_codewords_are_stabilizer_eigenstates(self):
-        for code in (cc.shor_code(3), cc.qutrit_shor_code()):
+        for code in (cc.shor_code(2, 3, 3), cc.shor_code(3, 3, 3)):
             for logical in range(code.p):
                 vec = cc._codeword_support(code, logical)
                 for val in cc.stabilizer_expectations(code, vec):
@@ -159,12 +189,12 @@ class TestCodewords:
 
     def test_invalid_logical_value(self):
         with pytest.raises(cc.CodeError):
-            cc.codewords(cc.shor_code(3), (0, 1))
+            cc.codewords(cc.shor_code(2, 3, 3), (0, 1))
 
 
 class TestCorrectionTable:
     def test_all_single_errors_resolved(self):
-        code = cc.qutrit_shor_code()
+        code = cc.shor_code(3, 3, 3)
         table = cc.correction_table(code)
         base = cc.codewords(code, 0)
         for site in range(9):
@@ -176,7 +206,7 @@ class TestCorrectionTable:
                     assert cc._equivalent_errors(code, table[syn], (site, a, b))
 
     def test_zero_syndrome_is_identity(self):
-        code = cc.qutrit_shor_code()
+        code = cc.shor_code(3, 3, 3)
         table = cc.correction_table(code)
         zero = tuple([0] * 8)
         assert table[zero] == (0, 0, 0)
@@ -212,7 +242,7 @@ class TestSupportRegister:
         return states
 
     def test_support_syndromes_match_dense_reference(self):
-        code = cc.qutrit_shor_code()
+        code = cc.shor_code(3, 3, 3)
         states = self._states(code)
         assert len(states) == 147
         for vec, ref in states:
@@ -227,7 +257,7 @@ class TestSupportRegister:
         # the recovery multiplies by OMEGA**(-b*d) on the pre-shift digit d,
         # then shifts back by a; numpy's vectorised complex product rounds a
         # 3^9 array differently from a 9-term one, hence the 1e-15
-        code = cc.qutrit_shor_code()
+        code = cc.shor_code(3, 3, 3)
         digits, weights = _dense_tables(9)
         cw = cc.codewords(code, 1)
         for site in range(9):
@@ -243,19 +273,19 @@ class TestSupportRegister:
                 shifted[:, fs] = (shifted[:, fs] - fa) % 3
                 phase = OMEGA ** (-fb * digits[:, fs] % 3)
                 want = _dense_permute(erred, shifted @ weights, phase)
-                (vid,) = {v for _, v in state.branches.values()}
+                (vid,) = set(state.vids.tolist())
                 assert np.allclose(state.pool[vid].dense(), want, rtol=0, atol=1e-15)
                 assert abs(np.vdot(cw, want)) == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_off_the_support_is_zero(self):
-        code = cc.qutrit_shor_code()
+        code = cc.shor_code(3, 3, 3)
         basis = cc.SupportVector(3, np.zeros((1, 9), dtype=np.int64), np.ones(1, dtype=complex))
         got = cc.stabilizer_expectations(code, basis)
         assert np.array_equal(got, _dense_expectations(code, basis.dense()))
         assert list(got) == [1] * 6 + [0] * 2
 
     def test_mixed_syndromes_rejected(self):
-        code = cc.qutrit_shor_code()
+        code = cc.shor_code(3, 3, 3)
         cw = cc._codeword_support(code, 0)
         moved = cc._pauli(cw, 0, 1, 0)
         assert cc._syndrome(code, cw) != cc._syndrome(code, moved)
@@ -294,7 +324,7 @@ class TestLogicalCC:
     def test_n3_matches_dense_transversal(self):
         # the block-compressed simulation agrees with a dense 9-qubit x
         # 3-qutrit application of the per-block transversal layers
-        shor3, rep = cc.shor_code(3), cc.qutrit_repetition_code()
+        shor3, rep = cc.shor_code(2, 3, 3), cc.shor_code(3, 1, 3)
         digits, weights = _dense_tables(3)
         bits = dg.basis_rows((2,) * 9)[:, ::-1]  # qubit 0 most significant
         for alpha in range(2):
@@ -321,13 +351,21 @@ class TestLogicalCC:
         assert report["uncorrectable"] == 0
 
     def test_no_qubit_code_is_built(self, monkeypatch):
-        # the Shor side is one bit per uniform block, never an 81-qubit code
-        def refuse(n):
-            raise AssertionError("the gadget built a qubit code")
+        # the Shor side is one bit per uniform block, never an 81-qubit code;
+        # the one builder still makes the qutrit code
+        build, built = cc.shor_code, []
 
-        monkeypatch.setattr(cc, "shor_code", refuse)
+        def qutrit_only(p, blocks, size):
+            if p == 2:
+                raise AssertionError("the gadget built a qubit code")
+            built.append((p, blocks, size))
+            return build(p, blocks, size)
+
+        monkeypatch.setattr(cc, "shor_code", qutrit_only)
+        cc.default_qutrit_code.cache_clear()
         dev, report = cc.verify_logical_action(9)
         assert dev < 1e-12 and report["uncorrectable"] == 0
+        assert built == [(3, 3, 3)]
 
     def test_superposition_coherence(self):
         # verify_logical_action includes a two-branch superposition, so a
@@ -479,16 +517,16 @@ class TestFaultTolerance:
 
 class TestObstruction:
     def test_identity_vector_preserved(self):
-        res = cc.schur_obstruction_check(cc.qutrit_repetition_code(), a=(1, 1, 1))
+        res = cc.schur_obstruction_check(cc.shor_code(3, 1, 3), a=(1, 1, 1))
         assert res["preserved"] and res["witness"] is None
 
     def test_repetition_witness(self):
-        res = cc.schur_obstruction_check(cc.qutrit_repetition_code(), a=(1, 1, 2))
+        res = cc.schur_obstruction_check(cc.shor_code(3, 1, 3), a=(1, 1, 2))
         assert not res["preserved"]
         assert res["witness"]["wedge"] == (1, 1, 2)
 
     def test_only_scalars_preserve_repetition_support(self):
-        res = cc.schur_obstruction_check(cc.qutrit_repetition_code())
+        res = cc.schur_obstruction_check(cc.shor_code(3, 1, 3))
         assert res["only_scalar_multiples"]
         assert res["witness"] is not None
 

@@ -44,7 +44,6 @@ UNREACHED = {
     "concat_code.codewords": ORACLE,
     "concat_code.naive_transversal_check": PAPER,
     "concat_code.schur_obstruction_check": PAPER,
-    "concat_code.shor_code": ORACLE,
     "fusion_sim.FusionState": ENGINE,
     "fusion_sim._node_indices": ENGINE,
     "fusion_sim._subtrees": ENGINE,
@@ -252,6 +251,32 @@ class TestOneGadget:
             if isinstance(node, ast.ClassDef) and node.name == "GateSchedule"
         ]
         assert retired == []
+
+    def test_one_code_builder(self):
+        # every code of the gadget is one Shor-type family, built in one place
+        tree = ast.parse((PACKAGE / "concat_code.py").read_text())
+        builders = [
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == "QuditCSSCode"
+                for call in ast.walk(node)
+            )
+        ]
+        assert builders == ["shor_code"]
+
+    def test_branches_are_picked_by_row_mask(self):
+        # a Python selector per branch would restate what a mask of the
+        # block-bit rows (or of the pool indices) already says
+        tree = ast.parse((PACKAGE / "concat_code.py").read_text())
+        calls = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_transform_pool"
+        ]
+        assert calls
+        assert [call.lineno for call in calls if isinstance(call.args[1], ast.Lambda)] == []
 
 
 class TestOneQutritState:
