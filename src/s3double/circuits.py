@@ -422,21 +422,25 @@ def choi_matrix(weighted_kraus) -> np.ndarray:
 
 
 def check_equivalence(circuit: AdaptiveCircuit, operator_kraus) -> float:
-    """Max absolute Choi-matrix entry difference between the circuit channel
-    (ancillas traced out) and the operator channel sum_i K_i rho K_i^dag.
+    """Frobenius norm of the difference of the trace-normalized Choi matrices
+    of the circuit channel (ancillas traced out) and the operator channel
+    sum_i K_i rho K_i^dag; it bounds each entry's difference from above.
 
-    The difference is one product of both channels' stacked Kraus rows, the
-    operator side's weights negated, so neither Choi matrix is built."""
+    The difference is V^T W conj(V), V both channels' stacked Kraus rows and
+    W their weights, the operator side's negated.  Q of the reduced QR
+    V^T = Q R has orthonormal columns, so the norm is that of the small
+    R W R^H and the d^2 x d^2 difference is never formed.  The three-edge
+    limit keeps one Kraus row at 216^2 = 46,656 entries (0.7 MiB)."""
     sys_dim = int(np.prod(circuit.system_dims))
-    if sys_dim > 36:
+    if sys_dim > 216:
         raise CircuitError(
-            f"equivalence support exceeds two edges (system dimension {sys_dim}, limit 36)"
+            f"equivalence support exceeds three edges (system dimension {sys_dim}, limit 216)"
         )
     w_circ, v_circ = _choi_rows(channel_kraus(circuit))
     w_op, v_op = _choi_rows([(1.0, k) for k in operator_kraus])
     w = np.concatenate([w_circ, -w_op])
-    v = np.concatenate([v_circ, v_op])
-    return float(np.max(np.abs((v.T * w) @ v.conj())))
+    r = np.linalg.qr(np.concatenate([v_circ, v_op]).T, mode="r")
+    return float(np.linalg.norm((r * w) @ r.conj().T))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 adaptive charge measurement, and stabilizer-map identities."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,10 +302,12 @@ class TestRibbonCircuits:
             assert cir.check_equivalence(circ, kraus) < 1e-9, (anyon, orient)
 
     def test_distance_equals_choi_matrix_difference(self, ribbon_channels):
-        # every case of the circuit-equivalence check (distance ~1e-17), the
-        # same with a phase on each operator-side Kraus operator (the channel
-        # does not change), and each circuit against the next anyon's
-        # operator, where the distance is of the order of the Choi entries
+        # every case of the circuit-equivalence check (distance ~1e-16), the
+        # same with another phase on each operator-side Kraus operator (the
+        # channel does not change), and each circuit against the next anyon's
+        # operator, where the distance is of the order of the Choi entries:
+        # the Frobenius norm of the dense Choi difference, never below its
+        # largest entry
         anyons = "ABCDEFGH"
         pairs = [(a, a) for a in anyons] + list(zip(anyons, anyons[1:] + anyons[0]))
         largest = 0.0
@@ -313,16 +316,38 @@ class TestRibbonCircuits:
                 circ, _ = ribbon_channels[a, orient]
                 _, kraus = ribbon_channels[b, orient]
                 for phase in (1.0, np.exp(0.7j)):
-                    phased = [phase * k for k in kraus]
-                    expected = np.max(np.abs(
-                        cir.choi_matrix(cir.channel_kraus(circ))
-                        - cir.choi_matrix([(1.0, k) for k in phased])
-                    ))
-                    got = cir.check_equivalence(circ, phased)
-                    assert abs(got - expected) < 1e-15, (a, b, orient, got, expected)
+                    phased = [phase ** (i + 1) * k for i, k in enumerate(kraus)]
+                    diff = cir.choi_matrix(cir.channel_kraus(circ)) - cir.choi_matrix(
+                        [(1.0, k) for k in phased]
+                    )
+                    got, want = cir.check_equivalence(circ, phased), np.linalg.norm(diff)
+                    assert np.isclose(got, want, rtol=1e-12, atol=1e-15), (a, b, orient, got, want)
+                    assert got >= np.max(np.abs(diff)), (a, b, orient, got)
                     assert a != b or got < 1e-9, (a, orient, phase, got)
                     largest = max(largest, got)
         assert largest > 1e-3
+
+    @pytest.mark.parametrize("anyon", "CDG")
+    def test_sign_flip_in_operator_kraus_detected(self, anyon, ribbon_channels):
+        # one nonzero entry of one operator Kraus matrix negated is another
+        # channel, in either orientation
+        for orient in "hv":
+            circ, kraus = ribbon_channels[anyon, orient]
+            flipped = [k.copy() for k in kraus]
+            flipped[0].flat[np.flatnonzero(flipped[0])[0]] *= -1
+            assert cir.check_equivalence(circ, flipped) > 0.01, (anyon, orient)
+
+    def test_equivalence_memory_stays_in_kraus_span(self, ribbon_channels):
+        # the dense 1296 x 1296 Choi difference alone is 25.6 MiB
+        circ, kraus = ribbon_channels["D", "v"]
+        cir.check_equivalence(circ, kraus)
+        tracemalloc.start()
+        try:
+            cir.check_equivalence(circ, kraus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     def test_zero_channel_in_equivalence_raises(self, monkeypatch):
         circ = cir.build_ribbon_circuit("A", "h")
@@ -390,11 +415,20 @@ class TestRibbonCircuits:
 
     def test_support_too_large_raises(self):
         # the guard names the system dimension it met, not a term count
-        circ = cir.AdaptiveCircuit((3, 2) * 3, ())
+        circ = cir.AdaptiveCircuit((3, 2) * 4, ())
         with pytest.raises(cir.CircuitError) as err:
-            cir.check_equivalence(circ, [np.eye(216)])
-        assert "system dimension 216" in str(err.value) and "limit 36" in str(err.value)
+            cir.check_equivalence(circ, [np.eye(1296)])
+        assert "system dimension 1296" in str(err.value) and "limit 216" in str(err.value)
         assert "term count" not in str(err.value)
+
+    def test_three_edge_equivalence(self):
+        # the empty circuit on three edges is the identity channel, and one
+        # sign on the diagonal is a dephasing it must tell apart
+        circ = cir.AdaptiveCircuit((3, 2) * 3, ())
+        assert cir.check_equivalence(circ, [np.eye(216)]) < 1e-9
+        signed = np.eye(216)
+        signed[5, 5] = -1
+        assert cir.check_equivalence(circ, [signed]) > 0.1
 
     def test_measured_sign_variant_heralds_charge(self, strip):
         # the variant that measures the paired-charge sign dephases it: the

@@ -371,7 +371,7 @@ class TestPinnedProtocolOutput:
             ),
             (
                 ["circuit-equivalence"],
-                "e4cc637342f2622db5a7aedc10ff13ca51e9c72d2b6dff18291bc10fc12f7d94",
+                "e15b1426911e3abfbf9dc4911d9111b646ae735ae91b02e5bcc39dd87ebb3462",
             ),
             (
                 ["orthonormality"],
