@@ -164,13 +164,13 @@ def _cmd_move_stats(args, emit):
 
 def _cmd_ribbon_demo(args, emit):
     lattice = lat.Lattice(3, 1)
-    # every trial applies the same ribbon to the same ground state
-    rib = lat.shortest_h(lattice, (0, 0))
-    pair = lat.anyon_ribbon_law(lat.ground_state(lattice), rib, args.anyon)
+    # every trial applies the same ribbon to the same ground state, and the
+    # command's law table walks it once
+    gs, rib = lat.ground_state(lattice), lat.shortest_h(lattice, (0, 0))
     expected = {} if args.anyon == "A" else {(0, 0): args.anyon, (1, 0): args.anyon}
     deviations = 0
     for rng in _trial_rngs(args):
-        cfg, _ = lat.measure_MK(pair.draw(rng)[1], rng)
+        cfg, _ = lat.measure_MK(lat.apply_anyon_ribbon(gs, rib, args.anyon, rng), rng)
         if cfg.nontrivial() != expected:
             deviations += 1
     emit(
@@ -420,7 +420,8 @@ def run(argv) -> int:
     stream = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     emit = _Emitter(stream, args.seed, args.summary)
     try:
-        COMMANDS[args.command](args, emit)
+        with lat.law_table():
+            COMMANDS[args.command](args, emit)
     except (lat.ResourceError, qec.QECError, cc.CodeError, pro.ProtocolError) as exc:
         emit({"error": type(exc).__name__, "message": str(exc)}, False)
     finally:

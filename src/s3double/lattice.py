@@ -41,15 +41,18 @@ h = c.  The K^a of one flux class come from one A^g_v orbit and one merge
 (_charge_projections).  Both measurements are a BranchLaw: anyon_ribbon_law
 keeps the (u, v) branches and charge_law the K^a of the flux classes present
 at a site, each with the cumulative law of their squared norms, and every
-outcome is one `sampling` draw from it, so a ribbon applied to the same state
-many times is walked once and only drawn from after that.
+outcome is one `sampling` draw from it.  While a law_table() is open (the CLI
+opens one per command), both laws are kept in it, keyed by the exact bytes of
+their input state, so a state that recurs trial after trial is walked once and
+only drawn from after that.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial, wraps
 from itertools import groupby
 
 import numpy as np
@@ -517,21 +520,33 @@ def anyon_ribbon_branches(state: LatticeState, ribbon: Ribbon, anyon: str) -> li
 class BranchLaw:
     """One measurement on one state: the labels whose unnormalized branches
     survive the PRUNE_TOL cut, the branches, their norms, and cdf, the
-    `sampling.law` of their squared norms; read-only, as every draw shares them."""
+    `sampling.law` of their squared norms.  A draw returns the branch
+    normalized and, if set, passed through finish(label, state); each such
+    post-state is built once, the first time it is drawn.  Every array is
+    read-only, as a law kept in the law table serves every later lookup."""
 
     labels: tuple
     branches: tuple
     norms: tuple
     cdf: np.ndarray
+    finish: object = None
+    _posts: dict = field(default_factory=dict, init=False, repr=False)
 
     def draw(self, rng) -> tuple:
-        """(label, normalized branch) of one `sampling.draw` from cdf."""
+        """(label, post-state) of one `sampling.draw` from cdf."""
         i = sampling.draw(self.cdf, rng)
-        b = self.branches[i]
-        return self.labels[i], replace(b, amps=b.amps / self.norms[i])
+        if i not in self._posts:
+            b = self.branches[i]
+            post = replace(b, amps=b.amps / self.norms[i])
+            if self.finish is not None:
+                post = self.finish(self.labels[i], post)
+            post.digits.setflags(write=False)
+            post.amps.setflags(write=False)
+            self._posts[i] = post
+        return self.labels[i], self._posts[i]
 
 
-def _branch_law(outcomes, message: str) -> BranchLaw:
+def _branch_law(outcomes, message: str, finish=None) -> BranchLaw:
     """BranchLaw of (label, branch) pairs; AnnihilationError(message) if none survives."""
     kept = [(label, b, n) for label, b in outcomes if (n := b.norm()) ** 2 > PRUNE_TOL]
     if not kept:
@@ -540,9 +555,83 @@ def _branch_law(outcomes, message: str) -> BranchLaw:
     for b in branches:
         b.digits.setflags(write=False)
         b.amps.setflags(write=False)
-    return BranchLaw(labels, branches, norms, sampling.law([n ** 2 for n in norms]))
+    return BranchLaw(labels, branches, norms, sampling.law([n ** 2 for n in norms]), finish)
 
 
+# ---------------------------------------------------------------------------
+# Law table
+
+# Largest state whose laws the table keeps.  An entry holds its input's bytes
+# in the key and branches of about as many terms again, 26 bytes a term each
+# on the 3x1 strip.  The states that recur trial after trial (move-stats,
+# ribbon-demo) hold at most tens of terms, while noisy microscopic QEC states
+# (31,104 terms and more on the 3x1 strip at p = 0.1) would pin megabytes
+# each and rarely recur.
+TABLE_MAX_TERMS = 4096
+
+
+@dataclass
+class LawTable:
+    """What the `tabled` builders built while one law_table() was open, keyed
+    by the exact input, and three counts: lookups answered from the table
+    (hits), values built into it (misses), and lookups on a state above
+    TABLE_MAX_TERMS, built without being stored (skipped)."""
+
+    values: dict = field(default_factory=dict)
+    hits: int = 0
+    misses: int = 0
+    skipped: int = 0
+
+
+_TABLE = None  # the open LawTable, or None
+
+
+@contextmanager
+def law_table():
+    """Open a fresh LawTable for the block, and restore the one open before
+    it on the way out, exception or not.  The CLI opens one per command."""
+    global _TABLE
+    outer = _TABLE
+    _TABLE = table = LawTable()
+    try:
+        yield table
+    finally:
+        _TABLE = outer
+
+
+def tabled(build):
+    """build(state, *args), kept in the open law table, if there is one.
+
+    The key is exact: the builder, the lattice, the digit matrix's shape and
+    bytes, the amplitude bytes, the uniform set and args.  Amplitudes are
+    never rounded, so a hit returns what a build on that input returns, and
+    seeded output does not depend on the table.  What build returns is
+    shared by every later hit, so its arrays must be read-only.
+    """
+
+    @wraps(build)
+    def lookup(state: LatticeState, *args):
+        table = _TABLE
+        if table is None:
+            return build(state, *args)
+        if state.n_terms > TABLE_MAX_TERMS:
+            table.skipped += 1
+            return build(state, *args)
+        digits = state.digits
+        key = (build, state.lattice, digits.shape, digits.tobytes(), state.amps.tobytes(),
+               state.uniform, args)
+        value = table.values.get(key)
+        if value is None:
+            value = table.values[key] = build(state, *args)
+            table.misses += 1
+        else:
+            table.hits += 1
+        return value
+
+    return lookup
+
+
+@tabled
 def anyon_ribbon_law(state: LatticeState, ribbon: Ribbon, anyon: str) -> BranchLaw:
     """The law of the mixed application of the anyon's ribbon to `state`
     (trajectory unraveling of the maximally-mixed-internal-state channel),
@@ -555,9 +644,9 @@ def anyon_ribbon_law(state: LatticeState, ribbon: Ribbon, anyon: str) -> BranchL
 
 def apply_anyon_ribbon(state: LatticeState, ribbon: Ribbon, anyon: str, rng) -> LatticeState:
     """Mixed anyon-pair ribbon: a Kraus branch (u, v) sampled with probability
-    proportional to its squared norm, by one draw from anyon_ribbon_law.
-    Callers that apply the same ribbon to the same state many times build the
-    law once and draw from it; one explicit branch is
+    proportional to its squared norm, by one draw from anyon_ribbon_law (kept
+    in the open law table, so a ribbon applied to the same state trial after
+    trial is walked once); one explicit branch is
     anyon_ribbon_branch(...).normalized(), which draws nothing."""
     return anyon_ribbon_law(state, ribbon, anyon).draw(rng)[1]
 
@@ -625,11 +714,23 @@ def apply_K(state: LatticeState, site, anyon: str) -> LatticeState:
     return dict(_charge_projections(state, site, _flux(state, site), table))[anyon]
 
 
+def _uniformized_vacuum(site, letter, post) -> LatticeState:
+    """The post-state of outcome `letter` at `site`, with the site's vertex
+    uniformized after A: lossless, as the A-sector is A_v B_p-invariant (the
+    tree-root vertex stays explicit; the projected state is invariant there
+    regardless)."""
+    if letter == "A" and site not in post.uniform and site != (0, 0):
+        return uniformize(post, site)
+    return post
+
+
+@tabled
 def charge_law(state: LatticeState, site) -> BranchLaw:
     """The law of M_K at one site over the anyons of the flux classes present
     there, in ANYONS order: at a uniform site (A_v-invariant sector) only the
     pure flux-class anyons occur and K is a flux-class mask, with no
-    expansion; at an explicit site each class gives its _charge_projections."""
+    expansion; at an explicit site each class gives its _charge_projections.
+    A draw's A post-state has the site's vertex uniformized."""
     flux = _flux(state, site)
     classes = _CLASS_OF_FLUX[flux]
     present = np.flatnonzero(np.bincount(classes))
@@ -641,17 +742,13 @@ def charge_law(state: LatticeState, site) -> BranchLaw:
     else:
         tables = [_CHARGE_TABLES[c] for c in present]
         outcomes = [o for t in tables for o in _charge_projections(state, site, flux, t)]
-    return _branch_law(outcomes, "charge measurement found no support")
+    finish = partial(_uniformized_vacuum, site)
+    return _branch_law(outcomes, "charge measurement found no support", finish)
 
 
 def measure_site(state: LatticeState, site, rng):
     """(letter, post-state) of one draw from the site's charge_law."""
-    letter, post = charge_law(state, site).draw(rng)
-    if letter == "A" and site not in post.uniform and site != (0, 0):
-        # lossless: the A-sector is A_v B_p-invariant (the tree-root vertex
-        # stays explicit; the projected state is invariant there regardless)
-        post = uniformize(post, site)
-    return letter, post
+    return charge_law(state, site).draw(rng)
 
 
 def measure_MK(state: LatticeState, rng):

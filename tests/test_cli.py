@@ -1,5 +1,6 @@
 """Batch-runner subcommands: exit codes, JSON-lines output, reproducibility."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from s3double import cli, qec
+from s3double import lattice as lat
 
 
 def run(argv, capsys):
@@ -497,6 +499,74 @@ class TestReproducibility:
         assert code == 0 and not out
         assert "orthonormality" in err and "PASS" in err
         assert records(path.read_text())[0]["pass"]
+
+
+@pytest.fixture
+def opened_tables(monkeypatch):
+    """Every LawTable that cli.run opens, in order."""
+    tables = []
+    law_table = lat.law_table
+
+    @contextlib.contextmanager
+    def spy():
+        with law_table() as table:
+            tables.append(table)
+            yield table
+
+    monkeypatch.setattr(lat, "law_table", spy)
+    return tables
+
+
+class TestLawTable:
+    """cli.run opens one law table per command, closes it whatever the
+    command does, and prints what the same handler prints with no table."""
+
+    @staticmethod
+    def _untabled(argv):
+        args = cli.build_parser().parse_args(argv)
+        stream = io.StringIO()
+        assert lat._TABLE is None
+        cli.COMMANDS[args.command](args, cli._Emitter(stream, args.seed, False))
+        return stream.getvalue()
+
+    @pytest.mark.parametrize(
+        "argv,skips",
+        [
+            (["move-stats", "--anyon", "C", "--rounds", "3", "--trials", "100"], False),
+            (["move-stats", "--anyon", "D", "--rounds", "3", "--trials", "100"], False),
+            (["move-stats", "--anyon", "F", "--rounds", "3", "--trials", "100"], False),
+            (["ribbon-demo", "--anyon", "D", "--trials", "40"], False),
+            (["ribbon-demo", "--anyon", "E", "--trials", "40"], False),
+            # noisy rounds reach states above the term bound
+            (["qec-cycle", "--microscopic", "--width", "3", "--height", "1", "--p", "0.1"], True),
+        ],
+        ids=["move-stats-C", "move-stats-D", "move-stats-F", "ribbon-demo-D", "ribbon-demo-E",
+             "qec-cycle"],
+    )
+    def test_records_equal_an_untabled_run(self, argv, skips, opened_tables, capsys):
+        for seed in ("1", "2", "5"):
+            _, out, _ = run(argv + ["--seed", seed], capsys)
+            assert out and out == self._untabled(argv + ["--seed", seed]), seed
+        assert len(opened_tables) == 3 and lat._TABLE is None
+        assert sum(t.hits for t in opened_tables) > 0
+        assert (sum(t.skipped for t in opened_tables) > 0) == skips
+
+    def test_table_closes_when_a_command_raises(self, opened_tables, capsys, monkeypatch):
+        # a ProtocolError becomes an error record; an AnnihilationError
+        # escapes cli.run
+        code, out, _ = run(["move-stats", "--anyon", "C", "--trials", "10", "--seed", "1"], capsys)
+        assert code == 1 and records(out)[-1]["error"] == "ProtocolError"
+        assert len(opened_tables) == 1 and lat._TABLE is None
+        seen = []
+
+        def annihilated(state, site):
+            seen.append(lat._TABLE)
+            raise lat.AnnihilationError("no support")
+
+        monkeypatch.setattr(lat, "charge_law", annihilated)
+        with pytest.raises(lat.AnnihilationError):
+            cli.run(["ribbon-demo", "--anyon", "D", "--trials", "5", "--seed", "1"])
+        assert len(seen) == 1 and seen[0] is opened_tables[1] and lat._TABLE is None
 
 
 class TestParser:

@@ -775,6 +775,94 @@ class TestLaws:
         assert cut == len(rows) - len(basis), cut
 
 
+class TestLawTable:
+    """The law table keys on exact bytes, hands out read-only states, stores
+    nothing above its term bound and is closed outside law_table()."""
+
+    def test_equal_digits_with_other_amplitudes_get_their_own_laws(self, oracle_states):
+        # a key on the digits alone would hand the second state the first
+        # state's law
+        state = oracle_states["explicit"]
+        other = lat.LatticeState(state.lattice, state.digits, state.amps[::-1], state.uniform)
+        rib = lat.shortest_h(state.lattice, (0, 1))
+        with lat.law_table() as table:
+            for build, args in ((lat.charge_law, ((0, 1),)), (lat.anyon_ribbon_law, (rib, "D"))):
+                laws = [build(st, *args) for st in (state, other)]
+                for law, st in zip(laws, (state, other)):
+                    fresh = build.__wrapped__(st, *args)
+                    assert law.labels == fresh.labels and law.norms == fresh.norms
+                assert laws[0].norms != laws[1].norms
+        assert (table.misses, table.hits, table.skipped) == (4, 0, 0)
+
+    def test_a_recurring_state_is_built_once(self, oracle_states):
+        state = oracle_states["explicit"]
+        copy = lat.LatticeState(
+            state.lattice, state.digits.copy(), state.amps.copy(), state.uniform
+        )
+        with lat.law_table() as table:
+            law = lat.charge_law(state, (1, 1))
+            assert lat.charge_law(copy, (1, 1)) is law
+            # the same bytes at another site, or with another uniform set, are other inputs
+            assert lat.charge_law(state, (0, 0)) is not law
+            moved = lat.LatticeState(state.lattice, state.digits, state.amps, frozenset({(2, 2)}))
+            assert lat.charge_law(moved, (1, 1)) is not law
+        assert (table.hits, table.misses) == (1, 3)
+        assert lat.charge_law(state, (1, 1)) is not lat.charge_law(state, (1, 1))
+
+    @pytest.mark.parametrize("kind", ["explicit", "uniform"])
+    def test_kept_states_are_read_only(self, oracle_states, kind):
+        # every post-state a law hands out, A's uniformized one included, is
+        # shared by the later draws of that outcome
+        state = oracle_states[kind]
+        rib = lat.shortest_h(state.lattice, (0, 1))
+        with lat.law_table():
+            laws = [lat.charge_law(state, (0, 1)), lat.anyon_ribbon_law(state, rib, "C")]
+            for law in laws:
+                for seed in range(12):
+                    label, post = law.draw(np.random.default_rng(seed))
+                    assert law.draw(np.random.default_rng(seed))[1] is post
+                    for array in (post.digits, post.amps):
+                        with pytest.raises(ValueError):
+                            array[0] = 0
+        assert "A" in laws[0].labels
+
+    def test_measure_site_keeps_the_uniformized_vacuum(self, oracle_states):
+        # the A post-state of an explicit site is uniformized once, and
+        # every later draw of A returns that state
+        state = oracle_states["explicit"].normalized()
+        with lat.law_table():
+            posts = {}
+            for seed in range(60):
+                letter, post = lat.measure_site(state, (0, 1), np.random.default_rng(seed))
+                assert posts.setdefault(letter, post) is post
+        assert (0, 1) in posts["A"].uniform and (0, 1) not in state.uniform
+
+    def test_a_state_above_the_bound_is_not_stored(self):
+        lattice = lat.Lattice(3, 1)
+        big = _random_state(lattice, 2 * lat.TABLE_MAX_TERMS, 7)
+        assert big.n_terms > lat.TABLE_MAX_TERMS
+        with lat.law_table() as table:
+            lat.charge_law(big, (1, 0))
+            assert table.values == {} and (table.skipped, table.misses) == (1, 0)
+            n = lat.TABLE_MAX_TERMS
+            lat.charge_law(lat.LatticeState(lattice, big.digits[:n], big.amps[:n]), (1, 0))
+            assert len(table.values) == 1 and table.misses == 1
+
+    def test_tables_nest_and_close(self, gs21):
+        rib = lat.shortest_h(gs21.lattice, (0, 0))
+        assert lat._TABLE is None
+        with lat.law_table() as outer:
+            with pytest.raises(lat.AnnihilationError):
+                with lat.law_table() as inner:
+                    lat.anyon_ribbon_law(gs21, rib, "D")
+                    zero = lat.LatticeState(gs21.lattice, gs21.digits, 0 * gs21.amps)
+                    lat.charge_law(zero, (0, 0))
+            # the law that raised is not stored
+            assert lat._TABLE is outer and outer.values == {}
+            assert len(inner.values) == inner.misses == 1
+        assert lat._TABLE is None
+
+
 class TestOrthonormality:
     def test_report(self):
         report = lat.verify_orthonormality()

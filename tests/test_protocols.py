@@ -200,6 +200,9 @@ class TestStatistics:
 
     @pytest.mark.parametrize("anyon", ("C", "D"))
     def test_curves_within_3_sigma(self, anyon):
+        # the trials share their laws through one table, as under the CLI
         rng = np.random.default_rng(2026)
-        for rec in pro.success_statistics(anyon, 4, 800, rng):
+        with lat.law_table():
+            recs = pro.success_statistics(anyon, 4, 800, rng)
+        for rec in recs:
             assert abs(rec["z"]) < 3, rec
