@@ -86,12 +86,17 @@ def in_rowspan(matrix, vector, p) -> bool:
     return rank(stacked, p) == base
 
 
-def span_vectors(matrix, p):
-    """All p^rank vectors in the row span (small ranks only)."""
+def _span_rows(matrix, p) -> np.ndarray:
+    """All p^rank vectors in the row span as distinct rows (small ranks only)."""
     basis, _ = rref(matrix, p)
     if p ** len(basis) > 4096:
         raise CodeError("row span too large to enumerate")
-    return sorted(set(map(tuple, dg.basis_rows((p,) * len(basis)) @ basis % p)))
+    return dg.basis_rows((p,) * len(basis)) @ basis % p
+
+
+def span_vectors(matrix, p):
+    """All p^rank vectors in the row span, as sorted tuples."""
+    return sorted(map(tuple, _span_rows(matrix, p).tolist()))
 
 
 def kernel_basis(matrix, p):
@@ -165,34 +170,31 @@ class QuditCSSCode:
     @functools.cached_property
     def distance(self):
         """Minimum weight over both logical-operator cosets (n <= 9 only;
-        None for longer codes)."""
+        None for longer codes): each kernel's span as rows, less those one
+        lookup finds among the rows of the other checks' span."""
         if self.n > 9:
             return None
-        best = self.n
+        weights = [self.n]
         for ker, other in ((self.H_Z, self.H_X), (self.H_X, self.H_Z)):
-            for v in span_vectors(kernel_basis(ker, self.p), self.p):
-                w = sum(1 for d in v if d)
-                if 0 < w < best and not in_rowspan(other, v, self.p):
-                    best = w
-        return best
+            span = _span_rows(kernel_basis(ker, self.p), self.p)
+            outside = dg.find(_span_rows(other, self.p), (self.p,) * self.n, span) < 0
+            weights += np.count_nonzero(span[outside], axis=1).tolist()
+        return min(weights)
 
     @functools.cached_property
     def correction_table(self):
         """Read-only map: syndrome tuple -> (site, a, b) of a weight<=1 error;
         defined when errors sharing a syndrome differ only by a stabilizer."""
         base = _codeword_support(self, 0)
-        table = {_syndrome(self, base): (0, 0, 0)}
-        for site in range(self.n):
-            for a in range(3):
-                for b in range(3):
-                    if (a, b) == (0, 0):
-                        continue
-                    syn = _syndrome(self, _pauli(base, site, a, b))
-                    if syn in table:
-                        if not _equivalent_errors(self, table[syn], (site, a, b)):
-                            raise CodeError("inequivalent errors share a syndrome")
-                        continue
-                    table[syn] = (site, a, b)
+        errors = [(0, 0, 0)] + [
+            (site, a, b) for site in range(self.n) for a in range(3) for b in range(3) if a or b
+        ]
+        table = {}
+        for error, syn in zip(errors, _syndromes(self, [_pauli(base, *e) for e in errors])):
+            if syn not in table:
+                table[syn] = error
+            elif not _equivalent_errors(self, table[syn], error):
+                raise CodeError("inequivalent errors share a syndrome")
         return MappingProxyType(table)
 
 
@@ -272,24 +274,34 @@ def _pauli(vec: SupportVector, site, a, b) -> SupportVector:
     return _monomial(vec, site, a, b * vec.digits[:, site])
 
 
-def stabilizer_expectations(code: QuditCSSCode, vec: SupportVector) -> np.ndarray:
-    """<psi|S|psi> for every Z-type then X-type stabilizer row.  A Z row is
-    a phase per basis state weighted by |amplitude|^2; an X row pairs each
-    basis state with its shift, and a shift off the support adds zero."""
+def stabilizer_expectations(code: QuditCSSCode, vecs) -> np.ndarray:
+    """<psi|S|psi> of each vector (one row per vector, all of one support
+    size) for every Z-type then X-type stabilizer.  A Z entry is a phase per
+    basis state weighted by |amplitude|^2; an X entry pairs each basis state
+    with its shift in the same vector (one lookup over the stacked rows,
+    tagged by vector index), and a shift off the support adds zero."""
+    digits = np.stack([vec.digits for vec in vecs])  # (vector, row, qudit)
+    amps = np.stack([vec.amps for vec in vecs])
     omega = np.exp(2j * np.pi / code.p)
-    z = np.abs(vec.amps) ** 2 @ omega ** (vec.digits @ code.H_Z.T % code.p)
-    pos = dg.find(vec.digits, vec.radices, (vec.digits + code.H_X[:, None, :]) % code.p)
-    x = np.where(pos >= 0, np.conj(vec.amps[pos]) * vec.amps, 0).sum(axis=1)
-    return np.concatenate([z, x])
+    z = np.einsum("vr,vrs->vs", np.abs(amps) ** 2, omega ** (digits @ code.H_Z.T % code.p))
+    radices = (code.p,) * code.n + (len(vecs),)
+    tag = np.broadcast_to(np.arange(len(vecs))[:, None, None], amps.shape + (1,))
+    rows = np.concatenate([digits, tag], axis=2)
+    shifts = np.zeros((len(code.H_X), 1, 1, len(radices)), dtype=np.int64)
+    shifts[..., :-1] = code.H_X[:, None, None, :]  # the tag column stays
+    pos = dg.find(rows.reshape(-1, len(radices)), radices, (rows + shifts) % radices)
+    flat = amps.reshape(-1)
+    x = np.where(pos >= 0, np.conj(flat[pos]) * amps, 0).sum(axis=2)
+    return np.concatenate([z, x.T], axis=1)
 
 
-def _syndrome(code, vec):
-    """Definite stabilizer syndrome of a state hit by a Pauli error."""
-    vals = stabilizer_expectations(code, vec)
+def _syndromes(code, vecs):
+    """Definite stabilizer syndrome of each state hit by a Pauli error."""
+    vals = stabilizer_expectations(code, vecs)
     if np.any(np.abs(np.abs(vals) - 1) > 1e-9):
         raise CodeError("state has no definite syndrome")
     steps = np.round(np.angle(vals) / (2 * np.pi / code.p)).astype(np.int64) % code.p
-    return tuple(int(v) for v in steps)
+    return list(map(tuple, steps.tolist()))
 
 
 def _equivalent_errors(code, e1, e2):
@@ -330,13 +342,15 @@ class ConcatState:
     vids: np.ndarray  # pool index per branch
     pool: list = field(default_factory=list)  # unit-norm SupportVectors
     memo: dict = field(default_factory=dict)  # (pool index, op key) -> pool index
+    syndromes: dict = field(default_factory=dict)  # pool index -> syndrome tuple
 
     def __post_init__(self):
         _read_only(self.bits)
         _read_only(self.amps)
 
     def copy(self):
-        return ConcatState(self.bits, self.amps, self.vids.copy(), list(self.pool), dict(self.memo))
+        fresh = (self.vids.copy(), list(self.pool), dict(self.memo), dict(self.syndromes))
+        return ConcatState(self.bits, self.amps, *fresh)
 
 
 def concat_state(n: int, alpha: int, beta: int) -> ConcatState:
@@ -398,13 +412,19 @@ def apply_qutrit_pauli(state: ConcatState, site: int, a: int, b: int):
 
 def error_correct(state: ConcatState):
     """Qutrit recovery: read the stabilizer syndrome of each distinct
-    register vector and undo the unique weight<=1 error it identifies."""
+    register vector, once per pool vector, batched (the vectors that no
+    earlier recovery of this state read, in one call), and undo the unique
+    weight<=1 error it identifies."""
     code = default_qutrit_code(state.bits.shape[1])
     table = correction_table(code)
+    vids = sorted(set(state.vids.tolist()))
+    new = [vid for vid in vids if vid not in state.syndromes]
+    if new:
+        state.syndromes.update(zip(new, _syndromes(code, [state.pool[vid] for vid in new])))
     report = []
     corrections = {}
-    for vid in sorted(set(state.vids.tolist())):
-        syn = _syndrome(code, state.pool[vid])
+    for vid in vids:
+        syn = state.syndromes[vid]
         if syn not in table:
             report.append({"syndrome": syn, "correction": None})
             continue

@@ -66,6 +66,46 @@ def _dense_syndrome(code, vec):
     return tuple(int(v) for v in np.round(np.angle(vals) / (2 * np.pi / 3)).astype(int) % 3)
 
 
+def _brute_force_distance(code):
+    """Minimum weight over ker(H_Z) outside rowspan(H_X) and ker(H_X)
+    outside rowspan(H_Z): every p^n vector against every combination of
+    check rows."""
+    p = code.p
+
+    def rowspan(checks):
+        combos = itertools.product(range(p), repeat=len(checks))
+        return {tuple((np.array(c, dtype=np.int64) @ checks % p).tolist()) for c in combos}
+
+    vectors = np.array(list(itertools.product(range(p), repeat=code.n)), dtype=np.int64)
+    weights = []
+    for ker, other in ((code.H_Z, code.H_X), (code.H_X, code.H_Z)):
+        span = rowspan(other)
+        in_ker = ~np.any(vectors @ ker.T % p, axis=1)
+        weights += [
+            int(np.count_nonzero(v))
+            for v in vectors[in_ker]
+            if tuple(v.tolist()) not in span
+        ]
+    return min(weights)
+
+
+# every code the tests build with n <= 9
+SMALL_CODES = {
+    "qubit-shor-9": lambda: cc.shor_code(2, 3, 3),
+    "qutrit-shor-9": lambda: cc.shor_code(3, 3, 3),
+    "qutrit-repetition-3": lambda: cc.shor_code(3, 1, 3),
+    "trivial-1": lambda: cc.QuditCSSCode(
+        3, 1, np.zeros((0, 1), dtype=np.int64), np.zeros((0, 1), dtype=np.int64)
+    ),
+    "qubit-x-checks-3": lambda: cc.QuditCSSCode(
+        2, 3, [[1, 1, 0], [0, 1, 1]], np.zeros((0, 3), dtype=np.int64)
+    ),
+    "qutrit-x-checks-3": lambda: cc.QuditCSSCode(
+        3, 3, [[1, 2, 0], [0, 1, 2]], np.zeros((0, 3), dtype=np.int64)
+    ),
+}
+
+
 class TestLinearAlgebra:
     def test_rref_rank(self):
         m = np.array([[1, 2, 0], [2, 1, 0], [0, 0, 0]])
@@ -105,6 +145,11 @@ class TestCodes:
             x[0] = 1
         with pytest.raises(ValueError):
             span[0, 0] = 1
+
+    @pytest.mark.parametrize("name", sorted(SMALL_CODES))
+    def test_distance_matches_brute_force(self, name):
+        code = SMALL_CODES[name]()
+        assert code.distance == _brute_force_distance(code)
 
     def test_repetition_distance_one(self):
         code = cc.shor_code(3, 1, 3)
@@ -184,7 +229,7 @@ class TestCodewords:
         for code in (cc.shor_code(2, 3, 3), cc.shor_code(3, 3, 3)):
             for logical in range(code.p):
                 vec = cc._codeword_support(code, logical)
-                for val in cc.stabilizer_expectations(code, vec):
+                for val in cc.stabilizer_expectations(code, [vec])[0]:
                     assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_logical_value(self):
@@ -210,6 +255,12 @@ class TestCorrectionTable:
         table = cc.correction_table(code)
         zero = tuple([0] * 8)
         assert table[zero] == (0, 0, 0)
+
+    def test_inequivalent_errors_rejected(self):
+        # the distance-1 repetition code cannot see a phase error: Zh on
+        # qutrit 0 shares the zero syndrome with no error at all
+        with pytest.raises(cc.CodeError, match="inequivalent errors share a syndrome"):
+            cc.correction_table(cc.shor_code(3, 1, 3))
 
     def test_table_is_read_only(self):
         # the default codes are shared per process, and so are their tables
@@ -249,9 +300,15 @@ class TestSupportRegister:
             keys = np.sort(dg.pack(vec.digits, vec.radices))
             assert len(keys) == 9 and np.all(np.diff(keys) > 0)
             assert np.allclose(vec.dense(), ref, rtol=0, atol=1e-15)
-            got = cc.stabilizer_expectations(code, vec)
+            (got,) = cc.stabilizer_expectations(code, [vec])
             assert np.allclose(got, _dense_expectations(code, ref), rtol=0, atol=1e-12)
-            assert cc._syndrome(code, vec) == _dense_syndrome(code, ref)
+            assert cc._syndromes(code, [vec]) == [_dense_syndrome(code, ref)]
+        # one batch: each shift is looked up in its own vector's rows
+        vecs, refs = zip(*states)
+        batch = cc.stabilizer_expectations(code, vecs)
+        want = np.array([_dense_expectations(code, ref) for ref in refs])
+        assert np.allclose(batch, want, rtol=0, atol=1e-12)
+        assert cc._syndromes(code, vecs) == [_dense_syndrome(code, ref) for ref in refs]
 
     def test_recovery_matches_dense_reference(self):
         # the recovery multiplies by OMEGA**(-b*d) on the pre-shift digit d,
@@ -280,7 +337,7 @@ class TestSupportRegister:
     def test_shift_off_the_support_is_zero(self):
         code = cc.shor_code(3, 3, 3)
         basis = cc.SupportVector(3, np.zeros((1, 9), dtype=np.int64), np.ones(1, dtype=complex))
-        got = cc.stabilizer_expectations(code, basis)
+        (got,) = cc.stabilizer_expectations(code, [basis])
         assert np.array_equal(got, _dense_expectations(code, basis.dense()))
         assert list(got) == [1] * 6 + [0] * 2
 
@@ -288,17 +345,35 @@ class TestSupportRegister:
         code = cc.shor_code(3, 3, 3)
         cw = cc._codeword_support(code, 0)
         moved = cc._pauli(cw, 0, 1, 0)
-        assert cc._syndrome(code, cw) != cc._syndrome(code, moved)
+        assert cc._syndromes(code, [cw]) != cc._syndromes(code, [moved])
         mixed = cc.SupportVector(
             3,
             np.vstack([cw.digits, moved.digits]),
             np.concatenate([cw.amps, moved.amps]) / np.sqrt(2),
         )
         ref = _dense_expectations(code, mixed.dense())
-        assert np.allclose(cc.stabilizer_expectations(code, mixed), ref, rtol=0, atol=1e-12)
+        assert np.allclose(cc.stabilizer_expectations(code, [mixed])[0], ref, rtol=0, atol=1e-12)
         assert np.min(np.abs(ref)) < 0.9
         with pytest.raises(cc.CodeError, match="no definite syndrome"):
-            cc._syndrome(code, mixed)
+            cc._syndromes(code, [mixed])
+
+    def test_one_mixed_vector_fails_its_batch(self):
+        # 18-row vectors: two logical superpositions with definite
+        # syndromes and, between them, an equal mix of two syndromes
+        code = cc.shor_code(3, 3, 3)
+        cw0, cw1 = cc._codeword_support(code, 0), cc._codeword_support(code, 1)
+
+        def half_half(u, v):
+            amps = np.concatenate([u.amps, v.amps]) / np.sqrt(2)
+            return cc.SupportVector(3, np.vstack([u.digits, v.digits]), amps)
+
+        logical = half_half(cw0, cw1)
+        moved = half_half(cc._pauli(cw0, 4, 0, 1), cc._pauli(cw1, 4, 0, 1))
+        mixed = half_half(cw0, cc._pauli(cw1, 0, 1, 0))
+        definite = cc._syndromes(code, [logical, moved])
+        assert definite == [tuple([0] * 8), cc._syndromes(code, [cc._pauli(cw0, 4, 0, 1)])[0]]
+        with pytest.raises(cc.CodeError, match="no definite syndrome"):
+            cc._syndromes(code, [logical, mixed, moved])
 
 
 class TestLogicalCC:
@@ -513,6 +588,55 @@ class TestFaultTolerance:
         for fault in ((9, 0, 1, 0), (0, 9, 1, 0), (0, 0, 0, 3), (0, 0.5, 1, 0)):
             with pytest.raises(cc.CodeError):
                 cc.apply_schedule(9, inp, (fault,))
+
+
+class TestSyndromeMemo:
+    """A recovery reads the syndromes of the pool vectors that no earlier
+    recovery of its state read, in one batch."""
+
+    def test_each_pool_vector_is_read_once(self, monkeypatch):
+        cc.correction_table(cc.default_qutrit_code(9))  # the table's own 73 reads
+        batches = []
+        syndromes = cc._syndromes
+
+        def spy(code, vecs):
+            batches.append(list(vecs))  # holds the vectors, so no id is reused
+            return syndromes(code, vecs)
+
+        monkeypatch.setattr(cc, "_syndromes", spy)
+        dev, report = cc.verify_logical_action(9, ((1, 4, 1, 0),))
+        assert dev < 1e-9 and report["uncorrectable"] == 0
+        # one batch per recovery (7 runs x 8), and each (run, pool index)
+        # read once: 208 reads, where one read per vector per recovery
+        # made 688
+        read = [vec for batch in batches for vec in batch]
+        assert len(batches) == 7 * 8
+        assert len(read) == len({id(vec) for vec in read}) == 208
+
+    def test_memo_is_keyed_by_pool_index(self):
+        # a fault rebinds every branch to a new pool vector; a memo keyed on
+        # the branch row would hand the second recovery the first one's
+        # zero syndrome
+        code = cc.default_qutrit_code(9)
+        state = cc.concat_state(9, 0, 1)
+        assert [rec["correction"] for rec in cc.error_correct(state)] == [(0, 0, 0)]
+        cc.apply_qutrit_pauli(state, 4, 1, 0)
+        (rec,) = cc.error_correct(state)
+        assert cc._equivalent_errors(code, rec["correction"], (4, 1, 0))
+        assert sorted(state.syndromes) == [0, 1]
+        for vid, syn in state.syndromes.items():
+            assert cc._syndromes(code, [state.pool[vid]]) == [syn]
+
+    def test_copies_keep_their_own_syndromes(self):
+        # two schedules from one input, whose faults put different vectors
+        # at the same pool indices: each matches a run from a fresh state
+        inp = cc.concat_state(9, 0, 1)
+        for errors in (((1, 4, 1, 0),), ((1, 2, 0, 1),)):
+            out, report = cc.apply_schedule(9, inp, errors)
+            fresh, want = cc.apply_schedule(9, cc.concat_state(9, 0, 1), errors)
+            assert report == want
+            assert abs(cc.concat_inner(fresh, out)) == pytest.approx(1.0, abs=1e-12)
+        assert inp.syndromes == {}
 
 
 class TestObstruction:
