@@ -2,10 +2,11 @@
 
 Holds fusion multiplicities, quantum dimensions, R-symbols and F-symbols for
 the eight anyons A..H, verifies their consistency (pentagon/hexagon/
-unitarity, each as array gathers over its admissible label tuples from dense
-tables that are rebuilt per call, never cached), evaluates the interferometry
-amplitudes used by the remote measurement protocols, and tabulates their
-constant per-round factors once per process (:func:`qutrit_tables`).
+unitarity over their admissible label tuples only: tuples joined from rows
+of N, entries gathered from a dense F table built per call, never cached),
+evaluates the interferometry amplitudes used by the remote measurement
+protocols, and tabulates their constant per-round factors once per process
+(:func:`qutrit_tables`).
 
 Conventions
 -----------
@@ -169,9 +170,9 @@ def _dense(table: dict, index: dict, rank: int):
     """(values, present) arrays of a label-keyed table, one axis per label."""
     values = np.zeros((len(index),) * rank, dtype=complex)
     present = np.zeros(values.shape, dtype=bool)
-    keys = np.array([[index[x] for x in key] for key in table], dtype=int)
+    keys = np.fromiter(map(index.__getitem__, itertools.chain.from_iterable(table)), int)
     pos = tuple(keys.reshape(-1, rank).T)
-    values[pos] = list(table.values())
+    values[pos] = np.fromiter(table.values(), complex, len(table))
     present[pos] = True
     return values, present
 
@@ -181,16 +182,40 @@ def _labels_at(mask, labels) -> tuple:
     return tuple(labels[i] for i in np.argwhere(mask)[0])
 
 
+def _entries(mask):
+    """(row, column) of each true entry of a 2-D mask, in row-major order
+    (``np.nonzero``, but faster on the narrow masks here)."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _join(labels, mask):
+    """Label tuples (one array per label) extended by every label their mask
+    row admits (``mask[i]`` belongs to tuple i), in ascending order."""
+    i, new = _entries(mask)
+    return (*(y[i] for y in labels), new)
+
+
+def _sums(i, terms, size):
+    """Sum of the terms of each tuple index i, added left to right."""
+    total = np.empty(size, dtype=complex)
+    total.real = np.bincount(i, terms.real, size)
+    total.imag = np.bincount(i, terms.imag, size)
+    return total
+
+
 def verify_consistency(data: CategoryData) -> ConsistencyReport:
     """Max pentagon/hexagon/unitarity/vacuum residuals over all admissible
     label tuples.
 
     N, R and F are laid out as dense arrays indexed by position in
-    ``data.anyons``; nothing outlives the call.  Each identity is evaluated
-    once over the index arrays of its admissible tuples (``np.nonzero`` of
-    products of N), and each sum over a free label is accumulated left to
-    right as one gather per label value.  Raises ``CategoryError`` when an
-    admissible R or F entry is missing or an F block is not square.
+    ``data.anyons``; nothing outlives the call.  The hexagon and unitarity
+    tuples come from the admissible F entries, and the pentagon's from joins
+    of those entries with rows of N, one outer label at a time.  Each sum
+    over a free label runs over the admissible values alone, in ascending
+    order (a term it skips holds an F entry off the admissible set, an exact
+    zero), so every residual equals the one of a sum over all labels.
+    Raises ``CategoryError`` when an admissible R or F entry is missing or
+    an F block is not square.
     """
     labels = data.anyons
     n = len(labels)
@@ -200,48 +225,74 @@ def verify_consistency(data: CategoryData) -> ConsistencyReport:
     F, has_f = _dense(data.F, index, 6)
     if (N & ~has_r).any():
         raise CategoryError(f"missing R entry {_labels_at(N & ~has_r, labels)}")
-    # [F^{abc}_d]_{ef} exists when a b -> e, e c -> d, b c -> f and a f -> d
-    adm = np.einsum("abe,ecd,bcf,afd->abcdef", N, N, N, N)
+    # [F^{abc}_d]_{ef} exists when a b -> e, e c -> d (its row e) and
+    # b c -> f, a f -> d (its column f)
+    row = np.einsum("abe,ecd->abcde", N, N)
+    col = np.einsum("bcf,afd->abcdf", N, N)
+    adm = row[..., :, None] & col[..., None, :]
     if (adm & ~has_f).any():
         raise CategoryError(f"missing F entry {_labels_at(adm & ~has_f, labels)}")
     F *= adm  # an F symbol vanishes off the admissible set
-    rows = np.einsum("abe,ecd->abcd", N, N, dtype=int)
-    cols = np.einsum("bcf,afd->abcd", N, N, dtype=int)
+    rows, cols = row.sum(axis=-1), col.sum(axis=-1)
     if (rows != cols).any():
         raise CategoryError(f"non-square F block {_labels_at(rows != cols, labels)}")
 
+    flat = F.reshape(-1)
+    admissible = np.nonzero(adm)  # label tuples of the F entries, in index order
+
+    # flat index of F[labels]; a summed label enters as 0, and its value
+    # times its place value is added per term after the gather
+    def at(*labels):
+        index = 0
+        for x in labels:
+            index = index * n + x
+        return index
+
+    # N as rows over its last label, indexed by the other two (p * n + q):
+    # by_xy[x, y] lists z, by_xz[x, z] lists y and by_yz[y, z] lists x
+    by_xy, by_xz, by_yz = (np.moveaxis(N, j, -1).reshape(n * n, n) for j in (2, 1, 0))
+
+    def admits(table, p, q):
+        return np.take(table, p * n + q, axis=0)
+
     # unitarity: every entry (e, x) of F F^dagger - 1 in every non-empty block
-    row = np.einsum("abe,ecd->abcde", N, N)
-    a, b, c, d, e, x = np.nonzero(np.einsum("abcde,abcdx->abcdex", row, row))
-    gram = sum(F[a, b, c, d, e, f] * F[a, b, c, d, x, f].conj() for f in range(n))
-    unit = np.abs(gram - (e == x)).max(initial=0.0)
+    a, b, c, d, e, x = np.nonzero(row[..., :, None] & row[..., None, :])
+    i, f = _entries(col[a, b, c, d])
+    gram = flat[at(a, b, c, d, e, 0)[i] + f] * flat[at(a, b, c, d, x, 0)[i] + f].conj()
+    unit = np.abs(_sums(i, gram, len(x)) - (e == x)).max(initial=0.0)
     is_vac = np.array([label == "A" for label in labels])
     touch = is_vac[:, None, None] | is_vac[None, :, None] | is_vac[None, None, :]
     vac = np.abs(F[adm & touch[..., None, None, None]] - 1).max(initial=0.0)
 
-    # pentagon tuples: (a b)_f c -> g, g d -> e, then l = c d, then k = b l
-    a, b, f, c, g, d, e = np.nonzero(np.einsum("abf,fcg,gde->abfcgde", N, N, N))
-    i, l = np.nonzero(N[c, d] & N[f, :, e])
-    a, b, f, c, g, d, e = (y[i] for y in (a, b, f, c, g, d, e))
-    i, k = np.nonzero(N[b, l] & N[a, :, e])
-    a, b, f, c, g, d, e, l = (y[i] for y in (a, b, f, c, g, d, e, l))
-    lhs = F[f, c, d, e, g, l] * F[a, b, l, e, f, k]
-    rhs = sum(
-        F[a, b, c, g, f, h] * F[a, h, d, e, g, k] * F[b, c, d, k, h, l]
-        for h in range(n)
-    )
-    pent = np.abs(lhs - rhs).max(initial=0.0)
-    pentagon_equations = len(k)
+    # pentagon: each admissible [F^{fcd}_e]_{gl} (f c -> g, g d -> e, c d -> l,
+    # f l -> e) joined with b (a b -> f), then k (b l -> k, a k -> e), one
+    # outer label a at a time; the sum runs over h with b c -> h, a h -> g
+    # and h d -> k
+    pent, pentagon_equations = 0.0, 0
+    for a in range(n):
+        t = _join(admissible, admits(by_xz, a, admissible[0]))
+        f, c, d, e, g, l, b = t
+        f, c, d, e, g, l, b, k = _join(t, admits(by_xy, b, l) & admits(by_xz, a, e))
+        lhs = flat[at(f, c, d, e, g, l)] * flat[at(a, b, l, e, f, k)]
+        i, h = _entries(admits(by_xy, b, c) & admits(by_xz, a, g) & admits(by_yz, d, k))
+        terms = (
+            flat[at(a, b, c, g, f, 0)[i] + h]
+            * flat[at(a, 0, d, e, g, k)[i] + h * n**4]
+            * flat[at(b, c, d, k, 0, l)[i] + h * n]
+        )
+        pent = max(pent, np.abs(lhs - _sums(i, terms, len(k))).max(initial=0.0))
+        pentagon_equations += len(k)
 
-    a, b, c, d, e, g = np.nonzero(np.einsum("ace,ebd,cbg,agd->abcdeg", N, N, N, N))
+    # hexagon tuples are the admissible [F^{acb}_d]_{eg}; the sum runs over f
+    # with a b -> f, c f -> d and f c -> d
+    a, c, b, d, e, g = admissible
+    mid = flat[at(a, c, b, d, e, g)]
+    i, f = _entries(admits(by_xy, a, b) & admits(by_xz, c, d) & admits(by_yz, c, d))
+    outer, inner = flat[at(c, a, b, d, e, 0)[i] + f], flat[at(a, b, c, d, 0, g)[i] + f * n]
     Rc = R.conj()
-    mid = F[a, c, b, d, e, g]
-    rhs = rhs_inv = 0
-    for f in range(n):
-        outer, inner = F[c, a, b, d, e, f], F[a, b, c, d, f, g]
-        rhs = rhs + outer * R[c, f, d] * inner
-        # second hexagon: inverse braiding, R labels transposed
-        rhs_inv = rhs_inv + outer * Rc[f, c, d] * inner
+    rhs = _sums(i, outer * R[c[i], f, d[i]] * inner, len(g))
+    # second hexagon: inverse braiding, R labels transposed
+    rhs_inv = _sums(i, outer * Rc[f, c[i], d[i]] * inner, len(g))
     hexa = max(
         np.abs(R[c, a, e] * mid * R[c, b, g] - rhs).max(initial=0.0),
         np.abs(Rc[a, c, e] * mid * Rc[b, c, g] - rhs_inv).max(initial=0.0),

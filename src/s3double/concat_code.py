@@ -168,6 +168,11 @@ class QuditCSSCode:
         return _read_only(span.reshape(-1, self.n))
 
     @functools.cached_property
+    def z_span(self) -> np.ndarray:
+        """Read-only rows: every vector of rowspan(H_Z)."""
+        return _read_only(_span_rows(self.H_Z, self.p))
+
+    @functools.cached_property
     def distance(self):
         """Minimum weight over both logical-operator cosets (n <= 9 only;
         None for longer codes): each kernel's span as rows, less those one
@@ -175,9 +180,9 @@ class QuditCSSCode:
         if self.n > 9:
             return None
         weights = [self.n]
-        for ker, other in ((self.H_Z, self.H_X), (self.H_X, self.H_Z)):
+        for ker, other in ((self.H_Z, self.x_span), (self.H_X, self.z_span)):
             span = _span_rows(kernel_basis(ker, self.p), self.p)
-            outside = dg.find(_span_rows(other, self.p), (self.p,) * self.n, span) < 0
+            outside = dg.find(other, (self.p,) * self.n, span) < 0
             weights += np.count_nonzero(span[outside], axis=1).tolist()
         return min(weights)
 
@@ -306,18 +311,15 @@ def _syndromes(code, vecs):
 
 def _equivalent_errors(code, e1, e2):
     """Weight<=1 errors are interchangeable when their difference is a
-    stabilizer (X parts differ by a row of H_X, Z parts by a row of H_Z)."""
-    diff_x = np.zeros(code.n, dtype=np.int64)
-    diff_z = np.zeros(code.n, dtype=np.int64)
-    s1, a1, b1 = e1
-    s2, a2, b2 = e2
-    diff_x[s1] += a1
-    diff_x[s2] -= a2
-    diff_z[s1] += b1
-    diff_z[s2] -= b2
-    return in_rowspan(code.H_X, diff_x % code.p, code.p) and in_rowspan(
-        code.H_Z, diff_z % code.p, code.p
-    )
+    stabilizer: X parts differ by a row of `x_span`, Z parts by one of
+    `z_span` (one lookup in each)."""
+    diff = np.zeros((2, code.n), dtype=np.int64)  # X part, Z part
+    (s1, a1, b1), (s2, a2, b2) = e1, e2
+    diff[:, s1] += (a1, b1)
+    diff[:, s2] -= (a2, b2)
+    radices = (code.p,) * code.n
+    spans = (code.x_span, code.z_span)
+    return all(dg.find(span, radices, d % code.p) >= 0 for span, d in zip(spans, diff))
 
 
 def correction_table(code: QuditCSSCode):

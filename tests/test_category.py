@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,65 @@ def loop_residuals(data):
     return pent, hexa, unit, vac
 
 
+def dense_report(data):
+    """ConsistencyReport by the dense evaluation: every admissible label tuple
+    from ``np.nonzero`` of a product of N over all label axes, and every sum
+    over a free label over all n label values, one gather per value.  The
+    reference the joined evaluation must equal exactly."""
+    labels = data.anyons
+    n = len(labels)
+    index = {a: i for i, a in enumerate(labels)}
+
+    def dense(table, rank):
+        values = np.zeros((n,) * rank, dtype=complex)
+        keys = np.array([[index[x] for x in key] for key in table], dtype=int)
+        values[tuple(keys.reshape(-1, rank).T)] = list(table.values())
+        return values
+
+    N, R, F = dense(data.N, 3) != 0, dense(data.R, 3), dense(data.F, 6)
+    adm = np.einsum("abe,ecd,bcf,afd->abcdef", N, N, N, N)
+    F *= adm
+    rows = np.einsum("abe,ecd->abcd", N, N, dtype=int)
+
+    row = np.einsum("abe,ecd->abcde", N, N)
+    a, b, c, d, e, x = np.nonzero(np.einsum("abcde,abcdx->abcdex", row, row))
+    gram = sum(F[a, b, c, d, e, f] * F[a, b, c, d, x, f].conj() for f in range(n))
+    unit = np.abs(gram - (e == x)).max(initial=0.0)
+    is_vac = np.array([label == "A" for label in labels])
+    touch = is_vac[:, None, None] | is_vac[None, :, None] | is_vac[None, None, :]
+    vac = np.abs(F[adm & touch[..., None, None, None]] - 1).max(initial=0.0)
+
+    a, b, f, c, g, d, e = np.nonzero(np.einsum("abf,fcg,gde->abfcgde", N, N, N))
+    i, l = np.nonzero(N[c, d] & N[f, :, e])
+    a, b, f, c, g, d, e = (y[i] for y in (a, b, f, c, g, d, e))
+    i, k = np.nonzero(N[b, l] & N[a, :, e])
+    a, b, f, c, g, d, e, l = (y[i] for y in (a, b, f, c, g, d, e, l))
+    lhs = F[f, c, d, e, g, l] * F[a, b, l, e, f, k]
+    rhs = sum(
+        F[a, b, c, g, f, h] * F[a, h, d, e, g, k] * F[b, c, d, k, h, l]
+        for h in range(n)
+    )
+    pent = np.abs(lhs - rhs).max(initial=0.0)
+    pentagon_equations = len(k)
+
+    a, b, c, d, e, g = np.nonzero(np.einsum("ace,ebd,cbg,agd->abcdeg", N, N, N, N))
+    Rc = R.conj()
+    mid = F[a, c, b, d, e, g]
+    rhs = rhs_inv = 0
+    for f in range(n):
+        outer, inner = F[c, a, b, d, e, f], F[a, b, c, d, f, g]
+        rhs = rhs + outer * R[c, f, d] * inner
+        rhs_inv = rhs_inv + outer * Rc[f, c, d] * inner
+    hexa = max(
+        np.abs(R[c, a, e] * mid * R[c, b, g] - rhs).max(initial=0.0),
+        np.abs(Rc[a, c, e] * mid * Rc[b, c, g] - rhs_inv).max(initial=0.0),
+    )
+    return category.ConsistencyReport(
+        float(pent), float(hexa), float(unit), float(vac),
+        pentagon_equations, len(g), int(np.count_nonzero(rows)),
+    )
+
+
 def with_phase(table, key, angle=1e-6):
     table = dict(table)
     table[key] *= cmath.exp(1j * angle)
@@ -106,6 +166,45 @@ def rebuilt(data, **tables):
     return category.CategoryData(
         data.anyons, data.N, data.dims, tables.get("R", data.R), tables.get("F", data.F)
     )
+
+
+# F entries with the vacuum as a, as b and as c
+VACUUM_KEYS = (
+    ("A", "G", "G", "A", "G", "A"),
+    ("G", "A", "G", "A", "G", "G"),
+    ("G", "G", "A", "G", "G", "G"),
+)
+
+
+def raw_category():
+    raw_F, raw_R = category.raw_symbols()
+    return category.CategoryData(
+        tuple(ANYONS), algebra.derive_fusion_rules(), dict(QUANTUM_DIMS), raw_R, raw_F
+    )
+
+
+def consistency_tables(data):
+    """Every table the consistency tests report on, by name: the shipped and
+    raw tables, two restrictions, the empty table and each perturbed table."""
+    sub = category.restrict(data, ("A", "B", "C"))
+    tables = {
+        "shipped": data,
+        "raw": raw_category(),
+        "A": category.restrict(data, ("A",)),
+        "ABC": sub,
+        "ABC-F-CCCCAA": rebuilt(sub, F=with_phase(sub.F, ("C", "C", "C", "C", "A", "A"))),
+        "empty": category.CategoryData(("A",), {}, {"A": 1}, {}, {}),
+        "F-GGGGAA": rebuilt(data, F=with_phase(data.F, ("G", "G", "G", "G", "A", "A"))),
+        "R-GGA": rebuilt(data, R=with_phase(data.R, ("G", "G", "A"))),
+    }
+    for key in VACUUM_KEYS:
+        tables["F-" + "".join(key)] = rebuilt(data, F=with_phase(data.F, key))
+    assert tuple(tables) == TABLE_NAMES
+    return tables
+
+
+TABLE_NAMES = ("shipped", "raw", "A", "ABC", "ABC-F-CCCCAA", "empty", "F-GGGGAA", "R-GGA")
+TABLE_NAMES += tuple("F-" + "".join(key) for key in VACUUM_KEYS)
 
 
 def reference_raw_symbols():
@@ -171,6 +270,11 @@ def reference_raw_symbols():
 
 
 @pytest.fixture(scope="module")
+def tables(data):
+    return consistency_tables(data)
+
+
+@pytest.fixture(scope="module")
 def reference():
     return reference_raw_symbols()
 
@@ -217,14 +321,7 @@ class TestConsistency:
         assert report.unitarity >= 1e-7
         assert not report.passes()
 
-    @pytest.mark.parametrize(
-        "key",  # the vacuum as a, as b and as c
-        [
-            ("A", "G", "G", "A", "G", "A"),
-            ("G", "A", "G", "A", "G", "G"),
-            ("G", "G", "A", "G", "G", "G"),
-        ],
-    )
+    @pytest.mark.parametrize("key", VACUUM_KEYS)
     def test_vacuum_entry_phase_breaks_vacuum(self, data, key):
         report = category.verify_consistency(rebuilt(data, F=with_phase(data.F, key)))
         assert abs(report.vacuum - abs(cmath.exp(1e-6j) - 1)) < 1e-12
@@ -263,6 +360,24 @@ class TestConsistency:
         message = r"non-square F block \('X', 'A', 'X', 'A'\)"
         with pytest.raises(category.CategoryError, match=message):
             category.verify_consistency(table)
+
+    @pytest.mark.parametrize("name", TABLE_NAMES)
+    def test_equals_dense_reference(self, tables, name):
+        table = tables[name]
+        report, reference = category.verify_consistency(table), dense_report(table)
+        assert report == reference, (report, reference)  # every field exactly
+
+    def test_memory_stays_in_the_admissible_tuples(self, data):
+        # the dense route's 8^7 pentagon mask and its gathers over every h
+        # peak at 16.5 MiB; the dense F table alone is 4 MiB
+        category.verify_consistency(data)
+        tracemalloc.start()
+        try:
+            category.verify_consistency(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2**20, peak
 
     @given(anyons, anyons)
     @settings(max_examples=64, deadline=None)
@@ -478,15 +593,7 @@ class TestOracle:
         assert report.passes(), report
 
     def test_raw_data_is_consistent(self):
-        rawF, rawR = category.raw_symbols()
-        raw = category.CategoryData(
-            tuple(ANYONS),
-            algebra.derive_fusion_rules(),
-            dict(QUANTUM_DIMS),
-            rawR,
-            rawF,
-        )
-        report = category.verify_consistency(raw)
+        report = category.verify_consistency(raw_category())
         assert report.passes(), report
 
     def test_raw_symbols_match_reference(self, reference):
