@@ -177,6 +177,15 @@ def _dense(table: dict, index: dict, rank: int):
     return values, present
 
 
+def _f_masks(N):
+    """(row, col, adm) of boolean fusion rules N[a, b, c]: [F^{abc}_d]_{ef}
+    exists when a b -> e, e c -> d (row[a, b, c, d, e]) and b c -> f,
+    a f -> d (col[a, b, c, d, f]); adm[a, b, c, d, e, f] holds both."""
+    row = np.einsum("abe,ecd->abcde", N, N)
+    col = np.einsum("bcf,afd->abcdf", N, N)
+    return row, col, row[..., :, None] & col[..., None, :]
+
+
 def _labels_at(mask, labels) -> tuple:
     """Labels of the first true entry of a mask over label indices."""
     return tuple(labels[i] for i in np.argwhere(mask)[0])
@@ -225,11 +234,7 @@ def verify_consistency(data: CategoryData) -> ConsistencyReport:
     F, has_f = _dense(data.F, index, 6)
     if (N & ~has_r).any():
         raise CategoryError(f"missing R entry {_labels_at(N & ~has_r, labels)}")
-    # [F^{abc}_d]_{ef} exists when a b -> e, e c -> d (its row e) and
-    # b c -> f, a f -> d (its column f)
-    row = np.einsum("abe,ecd->abcde", N, N)
-    col = np.einsum("bcf,afd->abcdf", N, N)
-    adm = row[..., :, None] & col[..., None, :]
+    row, col, adm = _f_masks(N)
     if (adm & ~has_f).any():
         raise CategoryError(f"missing F entry {_labels_at(adm & ~has_f, labels)}")
     F *= adm  # an F symbol vanishes off the admissible set
@@ -516,7 +521,7 @@ def raw_symbols():
     def table(idx, values):
         return dict(zip(zip(*(labels[i].tolist() for i in idx)), values.tolist()))
 
-    idx = np.nonzero(np.einsum("abe,ecd,bcf,afd->abcdef", N, N, N, N))
+    idx = np.nonzero(_f_masks(N)[2])
     a, b, c, d, e, f = idx
     left = np.einsum("tijx,txkm->tijkm", S[a, b, e], S[e, c, d])
     # the right-hand tree (1 (x) S_bcf) S_afd is contracted into left unbuilt

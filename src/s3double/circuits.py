@@ -331,12 +331,13 @@ def simulate(circuit: AdaptiveCircuit, register: QuditRegister, rng):
     """Run one trajectory, one `_step` per op on the register's digits and
     amplitudes; returns (final register, outcome transcript).
 
-    A mixed ancilla draws its basis state with `rng.integers(dim)`; a
-    measurement or a free draws its outcome by the Born rule, one
-    `sampling.draw` from the law of every outcome's squared norm, and
-    renormalises.  As in `channel_kraus`,
-    ancillas must be freed before the end of the circuit; a trajectory that
-    misses a non-empty `accept` raises `CircuitError` naming the label."""
+    Every split (a mixed ancilla, a measurement, a free) draws its branch by
+    the Born rule, one `sampling.draw` from the law of each branch's weight
+    times its squared norm (the weights `channel_kraus` reads: 1/dim for a
+    mixed ancilla's values, 1 for an outcome), and renormalises.  As in
+    `channel_kraus`, ancillas must be freed before the end of the circuit; a
+    trajectory that misses a non-empty `accept` raises `CircuitError`
+    naming the label."""
     if tuple(register.dims[: len(circuit.system_dims)]) != tuple(circuit.system_dims):
         raise CircuitError("register does not match circuit system wires")
     dims, names, record = list(register.dims), {}, dict(register.record)
@@ -345,13 +346,11 @@ def simulate(circuit: AdaptiveCircuit, register: QuditRegister, rng):
         branches = _step(op, dims, names, digits, amps, record)
         if len(branches) == 1:
             _, dims, names, digits, amps, record = branches[0]
-        elif op.kind == "alloc":
-            _, dims, names, digits, amps, record = branches[int(rng.integers(len(branches)))]
         else:
-            probs = [float(np.vdot(b[4], b[4]).real) for b in branches]
-            o = sampling.draw(sampling.law(probs), rng)
+            norms = [float(np.vdot(b[4], b[4]).real) for b in branches]
+            o = sampling.draw(sampling.law([b[0] * n for b, n in zip(branches, norms)]), rng)
             _, dims, names, digits, amps, record = branches[o]
-            amps = amps / np.sqrt(probs[o])
+            amps = amps / np.sqrt(norms[o])
     if names:
         raise CircuitError(f"ancillas never freed: {sorted(names)}")
     for label, want in circuit.accept:

@@ -80,12 +80,6 @@ def rank(matrix, p) -> int:
     return rref(matrix, p)[0].shape[0]
 
 
-def in_rowspan(matrix, vector, p) -> bool:
-    base = rank(matrix, p)
-    stacked = np.vstack([_as_matrix(matrix, len(vector)), np.array(vector) % p])
-    return rank(stacked, p) == base
-
-
 def _span_rows(matrix, p) -> np.ndarray:
     """All p^rank vectors in the row span as distinct rows (small ranks only)."""
     basis, _ = rref(matrix, p)
@@ -94,9 +88,9 @@ def _span_rows(matrix, p) -> np.ndarray:
     return dg.basis_rows((p,) * len(basis)) @ basis % p
 
 
-def span_vectors(matrix, p):
-    """All p^rank vectors in the row span, as sorted tuples."""
-    return sorted(map(tuple, _span_rows(matrix, p).tolist()))
+def _ascending(rows) -> np.ndarray:
+    """The rows in ascending (lexicographic) order."""
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def kernel_basis(matrix, p):
@@ -146,26 +140,26 @@ class QuditCSSCode:
     def k(self) -> int:
         return self.n - rank(self.H_X, self.p) - rank(self.H_Z, self.p)
 
+    def _logicals(self, checks, stabilizers) -> np.ndarray:
+        """Rows of span(ker(checks)), in ascending order, that one lookup does
+        not find among the rows of `stabilizers`."""
+        span = _ascending(_span_rows(kernel_basis(checks, self.p), self.p))
+        return span[dg.find(stabilizers, (self.p,) * self.n, span) < 0]
+
     @functools.cached_property
     def logical_x(self) -> np.ndarray:
         """Read-only row: the logical X, the first minimum-weight vector of
-        ker(H_Z) outside rowspan(H_X) (length <= 9 only)."""
+        ker(H_Z) outside rowspan(H_X) in ascending order (length <= 9 only)."""
         if self.n > 9:
             raise CodeError("logical representative enumerated for n <= 9 only")
-        ker = kernel_basis(self.H_Z, self.p)
-        candidates = sorted(
-            span_vectors(ker, self.p),
-            key=lambda v: (sum(1 for d in v if d), v),
-        )
         # k = 1, so ker(H_Z) holds a vector outside rowspan(H_X)
-        x = next(v for v in candidates if any(v) and not in_rowspan(self.H_X, v, self.p))
-        return _read_only(np.array(x, dtype=np.int64))
+        outside = self._logicals(self.H_Z, self.x_span)
+        return _read_only(outside[np.argmin(np.count_nonzero(outside, axis=1))])
 
     @functools.cached_property
     def x_span(self) -> np.ndarray:
         """Read-only rows: every vector of rowspan(H_X), in ascending order."""
-        span = np.array(span_vectors(self.H_X, self.p), dtype=np.int64)
-        return _read_only(span.reshape(-1, self.n))
+        return _read_only(_ascending(_span_rows(self.H_X, self.p)))
 
     @functools.cached_property
     def z_span(self) -> np.ndarray:
@@ -180,10 +174,8 @@ class QuditCSSCode:
         if self.n > 9:
             return None
         weights = [self.n]
-        for ker, other in ((self.H_Z, self.x_span), (self.H_X, self.z_span)):
-            span = _span_rows(kernel_basis(ker, self.p), self.p)
-            outside = dg.find(other, (self.p,) * self.n, span) < 0
-            weights += np.count_nonzero(span[outside], axis=1).tolist()
+        for checks, stabilizers in ((self.H_Z, self.x_span), (self.H_X, self.z_span)):
+            weights += np.count_nonzero(self._logicals(checks, stabilizers), axis=1).tolist()
         return min(weights)
 
     @functools.cached_property
@@ -398,12 +390,12 @@ def _transform_pool(state, rows, key, op):
     """Apply `op` (vector -> vector) to the branches of the boolean mask
     `rows`, sharing transformed vectors across branches and across layers;
     new vectors join the pool in first-seen branch order."""
-    chosen = state.vids[rows].tolist()
-    for vid in dict.fromkeys(chosen):
+    distinct, first, inverse = np.unique(state.vids[rows], return_index=True, return_inverse=True)
+    for vid in distinct[np.argsort(first)].tolist():
         if (vid, key) not in state.memo:
             state.pool.append(op(state.pool[vid]))
             state.memo[(vid, key)] = len(state.pool) - 1
-    state.vids[rows] = [state.memo[(vid, key)] for vid in chosen]
+    state.vids[rows] = np.array([state.memo[(vid, key)] for vid in distinct.tolist()])[inverse]
 
 
 def apply_qutrit_pauli(state: ConcatState, site: int, a: int, b: int):

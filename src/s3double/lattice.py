@@ -655,15 +655,9 @@ def apply_anyon_ribbon(state: LatticeState, ribbon: Ribbon, anyon: str, rng) -> 
 # Charge measurement
 
 
-@dataclass(frozen=True)
-class AnyonConfiguration:
-    charges: dict  # site -> anyon letter
-
-    def nontrivial(self) -> dict:
-        return {s: a for s, a in self.charges.items() if a != "A"}
-
-    def __getitem__(self, site) -> str:
-        return self.charges[site]
+def nontrivial(charges: dict) -> dict:
+    """The sites of a {site: anyon letter} map whose letter is not the vacuum A."""
+    return {s: a for s, a in charges.items() if a != "A"}
 
 
 # (anyon, fluxes h with chi_a(h, e) != 0) for the anyon of each class whose
@@ -752,12 +746,13 @@ def measure_site(state: LatticeState, site, rng):
 
 
 def measure_MK(state: LatticeState, rng):
-    """Full anyon-configuration measurement over all sites (they commute)."""
+    """Full anyon-configuration measurement over all sites (they commute):
+    ({site: anyon letter}, post-state)."""
     charges = {}
     for site in state.lattice.sites:
         letter, state = measure_site(state, site, rng)
         charges[site] = letter
-    return AnyonConfiguration(charges), state
+    return charges, state
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,16 @@ class NoiseModel:
         return kinds[sampling.draw(cdf, rng)]
 
 
+def _faults(n_edges: int, noise: NoiseModel, rng):
+    """Yield (edge, kind) of each faulty edge in edge order: one
+    rng.random() < p per edge (inline; sampling.draw costs more than twice as
+    much per edge), then one noise.sample_kind per fault.  A consumer's own
+    draws for a fault happen before the next edge's draw."""
+    for edge in range(n_edges):
+        if rng.random() < noise.p:
+            yield edge, noise.sample_kind(rng)
+
+
 # Pauli errors as monomials on the edge's group element g = mu^k sigma^l
 # (qutrit k, qubit l): X = right multiplication by sigma, Xh = left
 # multiplication by mu, Z = (-1)^l, Zh = omega^k.  Y = X Z and XhZh = Xh Zh
@@ -150,16 +160,17 @@ def _path(a, b):
     return path
 
 
-def decode_greedy(config: lat.AnyonConfiguration):
-    """Pair non-trivial sites by greedy nearest-neighbour matching
-    (Manhattan distance, lexicographic tie-break); one site may stay
-    unpaired.  Returns [(site_a, site_b, path from a to b), ...].
+def decode_greedy(charges: dict):
+    """Pair the non-trivial sites of a {site: letter} map by greedy
+    nearest-neighbour matching (Manhattan distance, lexicographic
+    tie-break); one site may stay unpaired.  Returns [(site_a, site_b, path
+    from a to b), ...].
 
     Cost: one vectorised sort of the n(n-1)/2 pair distances, O(n^2 log n)
     at most (a radix sort, O(n^2), when every distance fits 16 bits), then a
     walk over the sorted pairs that stops once fewer than two sites are
     free."""
-    sites = sorted(config.nontrivial())
+    sites = sorted(lat.nontrivial(charges))
     n = len(sites)
     if n < 2:
         return []
@@ -186,16 +197,6 @@ def decode_greedy(config: lat.AnyonConfiguration):
 
 # ---------------------------------------------------------------------------
 # Microscopic cycle
-
-
-def _inject_noise(state, noise, rng):
-    errors = []
-    for edge in range(state.lattice.n_edges):
-        if rng.random() < noise.p:
-            kind = noise.sample_kind(rng)
-            state = inject_pauli(state, edge, kind)
-            errors.append((edge, kind))
-    return state, errors
 
 
 # Round budget of each adaptive anyon move in a microscopic recovery.
@@ -237,20 +238,22 @@ def _fidelity_to_ground(state) -> float:
 def _microscopic_cycle(state, noise, rounds, rng):
     reports = []
     for r in range(rounds):
-        state, errors = _inject_noise(state, noise, rng)
+        errors = 0
+        for edge, kind in _faults(state.lattice.n_edges, noise, rng):
+            state = inject_pauli(state, edge, kind)
+            errors += 1
         state = state.normalized()
-        config, state = lat.measure_MK(state, rng)
+        letters, state = lat.measure_MK(state, rng)
         actions = []
-        letters = dict(config.charges)
-        for a, b, path in decode_greedy(config):
+        for a, b, path in decode_greedy(letters):
             state, resolved = _recover_pair(state, a, b, path, letters, rng)
             actions.append((a, b, resolved))
         check, state = lat.measure_MK(state, rng)
-        residual = len(check.nontrivial())
+        residual = len(lat.nontrivial(check))
         rec = {
             "round": r,
-            "errors": len(errors),
-            "syndrome": sorted(config.nontrivial().items()),
+            "errors": errors,
+            "syndrome": sorted(lat.nontrivial(letters).items()),
             "actions": actions,
             "residual": residual,
             "fidelity": _fidelity_to_ground(state) if residual == 0 else 0.0,
@@ -290,11 +293,8 @@ def _phenomenological_cycle(shape, noise, rounds, rng):
     reports = []
     for r in range(rounds):
         n_errors = 0
-        for edge in range(geometry.n_edges):
-            if rng.random() >= noise.p:
-                continue
+        for edge, kind in _faults(geometry.n_edges, noise, rng):
             n_errors += 1
-            kind = noise.sample_kind(rng)
             table = SYNDROME_H if geometry.is_horizontal(edge) else SYNDROME_V
             for slot, site in enumerate(syndrome_sites(geometry, edge)):
                 if site is None:
@@ -302,9 +302,10 @@ def _phenomenological_cycle(shape, noise, rounds, rng):
                 letter = _sample_syndrome_letter(kind, slot, table, rng)
                 if letter != "A":
                     charges[site] = sample_fusion(charges[site], letter, rng)
-        config = lat.AnyonConfiguration(dict(charges))
+        # read before recovery rewrites the charges
+        syndrome = sorted(lat.nontrivial(charges).items())
         actions = []
-        for a, b, _ in decode_greedy(config):
+        for a, b, _ in decode_greedy(charges):
             # phenomenological recovery: transport is assumed perfect; the
             # pair fuses stochastically and any non-trivial outcome stays
             # enqueued at b for the next round
@@ -317,7 +318,7 @@ def _phenomenological_cycle(shape, noise, rounds, rng):
             {
                 "round": r,
                 "errors": n_errors,
-                "syndrome": sorted(config.nontrivial().items()),
+                "syndrome": syndrome,
                 "actions": actions,
                 "residual": residual,
             }

@@ -231,6 +231,25 @@ class TestSimulator:
             assert rec == dict(circ.accept)
             assert np.allclose(_dense(out), want, atol=1e-12)
 
+    def test_mixed_ancilla_draws_uniformly(self):
+        # a mixed qutrit's value is one more Born split, of weight 1/3 each:
+        # over 6,000 trajectories chi^2 (2 degrees of freedom) stays below
+        # 13.8 with probability 0.999, and a draw stuck on one value reads
+        # 12,000; the freed register is the input
+        circ = cir.AdaptiveCircuit(
+            (2,),
+            (cir.Op("alloc", label="a", dim=3, init="mixed"), cir.Op("free", label="a")),
+        )
+        vec = np.array([0.6, 0.8j])
+        rng = np.random.default_rng(5)
+        counts = np.zeros(3)
+        for _ in range(6000):
+            reg, rec = cir.simulate(circ, _register((2,), vec), rng)
+            counts[rec["a"]] += 1
+        assert np.allclose(_dense(reg), vec, atol=1e-12)
+        chi2 = np.sum((counts - 2000) ** 2 / 2000)
+        assert chi2 < 13.8, counts
+
     def test_replay_determinism(self):
         circ = cir.build_ribbon_circuit("D", "h")
         vec = np.random.default_rng(3).normal(size=36).astype(complex)

@@ -66,26 +66,29 @@ def _dense_syndrome(code, vec):
     return tuple(int(v) for v in np.round(np.angle(vals) / (2 * np.pi / 3)).astype(int) % 3)
 
 
+def _brute_force_rowspan(checks, p):
+    """Every combination of the check rows, as a set of tuples."""
+    combos = itertools.product(range(p), repeat=len(checks))
+    return {tuple((np.array(c, dtype=np.int64) @ checks % p).tolist()) for c in combos}
+
+
+def _brute_force_logicals(code, ker, other):
+    """Every p^n vector in ker(ker) outside rowspan(other), as tuples in
+    itertools.product (ascending) order."""
+    p = code.p
+    span = _brute_force_rowspan(other, p)
+    vectors = np.array(list(itertools.product(range(p), repeat=code.n)), dtype=np.int64)
+    in_ker = ~np.any(vectors @ ker.T % p, axis=1)
+    return [tuple(v) for v in vectors[in_ker].tolist() if tuple(v) not in span]
+
+
 def _brute_force_distance(code):
     """Minimum weight over ker(H_Z) outside rowspan(H_X) and ker(H_X)
     outside rowspan(H_Z): every p^n vector against every combination of
     check rows."""
-    p = code.p
-
-    def rowspan(checks):
-        combos = itertools.product(range(p), repeat=len(checks))
-        return {tuple((np.array(c, dtype=np.int64) @ checks % p).tolist()) for c in combos}
-
-    vectors = np.array(list(itertools.product(range(p), repeat=code.n)), dtype=np.int64)
     weights = []
     for ker, other in ((code.H_Z, code.H_X), (code.H_X, code.H_Z)):
-        span = rowspan(other)
-        in_ker = ~np.any(vectors @ ker.T % p, axis=1)
-        weights += [
-            int(np.count_nonzero(v))
-            for v in vectors[in_ker]
-            if tuple(v.tolist()) not in span
-        ]
+        weights += [sum(1 for d in v if d) for v in _brute_force_logicals(code, ker, other)]
     return min(weights)
 
 
@@ -117,11 +120,6 @@ class TestLinearAlgebra:
         assert ker.shape == (1, 3)
         assert not np.any(np.array([[1, 2, 0], [0, 1, 2]]) @ ker[0] % 3)
 
-    def test_in_rowspan(self):
-        m = np.array([[1, 1, 0], [0, 1, 1]])
-        assert cc.in_rowspan(m, (1, 0, 1), 2)
-        assert not cc.in_rowspan(m, (1, 0, 0), 2)
-
 
 class TestCodes:
     def test_shor_code_parameters(self):
@@ -137,10 +135,6 @@ class TestCodes:
         x, span = code.logical_x, code.x_span
         assert code.logical_x is x and code.x_span is span
         assert x.shape == (9,) and span.shape == (9, 9)
-        # the representative is a logical X: in ker(H_Z), outside rowspan(H_X)
-        assert not ((code.H_Z @ x) % 3).any()
-        assert not cc.in_rowspan(code.H_X, x, 3)
-        assert sorted(map(tuple, span.tolist())) == cc.span_vectors(code.H_X, 3)
         with pytest.raises(ValueError):
             x[0] = 1
         with pytest.raises(ValueError):
@@ -150,6 +144,18 @@ class TestCodes:
     def test_distance_matches_brute_force(self, name):
         code = SMALL_CODES[name]()
         assert code.distance == _brute_force_distance(code)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_CODES))
+    def test_coset_tables_match_brute_force(self, name):
+        # x_span is rowspan(H_X) in ascending order; logical_x is the
+        # lexicographically first minimum-weight vector of ker(H_Z) outside it
+        code = SMALL_CODES[name]()
+        span = sorted(_brute_force_rowspan(code.H_X, code.p))
+        assert list(map(tuple, code.x_span.tolist())) == span
+        logicals = _brute_force_logicals(code, code.H_Z, code.H_X)
+        assert tuple(code.logical_x.tolist()) == min(
+            logicals, key=lambda v: (sum(1 for d in v if d), v)
+        )
 
     def test_repetition_distance_one(self):
         code = cc.shor_code(3, 1, 3)
@@ -510,6 +516,19 @@ class TestFaultTolerance:
                 out, _ = cc.apply_schedule(9, inp, ((1, 4, 1, 0),))
                 added += len(out.pool) - len(inp.pool)
         assert added == 165
+
+    def test_new_vectors_join_in_first_seen_order(self):
+        # the pool grows in the order of each old vector's first chosen
+        # branch, and a vector already transformed under the key is reused
+        bits = np.zeros((4, 3), dtype=np.int8)
+        state = cc.ConcatState(bits, np.ones(4), np.array([2, 0, 2, 1]), ["u", "v", "w"])
+        cc._transform_pool(state, np.ones(4, dtype=bool), "k", lambda vec: vec + "'")
+        assert state.pool == ["u", "v", "w", "w'", "u'", "v'"]
+        assert state.vids.tolist() == [3, 4, 3, 5]
+        state.vids[:] = [1, 2, 0, 2]
+        cc._transform_pool(state, np.array([False, True, True, True]), "k", lambda vec: vec + "'")
+        assert state.pool == ["u", "v", "w", "w'", "u'", "v'"]
+        assert state.vids.tolist() == [1, 3, 4, 3]
 
     def test_demos_share_one_code_and_table(self, monkeypatch):
         builds = []

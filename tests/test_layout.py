@@ -179,8 +179,9 @@ class TestSampling:
         assert calls == []
 
     def test_only_fault_draws_call_random(self):
-        # a draw outside sampling is one of qec's per-edge Bernoulli faults,
-        # rng.random() compared with the error rate p
+        # the one draw outside sampling is qec's per-edge Bernoulli fault,
+        # rng.random() compared with the error rate p, at one site; no
+        # module draws with Generator.integers (a mixed ancilla is a law)
         def is_random(node):
             return (
                 isinstance(node, ast.Call)
@@ -188,11 +189,13 @@ class TestSampling:
                 and node.func.attr == "random"
             )
 
-        calls, faults = [], []
+        calls, faults, integers = [], [], []
         for path in sorted(PACKAGE.glob("*.py")):
             if path.stem == "sampling":
                 continue
             for node in ast.walk(ast.parse(path.read_text())):
+                if getattr(getattr(node, "func", None), "attr", None) == "integers":
+                    integers.append(f"{path.stem}:{node.lineno}")
                 if is_random(node):
                     calls.append(f"{path.stem}:{node.lineno}")
                 elif (
@@ -202,7 +205,8 @@ class TestSampling:
                     and getattr(node.comparators[0], "attr", None) == "p"
                 ):
                     faults.append(f"{path.stem}:{node.lineno}")
-        assert len(faults) == 2 and sorted(calls) == sorted(faults), calls
+        assert len(faults) == 1 and sorted(calls) == sorted(faults), calls
+        assert integers == []
 
 
 class TestOneCategory:

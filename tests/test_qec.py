@@ -203,36 +203,34 @@ class TestInjectPauli:
 
 class TestDecoder:
     def test_empty(self):
-        assert qec.decode_greedy(lat.AnyonConfiguration({})) == []
+        assert qec.decode_greedy({}) == []
 
     def test_adjacent_pair(self):
-        cfg = lat.AnyonConfiguration({(0, 0): "C", (1, 0): "C"})
+        cfg = {(0, 0): "C", (1, 0): "C"}
         [(a, b, path)] = qec.decode_greedy(cfg)
         assert (a, b) == ((0, 0), (1, 0)) and path == [(0, 0), (1, 0)]
 
     def test_prefers_nearest(self):
-        cfg = lat.AnyonConfiguration(
-            {(0, 0): "F", (5, 0): "F", (6, 0): "F", (9, 0): "F"}
-        )
+        cfg = {(0, 0): "F", (5, 0): "F", (6, 0): "F", (9, 0): "F"}
         pairs = {(a, b) for a, b, _ in qec.decode_greedy(cfg)}
         assert ((5, 0), (6, 0)) in pairs
         assert ((0, 0), (9, 0)) in pairs
 
     def test_odd_leaves_one_unpaired(self):
-        cfg = lat.AnyonConfiguration({(0, 0): "C", (1, 0): "C", (4, 4): "B"})
+        cfg = {(0, 0): "C", (1, 0): "C", (4, 4): "B"}
         pattern = qec.decode_greedy(cfg)
         assert len(pattern) == 1
         assert {pattern[0][0], pattern[0][1]} == {(0, 0), (1, 0)}
 
     def test_path_steps_x_then_y(self):
-        cfg = lat.AnyonConfiguration({(0, 0): "C", (2, 1): "C"})
+        cfg = {(0, 0): "C", (2, 1): "C"}
         [(_, _, path)] = qec.decode_greedy(cfg)
         assert path == [(0, 0), (1, 0), (2, 0), (2, 1)]
 
     @staticmethod
     def _rescan(config):
         # oracle: rescan every remaining pair for the (distance, a, b) minimum
-        remaining = sorted(config.nontrivial())
+        remaining = sorted(lat.nontrivial(config))
         pattern = []
         while len(remaining) >= 2:
             _, a, b = min(
@@ -252,9 +250,7 @@ class TestDecoder:
             # the first configurations pin the smallest and the largest size
             n = (0, 1, 2, max_anyons)[k] if k < 4 else int(rng.integers(0, max_anyons + 1))
             chosen = rng.choice(len(sites), size=n, replace=False)
-            cfg = lat.AnyonConfiguration(
-                {sites[i]: "ABCDEFGH"[rng.integers(1, 8)] for i in chosen}
-            )
+            cfg = {sites[i]: "ABCDEFGH"[rng.integers(1, 8)] for i in chosen}
             assert qec.decode_greedy(cfg) == self._rescan(cfg)
 
     def test_matches_rescan_with_distance_ties(self):
