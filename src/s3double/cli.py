@@ -2,13 +2,13 @@
 subcommand with machine-readable JSON-lines output.
 
 Identical (subcommand, flags, seed) invocations produce byte-identical
-output; stochastic commands require an explicit --seed.  ribbon-demo,
-measure-ma, measure-mu and merge-split derive one generator per trial from
-(seed, trial index); move-stats and qec-cycle draw everything from one
-generator seeded by --seed, as does ground-state's charge measurement
-(--seed defaults to 0 there).  Exit code 0 means every emitted check
-passed, 1 flags a failed check or an explained resource bound, and 2 is a
-usage error.
+output; stochastic commands require an explicit --seed, a non-negative
+integer.  ribbon-demo, measure-ma, measure-mu and merge-split derive one
+generator per trial from (seed, trial index); move-stats and qec-cycle
+draw everything from one generator seeded by --seed, as does ground-state's
+charge measurement (--seed defaults to 0 there).  Exit code 0 means every
+emitted check passed, 1 flags a failed check or an explained resource
+bound, and 2 is a usage error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from . import fusion_sim as fsim
 from . import lattice as lat
 from . import protocols as pro
 from . import qec
+from . import sampling
 from .algebra import ANYONS
 from .category import U_PAIRS
 
@@ -76,6 +77,15 @@ def _positive_int(text):
     return value
 
 
+def _seed(text):
+    """argparse type of --seed: NumPy seeds only from non-negative integers,
+    so a negative seed is a usage error, not a traceback."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _probability(text):
     """argparse type of an error rate: NaN or a value outside [0, 1] is a usage error."""
     value = float(text)
@@ -93,11 +103,6 @@ def _check_fault_blocks(parser, args):
             parser.error(f"{flag} must lie in 0..{args.blocks - 1}, got {value}")
     if args.error_site is not None and cc.default_qutrit_code(args.blocks).distance < 3:
         parser.error(f"--error-site needs distance >= 3, which --blocks {args.blocks} lacks")
-
-
-def _trial_rngs(args):
-    """One generator per trial, seeded by (--seed, trial index)."""
-    return [np.random.default_rng([args.seed, trial]) for trial in range(args.trials)]
 
 
 def _random_states(rngs, pairs):
@@ -158,7 +163,7 @@ def _cmd_ribbon_demo(args, emit):
     gs, rib = lat.ground_state(lattice), lat.shortest_h(lattice, (0, 0))
     expected = {} if args.anyon == "A" else {(0, 0): args.anyon, (1, 0): args.anyon}
     deviations = 0
-    for rng in _trial_rngs(args):
+    for rng in sampling.trial_generators(args.seed, args.trials):
         cfg, _ = lat.measure_MK(lat.apply_anyon_ribbon(gs, rib, args.anyon, rng), rng)
         if lat.nontrivial(cfg) != expected:
             deviations += 1
@@ -201,7 +206,7 @@ def _cmd_circuit_equivalence(args, emit):
 def _measurement_tags(args, emit, measure, pairs, check):
     """Run `measure` on a random state over `pairs` per trial, all trials as
     one batch, and emit the tag counts."""
-    rngs = _trial_rngs(args)
+    rngs = sampling.trial_generators(args.seed, args.trials)
     out = measure(_random_states(rngs, pairs), rngs)
     timeouts = sum(out.timeouts)
     emit(
@@ -225,7 +230,7 @@ def _cmd_measure_mu(args, emit):
 
 
 def _cmd_merge_split(args, emit):
-    rngs = _trial_rngs(args)
+    rngs = sampling.trial_generators(args.seed, args.trials)
     left, right = _random_states(rngs, U_PAIRS), _random_states(rngs, U_PAIRS)
     split = fsim.split_qutrit(fsim.merge_qutrits(left, right, rngs).states, rngs)
     ran = ~np.array(split.timeouts)
@@ -348,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, **extra):
         p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, required=name in STOCHASTIC, default=0)
+        p.add_argument("--seed", type=_seed, required=name in STOCHASTIC, default=0)
         p.add_argument("--output", type=str, default=None)
         p.add_argument("--summary", action="store_true")
         return p

@@ -156,18 +156,22 @@ def qutrit_vector(amps) -> np.ndarray:
 
 def _normalized(arr) -> np.ndarray:
     """A stack of pair arrays, each over its own norm, in the arithmetic of
-    ``FusionState.normalized``: a row's squared moduli summed by Python's
-    `sum` in row-major order, then its real and imaginary parts divided by
-    the norm (Python's complex / float; NumPy's complex division multiplies
-    by a reciprocal).  The squares stay Python's `abs(v) ** 2`: NumPy's
-    `abs`, square and vectorised `power` each round apart from it in some
-    entries, and `merge-split` prints a fidelity that reads these bits.
+    ``FusionState.normalized``: each entry's squared modulus is Python's
+    `abs(v) ** 2`, a row's squares are added left to right (as Python's
+    `sum` adds floats up to 3.11; 3.12 compensates), and each real and
+    imaginary part is divided by the norm (Python's complex / float; NumPy's
+    complex division multiplies by a reciprocal).  `merge-split` prints a
+    fidelity that reads these bits.  Python's `abs` of a complex is C
+    `hypot` and its `** 2` is C `pow`, the two that `np.hypot` and
+    `np.float_power` call; `np.abs`, `np.square` and `np.power` round apart
+    from them in some entries.  `np.add.accumulate` adds a row's columns one
+    at a time in row-major order, where `np.sum` would add them pairwise.
     Adding 0.0 makes an exactly zero entry +0 whatever product made it, so
     `factor_halves`' SVD sees the same bits for the same amplitudes."""
     arr = np.ascontiguousarray(arr, dtype=complex)
-    size = math.prod(arr.shape[1:])
-    squares = [abs(v) ** 2 for v in arr.ravel().tolist()]
-    norms = np.sqrt([sum(squares[i : i + size]) for i in range(0, len(squares), size)])
+    parts = arr.reshape(len(arr), math.prod(arr.shape[1:])).view(float)
+    squares = np.float_power(np.hypot(parts[:, 0::2], parts[:, 1::2]), 2.0)
+    norms = np.sqrt(np.add.accumulate(squares, axis=1)[:, -1])
     if not norms.all():
         raise FusionError("cannot normalize the zero state")
     norms = norms.reshape((-1,) + (1,) * (arr.ndim - 1))

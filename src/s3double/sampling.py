@@ -4,6 +4,12 @@ consume the double, and return the index, that Generator.choice(len(p), p=p)
 would for p = weights / weights.sum(), without revalidating p on every draw.
 A stack of weight rows gives a stack of laws, and `draws` takes one double
 per row, each from that row's own generator.
+
+`trial_generators(seed, n)` gives those per-trial generators: generator t
+yields the same stream, and has the same `bit_generator.state`, as
+``np.random.default_rng([seed, t])``.  It runs NumPy's SeedSequence hash for
+all n trials as one uint32 array program and seeds each PCG64 from its row,
+so no trial pays for a SeedSequence of its own.
 """
 
 from __future__ import annotations
@@ -35,3 +41,84 @@ def draws(cdf: np.ndarray, rngs) -> np.ndarray:
     by every row) drawn with one rngs[i].random() double, as `draw` draws it."""
     u = np.array([rng.random() for rng in rngs])
     return (cdf <= u[:, None]).sum(axis=-1)
+
+
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, filled by `hashmix` with the INIT_A/MULT_A multipliers and
+# read out by the same hash with INIT_B/MULT_B.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_keys(init, mult):
+    """The (xor, multiplier) pair of each successive hash; the multiplier
+    chain does not depend on the data, so every trial shares it."""
+    key = init
+    while True:
+        nxt = key * mult & _MASK32
+        yield np.uint32(key), np.uint32(nxt)
+        key = nxt
+
+
+def _hash(words, keys):
+    """SeedSequence's `hashmix` of a column of words, with the next keys."""
+    x, m = next(keys)
+    words = (words ^ x) * m
+    return words ^ (words >> np.uint32(16))
+
+
+def _mix(x, y):
+    """SeedSequence's `mix` of two columns of words."""
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _seed_states(seed: int, n: int) -> np.ndarray:
+    """Row t is SeedSequence([seed, t]).generate_state(4, np.uint64): the
+    entropy is seed's 32-bit words, least significant first, then the trial
+    word, and every word of the hash is one column over all trials."""
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words] + [np.arange(n, dtype=np.uint32)]
+    keys = _hash_keys(_INIT_A, _MULT_A)
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [_hash(entropy[i] if i < len(entropy) else zero, keys) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], keys))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, keys))
+    keys = _hash_keys(_INIT_B, _MULT_B)
+    state = np.stack([_hash(pool[i % _POOL_SIZE], keys) for i in range(8)], axis=1)
+    # SeedSequence reads pairs of words as little-endian uint64
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def trial_generators(seed: int, n: int) -> list:
+    """n Generators, generator t drawing what np.random.default_rng([seed, t])
+    draws, for a seed >= 0 and n <= 2**32 (every trial index one word)."""
+    # numpy.random loads on first use: importing it here keeps it out of
+    # every command that draws nothing
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    if seed < 0:
+        raise ValueError(f"expected a non-negative seed, got {seed}")
+    if not 0 <= n <= 2**32:
+        raise ValueError(f"expected 0..2**32 trials, got {n}")
+
+    class _Row(ISeedSequence):
+        """The precomputed PCG64 seed state of one trial."""
+
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for its four uint64 words once, at construction
+            return self.row
+
+    return [Generator(PCG64(_Row(row))) for row in _seed_states(seed, n)]

@@ -75,6 +75,14 @@ class TestUsage:
         assert code == 2 and not out
         assert "positive integer" in err
 
+    @pytest.mark.parametrize("command", sorted(cli.STOCHASTIC))
+    def test_seed_must_not_be_negative(self, command, capsys):
+        # NumPy seeds only from non-negative integers: a usage error, not a traceback
+        anyon = ["--anyon", "C"] if command in ("move-stats", "ribbon-demo") else []
+        code, out, err = run([command, *anyon, "--seed", "-1"], capsys)
+        assert code == 2 and not out
+        assert "non-negative integer" in err
+
     @pytest.mark.parametrize("p", ["1.5", "-0.1", "nan", "inf"])
     def test_qec_cycle_rejects_an_error_rate_outside_0_1(self, p, capsys):
         code, out, err = run(["qec-cycle", "--p", p, "--seed", "1"], capsys)
@@ -615,3 +623,27 @@ class TestDependencies:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert [json.loads(line)["pass"] for line in proc.stdout.splitlines()] == [True, True]
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random costs about 11 ms to import; a command that draws
+        # nothing never loads it, so neither may the package import
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy
+            if "numpy.random" in sys.modules:
+                sys.exit(3)
+            import s3double.cli
+            from s3double import category
+            category.default_category()
+            sys.exit("numpy.random" in sys.modules)
+            """
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        if proc.returncode == 3:
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,5 +1,8 @@
 """Fusion-tree simulator tests: moves, braids, and the qutrit protocols."""
 
+import functools
+import math
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -163,6 +166,60 @@ class TestPairArrays:
             assert abs(np.linalg.norm(out) - 1) < 1e-12
         # no protocol writes into its input
         assert np.array_equal(U_VEC, before)
+
+
+def python_normalized(arr):
+    """The per-entry Python form of `fsim._normalized`, kept as its oracle:
+    Python's `abs(v) ** 2` per entry, a row's squares added left to right
+    (Python's `sum` up to 3.11), then Python's complex / float per entry."""
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    size = math.prod(arr.shape[1:])
+    squares = [abs(v) ** 2 for v in arr.ravel().tolist()]
+    rows = [squares[i : i + size] for i in range(0, len(squares), size)]
+    norms = np.sqrt([functools.reduce(operator.add, row) for row in rows])
+    if not norms.all():
+        raise fsim.FusionError("cannot normalize the zero state")
+    norms = norms.reshape((-1,) + (1,) * (arr.ndim - 1))
+    return (arr.view(float) / norms + 0.0).view(complex)
+
+
+def polar_stack(rng, shape, log_row, log_entry):
+    """Complex entries of uniform phase and modulus 10 ** (r + e), r drawn
+    per row from the interval `log_row` and e per entry from `log_entry`."""
+    row = rng.uniform(*log_row, size=shape[:1] + (1,) * (len(shape) - 1))
+    return 10.0 ** (row + rng.uniform(*log_entry, size=shape)) * np.exp(
+        2j * np.pi * rng.random(shape)
+    )
+
+
+class TestNormalized:
+    """`_normalized` is the per-entry Python form bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(2000, 9), (300, 9, 9)])
+    def test_bits_equal_the_python_form(self, shape):
+        rng = np.random.default_rng(len(shape))
+        stacks = [
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            # moduli 1e-150 to 1e150, within a row and from row to row; rows
+            # of alike moduli are where the order of the additions shows
+            polar_stack(rng, shape, (0, 0), (-150, 150)),
+            polar_stack(rng, shape, (-148, 148), (-2, 2)),
+        ]
+        # exact zeros and -0.0 in either part, the amplitudes factor_halves
+        # prunes; no row is all zero
+        signed = polar_stack(rng, shape, (-100, 100), (-1, 1)).view(float)
+        signed[rng.random(signed.shape) < 0.3] = 0.0
+        signed[rng.random(signed.shape) < 0.3] = -0.0
+        signed.reshape(len(signed), -1)[:, 0] = 1.0
+        stacks.append(signed.view(complex))
+        for arr in stacks:
+            assert fsim._normalized(arr).tobytes() == python_normalized(arr).tobytes()
+
+    def test_a_zero_row_refuses_the_stack(self):
+        arr = np.ones((3, 9), dtype=complex)
+        arr[1] = -0.0
+        with pytest.raises(fsim.FusionError, match="zero state"):
+            fsim._normalized(arr)
 
 
 class TestFMove:

@@ -111,3 +111,24 @@ class TestStackedLaws:
             rows = cdf if cdf.ndim == 2 else [cdf] * 100
             assert got.tolist() == [sampling.draw(row, ref) for row, ref in zip(rows, refs)]
             assert [g.bit_generator.state for g in gens] == [r.bit_generator.state for r in refs]
+
+
+class TestTrialGenerators:
+    """Generator t of trial_generators(seed, n) is default_rng([seed, t])."""
+
+    # one-, two-, three- and many-word seeds
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 3**80])
+    @pytest.mark.parametrize("n", [1, 2, 750])
+    def test_same_stream_as_default_rng(self, seed, n):
+        gens = sampling.trial_generators(seed, n)
+        assert len(gens) == n
+        for t, gen in enumerate(gens):
+            ref = np.random.default_rng([seed, t])
+            assert gen.bit_generator.state == ref.bit_generator.state, t
+            assert gen.random() == ref.random()
+            assert gen.standard_normal(6).tobytes() == ref.standard_normal(6).tobytes()
+
+    def test_negative_seed_is_refused(self):
+        # as default_rng refuses it; the seed has no 32-bit words to hash
+        with pytest.raises(ValueError, match="non-negative"):
+            sampling.trial_generators(-1, 3)
