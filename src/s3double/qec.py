@@ -8,11 +8,13 @@ non-trivial sites and recovery fuses each pair away, either microscopically
 phenomenologically (tracking only anyon letters on a site grid, with fusion
 outcomes sampled from the quantum-dimension probability law).
 
-Cost of a phenomenological round: one uniform draw per edge (the floor); a
-bounds check per error edge; one `sampling.draw` per sampled letter from a
-constant `sampling.law` (the Pauli alphabet's is built once per NoiseModel,
-the lone-vertex mixtures' once per module, each fusion pair's once per
-process); and one vectorised sort of the n(n-1)/2 pair distances of the
+Cost of a phenomenological round: one uniform double per edge, read in
+blocks by `sampling.hits_below`, with at most one generator rewind per error
+edge; a bounds check per error edge; one scan of the site grid for its
+non-trivial sites; one `sampling.draw` per sampled letter from a constant
+`sampling.law` (the Pauli alphabet's is built once per NoiseModel, the
+lone-vertex mixtures' once per module, each fusion pair's once per process);
+and one vectorised sort of the n(n-1)/2 pair distances of the
 n non-trivial sites in the decoder, O(n^2 log n) at most.
 """
 
@@ -93,13 +95,14 @@ class NoiseModel:
 
 
 def _faults(n_edges: int, noise: NoiseModel, rng):
-    """Yield (edge, kind) of each faulty edge in edge order: one
-    rng.random() < p per edge (inline; sampling.draw costs more than twice as
-    much per edge), then one noise.sample_kind per fault.  A consumer's own
-    draws for a fault happen before the next edge's draw."""
-    for edge in range(n_edges):
-        if rng.random() < noise.p:
-            yield edge, noise.sample_kind(rng)
+    """Yield (edge, kind) of each faulty edge in edge order: edge e is
+    faulty when its rng.random() double is below p, then one
+    noise.sample_kind per fault.  A consumer's own draws for a fault happen
+    before the next edge's double is read.  `sampling.hits_below` reads the
+    fault-free edges' doubles in blocks, and consumes exactly those a scalar
+    draw per edge would, so the stream and every record are the same."""
+    for edge in sampling.hits_below(rng, noise.p, n_edges):
+        yield edge, noise.sample_kind(rng)
 
 
 # Pauli errors as monomials on the edge's group element g = mu^k sigma^l
@@ -303,9 +306,10 @@ def _phenomenological_cycle(shape, noise, rounds, rng):
                 if letter != "A":
                     charges[site] = sample_fusion(charges[site], letter, rng)
         # read before recovery rewrites the charges
-        syndrome = sorted(lat.nontrivial(charges).items())
+        excited = lat.nontrivial(charges)
+        syndrome = sorted(excited.items())
         actions = []
-        for a, b, _ in decode_greedy(charges):
+        for a, b, _ in decode_greedy(excited):
             # phenomenological recovery: transport is assumed perfect; the
             # pair fuses stochastically and any non-trivial outcome stays
             # enqueued at b for the next round
@@ -313,7 +317,8 @@ def _phenomenological_cycle(shape, noise, rounds, rng):
             charges[a] = "A"
             charges[b] = out
             actions.append((a, b, out == "A"))
-        residual = sum(1 for v in charges.values() if v != "A")
+        # recovery writes only to decoded sites, which were all excited
+        residual = sum(1 for s in excited if charges[s] != "A")
         reports.append(
             {
                 "round": r,

@@ -5,6 +5,11 @@ would for p = weights / weights.sum(), without revalidating p on every draw.
 A stack of weight rows gives a stack of laws, and `draws` takes one double
 per row, each from that row's own generator.
 
+`hits_below(rng, p, n)` yields the offsets of those of the next n doubles
+that fall below p, and consumes exactly the doubles a scalar
+``rng.random() < p`` loop would have read up to each: it reads a block of
+doubles at once and steps the PCG64 back over those it read past a hit.
+
 `trial_generators(seed, n)` gives those per-trial generators: generator t
 yields the same stream, and has the same `bit_generator.state`, as
 ``np.random.default_rng([seed, t])``.  It runs NumPy's SeedSequence hash for
@@ -41,6 +46,60 @@ def draws(cdf: np.ndarray, rngs) -> np.ndarray:
     by every row) drawn with one rngs[i].random() double, as `draw` draws it."""
     u = np.array([rng.random() for rng in rngs])
     return (cdf <= u[:, None]).sum(axis=-1)
+
+
+# hits_below reads a block of about this many expected gaps 1/p, so that
+# most hits take one block
+_BLOCK_GAPS = 4
+# below this expected gap, scalar draws cost less than a block and a rewind
+_SCALAR_GAP = 16
+
+
+def hits_below(rng, p: float, n: int):
+    """Yield in order each offset i < n whose double, of the next n
+    rng.random() doubles, is below p.  The caller may draw from rng between
+    hits: each hit is yielded once the doubles up to and including its own
+    are consumed and no more, so the stream, and `rng.bit_generator.state`
+    at each yield and at the end, are the scalar loop's,
+    ``for i in range(n): if rng.random() < p: yield i``.
+
+    Cost: one rng.random(k) block of k = min(n, 4/p) doubles per hit, more
+    only where a block holds no hit, and one PCG64 rewind over the doubles
+    read past the hit; where hits come more often than every 16 doubles, or
+    on any other bit generator, the scalar loop itself."""
+    # numpy.random loads on first use (see trial_generators); rng loaded it
+    from numpy.random import PCG64
+
+    if p * _SCALAR_GAP > 1 or not isinstance(rng.bit_generator, PCG64):
+        for i in range(n):
+            if rng.random() < p:
+                yield i
+        return
+    block = max(1, n if p * n <= _BLOCK_GAPS else int(_BLOCK_GAPS / p))
+    start = 0
+    while start < n:
+        k = min(block, n - start)
+        below = rng.random(k) < p
+        i = int(below.argmax())
+        if not below[i]:
+            start += k
+            continue
+        if i + 1 < k:
+            _rewind(rng.bit_generator, k - i - 1)
+        yield start + i
+        start += i + 1
+
+
+def _rewind(bit_generator, m: int):
+    """Step a PCG64 back over its last m outputs.  `advance` wraps its delta
+    modulo 2**128, so a negative delta steps back; it also drops a buffered
+    32-bit half-word, which this puts back."""
+    buffered = bit_generator.state
+    bit_generator.advance(-m)
+    if buffered["has_uint32"]:
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, buffered["uinteger"]
+        bit_generator.state = state
 
 
 # NumPy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four

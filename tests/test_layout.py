@@ -179,33 +179,20 @@ class TestSampling:
         assert calls == []
 
     def test_only_fault_draws_call_random(self):
-        # the one draw outside sampling is qec's per-edge Bernoulli fault,
-        # rng.random() compared with the error rate p, at one site; no
+        # no module outside sampling calls Generator.random: qec's per-edge
+        # Bernoulli fault is drawn by sampling.hits_below, at one site; no
         # module draws with Generator.integers (a mixed ancilla is a law)
-        def is_random(node):
-            return (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "random"
-            )
-
         calls, faults, integers = [], [], []
+        sites = {"random": calls, "hits_below": faults, "integers": integers}
         for path in sorted(PACKAGE.glob("*.py")):
             if path.stem == "sampling":
                 continue
             for node in ast.walk(ast.parse(path.read_text())):
-                if getattr(getattr(node, "func", None), "attr", None) == "integers":
-                    integers.append(f"{path.stem}:{node.lineno}")
-                if is_random(node):
-                    calls.append(f"{path.stem}:{node.lineno}")
-                elif (
-                    path.stem == "qec"
-                    and isinstance(node, ast.Compare)
-                    and is_random(node.left)
-                    and getattr(node.comparators[0], "attr", None) == "p"
-                ):
-                    faults.append(f"{path.stem}:{node.lineno}")
-        assert len(faults) == 1 and sorted(calls) == sorted(faults), calls
+                attr = getattr(getattr(node, "func", None), "attr", None)
+                if attr in sites:
+                    sites[attr].append(f"{path.stem}:{node.lineno}")
+        assert calls == []
+        assert len(faults) == 1 and faults[0].startswith("qec:"), faults
         assert integers == []
 
 

@@ -54,6 +54,73 @@ class TestNoiseModel:
         assert all(noise.sample_kind(rng) == "Z" for _ in range(20))
 
 
+def scalar_faults(n_edges, noise, rng):
+    """The per-edge scalar form of `qec._faults`, kept as its oracle: one
+    rng.random() < p per edge, then one noise.sample_kind per fault."""
+    for edge in range(n_edges):
+        if rng.random() < noise.p:
+            yield edge, noise.sample_kind(rng)
+
+
+def _consumed(faults, n_edges, noise, rng):
+    """The (edge, kind) list of a fault loop whose consumer draws edge % 4
+    doubles after each fault, as the phenomenological round draws its letters
+    and fusions between faults."""
+    out = []
+    for edge, kind in faults(n_edges, noise, rng):
+        out.append((edge, kind))
+        rng.random(edge % 4)
+    return out
+
+
+class _CountingRng:
+    """Forwards to a Generator and counts its calls to `random`."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.bit_generator = rng.bit_generator
+        self.calls = 0
+
+    def random(self, *args):
+        self.calls += 1
+        return self.rng.random(*args)
+
+
+class TestFaults:
+    """`_faults` reads the stream the scalar loop reads, double for double."""
+
+    @pytest.mark.parametrize("p", [0, 1e-3, 0.01, 1 / 16, 0.03, 0.3, 1])
+    @pytest.mark.parametrize("n_edges", [0, 1, 10, 3280])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_same_faults_and_state_as_the_scalar_loop(self, p, n_edges, buffered):
+        noise = qec.NoiseModel(p)
+        for seed in range(4):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            if buffered:
+                # a 32-bit draw leaves half of a 64-bit output in PCG64's
+                # buffer, which no double reads and `advance` drops
+                rng.integers(2**32, dtype=np.uint32)
+                ref.integers(2**32, dtype=np.uint32)
+            got = _consumed(qec._faults, n_edges, noise, rng)
+            want = _consumed(scalar_faults, n_edges, noise, ref)
+            assert got == want
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.integers(2**32, dtype=np.uint32) == ref.integers(2**32, dtype=np.uint32)
+
+    def test_a_fault_free_span_costs_one_block_not_a_call_per_edge(self):
+        # at p = 0 the look-ahead block is the whole span of 3,280 edges, so
+        # the loop calls `random` at most once; the scalar loop calls it
+        # once per edge
+        noise = qec.NoiseModel(0.0)
+        ref = _CountingRng(np.random.default_rng(1))
+        assert list(scalar_faults(3280, noise, ref)) == []
+        assert ref.calls == 3280
+        rng = _CountingRng(np.random.default_rng(1))
+        assert list(qec._faults(3280, noise, rng)) == []
+        assert rng.calls <= 1
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestGeometry:
     def test_edge_endpoints(self):
         lattice = lat.Lattice(2, 2)
@@ -490,6 +557,21 @@ class TestPhenomenologicalCycle:
                     assert charges[a] == "A" and charges[b] != "A"
                     found = True
         assert found
+
+    def test_one_grid_scan_per_round(self, monkeypatch):
+        # the syndrome, the decoder and the residual read one non-trivial
+        # map per round, built by the round's only scan of all 36 sites
+        scanned = []
+        nontrivial = lat.nontrivial
+
+        def counted(charges):
+            scanned.append(len(charges))
+            return nontrivial(charges)
+
+        monkeypatch.setattr(qec.lat, "nontrivial", counted)
+        reports, _ = qec.qec_cycle((6, 6), qec.NoiseModel(0.05), 4, np.random.default_rng(2))
+        assert any(r["syndrome"] for r in reports)
+        assert scanned.count(36) == 4
 
     def test_s3_mix_sampling(self):
         rng = np.random.default_rng(9)

@@ -113,6 +113,50 @@ class TestStackedLaws:
             assert [g.bit_generator.state for g in gens] == [r.bit_generator.state for r in refs]
 
 
+def scalar_hits_below(rng, p, n):
+    """The scalar loop `hits_below` stands for."""
+    for i in range(n):
+        if rng.random() < p:
+            yield i
+
+
+def _hits(hits_below, rng, p, n):
+    """The hits of one pass, with i % 3 doubles drawn after hit i."""
+    out = []
+    for i in hits_below(rng, p, n):
+        out.append(i)
+        rng.random(i % 3)
+    return out
+
+
+class TestHitsBelow:
+    """hits_below consumes what the scalar loop consumes, bit for bit."""
+
+    @pytest.mark.parametrize("p", [0, 5e-324, 1e-3, 0.05, 1 / 16, 0.1, 1])
+    @pytest.mark.parametrize("n", [0, 1, 20_000])
+    def test_same_hits_and_state_as_the_scalar_loop(self, p, n):
+        # at p = 1e-3 and 0.05 a hit can take several blocks; the least
+        # subnormal p reads all n doubles as one block
+        for seed in range(3):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            if seed:
+                rng.integers(2**32, dtype=np.uint32)
+                ref.integers(2**32, dtype=np.uint32)
+            for _ in range(3):
+                assert _hits(sampling.hits_below, rng, p, n) == _hits(scalar_hits_below, ref, p, n)
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+    def test_other_bit_generators_draw_scalars(self, bit_generator):
+        # only a PCG64 is stepped back; Philox's `advance` counts blocks of
+        # outputs, and MT19937 has none
+        rng, ref = np.random.Generator(bit_generator(4)), np.random.Generator(bit_generator(4))
+        for _ in range(5):
+            assert _hits(sampling.hits_below, rng, 0.01, 3280) == _hits(scalar_hits_below, ref, 0.01, 3280)
+        # their states hold arrays; the streams that follow must agree
+        assert rng.random(64).tobytes() == ref.random(64).tobytes()
+
+
 class TestTrialGenerators:
     """Generator t of trial_generators(seed, n) is default_rng([seed, t])."""
 
